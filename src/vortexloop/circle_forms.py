@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
-from scipy.optimize import brentq
 
 from . import quadrature
 from .errors import (
@@ -22,6 +21,7 @@ from .errors import (
     OddZeroCount,
     OutOfRange,
     ProfileMismatch,
+    VortexLoopError,
 )
 from .quadrature import TWO_PI
 
@@ -31,6 +31,55 @@ _BRACKET_WIDTH = 1e-13
 _ZERO_RESIDUAL_REL = 1e-12
 DEFAULT_MORSE_TOL = 1e-8
 DEFAULT_SYMMETRY_REL_TOL = 1e-9
+
+
+def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
+    """Solve ``sign * f(t) == target`` entrywise inside brackets ``[lo, hi]``.
+
+    ``sign * f - target`` must change from nonpositive to nonnegative across
+    each bracket, ``df`` is the derivative of ``f``, and ``target`` and
+    ``sign`` are scalars or one value per entry.  Each entry starts at its
+    bracket midpoint.  A Newton step is taken only when it lands in the
+    closed bracket and is at most half the previous step; otherwise the
+    bracket is bisected.  The halving rule keeps Newton from cycling between
+    two points at the rounding floor.  An entry stops once its bracket or its
+    last step is at most ``_BRACKET_WIDTH``; a zero-width bracket returns its
+    end at once.  The iteration cap is twice what bisection alone needs on
+    the widest bracket; an entry still active there, such as one where ``f``
+    is NaN, raises VortexLoopError.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), lo.shape)
+    t = 0.5 * (lo + hi)
+    step = hi - lo
+    active = np.nonzero(step > _BRACKET_WIDTH)[0]
+    widest = float(np.max(step, initial=_BRACKET_WIDTH))
+    cap = 2 * (int(np.ceil(np.log2(widest / _BRACKET_WIDTH))) + 1)
+    for _ in range(cap):
+        if active.size == 0:
+            return t
+        ta = t[active]
+        sg = sign[active]
+        resid = sg * np.asarray(f(ta), dtype=float) - target[active]
+        lo_a = np.where(resid < 0.0, ta, lo[active])
+        hi_a = np.where(resid >= 0.0, ta, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ta - resid / (sg * np.asarray(df(ta), dtype=float))
+        take = ((newton >= lo_a) & (newton <= hi_a)
+                & (np.abs(newton - ta) <= 0.5 * step[active]))
+        t_next = np.where(take, newton, 0.5 * (lo_a + hi_a))
+        step_a = np.abs(t_next - ta)
+        lo[active], hi[active], t[active], step[active] = lo_a, hi_a, t_next, step_a
+        done = np.isfinite(resid) & ((hi_a - lo_a <= _BRACKET_WIDTH) | (step_a <= _BRACKET_WIDTH))
+        active = active[~done]
+    if active.size:
+        j = int(active[0])
+        raise VortexLoopError(
+            f"bracketed Newton did not converge in {cap} iterations: "
+            f"{active.size} entries still active, first in [{lo[j]:.17g}, {hi[j]:.17g}]")
+    return t
 
 
 class CircleForm:
@@ -219,11 +268,6 @@ class CircleForm:
         return f"CircleForm.samples(n={self._values.size})"
 
 
-def eval_form(form: CircleForm, t):
-    """Evaluate the density at angles ``t``."""
-    return form(t)
-
-
 @dataclass(frozen=True)
 class ZeroSet:
     """Ordered zeros of a density in [0, 2*pi) with derivatives there."""
@@ -252,8 +296,10 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL,
                scan_points: int | None = None) -> ZeroSet:
     """Locate all zeros of the density in [0, 2*pi).
 
-    Sign changes are detected on a uniform scan grid, refined by bisection to
-    a bracket of width 1e-13 and polished with Newton steps.  Raises
+    Sign changes are detected on a uniform scan grid; each scan cell with a
+    sign change is solved by the safeguarded Newton kernel
+    (``_newton_bracketed``) to a bracket or step of 1e-13, and a zero that
+    lands exactly on the grid is taken as it is.  Raises
     MorseViolation when a zero's derivative is below ``morse_tol`` relative to
     the derivative scale or when zeros cannot be separated at the scan
     resolution, and OddZeroCount when an odd number of crossings is found.
@@ -270,7 +316,6 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL,
     h = TWO_PI / scan_points
     grid = np.arange(scan_points) * h
     vals = form(grid)
-    nxt = np.roll(vals, -1)
 
     on_grid = np.nonzero(vals == 0.0)[0]
     for j in on_grid:
@@ -279,37 +324,14 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL,
         if left == 0.0 or right == 0.0 or left * right > 0.0:
             raise MorseViolation(
                 f"degenerate zero near t={grid[j]:.9f}: no transversal crossing")
-    crossing = np.nonzero(vals * nxt < 0.0)[0]
-
-    lo = np.concatenate([grid[crossing], grid[on_grid]])
-    hi = np.concatenate([grid[crossing] + h, grid[on_grid]])
-    if lo.size == 0:
+    starts = np.concatenate([np.nonzero(vals * np.roll(vals, -1) < 0.0)[0], on_grid])
+    if starts.size == 0:
         return ZeroSet(np.empty(0), np.empty(0))
-    flo = form(lo)
-
-    n_iter = int(np.ceil(np.log2(h / _BRACKET_WIDTH))) + 1
-    wide = hi > lo
-    for _ in range(n_iter):
-        if not np.any(wide):
-            break
-        mid = 0.5 * (lo + hi)
-        fm = form(mid)
-        go_left = wide & (flo * fm <= 0.0)
-        go_right = wide & ~go_left
-        hi = np.where(go_left, mid, hi)
-        lo = np.where(go_right, mid, lo)
-        flo = np.where(go_right, fm, flo)
-        wide = (hi - lo) > _BRACKET_WIDTH
-
-    roots = 0.5 * (lo + hi)
-    lo0 = np.concatenate([grid[crossing], grid[on_grid]])
-    hi0 = np.concatenate([grid[crossing] + h, grid[on_grid]])
-    for _ in range(3):
-        f = form(roots)
-        d = form.derivative(roots)
-        safe = np.abs(d) > 0.0
-        step = np.where(safe, f / np.where(safe, d, 1.0), 0.0)
-        roots = np.clip(roots - step, lo0, hi0)
+    # a zero on the grid gets a zero-width bracket; a crossing rises when the
+    # density is negative at the left end of its cell
+    lo = grid[starts]
+    hi = lo + np.where(vals[starts] == 0.0, 0.0, h)
+    roots = _newton_bracketed(form, form.derivative, 0.0, lo, hi, -np.sign(vals[starts]))
 
     roots = np.mod(roots, TWO_PI)
     order = np.argsort(roots)
@@ -409,7 +431,8 @@ def invert_cumulative(form: CircleForm, segment: tuple[float, float], s: float) 
 
     The segment must be an interval on which the density keeps one sign so
     the cumulative is strictly monotone.  Raises OutOfRange when ``s`` is not
-    reachable within the segment (beyond a 1e-9 relative slack).
+    reachable within the segment (beyond a 1e-9 relative slack).  The solve
+    is the one-target case of ``_invert_batch``.
     """
     a, b = float(segment[0]), float(segment[1])
     if not a < b <= a + TWO_PI + 1e-12:
@@ -418,22 +441,13 @@ def invert_cumulative(form: CircleForm, segment: tuple[float, float], s: float) 
     omega_seg = float(form.antiderivative(b)) - base
     if omega_seg == 0.0:
         raise OutOfRange("segment carries zero vorticity; cumulative is not invertible")
-    sgn = 1.0 if omega_seg > 0.0 else -1.0
     w = abs(omega_seg)
-    target = sgn * s
+    target = s if omega_seg > 0.0 else -s
     slack = 1e-9 * w
     if target < -slack or target > w + slack:
         raise OutOfRange(f"s={s:.15g} is outside the reachable range [0, {omega_seg:.15g}]")
-    target = min(max(target, 0.0), w)
-    if target == 0.0:
-        return a
-    if target == w:
-        return b
-
-    def f(t: float) -> float:
-        return sgn * (float(form.antiderivative(t)) - base) - target
-
-    return float(brentq(f, a, b, xtol=_BRACKET_WIDTH, rtol=8.9e-16))
+    offset = _invert_batch(form, a, b - a, omega_seg, np.array([s]))
+    return a + float(offset[0])
 
 
 class CircleDiffeo:
@@ -524,22 +538,19 @@ class CircleDiffeo:
     def inverse(self) -> "CircleDiffeo":
         """Inverse map, resampled onto the uniform grid.
 
-        The swapped interpolant only seeds the values; Newton polishing on
-        the forward map makes the pair mutually inverse to rounding.
+        Each grid value is bracketed between two consecutive samples of the
+        monotone forward map and solved on the forward map by the safeguarded
+        Newton kernel (``_newton_bracketed``), so the pair is mutually inverse
+        to rounding.  A solve that does not converge raises VortexLoopError.
         """
         m = self._samples.size
         x = np.append(self._samples, self._samples[0] + TWO_PI)
-        y = np.append(self._grid, TWO_PI)
-        seed = PchipInterpolator(x, y)
+        nodes = np.linspace(0.0, TWO_PI, m + 1)
         targets = np.linspace(0.0, TWO_PI, m, endpoint=False)
-        winding = np.floor((targets - x[0]) / TWO_PI)
-        frac = targets - winding * TWO_PI
-        t = seed(frac) + winding * TWO_PI
-        for _ in range(50):
-            resid = self(t) - targets
-            if np.max(np.abs(resid)) < 1e-14:
-                break
-            t = t - resid / np.maximum(self.derivative(t), 1e-12)
+        winding = np.floor((targets - x[0]) / TWO_PI) * TWO_PI
+        idx = np.clip(np.searchsorted(x, targets - winding, side="right") - 1, 0, m - 1)
+        t = _newton_bracketed(self, self.derivative, targets,
+                              nodes[idx] + winding, nodes[idx + 1] + winding)
         dinv = None
         if self._derivs is not None:
             dinv = 1.0 / np.maximum(self.derivative(t), 1e-300)
@@ -571,9 +582,10 @@ def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
     """Solve the cumulative equation for a batch of targets.
 
     Returns offsets in ``[0, length]`` from the segment start ``a``.  A
-    coarse table of exact antiderivative values provides initial brackets;
-    bracketed Newton with a bisection fallback finishes, so convergence does
-    not depend on the density staying away from zero at the segment ends.
+    coarse table of exact antiderivative values gives each target a panel
+    bracket, and the safeguarded Newton kernel (``_newton_bracketed``)
+    finishes; its bisection fallback keeps convergence independent of the
+    density staying away from zero at the segment ends.
     """
     sgn = 1.0 if omega_seg > 0.0 else -1.0
     w = abs(omega_seg)
@@ -584,33 +596,8 @@ def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
     table = np.maximum.accumulate(sgn * (form.antiderivative(edges) - base0))
 
     idx = np.clip(np.searchsorted(table, targets, side="right") - 1, 0, panels - 1)
-    lo = edges[idx].copy()
-    hi = edges[idx + 1].copy()
-    t = 0.5 * (lo + hi)
-
-    active = np.ones(targets.size, dtype=bool)
-    d_floor = 1e-14 * max(form.max_abs(), 1e-300)
-    for _ in range(90):
-        if not np.any(active):
-            break
-        ts = t[active]
-        resid = sgn * (np.asarray(form.antiderivative(ts), dtype=float) - base0) - targets[active]
-        above = resid >= 0.0
-        hi_a = hi[active]
-        lo_a = lo[active]
-        hi_a = np.where(above, np.minimum(hi_a, ts), hi_a)
-        lo_a = np.where(~above, np.maximum(lo_a, ts), lo_a)
-        d = sgn * np.asarray(form(ts), dtype=float)
-        ok = d > d_floor
-        newton = ts - np.where(ok, resid / np.where(ok, d, 1.0), 0.0)
-        inside = ok & (newton > lo_a) & (newton < hi_a)
-        t_next = np.where(inside, newton, 0.5 * (lo_a + hi_a))
-        hi[active] = hi_a
-        lo[active] = lo_a
-        t[active] = t_next
-        done = (hi_a - lo_a) <= _BRACKET_WIDTH
-        still = np.nonzero(active)[0]
-        active[still[done]] = False
+    t = _newton_bracketed(lambda x: form.antiderivative(x) - base0, form, targets,
+                          edges[idx], edges[idx + 1], sgn)
     t = np.where(targets <= 0.0, a, t)
     t = np.where(targets >= w, a + length, t)
     return np.clip(t - a, 0.0, length)

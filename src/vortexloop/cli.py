@@ -55,9 +55,9 @@ def _default_seed() -> int:
 
 
 def cmd_invariants(args) -> int:
-    loop = io.loop_from_dict(io.load(args.loop), auto_orient=args.auto_orient)
-    zs = find_zeros(loop.decoration, morse_tol=args.morse_tol)
-    prof = partial_vorticities(loop.decoration, zs)
+    loop = io.loop_from_dict(io.load(args.loop), auto_orient=args.auto_orient,
+                             morse_tol=args.morse_tol)
+    prof = loop.profile
     ell = symmetry_step(prof, rel_tol=args.rel_tol)
     _emit({
         "schema": io.SCHEMA,

@@ -21,6 +21,7 @@ from .symplectic import momentum_map_eval
 DEFAULT_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
 _CUTOFF_END = 6.0
+_MIDPOINT_ITERATIONS = 60
 
 
 @dataclass(frozen=True)
@@ -113,15 +114,22 @@ def _rk4_step(points: FloatArray, dt: float, h) -> FloatArray:
 
 
 def _midpoint_step(points: FloatArray, dt: float, h) -> FloatArray:
+    """Implicit midpoint step, solved by fixed-point iteration.
+
+    Raises StepRejected when the iteration has not converged after
+    ``_MIDPOINT_ITERATIONS`` updates.
+    """
     z = points + dt * hamiltonian_vector_field(h, points)
-    for _ in range(60):
-        mid = 0.5 * (points + z)
-        z_next = points + dt * hamiltonian_vector_field(h, mid)
-        if np.max(np.abs(z_next - z)) <= 1e-14 * max(1.0, float(np.max(np.abs(z)))):
-            z = z_next
-            break
+    for _ in range(_MIDPOINT_ITERATIONS):
+        z_next = points + dt * hamiltonian_vector_field(h, 0.5 * (points + z))
+        update = float(np.max(np.abs(z_next - z)))
+        if update <= 1e-14 * max(1.0, float(np.max(np.abs(z)))):
+            return z_next
         z = z_next
-    return z
+    raise StepRejected(
+        f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
+        f"iterations; last update {update:.3e}")
+
 
 _STEPPERS = {"rk4": _rk4_step, "implicit-midpoint": _midpoint_step}
 

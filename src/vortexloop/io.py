@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from .circle_forms import CircleDiffeo, CircleForm
+from .circle_forms import DEFAULT_MORSE_TOL, CircleDiffeo, CircleForm
 from .errors import SchemaError
 from .flow import FlowReport, PlanarBump, PlanarHamiltonian
 from .loops import DecoratedLoop
@@ -78,7 +78,8 @@ def loop_to_dict(loop: DecoratedLoop) -> dict:
     }
 
 
-def loop_from_dict(doc, *, auto_orient: bool = False) -> DecoratedLoop:
+def loop_from_dict(doc, *, auto_orient: bool = False,
+                   morse_tol: float = DEFAULT_MORSE_TOL) -> DecoratedLoop:
     _check_schema(doc, "loop")
     raw = _require(doc, "samples", "loop")
     try:
@@ -90,7 +91,7 @@ def loop_from_dict(doc, *, auto_orient: bool = False) -> DecoratedLoop:
     if not np.all(np.isfinite(samples)):
         raise SchemaError("loop.samples: values must be finite")
     form = form_from_dict(_require(doc, "beta", "loop"), "loop.beta")
-    return DecoratedLoop.build(samples, form, auto_orient=auto_orient)
+    return DecoratedLoop.build(samples, form, auto_orient=auto_orient, morse_tol=morse_tol)
 
 
 def hamiltonian_to_dict(h: PlanarHamiltonian) -> dict:

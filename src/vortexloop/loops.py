@@ -9,6 +9,7 @@ from scipy.interpolate import CubicSpline
 
 from . import quadrature
 from .circle_forms import (
+    DEFAULT_MORSE_TOL,
     CircleDiffeo,
     CircleForm,
     FloatArray,
@@ -165,14 +166,18 @@ def enclosed_area(embedding: LoopEmbedding) -> float:
 
 
 class DecoratedLoop:
-    """A loop embedding together with a Morse density on its parameter circle."""
+    """A loop embedding together with a Morse density on its parameter circle.
 
-    def __init__(self, embedding: LoopEmbedding, decoration: CircleForm):
+    The zeros are found on construction with the relative derivative floor
+    ``morse_tol`` (see ``find_zeros``).
+    """
+
+    def __init__(self, embedding: LoopEmbedding, decoration: CircleForm, *,
+                 morse_tol: float = DEFAULT_MORSE_TOL):
         self._embedding = embedding
         self._decoration = decoration
-        self._zero_set: ZeroSet | None = None
+        self._zero_set = zs = find_zeros(decoration, morse_tol=morse_tol)
         self._profile: VorticityProfile | None = None
-        zs = self.zero_set
         if zs.k == 0:
             raise MorseViolation("decoration has no zeros; a Morse decoration needs at least two")
         pts = embedding.eval(zs.zeros)
@@ -184,12 +189,13 @@ class DecoratedLoop:
             raise ValidationFailed("two zero images coincide on the curve")
 
     @classmethod
-    def build(cls, samples, decoration: CircleForm, *, auto_orient: bool = False) -> "DecoratedLoop":
+    def build(cls, samples, decoration: CircleForm, *, auto_orient: bool = False,
+              morse_tol: float = DEFAULT_MORSE_TOL) -> "DecoratedLoop":
         """Build from raw samples, reversing orientation (and decoration) on demand."""
         emb = LoopEmbedding(samples, auto_orient=auto_orient)
         if emb.auto_reversed:
             decoration = reversed_decoration(decoration)
-        return cls(emb, decoration)
+        return cls(emb, decoration, morse_tol=morse_tol)
 
     @property
     def embedding(self) -> LoopEmbedding:
@@ -201,8 +207,6 @@ class DecoratedLoop:
 
     @property
     def zero_set(self) -> ZeroSet:
-        if self._zero_set is None:
-            self._zero_set = find_zeros(self._decoration)
         return self._zero_set
 
     @property

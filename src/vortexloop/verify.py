@@ -21,6 +21,7 @@ from .circle_forms import (
     symmetry_step,
 )
 from .flow import PlanarHamiltonian, advect, equivariance_residual, hamiltonian_vector_field
+from .io import SCHEMA
 from .loops import DecoratedLoop, LoopEmbedding, intertwiner
 from .symplectic import (
     TangentVector,
@@ -32,8 +33,6 @@ from .symplectic import (
     pairing_matrix,
     tangent_decompose,
 )
-
-SCHEMA = "vortexloop/1"
 
 
 def _circle_dist(a, b) -> np.ndarray:

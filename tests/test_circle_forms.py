@@ -4,6 +4,7 @@ import pytest
 from conftest import TWO_PI, oracle_zeros, oracle_integral, oracle_profile
 from vortexloop.circle_forms import (
     CircleDiffeo,
+    _newton_bracketed,
     CircleForm,
     cumulative,
     find_zeros,
@@ -13,7 +14,7 @@ from vortexloop.circle_forms import (
     stabilizer_generator,
     symmetry_step,
 )
-from vortexloop.errors import MorseViolation, NoSymmetry
+from vortexloop.errors import MorseViolation, NoSymmetry, VortexLoopError
 from vortexloop.samples import (
     near_degenerate_form,
     random_morse_form,
@@ -181,6 +182,40 @@ def test_cumulative_inversion_round_trip():
                 assert abs(cumulative(form, a, t) - frac * omega) < 1e-11
 
 
+# -- safeguarded Newton kernel ------------------------------------------------
+
+
+def test_kernel_matches_brentq_oracle_on_rising_falling_and_grid_zeros():
+    # zeros at 0 (exact, given as a zero-width bracket), pi (rising) and
+    # +-arccos(0.3) (both falling)
+    f = lambda t: np.sin(t) * (np.cos(t) - 0.3)
+    df = lambda t: np.cos(t) * (np.cos(t) - 0.3) - np.sin(t) ** 2
+    lo = np.array([0.0, 2.9, 1.0, 4.8])
+    hi = np.array([0.0, 3.3, 1.5, 5.3])
+    roots = _newton_bracketed(f, df, 0.0, lo, hi, np.array([1.0, 1.0, -1.0, -1.0]))
+    want = oracle_zeros(f)
+    assert want.size == 4
+    assert np.max(np.abs(np.sort(roots) - want)) < 1e-13
+
+
+def test_kernel_escapes_two_cycle_at_bracket_end():
+    # The derivative is reported at half the true slope, so every Newton step
+    # overshoots onto the mirror point: 1.5 -> 0.5 -> 1.5, each landing on the
+    # end of the closed bracket with the same step.  Accepting those steps
+    # never shrinks the bracket; the same two-cycle, with residuals of
+    # +-6.7e-16 on a 1.3e-13 bracket, occurred at the rounding floor inside
+    # the intertwiner (test_intertwiner_recovers_reparametrization).
+    root = _newton_bracketed(lambda t: t - 1.0, lambda t: np.full_like(t, 0.5),
+                             0.0, [0.0], [3.0])
+    assert abs(root[0] - 1.0) < 1e-13
+
+
+def test_kernel_raises_on_nan_density():
+    with pytest.raises(VortexLoopError, match="did not converge"):
+        _newton_bracketed(lambda t: np.full_like(t, np.nan), np.ones_like, 0.0,
+                          [0.0, 1.0], [0.5, 1.5])
+
+
 # -- stabilizers and transport ------------------------------------------------
 
 
@@ -240,6 +275,17 @@ def test_inverse_round_trip():
     t = np.linspace(0.0, TWO_PI, 513)
     assert np.max(circle_dist(psi(inv(t)), t)) < 1e-11
     assert np.max(circle_dist(inv(psi(t)), t)) < 1e-11
+
+
+def test_inverse_round_trip_without_derivative_data():
+    # bare samples: PCHIP interpolation, the inverse solved on the forward map
+    psi = CircleDiffeo.from_function(lambda s: s + 0.3 * np.sin(s) + 0.2, size=256)
+    inv = psi.inverse()
+    assert inv.sample_derivatives is None
+    assert np.max(circle_dist(psi(inv.samples), inv.grid)) < 1e-13
+    t = np.linspace(0.0, TWO_PI, 1001)
+    assert np.max(circle_dist(psi(inv(t)), t)) < 1e-5
+    assert np.max(circle_dist(inv(psi(t)), t)) < 1e-5
 
 
 def test_compose_matches_nested_evaluation():

@@ -164,6 +164,20 @@ def test_degenerate_zero_exit_3(capsys, tmp_path):
     assert "zero" in err
 
 
+def test_morse_tol_flag_loosens_the_zero_check(capsys, tmp_path):
+    loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
+    doc = io.loop_to_dict(loop)
+    doc["beta"] = io.form_to_dict(samples.near_degenerate_form(1e-9))
+    path = tmp_path / "flat.json"
+    io.dump(doc, path)
+    code, _, err = run(capsys, ["invariants", str(path)])
+    assert code == 3
+    assert "near-degenerate" in err
+    code, out, _ = run(capsys, ["invariants", str(path), "--morse-tol", "1e-12"])
+    assert code == 0
+    assert json.loads(out)["k"] == 4
+
+
 def test_verify_deterministic(capsys):
     code, out1, _ = run(capsys, ["verify", "--suite", "forms", "--seed", "0"])
     assert code == 0

@@ -177,6 +177,13 @@ def test_step_rejected_on_violent_field():
         advect(loop, h, 1.0, 0.1)
 
 
+def test_midpoint_solve_that_does_not_converge_is_rejected():
+    loop = circle_loop(n=32)
+    h = PlanarHamiltonian.single((0.5, 0.0), 0.3, 40.0)
+    with pytest.raises(StepRejected, match="did not converge"):
+        advect(loop, h, 1.0, 0.1, scheme="implicit-midpoint")
+
+
 def test_collision_raises_validation_failed():
     # differential swirl around an off-center bump folds the coarse polyline
     loop = circle_loop(n=32)

@@ -76,6 +76,8 @@ def test_pairing_annihilates_constants_for_flat_density():
 def test_pairing_sampled_shape_mismatch():
     with pytest.raises(ValueError):
         pairing(np.zeros(64), np.zeros(128), samples.standard_form("sin2t"))
+    with pytest.raises(ValueError):
+        pairing(np.cos, np.ones(1000), samples.standard_form("sin2t"), resolution=1024)
 
 
 def test_pairing_matrix_entries_against_quadpack():
