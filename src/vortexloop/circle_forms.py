@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicHermiteSpline, CubicSpline, PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import quadrature
 from .errors import (
@@ -31,6 +31,10 @@ _BRACKET_WIDTH = 1e-13
 _ZERO_RESIDUAL_REL = 1e-12
 DEFAULT_MORSE_TOL = 1e-8
 DEFAULT_SYMMETRY_REL_TOL = 1e-9
+# grid resolution of trig forms, and the FFT size of ``CircleForm.from_function``
+_TRIG_NODE_COUNT = 1024
+# panels of the antiderivative table that brackets each target in ``_invert_batch``
+_INVERT_PANELS = 256
 
 
 def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
@@ -88,7 +92,8 @@ class CircleForm:
     Two representations are supported: a trigonometric series
     ``a0 + sum_j (a_j cos(j t) + b_j sin(j t))`` and uniform samples joined by
     a periodic cubic spline.  ``node_count`` is the resolution used by grid
-    based operations (dense scans, derived sample grids).
+    based operations (dense scans, derived sample grids): 1024 for a trig
+    series and the sample count for sampled forms.
     """
 
     def __init__(
@@ -99,15 +104,12 @@ class CircleForm:
         cos_coeffs: FloatArray | None = None,
         sin_coeffs: FloatArray | None = None,
         values: FloatArray | None = None,
-        node_count: int = 1024,
     ):
         if kind not in ("trig", "samples"):
             raise ValueError(f"unknown form kind {kind!r}")
-        if node_count < 8:
-            raise ValueError("node_count must be at least 8")
         self._kind = kind
-        self._node_count = int(node_count)
         if kind == "trig":
+            self._node_count = _TRIG_NODE_COUNT
             self._a0 = float(a0)
             self._cos = np.atleast_1d(np.asarray(cos_coeffs if cos_coeffs is not None else [], dtype=float))
             self._sin = np.atleast_1d(np.asarray(sin_coeffs if sin_coeffs is not None else [], dtype=float))
@@ -128,9 +130,7 @@ class CircleForm:
                 raise ValueError("sample values must be finite")
             self._values = vals.copy()
             self._node_count = vals.size
-            grid = np.linspace(0.0, TWO_PI, vals.size + 1)
-            closed = np.append(vals, vals[0])
-            self._spline = CubicSpline(grid, closed, bc_type="periodic")
+            self._spline = quadrature.periodic_spline(vals)
             self._dspline = self._spline.derivative()
             self._a0 = 0.0
             self._cos = None
@@ -142,21 +142,20 @@ class CircleForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def trig(cls, a0: float = 0.0, cos=(), sin=(), node_count: int = 1024) -> "CircleForm":
+    def trig(cls, a0: float = 0.0, cos=(), sin=()) -> "CircleForm":
         return cls("trig", a0=a0, cos_coeffs=np.asarray(cos, dtype=float),
-                   sin_coeffs=np.asarray(sin, dtype=float), node_count=node_count)
+                   sin_coeffs=np.asarray(sin, dtype=float))
 
     @classmethod
     def from_samples(cls, values) -> "CircleForm":
         return cls("samples", values=np.asarray(values, dtype=float))
 
     @classmethod
-    def from_function(cls, fn, degree: int | None = None, n_fft: int = 1024,
-                      node_count: int = 1024) -> "CircleForm":
+    def from_function(cls, fn, degree: int | None = None) -> "CircleForm":
         """Project a smooth periodic callable onto a trigonometric series."""
-        grid = np.linspace(0.0, TWO_PI, n_fft, endpoint=False)
+        grid = np.linspace(0.0, TWO_PI, _TRIG_NODE_COUNT, endpoint=False)
         vals = np.asarray(fn(grid), dtype=float)
-        spec = np.fft.rfft(vals) / n_fft
+        spec = np.fft.rfft(vals) / _TRIG_NODE_COUNT
         a0 = spec[0].real
         a = 2.0 * spec[1:].real
         b = -2.0 * spec[1:].imag
@@ -166,7 +165,7 @@ class CircleForm:
             keep = np.nonzero(mags > 1e-13 * scale)[0]
             degree = int(keep[-1]) + 1 if keep.size else 1
         degree = min(degree, a.size)
-        return cls.trig(a0, a[:degree], b[:degree], node_count=node_count)
+        return cls.trig(a0, a[:degree], b[:degree])
 
     # -- basic queries -----------------------------------------------------
 
@@ -205,7 +204,7 @@ class CircleForm:
             else:
                 out = np.full(arr.shape, self._a0)
         else:
-            out = self._spline(np.mod(arr, TWO_PI))
+            out = self._spline(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def derivative(self, t):
@@ -217,7 +216,7 @@ class CircleForm:
             else:
                 out = np.zeros(arr.shape)
         else:
-            out = self._dspline(np.mod(arr, TWO_PI))
+            out = self._dspline(arr)
         return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
     def antiderivative(self, t):
@@ -292,23 +291,22 @@ class VorticityProfile:
         return self.omegas.size
 
 
-def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL,
-               scan_points: int | None = None) -> ZeroSet:
+def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> ZeroSet:
     """Locate all zeros of the density in [0, 2*pi).
 
-    Sign changes are detected on a uniform scan grid; each scan cell with a
-    sign change is solved by the safeguarded Newton kernel
-    (``_newton_bracketed``) to a bracket or step of 1e-13, and a zero that
-    lands exactly on the grid is taken as it is.  Raises
+    Sign changes are detected on a uniform scan grid of max(1024, 8 * degree)
+    points for a trig series and max(1024, 4 * node_count) for a sampled
+    form; each scan cell with a sign change is solved by the safeguarded
+    Newton kernel (``_newton_bracketed``) to a bracket or step of 1e-13, and
+    a zero that lands exactly on the grid is taken as it is.  Raises
     MorseViolation when a zero's derivative is below ``morse_tol`` relative to
     the derivative scale or when zeros cannot be separated at the scan
     resolution, and OddZeroCount when an odd number of crossings is found.
     """
-    if scan_points is None:
-        if form.kind == "trig":
-            scan_points = max(1024, 8 * form.degree)
-        else:
-            scan_points = max(1024, 4 * form.node_count)
+    if form.kind == "trig":
+        scan_points = max(1024, 8 * form.degree)
+    else:
+        scan_points = max(1024, 4 * form.node_count)
     scale = form.max_abs()
     if scale == 0.0:
         raise MorseViolation("density is identically zero")
@@ -565,20 +563,12 @@ class CircleDiffeo:
             return CircleDiffeo(self(inner), self.derivative(inner) * other.derivative(grid))
         return CircleDiffeo(self(inner))
 
-    def iterate(self, n: int) -> "CircleDiffeo":
-        if n < 1:
-            raise ValueError("iteration count must be positive")
-        out = self
-        for _ in range(n - 1):
-            out = self.compose(out)
-        return out
-
     def __repr__(self) -> str:
         return f"CircleDiffeo(size={self.size})"
 
 
 def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
-                  s_batch: FloatArray, panels: int = 256) -> FloatArray:
+                  s_batch: FloatArray) -> FloatArray:
     """Solve the cumulative equation for a batch of targets.
 
     Returns offsets in ``[0, length]`` from the segment start ``a``.  A
@@ -592,10 +582,10 @@ def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
     targets = np.clip(sgn * np.asarray(s_batch, dtype=float), 0.0, w)
 
     base0 = form.antiderivative(a)
-    edges = a + np.linspace(0.0, length, panels + 1)
+    edges = a + np.linspace(0.0, length, _INVERT_PANELS + 1)
     table = np.maximum.accumulate(sgn * (form.antiderivative(edges) - base0))
 
-    idx = np.clip(np.searchsorted(table, targets, side="right") - 1, 0, panels - 1)
+    idx = np.clip(np.searchsorted(table, targets, side="right") - 1, 0, _INVERT_PANELS - 1)
     t = _newton_bracketed(lambda x: form.antiderivative(x) - base0, form, targets,
                           edges[idx], edges[idx + 1], sgn)
     t = np.where(targets <= 0.0, a, t)

@@ -121,7 +121,7 @@ def cmd_flow(args) -> int:
         observer = lambda step, t, pts: snapshots.append((step, t, pts))
     try:
         report = advect(loop, h, args.duration, args.dt, args.scheme, observer=observer)
-    except (StepRejected, ValidationFailed) as exc:
+    except ValidationFailed as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 5
 

@@ -140,15 +140,13 @@ class FlowReport:
 
     All drifts are reported, never swallowed: relative area drift, relative
     profile drift (structurally zero since the decoration is carried
-    unchanged), relative drift of the generating Hamiltonian's momentum, and
-    the equivariance residual when it was computed.
+    unchanged) and relative drift of the generating Hamiltonian's momentum.
     """
 
     loop: DecoratedLoop
     area_drift: float
     profile_drift: float
     hamiltonian_drift: float
-    equivariance_residual: float | None
     steps: int
     max_local_error: float
 
@@ -219,8 +217,7 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     profile_drift = float(np.max(np.abs(inv.omegas - omegas0))) / float(np.max(np.abs(omegas0)))
     momentum1 = momentum_map_eval(evolved.embedding, h, form)
     ham_drift = abs(momentum1 - momentum0) / max(1.0, abs(momentum0))
-    return FlowReport(evolved, area_drift, profile_drift, ham_drift, None,
-                      len(steps), max_est)
+    return FlowReport(evolved, area_drift, profile_drift, ham_drift, len(steps), max_est)
 
 
 def equivariance_residual(loop: DecoratedLoop, h_flow, h_test, duration: float,

@@ -142,7 +142,6 @@ def report_to_dict(report: FlowReport) -> dict:
         "area_drift": report.area_drift,
         "profile_drift": report.profile_drift,
         "hamiltonian_drift": report.hamiltonian_drift,
-        "equivariance_residual": report.equivariance_residual,
         "steps": report.steps,
         "max_local_error": report.max_local_error,
     }

@@ -5,7 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from . import quadrature
 from .circle_forms import (
@@ -25,6 +24,10 @@ from .quadrature import TWO_PI
 
 DEFAULT_PROFILE_REL_TOL = 1e-9
 DEFAULT_AREA_REL_TOL = 1e-6
+# rows of segments tested against all segments at once in ``_polyline_is_simple``
+_SIMPLE_BLOCK = 128
+
+_GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -37,15 +40,15 @@ def _shoelace(samples: FloatArray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def _polyline_is_simple(samples: FloatArray, block: int = 128) -> bool:
+def _polyline_is_simple(samples: FloatArray) -> bool:
     """Pairwise proper-crossing test over all non-adjacent polyline segments."""
     n = samples.shape[0]
     a = samples
     b = np.roll(samples, -1, axis=0)
     d = b - a
     idx = np.arange(n)
-    for start in range(0, n, block):
-        rows = idx[start:start + block]
+    for start in range(0, n, _SIMPLE_BLOCK):
+        rows = idx[start:start + _SIMPLE_BLOCK]
         ar = a[rows][:, None, :]
         dr = d[rows][:, None, :]
         o1 = _cross(dr, a[None, :, :] - ar)
@@ -63,11 +66,11 @@ def _polyline_is_simple(samples: FloatArray, block: int = 128) -> bool:
 class LoopEmbedding:
     """Closed plane curve through N uniform parameter samples.
 
-    Coordinates are interpolated by periodic cubic splines.  Construction
-    validates that the sample polyline is simple, the parametrization is an
-    immersion at the samples, and the orientation is positive (counter
-    clockwise); a negatively oriented input is reversed when ``auto_orient``
-    is set and rejected otherwise.
+    Both coordinates are interpolated by one periodic cubic spline.
+    Construction validates that the sample polyline is simple, the
+    parametrization is an immersion at the samples, and the orientation is
+    positive (counter clockwise); a negatively oriented input is reversed when
+    ``auto_orient`` is set and rejected otherwise.
     """
 
     def __init__(self, samples, *, auto_orient: bool = False):
@@ -90,14 +93,10 @@ class LoopEmbedding:
         if not _polyline_is_simple(pts):
             raise ValidationFailed("loop polyline self-intersects")
         self._samples = pts.copy()
-        n = pts.shape[0]
-        grid = np.linspace(0.0, TWO_PI, n + 1)
-        closed = np.vstack([pts, pts[:1]])
-        self._sx = CubicSpline(grid, closed[:, 0], bc_type="periodic")
-        self._sy = CubicSpline(grid, closed[:, 1], bc_type="periodic")
-        self._dx = self._sx.derivative()
-        self._dy = self._sy.derivative()
-        speed = np.hypot(self._dx(grid[:-1]), self._dy(grid[:-1]))
+        self._spline = quadrature.periodic_spline(pts)
+        self._dspline = self._spline.derivative()
+        d = self._dspline(self.grid)
+        speed = np.hypot(d[:, 0], d[:, 1])
         if np.min(speed) <= 1e-8 * np.max(speed):
             raise ValidationFailed("parametrization is not an immersion at the samples")
 
@@ -130,12 +129,10 @@ class LoopEmbedding:
                                     center[1] + b * np.sin(s)]))
 
     def eval(self, s) -> FloatArray:
-        arr = np.mod(np.asarray(s, dtype=float), TWO_PI)
-        return np.stack([self._sx(arr), self._sy(arr)], axis=-1)
+        return self._spline(np.asarray(s, dtype=float))
 
     def derivative(self, s) -> FloatArray:
-        arr = np.mod(np.asarray(s, dtype=float), TWO_PI)
-        return np.stack([self._dx(arr), self._dy(arr)], axis=-1)
+        return self._dspline(np.asarray(s, dtype=float))
 
     def frame(self, s) -> tuple[FloatArray, FloatArray]:
         """Unit tangent and unit normal (tangent rotated by +pi/2)."""
@@ -153,16 +150,22 @@ class LoopEmbedding:
         return f"LoopEmbedding(n={self.size})"
 
 
+def _spline_area(spline) -> float:
+    """Signed area ``integral((x y' - y x') / 2)`` enclosed by a closed 2-d spline.
+
+    On each knot interval ``x y' - y x'`` is a quintic, so one 3-point Gauss
+    rule per interval integrates it exactly.
+    """
+    knots = spline.x
+    half = 0.5 * np.diff(knots)
+    t = (knots[:-1] + half)[:, None] + half[:, None] * _GAUSS3_NODES
+    per_knot = _cross(spline(t), spline(t, 1)) @ _GAUSS3_WEIGHTS
+    return 0.5 * float(half @ per_knot)
+
+
 def enclosed_area(embedding: LoopEmbedding) -> float:
-    """Signed area enclosed by the loop, integrated along the spline."""
-
-    def integrand(s: np.ndarray) -> np.ndarray:
-        p = embedding.eval(s)
-        d = embedding.derivative(s)
-        return 0.5 * (p[..., 0] * d[..., 1] - p[..., 1] * d[..., 0])
-
-    edges = np.linspace(0.0, TWO_PI, embedding.size + 1)
-    return float(np.sum(quadrature.panel_integrals(integrand, edges)))
+    """Signed area enclosed by the loop, exact on its spline."""
+    return _spline_area(embedding._spline)
 
 
 class DecoratedLoop:
@@ -223,7 +226,7 @@ def reversed_decoration(form: CircleForm) -> CircleForm:
     """Pullback of the decoration under the reversal ``t -> 2*pi - t``."""
     if form.kind == "trig":
         a0, cos_c, sin_c = form.trig_coefficients
-        return CircleForm.trig(-a0, -cos_c, sin_c, node_count=form.node_count)
+        return CircleForm.trig(-a0, -cos_c, sin_c)
     vals = form.sample_values
     n = vals.size
     return CircleForm.from_samples(-vals[(-np.arange(n)) % n])

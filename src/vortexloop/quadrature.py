@@ -1,8 +1,10 @@
-"""Quadrature helpers used throughout the package.
+"""Quadrature and interpolation helpers used throughout the package.
 
 Integrals over inter-zero segments use composite Gauss-Legendre panels; full
 period integrals of smooth periodic integrands use the trapezoidal rule on a
-uniform grid, which converges spectrally there.
+uniform grid, which converges spectrally there.  Uniformly sampled periodic
+data (loop coordinates, sampled densities, vector fields along a loop) is
+interpolated by one periodic cubic spline construction.
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 from typing import Callable
 
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
 
@@ -53,3 +56,16 @@ def periodic_trapezoid(values: np.ndarray) -> float:
     """Trapezoidal rule for one period of a uniformly sampled periodic function."""
     values = np.asarray(values, dtype=float)
     return float(values.sum() * (TWO_PI / values.size))
+
+
+def periodic_spline(values) -> CubicSpline:
+    """Periodic cubic spline through uniform samples on [0, 2*pi), along axis 0.
+
+    Row ``j`` of ``values`` is the value at ``2*pi*j/N``.  The spline and its
+    derivatives wrap any real argument onto the period.  Its antiderivative
+    is not periodic and returns NaN outside [0, 2*pi], so callers wrap that
+    argument themselves.
+    """
+    vals = np.asarray(values, dtype=float)
+    grid = np.linspace(0.0, TWO_PI, vals.shape[0] + 1)
+    return CubicSpline(grid, np.concatenate([vals, vals[:1]]), bc_type="periodic")

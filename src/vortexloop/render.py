@@ -7,11 +7,9 @@ is deterministic for a given input.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
-from .circle_forms import TWO_PI
-from .loops import DecoratedLoop
-from .quadrature import panel_integrals, periodic_trapezoid
+from .loops import DecoratedLoop, _spline_area
+from .quadrature import periodic_spline, periodic_trapezoid
 
 _STYLE_BEFORE = 'fill="none" stroke="#4682b4" stroke-width="2"'
 _STYLE_AFTER = 'fill="none" stroke="#dc143c" stroke-width="2" stroke-dasharray="6 3"'
@@ -60,21 +58,6 @@ def svg_overlay(before: DecoratedLoop, after: DecoratedLoop, size: int = 640) ->
     return "\n".join(parts) + "\n"
 
 
-def _spline_area(samples) -> float:
-    # diagnostics only: same quadrature as the validated loop area, without
-    # re-running self-intersection checks on every snapshot
-    n = samples.shape[0]
-    grid = np.arange(n + 1) * (TWO_PI / n)
-    closed = np.vstack([samples, samples[:1]])
-    sx = CubicSpline(grid, closed[:, 0], bc_type="periodic")
-    sy = CubicSpline(grid, closed[:, 1], bc_type="periodic")
-
-    def integrand(t):
-        return 0.5 * (sx(t) * sy(t, 1) - sy(t) * sx(t, 1))
-
-    return float(np.sum(panel_integrals(integrand, grid)))
-
-
 def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     """Per-step invariant series: step, time, area, momentum, omegas.
 
@@ -87,7 +70,8 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     header = "step,t,area,momentum," + ",".join(f"omega_{i+1}" for i in range(omegas.size))
     rows = [header]
     for step, t, pts in snapshots:
-        area = _spline_area(pts)
+        # the loop area routine, without re-validating every snapshot
+        area = _spline_area(periodic_spline(pts))
         momentum = periodic_trapezoid(np.asarray(h(pts), dtype=float) * beta)
         cells = [str(step), format(t, ".12g"), format(area, ".15g"), format(momentum, ".15g")]
         cells.extend(format(w, ".15g") for w in omegas)

@@ -12,13 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import svdvals
 
 from .circle_forms import CircleForm, FloatArray
 from .errors import ConstraintViolation
 from .loops import DecoratedLoop, LoopEmbedding, _cross
-from .quadrature import TWO_PI, periodic_trapezoid
+from .quadrature import TWO_PI, periodic_spline, periodic_trapezoid
 
 AREA_CONSTRAINT_TOL = 1e-10
 PROJECTION_LIMIT = 1e-6
@@ -216,15 +215,6 @@ class PointedDecoration:
         object.__setattr__(self, "marked", m.copy())
 
 
-def _interp_field(embedding: LoopEmbedding, vec: FloatArray, at: FloatArray) -> FloatArray:
-    grid = np.linspace(0.0, TWO_PI, embedding.size + 1)
-    closed = np.vstack([vec, vec[:1]])
-    sx = CubicSpline(grid, closed[:, 0], bc_type="periodic")
-    sy = CubicSpline(grid, closed[:, 1], bc_type="periodic")
-    at = np.mod(at, TWO_PI)
-    return np.column_stack([sx(at), sy(at)])
-
-
 def pointed_omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm,
                        pointed: PointedDecoration) -> float:
     """Two-form plus weighted evaluation couplings at the marked parameters."""
@@ -232,8 +222,8 @@ def pointed_omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm,
     vv = _enforced(embedding, v)
     beta = np.asarray(form(embedding.grid), dtype=float)
     base = periodic_trapezoid(_cross(uu, vv) * beta)
-    u_at = _interp_field(embedding, uu, pointed.marked)
-    v_at = _interp_field(embedding, vv, pointed.marked)
+    u_at = periodic_spline(uu)(pointed.marked)
+    v_at = periodic_spline(vv)(pointed.marked)
     return base + float(np.sum(pointed.weights * _cross(u_at, v_at)))
 
 

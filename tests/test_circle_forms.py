@@ -73,6 +73,18 @@ def test_sampled_form_interpolates_its_nodes():
     assert np.max(np.abs(form(grid) - vals)) < 1e-13
 
 
+def test_sampled_form_wraps_its_argument():
+    # the spline wraps any real parameter onto the period itself
+    rng = np.random.default_rng(2)
+    form = CircleForm.from_samples(rng.normal(size=48))
+    t = np.linspace(0.0, TWO_PI, 97)
+    for j in (-2, 1, 3):
+        shifted = t + TWO_PI * j
+        wrapped = np.mod(shifted, TWO_PI)
+        assert np.max(np.abs(form(shifted) - form(wrapped))) < 1e-14
+        assert np.max(np.abs(form.derivative(shifted) - form.derivative(wrapped))) < 1e-14
+
+
 def test_sampled_antiderivative_matches_quadpack():
     form = CircleForm.from_samples(np.sin(2 * np.arange(256) * (TWO_PI / 256)))
     got = form.integrate(0.3, 2.9)

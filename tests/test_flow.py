@@ -156,7 +156,6 @@ def test_conservation_on_random_loop():
     assert report.hamiltonian_drift < 1e-8
     assert orbit_equivalent(loop, report.loop)
     assert report.steps == 250
-    assert report.equivariance_residual is None
     assert 0.0 <= report.max_local_error < 1e-3
 
 

@@ -72,7 +72,6 @@ def test_report_to_dict_fields():
     assert doc["area_drift"] == report.area_drift
     assert doc["profile_drift"] == report.profile_drift
     assert doc["hamiltonian_drift"] == report.hamiltonian_drift
-    assert doc["equivariance_residual"] is None
     assert doc["max_local_error"] == report.max_local_error
 
 
@@ -182,7 +181,7 @@ def test_flow_csv_series():
     first = lines[1].split(",")
     assert int(first[0]) == 0
     assert float(first[1]) == 0.0
-    assert float(first[2]) == pytest.approx(enclosed_area(loop.embedding), rel=1e-9)
+    assert float(first[2]) == pytest.approx(enclosed_area(loop.embedding), rel=1e-14)
     want_m = momentum_map_eval(loop.embedding, h, loop.decoration)
     assert float(first[3]) == pytest.approx(want_m, abs=1e-12)
     np.testing.assert_allclose([float(c) for c in first[4:]], loop.profile.omegas)

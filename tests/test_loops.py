@@ -29,7 +29,7 @@ from vortexloop.loops import (
 )
 from vortexloop.symplectic import momentum_map_eval
 
-from conftest import StarCurve, brute_circular_match
+from conftest import StarCurve, brute_circular_match, oracle_integral
 
 
 def unit_circle_pts(n=256, radius=1.0, clockwise=False):
@@ -114,6 +114,34 @@ def test_enclosed_area_matches_analytic_star():
     grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
     emb = LoopEmbedding(curve(grid))
     assert enclosed_area(emb) == pytest.approx(curve.area(), rel=1e-6)
+
+
+def test_enclosed_area_is_exact_on_the_spline():
+    # x y' - y x' is a quintic on each knot interval of the spline, so QUADPACK
+    # over each interval gives the area without the package's quadrature
+    curve = StarCurve(np.random.default_rng(9))
+    n = 32
+    knots = np.linspace(0.0, TWO_PI, n + 1)
+    emb = LoopEmbedding(curve(knots[:-1]))
+
+    def integrand(s):
+        p = emb.eval(s)
+        d = emb.derivative(s)
+        return 0.5 * (p[0] * d[1] - p[1] * d[0])
+
+    want = sum(oracle_integral(integrand, knots[i], knots[i + 1]) for i in range(n))
+    assert enclosed_area(emb) == pytest.approx(want, rel=1e-13)
+
+
+def test_eval_and_derivative_wrap_their_argument():
+    curve = StarCurve(np.random.default_rng(5))
+    emb = LoopEmbedding(curve(np.linspace(0.0, TWO_PI, 64, endpoint=False)))
+    t = np.linspace(0.0, TWO_PI, 97)
+    for j in (-2, 1, 3):
+        shifted = t + TWO_PI * j
+        wrapped = np.mod(shifted, TWO_PI)
+        assert np.max(np.abs(emb.eval(shifted) - emb.eval(wrapped))) < 1e-14
+        assert np.max(np.abs(emb.derivative(shifted) - emb.derivative(wrapped))) < 1e-14
 
 
 def test_resample_preserves_curve():
