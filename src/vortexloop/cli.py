@@ -144,9 +144,13 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
-def _add_loop_options(p) -> None:
+def _add_auto_orient(p) -> None:
     p.add_argument("--auto-orient", action="store_true",
                    help="reverse negatively oriented inputs instead of rejecting them")
+
+
+def _add_loop_options(p) -> None:
+    _add_auto_orient(p)
     p.add_argument("--rel-tol", type=_positive, default=1e-9,
                    help="relative tolerance for profile comparisons (default 1e-9)")
 
@@ -195,7 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", help="write the evolved loop to this file")
     p.add_argument("--emit-csv", help="write per-step invariants to this file")
     p.add_argument("--emit-svg", help="write an overlay figure to this file")
-    _add_loop_options(p)
+    _add_auto_orient(p)
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("verify", help="run the property suites", epilog=_EPILOG)

@@ -24,7 +24,7 @@ from .quadrature import TWO_PI
 
 DEFAULT_PROFILE_REL_TOL = 1e-9
 DEFAULT_AREA_REL_TOL = 1e-6
-# rows of segments tested against all segments at once in ``_polyline_is_simple``
+# a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
 _SIMPLE_BLOCK = 128
 
 _GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
@@ -40,25 +40,63 @@ def _shoelace(samples: FloatArray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
+def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):
+    """Yield blocks ``(i, j)`` of the segment pairs whose x-intervals meet.
+
+    ``lo`` and ``hi`` are the corners of the segment bounding boxes.  With
+    the segments sorted by left edge, the later segments whose x-intervals
+    meet that of the segment at position ``p`` are the run of positions after
+    ``p`` whose left edge is at most its right edge, so every meeting pair
+    appears exactly once.  A block holds whole runs and at most
+    ``_SIMPLE_BLOCK * n`` pairs.
+    """
+    n = lo.shape[0]
+    order = np.argsort(lo[:, 0], kind="stable")
+    left = lo[order, 0]
+    count = np.searchsorted(left, hi[order, 0], side="right") - np.arange(n) - 1
+    ends = np.cumsum(count)
+    start = 0
+    while start < n:
+        base = ends[start] - count[start]
+        stop = int(np.searchsorted(ends, base + _SIMPLE_BLOCK * n, side="right"))
+        c = count[start:stop]
+        first = np.repeat(np.arange(start, stop), c)
+        offset = np.arange(first.size) - np.repeat(ends[start:stop] - c - base, c)
+        yield order[first], order[first + 1 + offset]
+        start = stop
+
+
 def _polyline_is_simple(samples: FloatArray) -> bool:
-    """Pairwise proper-crossing test over all non-adjacent polyline segments."""
+    """Whether no two non-adjacent segments of the closed polyline cross properly.
+
+    Only pairs whose bounding boxes meet can cross, so a sort-and-sweep over
+    the boxes (``_x_overlap_pairs``, then a y-interval test) picks the
+    candidates, and the orientation predicate decides each candidate in both
+    orders.  Segments that only touch, at a vertex, along a collinear
+    overlap or in a T-junction, do not cross properly.
+    """
     n = samples.shape[0]
     a = samples
     b = np.roll(samples, -1, axis=0)
     d = b - a
-    idx = np.arange(n)
-    for start in range(0, n, _SIMPLE_BLOCK):
-        rows = idx[start:start + _SIMPLE_BLOCK]
-        ar = a[rows][:, None, :]
-        dr = d[rows][:, None, :]
-        o1 = _cross(dr, a[None, :, :] - ar)
-        o2 = _cross(dr, b[None, :, :] - ar)
-        o3 = _cross(d[None, :, :], ar - a[None, :, :])
-        o4 = _cross(d[None, :, :], (ar + dr) - a[None, :, :])
-        proper = (o1 * o2 < 0.0) & (o3 * o4 < 0.0)
-        gap = (rows[:, None] - idx[None, :]) % n
-        proper &= (gap > 1) & (gap < n - 1)
-        if np.any(proper):
+    lo = np.minimum(a, b)
+    hi = np.maximum(a, b)
+
+    def proper(r, c):
+        ar = a[r]
+        dr = d[r]
+        o1 = _cross(dr, a[c] - ar)
+        o2 = _cross(dr, b[c] - ar)
+        o3 = _cross(d[c], ar - a[c])
+        o4 = _cross(d[c], (ar + dr) - a[c])
+        return (o1 * o2 < 0.0) & (o3 * o4 < 0.0)
+
+    for i, j in _x_overlap_pairs(lo, hi):
+        gap = (i - j) % n
+        keep = ((lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
+                & (gap > 1) & (gap < n - 1))
+        i, j = i[keep], j[keep]
+        if np.any(proper(i, j) | proper(j, i)):
             return False
     return True
 

@@ -2,8 +2,8 @@
 
 Everything here recomputes expected values by routes independent of the
 package internals: dense scanning plus brentq for zeros, QUADPACK for
-integrals, analytic derivatives for areas, and plain loops for cyclic
-matching.
+integrals, analytic derivatives for areas, plain loops for cyclic
+matching, and an all-pairs crossing test for polyline simplicity.
 """
 
 import numpy as np
@@ -37,6 +37,33 @@ def oracle_profile(f, zeros):
     """Partial vorticities by QUADPACK between consecutive oracle zeros."""
     ext = np.append(zeros, zeros[0] + TWO_PI)
     return np.array([oracle_integral(f, ext[i], ext[i + 1]) for i in range(len(zeros))])
+
+
+def brute_polyline_is_simple(samples):
+    """Every segment of the closed polyline against every other: no proper crossing."""
+    n = samples.shape[0]
+    a = samples
+    b = np.roll(samples, -1, axis=0)
+    d = b - a
+
+    def cross(u, v):
+        return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+    idx = np.arange(n)
+    for start in range(0, n, 128):
+        rows = idx[start:start + 128]
+        ar = a[rows][:, None, :]
+        dr = d[rows][:, None, :]
+        o1 = cross(dr, a[None, :, :] - ar)
+        o2 = cross(dr, b[None, :, :] - ar)
+        o3 = cross(d[None, :, :], ar - a[None, :, :])
+        o4 = cross(d[None, :, :], (ar + dr) - a[None, :, :])
+        proper = (o1 * o2 < 0.0) & (o3 * o4 < 0.0)
+        gap = (rows[:, None] - idx[None, :]) % n
+        proper &= (gap > 1) & (gap < n - 1)
+        if np.any(proper):
+            return False
+    return True
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

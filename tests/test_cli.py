@@ -145,6 +145,17 @@ def test_flow_bad_step_and_rejection(capsys, tmp_path, circle_file):
     assert "local error estimate" in err
 
 
+def test_flow_has_no_rel_tol_flag(capsys, tmp_path, circle_file):
+    # flow compares no profiles, so a --rel-tol there would be accepted and ignored
+    ham_file = write_ham(tmp_path / "ham.json",
+                         PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4))
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", circle_file, ham_file, "-T", "0.1", "--dt", "0.01",
+              "--rel-tol", "1e-3"])
+    assert exc.value.code == 2
+    assert "--rel-tol" in capsys.readouterr().err
+
+
 def test_broken_json_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": "vortexloop/1", "samples": [[0, ')

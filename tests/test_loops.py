@@ -1,9 +1,11 @@
 """Loop embeddings, invariants, and intertwiners."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from vortexloop import samples
+from vortexloop import loops, samples
 from vortexloop.circle_forms import (
     TWO_PI,
     CircleForm,
@@ -29,7 +31,12 @@ from vortexloop.loops import (
 )
 from vortexloop.symplectic import momentum_map_eval
 
-from conftest import StarCurve, brute_circular_match, oracle_integral
+from conftest import (
+    StarCurve,
+    brute_circular_match,
+    brute_polyline_is_simple,
+    oracle_integral,
+)
 
 
 def unit_circle_pts(n=256, radius=1.0, clockwise=False):
@@ -62,11 +69,153 @@ def test_embedding_rejects_zero_area():
 
 def test_embedding_rejects_self_intersection():
     # limacon with an inner loop: positively oriented but not simple
-    t = np.linspace(0.0, TWO_PI, 128, endpoint=False)
-    r = 0.5 + np.cos(t)
-    pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    with pytest.raises(ValidationFailed):
-        LoopEmbedding(pts)
+    for n in (128, 4096):
+        t = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        r = 0.5 + np.cos(t)
+        pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
+        assert not brute_polyline_is_simple(pts)
+        with pytest.raises(ValidationFailed):
+            LoopEmbedding(pts)
+
+
+def serpentine(rows):
+    """Closed comb of an even number of unit-length horizontal runs.
+
+    Every run spans x in [0, 1], so almost all segment pairs meet in x.  The
+    runs alternate direction, joined end to end, and the path returns along
+    x = -1 below the first run; 2 * rows + 4 vertices.
+    """
+    pts = []
+    for k in range(rows):
+        xs = (0.0, 1.0) if k % 2 == 0 else (1.0, 0.0)
+        pts += [(xs[0], float(k)), (xs[1], float(k))]
+    top = float(rows - 1)
+    pts += [(-1.0, top), (-1.0, 0.5 * top), (-1.0, -1.0), (0.0, -1.0)]
+    return np.array(pts)
+
+
+def test_simplicity_sweep_matches_brute_force_on_random_and_star_polylines():
+    rng = np.random.default_rng(2024)
+    verdicts = []
+    for _ in range(200):
+        pts = rng.uniform(-1.0, 1.0, size=(int(rng.integers(4, 40)), 2))
+        verdicts.append(loops._polyline_is_simple(pts))
+        assert verdicts[-1] == brute_polyline_is_simple(pts)
+        n = int(rng.integers(16, 400))
+        curve = StarCurve(rng, harmonics=int(rng.integers(1, 8)),
+                          budget=rng.uniform(0.1, 1.5))
+        pts = curve(np.linspace(0.0, TWO_PI, n, endpoint=False))
+        verdicts.append(loops._polyline_is_simple(pts))
+        assert verdicts[-1] == brute_polyline_is_simple(pts)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_simplicity_sweep_accepts_touching_on_a_half_integer_grid():
+    # vertices on a half-integer grid make touching exact: shared vertices,
+    # collinear overlaps and T-junctions are not proper crossings
+    touching = [
+        [(0, 0), (1, 1), (2, 0), (2, 2), (1, 1), (0, 2)],
+        [(0, 0), (4, 0), (4, 2), (2, 0), (1, 2), (0, 2)],
+        [(0, 0), (3, 0), (3, 1), (2, 1), (2, 0), (1, 0), (1, 1), (0, 1)],
+        [(0, 0), (2, 0), (2, 1), (1, 0), (0.5, 0.5), (0, 1)],
+    ]
+    for pts in touching:
+        pts = np.array(pts, dtype=float)
+        assert loops._polyline_is_simple(pts)
+        assert brute_polyline_is_simple(pts)
+    rng = np.random.default_rng(11)
+    verdicts = []
+    for _ in range(400):
+        pts = 0.5 * rng.integers(-4, 5, size=(int(rng.integers(4, 16)), 2))
+        verdicts.append(loops._polyline_is_simple(pts))
+        assert verdicts[-1] == brute_polyline_is_simple(pts)
+    assert any(verdicts) and not all(verdicts)
+
+
+def test_simplicity_sweep_sees_a_crossing_across_the_wrap():
+    # segment n-2 (last-but-one vertex to last) crosses segment 0
+    n = 64
+    pts = unit_circle_pts(n)
+    assert loops._polyline_is_simple(pts)
+    mid = 0.5 * (pts[0] + pts[1])
+    pts[n - 1] = mid + 0.1 * (mid - pts[n - 2])
+
+    def side(p, q, r):
+        return np.sign((q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0]))
+
+    a, b, c, d = pts[n - 2], pts[n - 1], pts[0], pts[1]
+    assert side(a, b, c) * side(a, b, d) < 0 and side(c, d, a) * side(c, d, b) < 0
+    assert not brute_polyline_is_simple(pts)
+    assert not loops._polyline_is_simple(pts)
+
+
+def test_simplicity_sweep_on_a_serpentine():
+    pts = serpentine(2046)
+    n = pts.shape[0]
+    assert n == 4096
+    assert brute_polyline_is_simple(pts)
+    assert loops._polyline_is_simple(pts)
+    # pull one vertex down across the run two segments before it
+    bad = pts.copy()
+    k = 1001
+    bad[2 * k] = (0.5, k - 1.5)
+    assert not brute_polyline_is_simple(bad)
+    assert not loops._polyline_is_simple(bad)
+
+
+def test_simplicity_sweep_skips_rounding_crossings_between_disjoint_boxes():
+    # segments 0 and 3 lie on one line up to rounding, with disjoint boxes;
+    # in floating point the orientation signs are noise and the all-pairs
+    # test reports a crossing that exact rational arithmetic rules out
+    pts = np.array([
+        [0.35617560056901365, -0.04628301584198902],
+        [-0.44099159580158864, 0.05730437734101375],
+        [-0.6095905348192393, -0.4249908528298701],
+        [-0.6493284881808967, 0.08437658463162494],
+        [-0.9375972121930688, 0.12183548383440775],
+        [-0.16184982015603425, 1.0294389016285883],
+    ])
+    q = [(Fraction(x), Fraction(y)) for x, y in pts]
+
+    def side(p, r, t):
+        return (r[0] - p[0]) * (t[1] - p[1]) - (r[1] - p[1]) * (t[0] - p[0])
+
+    n = len(q)
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            a, b, c, d = q[i], q[(i + 1) % n], q[j], q[(j + 1) % n]
+            assert not (side(a, b, c) * side(a, b, d) < 0
+                        and side(c, d, a) * side(c, d, b) < 0)
+    assert not brute_polyline_is_simple(pts)
+    assert loops._polyline_is_simple(pts)
+
+
+def test_candidate_pairs_are_all_x_overlaps_in_bounded_blocks():
+    def blocks(pts):
+        b = np.roll(pts, -1, axis=0)
+        return list(loops._x_overlap_pairs(np.minimum(pts, b), np.maximum(pts, b)))
+
+    def overlaps(pts):
+        b = np.roll(pts, -1, axis=0)
+        lo = np.minimum(pts, b)[:, 0]
+        hi = np.maximum(pts, b)[:, 0]
+        meet = (lo[:, None] <= hi[None, :]) & (lo[None, :] <= hi[:, None])
+        return {(int(i), int(j)) for i, j in zip(*np.nonzero(np.triu(meet, 1)))}
+
+    rng = np.random.default_rng(3)
+    for pts in (rng.uniform(-1.0, 1.0, size=(60, 2)),
+                0.5 * rng.integers(-4, 5, size=(60, 2)),
+                serpentine(40)):
+        got = [tuple(sorted(p)) for i, j in blocks(pts) for p in zip(i.tolist(), j.tolist())]
+        assert len(got) == len(set(got))
+        assert set(got) == overlaps(pts)
+
+    pts = serpentine(2046)
+    n = pts.shape[0]
+    sizes = [i.size for i, _ in blocks(pts)]
+    assert len(sizes) > 1
+    assert max(sizes) <= loops._SIMPLE_BLOCK * n
+    assert sum(sizes) > n * n // 4
 
 
 def test_embedding_rejects_clockwise_without_auto_orient():
