@@ -39,8 +39,8 @@ def _emit(doc) -> None:
 
 def _positive(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
-        raise argparse.ArgumentTypeError("must be positive")
+    if not 0.0 < value < np.inf:
+        raise argparse.ArgumentTypeError("must be positive and finite")
     return value
 
 

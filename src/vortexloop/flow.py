@@ -31,19 +31,27 @@ class PlanarBump:
     amplitude: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("bump width must be positive")
+        if not 0.0 < self.sigma < np.inf:
+            raise ValueError("bump width must be positive and finite")
+        if not abs(self.amplitude) < np.inf:
+            raise ValueError("bump amplitude must be finite")
 
 
 class PlanarHamiltonian:
     """Sum of Gaussian bumps, each blended to zero between 5 and 6 sigma.
 
     The blend is a quintic smoothstep, so the Hamiltonian is C^2 at the
-    cutoff and exactly zero (value and gradient) beyond it.
+    cutoff and exactly zero (value and gradient) beyond it.  The bumps are
+    also held as arrays, so one pass evaluates every bump at every point.
     """
 
     def __init__(self, bumps):
         self._bumps = tuple(bumps)
+        # bump axis first: centres of shape (2, B, 1), widths and amplitudes (B, 1)
+        centers = np.array([b.center for b in self._bumps], dtype=float).reshape(-1, 2)
+        self._centers = centers.T[:, :, None]
+        self._sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
+        self._amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)[:, None]
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -53,50 +61,38 @@ class PlanarHamiltonian:
     def single(cls, center, sigma: float, amplitude: float) -> "PlanarHamiltonian":
         return cls([PlanarBump((float(center[0]), float(center[1])), float(sigma), float(amplitude))])
 
-    @staticmethod
-    def _blend(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        s = np.clip(s, 0.0, 1.0)
-        w = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-        dw = -30.0 * s * s * (1.0 - s) * (1.0 - s)
-        return w, dw
+    def _terms(self, pts):
+        """Offsets, r/sigma, Gaussian core, blend and its slope in r/sigma.
+
+        The M points of ``pts`` (shape (..., 2)) and the B bumps give offsets
+        of shape (2, B, M) and the other four of shape (B, M).
+        """
+        d = np.ascontiguousarray(pts.reshape(-1, 2).T)[:, None, :] - self._centers
+        rho = np.sqrt(d[0] * d[0] + d[1] * d[1]) / self._sigmas
+        core = self._amplitudes * np.exp(-0.5 * rho * rho)
+        width = _CUTOFF_END - _CUTOFF_START
+        s = np.clip((rho - _CUTOFF_START) / width, 0.0, 1.0)
+        blend = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+        slope = -30.0 * s * s * (1.0 - s) * (1.0 - s) / width
+        return d, rho, core, blend, slope
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        out = np.zeros(pts.shape[:-1])
-        for bump in self._bumps:
-            d = pts - np.asarray(bump.center)
-            r = np.hypot(d[..., 0], d[..., 1])
-            core = bump.amplitude * np.exp(-0.5 * (r / bump.sigma) ** 2)
-            w, _ = self._blend((r / bump.sigma - _CUTOFF_START) / (_CUTOFF_END - _CUTOFF_START))
-            out += core * w
-        return out
+        _, _, core, blend, _ = self._terms(pts)
+        return np.sum(core * blend, axis=0).reshape(pts.shape[:-1])
 
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        out = np.zeros_like(pts)
-        for bump in self._bumps:
-            d = pts - np.asarray(bump.center)
-            r = np.hypot(d[..., 0], d[..., 1])
-            core = bump.amplitude * np.exp(-0.5 * (r / bump.sigma) ** 2)
-            w, dw = self._blend((r / bump.sigma - _CUTOFF_START) / (_CUTOFF_END - _CUTOFF_START))
-            dw /= bump.sigma * (_CUTOFF_END - _CUTOFF_START)
-            # core' along r is -core*r/sigma^2; the dw term only acts where r >= 5 sigma
-            radial = -core * w / bump.sigma**2
-            out += radial[..., None] * d
-            active = dw != 0.0
-            if np.any(active):
-                safe_r = np.where(r > 0.0, r, 1.0)
-                out += ((core * dw / safe_r)[..., None] * d) * active[..., None]
-        return out
+        d, rho, core, blend, slope = self._terms(pts)
+        # grad = core (slope / rho - blend) d / sigma^2; the slope is 0 below
+        # 5 sigma, so the guarded rho keeps the bump centre finite
+        coef = core * (slope / np.maximum(rho, _CUTOFF_START) - blend) / self._sigmas**2
+        return np.sum(coef * d, axis=1).T.reshape(pts.shape)
 
     def support_mask(self, points) -> np.ndarray:
         """True for points inside the union of cutoff discs."""
         pts = np.asarray(points, dtype=float)
-        mask = np.zeros(pts.shape[:-1], dtype=bool)
-        for bump in self._bumps:
-            d = pts - np.asarray(bump.center)
-            mask |= np.hypot(d[..., 0], d[..., 1]) < _CUTOFF_END * bump.sigma
-        return mask
+        return np.any(self._terms(pts)[1] < _CUTOFF_END, axis=0).reshape(pts.shape[:-1])
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:
@@ -174,8 +170,9 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     """Advect a decorated loop by the Hamiltonian flow of ``h``.
 
     Every step carries a step-doubling local error estimate; a step whose
-    estimate exceeds ``error_limit`` raises StepRejected.  The evolved sample
-    polyline is re-validated, raising ValidationFailed if it self-intersects.
+    estimate exceeds ``error_limit`` or is not finite raises StepRejected.
+    The evolved sample polyline is re-validated, raising ValidationFailed if
+    it self-intersects.
     When given, ``observer(step_index, time, points)`` is called at step 0 and
     after every accepted step.
     """
@@ -199,7 +196,7 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
         half = stepper(stepper(pts, 0.5 * step_dt, h), 0.5 * step_dt, h)
         est = float(np.max(np.abs(full - half)))
         max_est = max(max_est, est)
-        if est > error_limit:
+        if not est <= error_limit:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {error_limit:g}")
         pts = full

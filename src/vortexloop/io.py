@@ -56,9 +56,11 @@ def form_from_dict(doc, where: str = "beta") -> CircleForm:
     kind = _require(doc, "kind", where)
     if kind == "trig":
         coeffs = _require(doc, "coeffs", where)
+        if not isinstance(coeffs, dict):
+            raise SchemaError(f"{where}.coeffs: expected an object, got {type(coeffs).__name__}")
         a0 = coeffs.get("a0", 0.0)
-        if not isinstance(a0, (int, float)):
-            raise SchemaError(f"{where}.coeffs.a0: expected a number")
+        if not isinstance(a0, (int, float)) or not abs(a0) < np.inf:
+            raise SchemaError(f"{where}.coeffs.a0: expected a finite number")
         cos = _float_list(coeffs.get("cos", []), f"{where}.coeffs.cos")
         sin = _float_list(coeffs.get("sin", []), f"{where}.coeffs.sin")
         return CircleForm.trig(a0=float(a0), cos=tuple(cos), sin=tuple(sin))
@@ -119,8 +121,10 @@ def hamiltonian_from_dict(doc) -> PlanarHamiltonian:
         amplitude = _require(entry, "amplitude", where)
         if not isinstance(sigma, (int, float)) or not isinstance(amplitude, (int, float)):
             raise SchemaError(f"{where}: sigma and amplitude must be numbers")
-        if sigma <= 0.0:
-            raise SchemaError(f"{where}.sigma: must be positive")
+        if not 0.0 < sigma < np.inf:
+            raise SchemaError(f"{where}.sigma: must be positive and finite")
+        if not abs(amplitude) < np.inf:
+            raise SchemaError(f"{where}.amplitude: must be finite")
         bumps.append(PlanarBump((float(center[0]), float(center[1])),
                                 float(sigma), float(amplitude)))
     return PlanarHamiltonian(bumps)

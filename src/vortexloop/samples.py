@@ -197,14 +197,16 @@ class AnalyticDiffeo:
         return 1.0 + self._displacement_derivative(np.asarray(t, dtype=float))
 
     def inverse_eval(self, s):
+        """Newton inverse; raises VortexLoopError if 60 steps do not converge."""
         s = np.asarray(s, dtype=float)
+        tol = 1e-14 * np.maximum(1.0, np.abs(s))
         t = s - self._offset
         for _ in range(60):
             resid = self(t) - s
             t = t - resid / self.derivative(t)
-            if np.max(np.abs(resid)) < 1e-14:
-                break
-        return t
+            if np.all(np.abs(resid) <= tol):
+                return t
+        raise VortexLoopError("AnalyticDiffeo.inverse_eval: Newton did not converge in 60 steps")
 
 
 def random_monotone_diffeo(rng: np.random.Generator, max_harmonic: int = 3,

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by routes independent of the
 package internals: dense scanning plus brentq for zeros, QUADPACK for
 integrals, analytic derivatives for areas, plain loops for cyclic
-matching, and an all-pairs crossing test for polyline simplicity.
+matching, an all-pairs crossing test for polyline simplicity, and a loop
+over the bumps of a bump Hamiltonian for its value and gradient.
 """
 
 import numpy as np
@@ -64,6 +65,47 @@ def brute_polyline_is_simple(samples):
         if np.any(proper):
             return False
     return True
+
+
+def _bump_blend(s):
+    """Quintic smoothstep from 1 down to 0 on [0, 1], and its slope."""
+    s = np.clip(s, 0.0, 1.0)
+    w = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
+    dw = -30.0 * s * s * (1.0 - s) * (1.0 - s)
+    return w, dw
+
+
+def brute_bump_value(h, points):
+    """Sum over h.bumps, one bump at a time, of the Gaussian blended out between 5 and 6 sigma."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1])
+    for bump in h.bumps:
+        d = pts - np.asarray(bump.center)
+        r = np.hypot(d[..., 0], d[..., 1])
+        core = bump.amplitude * np.exp(-0.5 * (r / bump.sigma) ** 2)
+        w, _ = _bump_blend(r / bump.sigma - 5.0)
+        out += core * w
+    return out
+
+
+def brute_bump_gradient(h, points):
+    """Gradient of brute_bump_value, one bump at a time."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros_like(pts)
+    for bump in h.bumps:
+        d = pts - np.asarray(bump.center)
+        r = np.hypot(d[..., 0], d[..., 1])
+        core = bump.amplitude * np.exp(-0.5 * (r / bump.sigma) ** 2)
+        w, dw = _bump_blend(r / bump.sigma - 5.0)
+        dw /= bump.sigma
+        # core' along r is -core*r/sigma^2; the dw term only acts where r >= 5 sigma
+        radial = -core * w / bump.sigma**2
+        out += radial[..., None] * d
+        active = dw != 0.0
+        if np.any(active):
+            safe_r = np.where(r > 0.0, r, 1.0)
+            out += ((core * dw / safe_r)[..., None] * d) * active[..., None]
+    return out
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

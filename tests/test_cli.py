@@ -156,6 +156,24 @@ def test_flow_has_no_rel_tol_flag(capsys, tmp_path, circle_file):
     assert "--rel-tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["invariants", "{loop}", "--rel-tol", "nan"],
+    ["invariants", "{loop}", "--morse-tol", "inf"],
+    ["equiv", "{loop}", "{loop}", "--rel-tol", "nan"],
+    ["equiv", "{loop}", "{loop}", "--area-tol", "nan"],
+    ["intertwine", "{loop}", "{loop}", "--rel-tol", "inf"],
+    ["flow", "{loop}", "{ham}", "-T", "inf", "--dt", "0.1"],
+    ["flow", "{loop}", "{ham}", "-T", "0.1", "--dt", "nan"],
+])
+def test_non_finite_flag_values_are_parse_errors(capsys, tmp_path, circle_file, argv):
+    ham_file = write_ham(tmp_path / "ham.json",
+                         PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4))
+    with pytest.raises(SystemExit) as exc:
+        main([a.format(loop=circle_file, ham=ham_file) for a in argv])
+    assert exc.value.code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
 def test_broken_json_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"schema": "vortexloop/1", "samples": [[0, ')

@@ -16,7 +16,7 @@ from vortexloop.flow import (
 )
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, orbit_equivalent
 
-from conftest import fd_gradient
+from conftest import brute_bump_gradient, brute_bump_value, fd_gradient
 
 
 def circle_loop(n=128, form_name="sin2t"):
@@ -31,6 +31,59 @@ def test_bump_rejects_nonpositive_width():
         PlanarBump((0.0, 0.0), -0.5, 1.0)
     with pytest.raises(ValueError):
         PlanarHamiltonian.single((0.0, 0.0), 0.0, 1.0)
+
+
+def test_bump_rejects_non_finite_width_and_amplitude():
+    for sigma, amplitude in [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, -np.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            PlanarBump((0.0, 0.0), sigma, amplitude)
+
+
+def _probe_points(rng, bumps):
+    """Uniform points plus, per bump, points in its core, in its 5-6 sigma
+    blend band, beyond 6 sigma, and its centre."""
+    parts = [rng.uniform(-8.0, 8.0, (64, 2))]
+    for b in bumps:
+        rho = np.concatenate([rng.uniform(0.0, 5.0, 16), rng.uniform(5.0, 6.0, 16),
+                              rng.uniform(6.0, 9.0, 16)])
+        angle = rng.uniform(0.0, TWO_PI, rho.size)
+        ring = np.column_stack([np.cos(angle), np.sin(angle)]) * (b.sigma * rho)[:, None]
+        parts += [np.asarray(b.center) + ring, np.asarray(b.center)[None, :]]
+    return np.vstack(parts)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_bump_kernel_matches_per_bump_oracle(seed):
+    rng = np.random.default_rng(seed)
+    for n_bumps in range(4):  # 0 is the empty Hamiltonian: exact zeros everywhere
+        bumps = [PlanarBump(tuple(rng.uniform(-2.0, 2.0, 2)), rng.uniform(0.2, 1.2),
+                            rng.uniform(-2.0, 2.0)) for _ in range(n_bumps)]
+        h = PlanarHamiltonian(bumps)
+        pts = _probe_points(rng, bumps)
+        want_v = brute_bump_value(h, pts)
+        want_g = brute_bump_gradient(h, pts)
+        value, grad = h(pts), h.gradient(pts)
+        assert value.shape == want_v.shape and grad.shape == want_g.shape
+        np.testing.assert_allclose(value, want_v, rtol=0.0,
+                                   atol=2e-15 * np.max(np.abs(want_v), initial=0.0))
+        np.testing.assert_allclose(grad, want_g, rtol=0.0,
+                                   atol=2e-15 * np.max(np.abs(want_g), initial=0.0))
+        assert np.all(np.isfinite(grad))
+
+        outside = np.ones(len(pts), dtype=bool)
+        for b in bumps:
+            outside &= np.hypot(*(pts - np.asarray(b.center)).T) > 6.0 * b.sigma
+        assert outside.any()
+        assert np.all(value[outside] == 0.0)
+        assert np.all(grad[outside] == 0.0)
+        np.testing.assert_array_equal(h.support_mask(pts), ~outside)
+
+        stacked = pts[-64:].reshape(2, 32, 2)
+        np.testing.assert_array_equal(h(stacked), value[-64:].reshape(2, 32))
+        np.testing.assert_array_equal(h.gradient(stacked), grad[-64:].reshape(2, 32, 2))
+        assert h.support_mask(stacked).shape == (2, 32)
+        assert h(pts[0]).shape == ()
+        np.testing.assert_array_equal(h.gradient(pts[0]), grad[0])
 
 
 def test_value_matches_gaussian_inside_core():
@@ -174,6 +227,22 @@ def test_step_rejected_on_violent_field():
     h = PlanarHamiltonian.single((0.5, 0.0), 0.3, 40.0)
     with pytest.raises(StepRejected, match="exceeds"):
         advect(loop, h, 1.0, 0.1)
+
+
+class _NanGradient:
+    """Zero Hamiltonian whose gradient is NaN everywhere."""
+
+    def __call__(self, points):
+        return np.zeros(np.shape(points)[:-1])
+
+    def gradient(self, points):
+        return np.full(np.shape(points), np.nan)
+
+
+def test_non_finite_step_estimate_is_rejected():
+    # NaN > error_limit is False, so a NaN estimate must not pass as small
+    with pytest.raises(StepRejected, match="step 0: local error estimate nan"):
+        advect(circle_loop(n=32), _NanGradient(), 0.3, 0.1)
 
 
 def test_midpoint_solve_that_does_not_converge_is_rejected():

@@ -137,6 +137,15 @@ def test_form_from_dict_errors():
         io.form_from_dict({"kind": "trig", "coeffs": {"a0": "big", "cos": [], "sin": []}})
     with pytest.raises(SchemaError, match="list of numbers"):
         io.form_from_dict({"kind": "trig", "coeffs": {"cos": "nope", "sin": []}})
+    with pytest.raises(SchemaError, match=r"coeffs\.a0"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"a0": float("nan")}})
+
+
+def test_trig_coeffs_must_be_an_object():
+    doc = io.loop_to_dict(circle_loop())
+    doc["beta"] = {"kind": "trig", "coeffs": [0, 1]}
+    with pytest.raises(SchemaError, match=r"loop\.beta\.coeffs: expected an object"):
+        io.loop_from_dict(doc)
 
 
 def test_hamiltonian_from_dict_errors():
@@ -151,6 +160,18 @@ def test_hamiltonian_from_dict_errors():
     with pytest.raises(SchemaError, match="must be numbers"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [0.0, 0.0], "sigma": 1.0, "amplitude": "two"}]})
+
+
+@pytest.mark.parametrize("field, text", [
+    ("sigma", "NaN"), ("sigma", "Infinity"), ("amplitude", "NaN"), ("amplitude", "-Infinity"),
+])
+def test_hamiltonian_rejects_non_finite_bump_numbers(tmp_path, field, text):
+    # Python's json parser reads NaN and Infinity, so a document can carry them
+    bump = {"center": "[0.0, 0.0]", "sigma": "0.5", "amplitude": "1.0", field: text}
+    path = tmp_path / "ham.json"
+    path.write_text('{"bumps": [{%s}]}' % ", ".join(f'"{k}": {v}' for k, v in bump.items()))
+    with pytest.raises(SchemaError, match=rf"bumps\[0\]\.{field}: must be"):
+        io.hamiltonian_from_dict(io.load(path))
 
 
 # ---------------------------------------------------------------- rendering

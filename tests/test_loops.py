@@ -17,6 +17,7 @@ from vortexloop.errors import (
     OrientationError,
     ProfileMismatch,
     ValidationFailed,
+    VortexLoopError,
 )
 from vortexloop.loops import (
     DecoratedLoop,
@@ -467,6 +468,14 @@ def test_intertwiner_recovers_reparametrization():
     prof = partial_vorticities(pushed, find_zeros(pushed))
     scale = np.max(np.abs(loop.profile.omegas))
     np.testing.assert_allclose(prof.omegas, loop.profile.omegas, atol=1e-8 * scale)
+
+
+def test_analytic_inverse_raises_when_newton_does_not_converge():
+    gamma = samples.random_monotone_diffeo(np.random.default_rng(5))
+    s = np.linspace(-20.0, 20.0, 401)
+    np.testing.assert_allclose(gamma(gamma.inverse_eval(s)), s, rtol=0.0, atol=1e-13)
+    with pytest.raises(VortexLoopError, match="did not converge"):
+        gamma.inverse_eval(np.nan)
 
 
 def test_pushforward_through_rotation_shifts_density():
