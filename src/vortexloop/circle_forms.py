@@ -86,6 +86,25 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
     return t
 
 
+def _scalar_out(t, out):
+    """``out`` as a float when the argument ``t`` was a scalar, else unchanged."""
+    return float(out) if np.ndim(t) == 0 else out
+
+
+def _power_sum(coeffs, t, minus_one=False) -> FloatArray:
+    """``Re sum_j coeffs[j-1] z**j`` with ``z = e^{it}``, for ``t`` of any shape.
+
+    The powers of ``z`` are a cumulative product along the degree axis, so
+    only one complex exponential is taken per point.  No coefficients give
+    an empty product and a zero sum.  ``minus_one`` takes ``z**j - 1`` in
+    place of ``z**j`` term by term, so the sum is exactly zero at ``t = 0``
+    and small near it without cancellation against its value there.
+    """
+    z = np.exp(1j * t)[..., None]
+    powers = np.cumprod(np.broadcast_to(z, z.shape[:-1] + coeffs.shape), axis=-1)
+    return ((powers - 1.0 if minus_one else powers) @ coeffs).real
+
+
 class CircleForm:
     """Density of a one-form on the circle.
 
@@ -108,20 +127,23 @@ class CircleForm:
         if kind not in ("trig", "samples"):
             raise ValueError(f"unknown form kind {kind!r}")
         self._kind = kind
+        self._coeffs = self._values = self._spline = self._dspline = self._aspline = None
+        self._abs_max: float | None = None
+        self._abs_max_deriv: float | None = None
         if kind == "trig":
             self._node_count = _TRIG_NODE_COUNT
             self._a0 = float(a0)
-            self._cos = np.atleast_1d(np.asarray(cos_coeffs if cos_coeffs is not None else [], dtype=float))
-            self._sin = np.atleast_1d(np.asarray(sin_coeffs if sin_coeffs is not None else [], dtype=float))
-            m = max(self._cos.size, self._sin.size)
-            self._cos = np.pad(self._cos, (0, m - self._cos.size))
-            self._sin = np.pad(self._sin, (0, m - self._sin.size))
-            if not (np.all(np.isfinite(self._cos)) and np.all(np.isfinite(self._sin)) and np.isfinite(self._a0)):
+            a = np.atleast_1d(np.asarray(cos_coeffs if cos_coeffs is not None else [], dtype=float))
+            b = np.atleast_1d(np.asarray(sin_coeffs if sin_coeffs is not None else [], dtype=float))
+            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self._a0)):
                 raise ValueError("trig coefficients must be finite")
-            self._freqs = np.arange(1.0, m + 1.0)
-            self._values = None
-            self._spline = None
-            self._dspline = None
+            # c_j = a_j - i b_j gives a_j cos(jt) + b_j sin(jt) = Re c_j e^{ijt}; the
+            # parts are set apart so that ``trig_coefficients`` returns a_j, b_j exactly
+            m = max(a.size, b.size)
+            self._coeffs = np.pad(a, (0, m - a.size)).astype(complex)
+            self._coeffs.imag = -np.pad(b, (0, m - b.size))
+            ij = 1j * np.arange(1, m + 1)
+            self._dcoeffs, self._icoeffs = ij * self._coeffs, self._coeffs / ij
         else:
             vals = np.asarray(values, dtype=float)
             if vals.ndim != 1 or vals.size < 8:
@@ -132,12 +154,6 @@ class CircleForm:
             self._node_count = vals.size
             self._spline = quadrature.periodic_spline(vals)
             self._dspline = self._spline.derivative()
-            self._a0 = 0.0
-            self._cos = None
-            self._sin = None
-        self._abs_max: float | None = None
-        self._abs_max_deriv: float | None = None
-        self._aspline = None
 
     # -- constructors -----------------------------------------------------
 
@@ -181,13 +197,13 @@ class CircleForm:
     def degree(self) -> int:
         if self._kind != "trig":
             raise ValueError("degree is defined for trig-series forms only")
-        return self._cos.size
+        return self._coeffs.size
 
     @property
     def trig_coefficients(self) -> tuple[float, FloatArray, FloatArray]:
         if self._kind != "trig":
             raise ValueError("not a trig-series form")
-        return self._a0, self._cos.copy(), self._sin.copy()
+        return self._a0, self._coeffs.real.copy(), -self._coeffs.imag
 
     @property
     def sample_values(self) -> FloatArray:
@@ -197,27 +213,14 @@ class CircleForm:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        if self._kind == "trig":
-            if self._freqs.size:
-                ang = arr[..., None] * self._freqs
-                out = self._a0 + np.cos(ang) @ self._cos + np.sin(ang) @ self._sin
-            else:
-                out = np.full(arr.shape, self._a0)
-        else:
-            out = self._spline(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        out = (self._a0 + _power_sum(self._coeffs, arr) if self._kind == "trig"
+               else self._spline(arr))
+        return _scalar_out(t, out)
 
     def derivative(self, t):
         arr = np.asarray(t, dtype=float)
-        if self._kind == "trig":
-            if self._freqs.size:
-                ang = arr[..., None] * self._freqs
-                out = np.cos(ang) @ (self._freqs * self._sin) - np.sin(ang) @ (self._freqs * self._cos)
-            else:
-                out = np.zeros(arr.shape)
-        else:
-            out = self._dspline(arr)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        out = _power_sum(self._dcoeffs, arr) if self._kind == "trig" else self._dspline(arr)
+        return _scalar_out(t, out)
 
     def antiderivative(self, t):
         """Cumulative integral of the density from 0 to ``t``, exactly.
@@ -229,11 +232,7 @@ class CircleForm:
         """
         arr = np.asarray(t, dtype=float)
         if self._kind == "trig":
-            out = self._a0 * arr
-            if self._freqs.size:
-                ang = arr[..., None] * self._freqs
-                out = out + np.sin(ang) @ (self._cos / self._freqs)
-                out = out + (1.0 - np.cos(ang)) @ (self._sin / self._freqs)
+            out = self._a0 * arr + _power_sum(self._icoeffs, arr, minus_one=True)
         else:
             if self._aspline is None:
                 self._aspline = self._spline.antiderivative()
@@ -241,7 +240,7 @@ class CircleForm:
             wrapped = np.mod(arr, TWO_PI)
             winding = np.round((arr - wrapped) / TWO_PI)
             out = self._aspline(wrapped) + total * winding
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _scalar_out(t, out)
 
     def integrate(self, a, b):
         """Exact signed integral of the density from ``a`` to ``b``."""
@@ -263,7 +262,7 @@ class CircleForm:
 
     def __repr__(self) -> str:
         if self._kind == "trig":
-            return f"CircleForm.trig(degree={self._cos.size})"
+            return f"CircleForm.trig(degree={self.degree})"
         return f"CircleForm.samples(n={self._values.size})"
 
 
@@ -524,14 +523,12 @@ class CircleDiffeo:
         arr = np.asarray(t, dtype=float)
         winding = np.floor(arr / TWO_PI)
         frac = arr - winding * TWO_PI
-        out = self._interp(frac) + winding * TWO_PI
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _scalar_out(t, self._interp(frac) + winding * TWO_PI)
 
     def derivative(self, t):
         arr = np.asarray(t, dtype=float)
         frac = arr - np.floor(arr / TWO_PI) * TWO_PI
-        out = self._dinterp(frac)
-        return float(out) if np.isscalar(t) or arr.ndim == 0 else out
+        return _scalar_out(t, self._dinterp(frac))
 
     def inverse(self) -> "CircleDiffeo":
         """Inverse map, resampled onto the uniform grid.

@@ -27,11 +27,25 @@ def _require(mapping, key, where):
     return mapping[key]
 
 
+def _finite_number(value, where):
+    """A JSON number as a finite float; anything else raises SchemaError naming ``where``."""
+    if isinstance(value, (int, float)):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = np.inf
+        if np.isfinite(number):
+            return number
+    raise SchemaError(f"{where}: must be a finite number")
+
+
 def _float_list(value, where):
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected a list of numbers") from exc
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: values must be finite") from exc
     if arr.ndim != 1:
         raise SchemaError(f"{where}: expected a flat list of numbers")
     if not np.all(np.isfinite(arr)):
@@ -58,12 +72,10 @@ def form_from_dict(doc, where: str = "beta") -> CircleForm:
         coeffs = _require(doc, "coeffs", where)
         if not isinstance(coeffs, dict):
             raise SchemaError(f"{where}.coeffs: expected an object, got {type(coeffs).__name__}")
-        a0 = coeffs.get("a0", 0.0)
-        if not isinstance(a0, (int, float)) or not abs(a0) < np.inf:
-            raise SchemaError(f"{where}.coeffs.a0: expected a finite number")
+        a0 = _finite_number(coeffs.get("a0", 0.0), f"{where}.coeffs.a0")
         cos = _float_list(coeffs.get("cos", []), f"{where}.coeffs.cos")
         sin = _float_list(coeffs.get("sin", []), f"{where}.coeffs.sin")
-        return CircleForm.trig(a0=float(a0), cos=tuple(cos), sin=tuple(sin))
+        return CircleForm.trig(a0=a0, cos=tuple(cos), sin=tuple(sin))
     if kind == "samples":
         values = _float_list(_require(doc, "values", where), f"{where}.values")
         if values.size < 8:
@@ -88,6 +100,8 @@ def loop_from_dict(doc, *, auto_orient: bool = False,
         samples = np.asarray(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError("loop.samples: expected a list of [x, y] pairs") from exc
+    except OverflowError as exc:
+        raise SchemaError("loop.samples: values must be finite") from exc
     if samples.ndim != 2 or samples.shape[1] != 2:
         raise SchemaError("loop.samples: expected a list of [x, y] pairs")
     if not np.all(np.isfinite(samples)):
@@ -117,16 +131,11 @@ def hamiltonian_from_dict(doc) -> PlanarHamiltonian:
         center = _float_list(_require(entry, "center", where), f"{where}.center")
         if center.size != 2:
             raise SchemaError(f"{where}.center: expected [x, y]")
-        sigma = _require(entry, "sigma", where)
-        amplitude = _require(entry, "amplitude", where)
-        if not isinstance(sigma, (int, float)) or not isinstance(amplitude, (int, float)):
-            raise SchemaError(f"{where}: sigma and amplitude must be numbers")
-        if not 0.0 < sigma < np.inf:
-            raise SchemaError(f"{where}.sigma: must be positive and finite")
-        if not abs(amplitude) < np.inf:
-            raise SchemaError(f"{where}.amplitude: must be finite")
-        bumps.append(PlanarBump((float(center[0]), float(center[1])),
-                                float(sigma), float(amplitude)))
+        sigma = _finite_number(_require(entry, "sigma", where), f"{where}.sigma")
+        amplitude = _finite_number(_require(entry, "amplitude", where), f"{where}.amplitude")
+        if not sigma > 0.0:
+            raise SchemaError(f"{where}.sigma: must be positive")
+        bumps.append(PlanarBump((float(center[0]), float(center[1])), sigma, amplitude))
     return PlanarHamiltonian(bumps)
 
 

@@ -32,16 +32,38 @@ def circle_dist(a, b):
 # -- evaluation ---------------------------------------------------------------
 
 
-def test_trig_evaluation_matches_naive_fourier_sum():
-    rng = np.random.default_rng(0)
+@pytest.mark.parametrize("degree", [0, 1, 5, 25, 100])
+def test_trig_evaluation_matches_naive_fourier_sum(degree):
+    rng = np.random.default_rng(degree)
+    # unequal lengths: the shorter coefficient list is zero-padded to the degree
+    n_cos, n_sin = (degree, degree // 2) if degree % 2 == 0 else (degree // 2, degree)
     a0 = rng.normal()
-    cos_c = rng.normal(size=5)
-    sin_c = rng.normal(size=5)
+    cos_c = rng.normal(size=n_cos)
+    sin_c = rng.normal(size=n_sin)
     form = CircleForm("trig", a0=a0, cos_coeffs=cos_c, sin_coeffs=sin_c)
+    assert form.degree == degree
     t = rng.uniform(-10.0, 10.0, size=40)
-    naive = a0 + sum(cos_c[j] * np.cos((j + 1) * t) + sin_c[j] * np.sin((j + 1) * t)
-                     for j in range(5))
-    assert np.max(np.abs(form(t) - naive)) < 1e-13
+    value, slope, integral = np.full_like(t, a0), np.zeros_like(t), a0 * t
+    for j, a in enumerate(cos_c, start=1):
+        value += a * np.cos(j * t)
+        slope -= j * a * np.sin(j * t)
+        integral += a * np.sin(j * t) / j
+    for j, b in enumerate(sin_c, start=1):
+        value += b * np.sin(j * t)
+        slope += j * b * np.cos(j * t)
+        integral += b * (1.0 - np.cos(j * t)) / j
+    m1 = (np.sum(np.arange(1, n_cos + 1) * np.abs(cos_c))
+          + np.sum(np.arange(1, n_sin + 1) * np.abs(sin_c)))
+    tol = 1e-13 * max(1.0, m1)
+    # rounding in z**j grows like j * eps, so the value bound grows with m1 too
+    assert np.max(np.abs(form(t) - value)) < 1e-13 * max(1.0, 1e-2 * m1)
+    assert np.max(np.abs(form.derivative(t) - slope)) < tol
+    assert np.max(np.abs(form.antiderivative(t) - integral)) < tol
+    for method, expected in [(form, value), (form.derivative, slope),
+                             (form.antiderivative, integral)]:
+        out = method(float(t[0]))
+        assert type(out) is float
+        assert abs(out - expected[0]) < tol
 
 
 def test_derivative_matches_central_differences():

@@ -182,6 +182,15 @@ def test_broken_json_exit_2(capsys, tmp_path):
     assert "invalid JSON" in err
 
 
+def test_flow_overflowing_amplitude_exit_2(capsys, tmp_path, circle_file):
+    path = tmp_path / "ham.json"
+    path.write_text('{"bumps": [{"center": [0.2, -0.1], "sigma": 0.8, "amplitude": %s}]}'
+                    % ("9" * 401))
+    code, _, err = run(capsys, ["flow", circle_file, str(path), "-T", "0.1", "--dt", "0.01"])
+    assert code == 2
+    assert "bumps[0].amplitude: must be a finite number" in err
+
+
 def test_degenerate_zero_exit_3(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)

@@ -25,6 +25,11 @@ def test_trig_form_round_trip():
     back = io.form_from_dict(doc)
     t = np.linspace(0.0, TWO_PI, 257)
     np.testing.assert_allclose(back(t), form(t), atol=1e-15)
+    a0, cos, sin = back.trig_coefficients
+    a0_in, cos_in, sin_in = form.trig_coefficients
+    assert a0 == a0_in
+    np.testing.assert_array_equal(cos, cos_in)
+    np.testing.assert_array_equal(sin, sin_in)
 
 
 def test_sampled_form_round_trip():
@@ -123,6 +128,9 @@ def test_loop_from_dict_errors():
     bad[3][0] = float("nan")
     with pytest.raises(SchemaError, match="finite"):
         io.loop_from_dict({**good, "samples": bad})
+    bad[3][0] = 10**400
+    with pytest.raises(SchemaError, match=r"loop\.samples: values must be finite"):
+        io.loop_from_dict({**good, "samples": bad})
 
     with pytest.raises(SchemaError, match="missing required field 'beta'"):
         io.loop_from_dict({"schema": io.SCHEMA, "samples": good["samples"]})
@@ -139,6 +147,9 @@ def test_form_from_dict_errors():
         io.form_from_dict({"kind": "trig", "coeffs": {"cos": "nope", "sin": []}})
     with pytest.raises(SchemaError, match=r"coeffs\.a0"):
         io.form_from_dict({"kind": "trig", "coeffs": {"a0": float("nan")}})
+    # a JSON integer too large for a float
+    with pytest.raises(SchemaError, match=r"coeffs\.a0: must be a finite number"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"a0": 10**400}})
 
 
 def test_trig_coeffs_must_be_an_object():
@@ -157,16 +168,22 @@ def test_hamiltonian_from_dict_errors():
     with pytest.raises(SchemaError, match=r"center"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [0.0], "sigma": 1.0, "amplitude": 1.0}]})
-    with pytest.raises(SchemaError, match="must be numbers"):
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.amplitude: must be a finite number"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [0.0, 0.0], "sigma": 1.0, "amplitude": "two"}]})
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.center: values must be finite"):
+        io.hamiltonian_from_dict(
+            {"bumps": [{"center": [10**400, 0.0], "sigma": 1.0, "amplitude": 1.0}]})
 
 
 @pytest.mark.parametrize("field, text", [
     ("sigma", "NaN"), ("sigma", "Infinity"), ("amplitude", "NaN"), ("amplitude", "-Infinity"),
+    pytest.param("sigma", "9" * 401, id="sigma-401-digits"),
+    pytest.param("amplitude", "9" * 401, id="amplitude-401-digits"),
 ])
 def test_hamiltonian_rejects_non_finite_bump_numbers(tmp_path, field, text):
-    # Python's json parser reads NaN and Infinity, so a document can carry them
+    # Python's json parser reads NaN, Infinity and integers of any length, so a
+    # document can carry numbers no float holds
     bump = {"center": "[0.0, 0.0]", "sigma": "0.5", "amplitude": "1.0", field: text}
     path = tmp_path / "ham.json"
     path.write_text('{"bumps": [{%s}]}' % ", ".join(f'"{k}": {v}' for k, v in bump.items()))
