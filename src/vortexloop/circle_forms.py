@@ -30,7 +30,7 @@ FloatArray = NDArray[np.float64]
 _BRACKET_WIDTH = 1e-13
 _ZERO_RESIDUAL_REL = 1e-12
 DEFAULT_MORSE_TOL = 1e-8
-DEFAULT_SYMMETRY_REL_TOL = 1e-9
+DEFAULT_PROFILE_REL_TOL = 1e-9
 # grid resolution of trig forms, and the FFT size of ``CircleForm.from_function``
 _TRIG_NODE_COUNT = 1024
 # panels of the antiderivative table that brackets each target in ``_invert_batch``
@@ -397,21 +397,34 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet | None = None) -> Vorti
     return VorticityProfile(omegas, total)
 
 
-def symmetry_step(profile: VorticityProfile, rel_tol: float = DEFAULT_SYMMETRY_REL_TOL) -> int:
+def _shift_deviations(p: FloatArray, q: FloatArray) -> FloatArray:
+    """``max_i |p_i - q_(i+j)|`` for every cyclic shift ``j`` of two equal-length profiles."""
+    k = p.size
+    if q.size != k:
+        raise ValueError(f"profiles of lengths {k} and {q.size} cannot be compared")
+    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
+    return np.max(np.abs(p[None, :] - q[idx]), axis=1)
+
+
+def circular_match(p, q, rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> list[int]:
+    """All cyclic shifts j with ``p_i == q_(i+j)`` within ``rel_tol`` of max|p|."""
+    p = np.asarray(p.omegas if isinstance(p, VorticityProfile) else p, dtype=float)
+    q = np.asarray(q.omegas if isinstance(q, VorticityProfile) else q, dtype=float)
+    if p.size != q.size or p.size == 0:
+        return []
+    tol = rel_tol * float(np.max(np.abs(p)))
+    return [int(j) for j in np.nonzero(_shift_deviations(p, q) <= tol)[0]]
+
+
+def symmetry_step(profile: VorticityProfile, rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> int:
     """Smallest even divisor ``l`` of ``k`` with ``omega_i = omega_(i+l)`` for all i.
 
     Falls back to ``k`` itself (the trivial symmetry) when no proper shift
     matches within ``rel_tol``  relative to the largest partial vorticity.
     """
-    om = profile.omegas
-    k = om.size
-    scale = float(np.max(np.abs(om)))
-    for ell in range(2, k + 1, 2):
-        if k % ell != 0:
-            continue
-        if np.max(np.abs(om - np.roll(om, -ell))) <= rel_tol * scale:
-            return ell
-    return k
+    k = profile.k
+    return next((ell for ell in circular_match(profile, profile, rel_tol)
+                 if ell > 0 and ell % 2 == 0 and k % ell == 0), k)
 
 
 def cumulative(form: CircleForm, t_start: float, t: float) -> float:
@@ -590,10 +603,10 @@ def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
     return np.clip(t - a, 0.0, length)
 
 
-def _transport(src_form: CircleForm, src_zeros: FloatArray, src_omegas: FloatArray,
-               dst_form: CircleForm, dst_zeros: FloatArray, dst_omegas: FloatArray,
-               shift: int, grid_size: int) -> tuple[FloatArray, FloatArray]:
-    """Samples and exact slopes of the segment-matching reparametrization.
+def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProfile,
+               dst_form: CircleForm, dst_zeros: ZeroSet, dst_prof: VorticityProfile,
+               shift: int, rel_tol: float, grid_size: int) -> CircleDiffeo:
+    """Segment-matching circle map with exact nodal slopes on ``grid_size`` samples.
 
     Segment ``i`` of the source is mapped onto segment ``i + shift`` of the
     target by matching cumulative integrals; the per-segment targets are
@@ -601,22 +614,27 @@ def _transport(src_form: CircleForm, src_zeros: FloatArray, src_omegas: FloatArr
     correction) so the glued map is continuous and strictly monotone.  Nodal
     slopes come from the defining relation ``dst(g(t)) g'(t) = r src(t)``,
     switching to the square-root limit form where both densities vanish.
+    Raises ProfileMismatch unless the profiles have the same length and
+    match at ``shift`` within ``rel_tol`` (see ``circular_match``).
     """
-    k = src_zeros.size
-    src_ext = np.append(src_zeros, src_zeros[0] + TWO_PI)
-    dst_next = np.roll(dst_zeros, -1)
-    dst_len = np.mod(dst_next - dst_zeros, TWO_PI)
-    dst_len[dst_len == 0.0] = TWO_PI
-
+    k = src_prof.k
+    if dst_prof.k != k:
+        raise ProfileMismatch(
+            f"source has {k} partial vorticities but the target has {dst_prof.k}")
+    shift = shift % k
+    if shift not in circular_match(src_prof, dst_prof, rel_tol):
+        raise ProfileMismatch(f"profiles do not match at shift {shift} within {rel_tol:g}")
+    src_omegas, dst_omegas = src_prof.omegas, dst_prof.omegas
+    dst_zs = dst_zeros.zeros
+    src_ext = np.append(src_zeros.zeros, src_zeros.zeros[0] + TWO_PI)
+    dst_len = np.mod(np.roll(dst_zs, -1) - dst_zs, TWO_PI)
     # unwrapped target boundaries aligned with the shifted segments
-    bounds = np.empty(k + 1)
-    bounds[0] = dst_zeros[shift % k]
-    for i in range(k):
-        bounds[i + 1] = bounds[i] + dst_len[(i + shift) % k]
+    bounds = np.cumsum(np.append(dst_zs[shift], np.roll(dst_len, -shift)))
 
+    # grid points before the first source zero are carried one period on
     s_grid = np.arange(grid_size) * (TWO_PI / grid_size)
-    j0 = int(np.searchsorted(s_grid, src_zeros[0] - 1e-15))
-    x = np.concatenate([s_grid[j0:], s_grid[:j0] + TWO_PI])
+    wrapped = s_grid < src_ext[0] - 1e-15
+    x = s_grid + TWO_PI * wrapped
 
     seg = np.clip(np.searchsorted(src_ext, x, side="right") - 1, 0, k - 1)
     src_anti = np.asarray(src_form.antiderivative(x), dtype=float)
@@ -630,7 +648,7 @@ def _transport(src_form: CircleForm, src_zeros: FloatArray, src_omegas: FloatArr
         j = (i + shift) % k
         r = dst_omegas[j] / src_omegas[i]
         s_vals = (src_anti[mask] - seg_base[i]) * r
-        offsets = _invert_batch(dst_form, float(dst_zeros[j]), float(dst_len[j]),
+        offsets = _invert_batch(dst_form, float(dst_zs[j]), float(dst_len[j]),
                                 float(dst_omegas[j]), s_vals)
         gamma_x[mask] = bounds[i] + offsets
         ratio[mask] = r
@@ -657,24 +675,19 @@ def _transport(src_form: CircleForm, src_zeros: FloatArray, src_omegas: FloatArr
         gamma_x[idx] = bounds[bnd] + s0 * delta
         slope[idx] = s0
 
-    out = np.empty(grid_size)
-    slope_out = np.empty(grid_size)
-    n_tail = grid_size - j0
-    out[j0:] = gamma_x[:n_tail]
-    out[:j0] = gamma_x[n_tail:] - TWO_PI
-    slope_out[j0:] = slope[:n_tail]
-    slope_out[:j0] = slope[n_tail:]
-    return out, slope_out
+    return CircleDiffeo(gamma_x - TWO_PI * wrapped, slope)
 
 
 def stabilizer_generator(form: CircleForm, ell: int | None = None, *,
-                         rel_tol: float = DEFAULT_SYMMETRY_REL_TOL,
+                         rel_tol: float = DEFAULT_PROFILE_REL_TOL,
                          grid_size: int | None = None) -> CircleDiffeo:
     """Generator of the cyclic stabilizer of a Morse density.
 
     Maps each inter-zero segment onto the one ``ell`` steps ahead by matching
-    cumulative integrals.  Raises NoSymmetry when the profile admits only the
-    trivial shift ``ell == k``.
+    cumulative integrals.  Raises NoSymmetry when ``ell`` is the trivial
+    shift ``k`` (by default, when the profile admits no other), ValueError
+    when it is not an even divisor of ``k``, and ProfileMismatch when the
+    profile does not repeat with step ``ell`` within ``rel_tol``.
     """
     zs = find_zeros(form)
     prof = partial_vorticities(form, zs)
@@ -685,14 +698,9 @@ def stabilizer_generator(form: CircleForm, ell: int | None = None, *,
         raise NoSymmetry("the vorticity profile admits only the trivial symmetry")
     if ell <= 0 or ell % 2 != 0 or k % ell != 0:
         raise ValueError(f"symmetry step must be a proper even divisor of {k}, got {ell}")
-    scale = float(np.max(np.abs(prof.omegas)))
-    if np.max(np.abs(prof.omegas - np.roll(prof.omegas, -ell))) > rel_tol * scale:
-        raise ProfileMismatch(f"profile does not repeat with step {ell} within {rel_tol:g}")
     if grid_size is None:
         grid_size = 4 * max(form.node_count, 256)
-    samples, slopes = _transport(form, zs.zeros, prof.omegas, form, zs.zeros, prof.omegas,
-                                 ell, grid_size)
-    return CircleDiffeo(samples, slopes)
+    return _transport(form, zs, prof, form, zs, prof, ell, rel_tol, grid_size)
 
 
 def pullback_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -> CircleForm:

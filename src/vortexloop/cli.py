@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import io, render, verify
-from .circle_forms import find_zeros, partial_vorticities, symmetry_step
+from .circle_forms import _shift_deviations, find_zeros, partial_vorticities, symmetry_step
 from .errors import (
     AlternationViolation,
     MorseViolation,
@@ -96,9 +96,7 @@ def cmd_intertwine(args) -> int:
     # compare partial vorticities against the target's at the best alignment
     pushed = pushforward_form(psi, model.decoration)
     prof = partial_vorticities(pushed, find_zeros(pushed))
-    tgt = target.profile.omegas
-    residual = float(min(
-        np.max(np.abs(prof.omegas - np.roll(tgt, -s))) for s in range(tgt.size)))
+    residual = float(min(_shift_deviations(prof.omegas, target.profile.omegas)))
 
     doc = {"schema": io.SCHEMA, "shift": args.shift % model.profile.k, "residual": residual}
     if args.output:

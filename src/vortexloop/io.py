@@ -7,6 +7,7 @@ CLI maps those to exit code 2.
 
 from __future__ import annotations
 
+import itertools
 import json
 
 import numpy as np
@@ -29,7 +30,7 @@ def _require(mapping, key, where):
 
 def _finite_number(value, where):
     """A JSON number as a finite float; anything else raises SchemaError naming ``where``."""
-    if isinstance(value, (int, float)):
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
         try:
             number = float(value)
         except OverflowError:  # an integer beyond the float range
@@ -39,15 +40,24 @@ def _finite_number(value, where):
     raise SchemaError(f"{where}: must be a finite number")
 
 
-def _float_list(value, where):
+def _float_list(value, where, pairs=False):
+    """A JSON list of finite numbers, or with ``pairs`` a list of [x, y] pairs, as floats.
+
+    Anything else, booleans and integers beyond the float range included,
+    raises SchemaError naming ``where``.
+    """
+    expected = "a list of [x, y] pairs" if pairs else "a flat list of numbers"
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: expected a list of numbers") from exc
+        raise SchemaError(f"{where}: expected {expected}") from exc
     except OverflowError as exc:
         raise SchemaError(f"{where}: values must be finite") from exc
-    if arr.ndim != 1:
-        raise SchemaError(f"{where}: expected a flat list of numbers")
+    if arr.ndim != (2 if pairs else 1) or (pairs and arr.shape[1] != 2):
+        raise SchemaError(f"{where}: expected {expected}")
+    # numpy reads true and false as 1 and 0
+    if bool in set(map(type, itertools.chain.from_iterable(value) if pairs else value)):
+        raise SchemaError(f"{where}: expected {expected}, got a boolean")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: values must be finite")
     return arr
@@ -95,17 +105,7 @@ def loop_to_dict(loop: DecoratedLoop) -> dict:
 def loop_from_dict(doc, *, auto_orient: bool = False,
                    morse_tol: float = DEFAULT_MORSE_TOL) -> DecoratedLoop:
     _check_schema(doc, "loop")
-    raw = _require(doc, "samples", "loop")
-    try:
-        samples = np.asarray(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError("loop.samples: expected a list of [x, y] pairs") from exc
-    except OverflowError as exc:
-        raise SchemaError("loop.samples: values must be finite") from exc
-    if samples.ndim != 2 or samples.shape[1] != 2:
-        raise SchemaError("loop.samples: expected a list of [x, y] pairs")
-    if not np.all(np.isfinite(samples)):
-        raise SchemaError("loop.samples: values must be finite")
+    samples = _float_list(_require(doc, "samples", "loop"), "loop.samples", pairs=True)
     form = form_from_dict(_require(doc, "beta", "loop"), "loop.beta")
     return DecoratedLoop.build(samples, form, auto_orient=auto_orient, morse_tol=morse_tol)
 

@@ -9,20 +9,22 @@ import numpy as np
 from . import quadrature
 from .circle_forms import (
     DEFAULT_MORSE_TOL,
+    DEFAULT_PROFILE_REL_TOL,
     CircleDiffeo,
     CircleForm,
     FloatArray,
     VorticityProfile,
     ZeroSet,
     _transport,
+    circular_match,
     find_zeros,
     partial_vorticities,
+    pullback_form,
     symmetry_step,
 )
-from .errors import MorseViolation, OrientationError, ProfileMismatch, ValidationFailed
+from .errors import MorseViolation, OrientationError, ValidationFailed
 from .quadrature import TWO_PI
 
-DEFAULT_PROFILE_REL_TOL = 1e-9
 DEFAULT_AREA_REL_TOL = 1e-6
 # a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
 _SIMPLE_BLOCK = 128
@@ -290,19 +292,6 @@ def orbit_invariants(loop: DecoratedLoop, *, rel_tol: float = DEFAULT_PROFILE_RE
     return OrbitInvariants(area, prof.omegas.copy(), prof.total, symmetry_step(prof, rel_tol))
 
 
-def circular_match(p, q, rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> list[int]:
-    """All cyclic shifts j with ``p_i == q_(i+j)`` within ``rel_tol`` of max|p|."""
-    p = np.asarray(p.omegas if isinstance(p, VorticityProfile) else p, dtype=float)
-    q = np.asarray(q.omegas if isinstance(q, VorticityProfile) else q, dtype=float)
-    if p.size != q.size or p.size == 0:
-        return []
-    k = p.size
-    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
-    dev = np.max(np.abs(p[None, :] - q[idx]), axis=1)
-    tol = rel_tol * float(np.max(np.abs(p)))
-    return [int(j) for j in np.nonzero(dev <= tol)[0]]
-
-
 def orbit_equivalent(first: DecoratedLoop, second: DecoratedLoop, *,
                      area_rel_tol: float = DEFAULT_AREA_REL_TOL,
                      profile_rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> bool:
@@ -325,28 +314,12 @@ def intertwiner(model: CircleForm, target: DecoratedLoop, shift: int, *,
     """
     model_zeros = find_zeros(model)
     model_prof = partial_vorticities(model, model_zeros)
-    tgt_zeros = target.zero_set
-    tgt_prof = target.profile
-    k = model_prof.k
-    if tgt_prof.k != k:
-        raise ProfileMismatch(
-            f"model has {k} partial vorticities but the target has {tgt_prof.k}")
-    shift = shift % k
-    if shift not in circular_match(model_prof, tgt_prof, rel_tol):
-        raise ProfileMismatch(f"profiles do not match at shift {shift} within {rel_tol:g}")
     if grid_size is None:
         grid_size = 4 * max(target.embedding.size, model.node_count)
-    samples, slopes = _transport(model, model_zeros.zeros, model_prof.omegas,
-                                 target.decoration, tgt_zeros.zeros, tgt_prof.omegas,
-                                 shift, grid_size)
-    return CircleDiffeo(samples, slopes)
+    return _transport(model, model_zeros, model_prof, target.decoration, target.zero_set,
+                      target.profile, shift, rel_tol, grid_size)
 
 
 def pushforward_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -> CircleForm:
-    """Sampled density of the pushforward: ``(form o gamma^-1) * (gamma^-1)'``."""
-    if n is None:
-        n = max(form.node_count, gamma.size)
-    inv = gamma.inverse()
-    grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    vals = np.asarray(form(inv(grid)), dtype=float) * inv.derivative(grid)
-    return CircleForm.from_samples(vals)
+    """Sampled density of the pushforward: the pullback through ``gamma.inverse()``."""
+    return pullback_form(gamma.inverse(), form, n)

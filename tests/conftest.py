@@ -121,6 +121,14 @@ def brute_circular_match(p, q, rel_tol=1e-9):
     return hits
 
 
+def brute_symmetry_step(omegas, rel_tol=1e-9):
+    """Smallest even divisor l of k among the profile's matching shifts with itself, else k."""
+    k = len(omegas)
+    steps = [j for j in brute_circular_match(omegas, omegas, rel_tol)
+             if j > 0 and j % 2 == 0 and k % j == 0]
+    return min(steps, default=k)
+
+
 class StarCurve:
     """Analytic star-shaped curve with exact derivatives.
 

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from conftest import TWO_PI, oracle_zeros, oracle_integral, oracle_profile
+from conftest import TWO_PI, brute_symmetry_step, oracle_zeros, oracle_integral, oracle_profile
 from vortexloop.circle_forms import (
     CircleDiffeo,
     _newton_bracketed,
     CircleForm,
+    VorticityProfile,
     cumulative,
     find_zeros,
     invert_cumulative,
@@ -14,7 +15,7 @@ from vortexloop.circle_forms import (
     stabilizer_generator,
     symmetry_step,
 )
-from vortexloop.errors import MorseViolation, NoSymmetry, VortexLoopError
+from vortexloop.errors import MorseViolation, NoSymmetry, ProfileMismatch, VortexLoopError
 from vortexloop.samples import (
     near_degenerate_form,
     random_morse_form,
@@ -198,6 +199,26 @@ def test_symmetric_family_profile_and_step():
     assert symmetry_step(prof) == 2
 
 
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-6, 1e-3])
+@pytest.mark.parametrize("noise", [0.0, 1e-12, 1e-9, 1e-6])
+def test_symmetry_step_matches_brute_oracle(noise, rel_tol):
+    # tiled alternating profiles plus noise; noise at rel_tol puts the
+    # deviations on both sides of the tolerance
+    rng = np.random.default_rng([int(-np.log10(rel_tol)), int(-np.log10(noise or 1e-99))])
+    verdicts = set()
+    for _ in range(200):
+        k = int(rng.choice([2, 4, 6, 8, 12, 16, 24]))
+        tile = int(rng.choice([d for d in range(2, k + 1, 2) if k % d == 0]))
+        base = rng.uniform(0.5, 2.0, tile) * (-1.0) ** np.arange(tile)
+        omegas = np.tile(base, k // tile) + noise * rng.uniform(-1.0, 1.0, k)
+        got = symmetry_step(VorticityProfile(omegas, float(np.sum(omegas))), rel_tol)
+        assert got == brute_symmetry_step(omegas, rel_tol)
+        if tile < k:
+            verdicts.add(got < k)
+    if noise == rel_tol:  # at the boundary some tiled profiles match and some do not
+        assert verdicts == {False, True}
+
+
 # -- cumulative integrals -----------------------------------------------------
 
 
@@ -289,6 +310,19 @@ def test_stabilizer_satisfies_transport_relation():
 def test_trivial_profile_has_no_stabilizer():
     with pytest.raises(NoSymmetry):
         stabilizer_generator(standard_form("mixed"))
+
+
+def test_stabilizer_with_explicit_step():
+    mixed = standard_form("mixed")
+    with pytest.raises(ProfileMismatch):
+        stabilizer_generator(mixed, 2)
+    with pytest.raises(ValueError):
+        stabilizer_generator(mixed, 3)
+    with pytest.raises(NoSymmetry):
+        stabilizer_generator(mixed, 4)
+    form = symmetric_form(eps=0.05, b=0.2)
+    np.testing.assert_array_equal(stabilizer_generator(form, 2).samples,
+                                  stabilizer_generator(form).samples)
 
 
 # -- circle diffeomorphisms ---------------------------------------------------

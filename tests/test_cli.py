@@ -191,6 +191,16 @@ def test_flow_overflowing_amplitude_exit_2(capsys, tmp_path, circle_file):
     assert "bumps[0].amplitude: must be a finite number" in err
 
 
+def test_boolean_coefficient_exit_2(capsys, tmp_path):
+    doc = io.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t")))
+    doc["beta"]["coeffs"]["a0"] = True
+    path = tmp_path / "loop.json"
+    io.dump(doc, path)
+    code, _, err = run(capsys, ["invariants", str(path)])
+    assert code == 2
+    assert "loop.beta.coeffs.a0: must be a finite number" in err
+
+
 def test_degenerate_zero_exit_3(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)

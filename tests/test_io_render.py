@@ -131,6 +131,9 @@ def test_loop_from_dict_errors():
     bad[3][0] = 10**400
     with pytest.raises(SchemaError, match=r"loop\.samples: values must be finite"):
         io.loop_from_dict({**good, "samples": bad})
+    bad[3][0] = True
+    with pytest.raises(SchemaError, match=r"loop\.samples: .*boolean"):
+        io.loop_from_dict({**good, "samples": bad})
 
     with pytest.raises(SchemaError, match="missing required field 'beta'"):
         io.loop_from_dict({"schema": io.SCHEMA, "samples": good["samples"]})
@@ -150,6 +153,11 @@ def test_form_from_dict_errors():
     # a JSON integer too large for a float
     with pytest.raises(SchemaError, match=r"coeffs\.a0: must be a finite number"):
         io.form_from_dict({"kind": "trig", "coeffs": {"a0": 10**400}})
+    # JSON booleans are not numbers
+    with pytest.raises(SchemaError, match=r"coeffs\.a0: must be a finite number"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"a0": True}})
+    with pytest.raises(SchemaError, match=r"coeffs\.cos: .*boolean"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"cos": [0.5, True]}})
 
 
 def test_trig_coeffs_must_be_an_object():
@@ -174,6 +182,15 @@ def test_hamiltonian_from_dict_errors():
     with pytest.raises(SchemaError, match=r"bumps\[0\]\.center: values must be finite"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [10**400, 0.0], "sigma": 1.0, "amplitude": 1.0}]})
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.sigma: must be a finite number"):
+        io.hamiltonian_from_dict(
+            {"bumps": [{"center": [0.0, 0.0], "sigma": True, "amplitude": 1.0}]})
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.amplitude: must be a finite number"):
+        io.hamiltonian_from_dict(
+            {"bumps": [{"center": [0.0, 0.0], "sigma": 1.0, "amplitude": False}]})
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.center: .*boolean"):
+        io.hamiltonian_from_dict(
+            {"bumps": [{"center": [0.0, True], "sigma": 1.0, "amplitude": 1.0}]})
 
 
 @pytest.mark.parametrize("field, text", [
