@@ -456,7 +456,8 @@ def invert_cumulative(form: CircleForm, segment: tuple[float, float], s: float) 
     slack = 1e-9 * w
     if target < -slack or target > w + slack:
         raise OutOfRange(f"s={s:.15g} is outside the reachable range [0, {omega_seg:.15g}]")
-    offset = _invert_batch(form, a, b - a, omega_seg, np.array([s]))
+    offset = _invert_batch(form, np.array([a]), np.array([b - a]), np.array([omega_seg]),
+                           np.array([s]), 0)
     return a + float(offset[0])
 
 
@@ -577,30 +578,37 @@ class CircleDiffeo:
         return f"CircleDiffeo(size={self.size})"
 
 
-def _invert_batch(form: CircleForm, a: float, length: float, omega_seg: float,
-                  s_batch: FloatArray) -> FloatArray:
-    """Solve the cumulative equation for a batch of targets.
+def _invert_batch(form: CircleForm, starts: FloatArray, lengths: FloatArray,
+                  omegas: FloatArray, s_batch: FloatArray, seg) -> FloatArray:
+    """Solve the cumulative equation of segment ``seg`` for a batch of targets.
 
-    Returns offsets in ``[0, length]`` from the segment start ``a``.  A
-    coarse table of exact antiderivative values gives each target a panel
-    bracket, and the safeguarded Newton kernel (``_newton_bracketed``)
-    finishes; its bisection fallback keeps convergence independent of the
-    density staying away from zero at the segment ends.
+    Segment ``j`` starts at ``starts[j]``, is ``lengths[j]`` long and carries
+    the nonzero vorticity ``omegas[j]``; ``seg`` gives each target its segment
+    (an index array, or one index for all).  Returns offsets from the segment
+    starts.  One antiderivative call tabulates every segment; each row,
+    clipped to ``[0, |omega_j|]`` and lifted by the unsigned vorticity before
+    it, joins one sorted table, so one search brackets every target in its
+    own segment.  One call of the safeguarded Newton kernel
+    (``_newton_bracketed``) finishes them all; its bisection fallback keeps
+    convergence independent of the density staying away from zero at the
+    segment ends.
     """
-    sgn = 1.0 if omega_seg > 0.0 else -1.0
-    w = abs(omega_seg)
-    targets = np.clip(sgn * np.asarray(s_batch, dtype=float), 0.0, w)
+    sgn = np.sign(omegas)
+    w = np.abs(omegas)
+    lift = np.concatenate(([0.0], np.cumsum(w)[:-1]))
+    targets = np.clip(sgn[seg] * np.asarray(s_batch, dtype=float), 0.0, w[seg])
 
-    base0 = form.antiderivative(a)
-    edges = a + np.linspace(0.0, length, _INVERT_PANELS + 1)
-    table = np.maximum.accumulate(sgn * (form.antiderivative(edges) - base0))
+    edges = starts[:, None] + np.linspace(0.0, lengths, _INVERT_PANELS + 1, axis=1)
+    anti = form.antiderivative(edges)
+    table = np.maximum.accumulate(sgn[:, None] * (anti - anti[:, :1]), axis=1)
+    table = np.clip(table, 0.0, w[:, None]) + lift[:, None]
 
-    idx = np.clip(np.searchsorted(table, targets, side="right") - 1, 0, _INVERT_PANELS - 1)
-    t = _newton_bracketed(lambda x: form.antiderivative(x) - base0, form, targets,
-                          edges[idx], edges[idx + 1], sgn)
-    t = np.where(targets <= 0.0, a, t)
-    t = np.where(targets >= w, a + length, t)
-    return np.clip(t - a, 0.0, length)
+    flat = np.searchsorted(table.ravel(), lift[seg] + targets, side="right") - 1
+    idx = np.clip(flat - seg * (_INVERT_PANELS + 1), 0, _INVERT_PANELS - 1)
+    t = _newton_bracketed(form.antiderivative, form, targets + sgn[seg] * anti[seg, 0],
+                          edges[seg, idx], edges[seg, idx + 1], sgn[seg])
+    x = np.where(targets >= w[seg], lengths[seg], np.where(targets <= 0.0, 0.0, t - starts[seg]))
+    return np.clip(x, 0.0, lengths[seg])
 
 
 def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProfile,
@@ -639,19 +647,10 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
     seg = np.clip(np.searchsorted(src_ext, x, side="right") - 1, 0, k - 1)
     src_anti = np.asarray(src_form.antiderivative(x), dtype=float)
     seg_base = np.asarray(src_form.antiderivative(src_ext[:k]), dtype=float)
-    gamma_x = np.empty_like(x)
-    ratio = np.empty_like(x)
-    for i in range(k):
-        mask = seg == i
-        if not np.any(mask):
-            continue
-        j = (i + shift) % k
-        r = dst_omegas[j] / src_omegas[i]
-        s_vals = (src_anti[mask] - seg_base[i]) * r
-        offsets = _invert_batch(dst_form, float(dst_zs[j]), float(dst_len[j]),
-                                float(dst_omegas[j]), s_vals)
-        gamma_x[mask] = bounds[i] + offsets
-        ratio[mask] = r
+    dst_seg = (seg + shift) % k
+    ratio = dst_omegas[dst_seg] / src_omegas[seg]
+    s_vals = (src_anti - seg_base[seg]) * ratio
+    gamma_x = bounds[seg] + _invert_batch(dst_form, dst_zs, dst_len, dst_omegas, s_vals, dst_seg)
 
     d_dst = np.asarray(dst_form(gamma_x), dtype=float)
     d_src = np.asarray(src_form(x), dtype=float)

@@ -1,8 +1,9 @@
 """Command-line surface: invariants, equivalence, intertwining, flows, verify.
 
 Exit codes: 0 success or positive verdict, 1 negative verdict or failed
-verification suite, 2 parse or validation error in the inputs, 3 degenerate
-zero structure, 4 profile mismatch, 5 flow failure.
+verification suite, 2 parse or validation error in the inputs or an
+unwritable output path, 3 degenerate zero structure, 4 profile mismatch,
+5 flow failure.
 """
 
 from __future__ import annotations
@@ -14,7 +15,14 @@ import sys
 import numpy as np
 
 from . import io, render, verify
-from .circle_forms import _shift_deviations, find_zeros, partial_vorticities, symmetry_step
+from .circle_forms import (
+    DEFAULT_MORSE_TOL,
+    DEFAULT_PROFILE_REL_TOL,
+    _shift_deviations,
+    find_zeros,
+    partial_vorticities,
+    symmetry_step,
+)
 from .errors import (
     AlternationViolation,
     MorseViolation,
@@ -26,7 +34,13 @@ from .errors import (
     ValidationFailed,
     VortexLoopError,
 )
-from .loops import circular_match, enclosed_area, intertwiner, pushforward_form
+from .loops import (
+    DEFAULT_AREA_REL_TOL,
+    circular_match,
+    enclosed_area,
+    intertwiner,
+    pushforward_form,
+)
 from .flow import advect
 
 _EPILOG = ("Angles are in radians, areas in squared length units, "
@@ -126,11 +140,9 @@ def cmd_flow(args) -> int:
     if args.output:
         io.dump(io.loop_to_dict(report.loop), args.output)
     if args.emit_csv:
-        with open(args.emit_csv, "w", encoding="utf-8") as fh:
-            fh.write(render.flow_csv(loop, h, render.thin_snapshots(snapshots)))
+        io.write_text(args.emit_csv, render.flow_csv(loop, h, render.thin_snapshots(snapshots)))
     if args.emit_svg:
-        with open(args.emit_svg, "w", encoding="utf-8") as fh:
-            fh.write(render.svg_overlay(loop, report.loop))
+        io.write_text(args.emit_svg, render.svg_overlay(loop, report.loop))
     _emit(io.report_to_dict(report))
     return 0
 
@@ -149,8 +161,8 @@ def _add_auto_orient(p) -> None:
 
 def _add_loop_options(p) -> None:
     _add_auto_orient(p)
-    p.add_argument("--rel-tol", type=_positive, default=1e-9,
-                   help="relative tolerance for profile comparisons (default 1e-9)")
+    p.add_argument("--rel-tol", type=_positive, default=DEFAULT_PROFILE_REL_TOL,
+                   help="relative tolerance for profile comparisons (default %(default)g)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invariants", help="orbit invariants of one decorated loop",
                        epilog=_EPILOG)
     p.add_argument("loop", help="decorated loop JSON file")
-    p.add_argument("--morse-tol", type=_positive, default=1e-8,
-                   help="relative floor for density derivatives at zeros (default 1e-8)")
+    p.add_argument("--morse-tol", type=_positive, default=DEFAULT_MORSE_TOL,
+                   help="relative floor for density derivatives at zeros (default %(default)g)")
     _add_loop_options(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -172,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
                        epilog=_EPILOG)
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--area-tol", type=_positive, default=1e-6,
-                   help="relative tolerance for area agreement (default 1e-6)")
+    p.add_argument("--area-tol", type=_positive, default=DEFAULT_AREA_REL_TOL,
+                   help="relative tolerance for area agreement (default %(default)g)")
     _add_loop_options(p)
     p.set_defaults(func=cmd_equiv)
 

@@ -160,14 +160,21 @@ def report_to_dict(report: FlowReport) -> dict:
     }
 
 
-def dump(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def dumps(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path``, converting OS errors to SchemaError naming the path."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise SchemaError(f"{path}: {exc.strerror or exc}") from exc
+
+
+def dump(doc, path) -> None:
+    write_text(path, dumps(doc))
 
 
 def load(path):

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from conftest import TWO_PI, brute_symmetry_step, oracle_zeros, oracle_integral, oracle_profile
 from vortexloop.circle_forms import (
     CircleDiffeo,
+    _invert_batch,
     _newton_bracketed,
     CircleForm,
     VorticityProfile,
@@ -235,6 +237,38 @@ def test_cumulative_inversion_round_trip():
                 t = invert_cumulative(form, (a, b), frac * omega)
                 assert a - 1e-12 <= t <= b + 1e-12
                 assert abs(cumulative(form, a, t) - frac * omega) < 1e-11
+
+
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+def test_batched_inversion_over_all_segments_matches_brentq_oracle(kind):
+    rng = np.random.default_rng(31)
+    form = random_morse_form(rng, min_zeros=4)
+    if kind == "samples":
+        form = CircleForm.from_samples(form(np.linspace(0.0, TWO_PI, 64, endpoint=False)))
+    zs = find_zeros(form)
+    omegas = partial_vorticities(form, zs).omegas
+    starts = zs.zeros
+    lengths = np.diff(np.append(starts, starts[0] + TWO_PI))
+    # both ends of every segment exactly and two interior targets, in
+    # shuffled segment order; one segment gets no entries at all
+    empty = int(rng.integers(zs.k))
+    seg = np.repeat(np.delete(np.arange(zs.k), empty), 4)
+    frac = rng.uniform(0.05, 0.95, seg.size)
+    frac[0::4], frac[1::4] = 0.0, 1.0
+    order = rng.permutation(seg.size)
+    seg, frac = seg[order], frac[order]
+    s = frac * omegas[seg]
+    assert np.any(s == 0.0) and np.any(s == omegas[seg])
+
+    got = _invert_batch(form, starts, lengths, omegas, s, seg)
+    for x, j, f, target in zip(got, seg, frac, s):
+        a, length = starts[j], lengths[j]
+        if f in (0.0, 1.0):
+            assert x == f * length
+        else:
+            want = brentq(lambda y: oracle_integral(form, a, a + y) - target, 0.0, length,
+                          xtol=1e-14, rtol=8.9e-16)
+            assert abs(x - want) < 1e-10
 
 
 # -- safeguarded Newton kernel ------------------------------------------------

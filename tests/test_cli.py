@@ -6,10 +6,15 @@ import numpy as np
 import pytest
 
 from vortexloop import io, samples
-from vortexloop.circle_forms import TWO_PI, CircleForm
-from vortexloop.cli import main
+from vortexloop.circle_forms import (
+    DEFAULT_MORSE_TOL,
+    DEFAULT_PROFILE_REL_TOL,
+    TWO_PI,
+    CircleForm,
+)
+from vortexloop.cli import build_parser, main
 from vortexloop.flow import PlanarHamiltonian
-from vortexloop.loops import DecoratedLoop, LoopEmbedding
+from vortexloop.loops import DEFAULT_AREA_REL_TOL, DecoratedLoop, LoopEmbedding
 
 
 def write_loop(path, loop):
@@ -156,6 +161,18 @@ def test_flow_has_no_rel_tol_flag(capsys, tmp_path, circle_file):
     assert "--rel-tol" in capsys.readouterr().err
 
 
+def test_parser_defaults_are_the_library_constants():
+    parser = build_parser()
+    rel = {"rel_tol": DEFAULT_PROFILE_REL_TOL}
+    for argv, want in [
+        (["invariants", "x"], {**rel, "morse_tol": DEFAULT_MORSE_TOL}),
+        (["equiv", "x", "y"], {**rel, "area_tol": DEFAULT_AREA_REL_TOL}),
+        (["intertwine", "x", "y"], rel),
+    ]:
+        args = vars(parser.parse_args(argv))
+        assert {key: args[key] for key in want} == want, argv
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "{loop}", "--rel-tol", "nan"],
     ["invariants", "{loop}", "--morse-tol", "inf"],
@@ -172,6 +189,23 @@ def test_non_finite_flag_values_are_parse_errors(capsys, tmp_path, circle_file, 
         main([a.format(loop=circle_file, ham=ham_file) for a in argv])
     assert exc.value.code == 2
     assert "must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["flow", "{loop}", "{ham}", "-T", "0.01", "--dt", "0.01", "-o", "{bad}"],
+    ["flow", "{loop}", "{ham}", "-T", "0.01", "--dt", "0.01", "--emit-csv", "{bad}"],
+    ["flow", "{loop}", "{ham}", "-T", "0.01", "--dt", "0.01", "--emit-svg", "{bad}"],
+    ["intertwine", "{loop}", "{loop}", "-o", "{bad}"],
+])
+def test_unwritable_output_path_exit_2(capsys, tmp_path, circle_file, argv):
+    ham_file = write_ham(tmp_path / "ham.json",
+                         PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4))
+    bad = str(tmp_path / "missing" / "out.txt")
+    code, out, err = run(capsys, [a.format(loop=circle_file, ham=ham_file, bad=bad)
+                                  for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
 
 
 def test_broken_json_exit_2(capsys, tmp_path):
