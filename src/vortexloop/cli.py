@@ -9,6 +9,7 @@ unwritable output path, 3 degenerate zero structure, 4 profile mismatch,
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -46,6 +47,14 @@ from .flow import advect
 _EPILOG = ("Angles are in radians, areas in squared length units, "
            "circulations are dimensionless.")
 
+# exit code of each failure; the first entry whose classes match wins
+_EXIT_CODES = (
+    ((MorseViolation, OddZeroCount, AlternationViolation), 3),
+    ((ProfileMismatch, NoSymmetry), 4),
+    (StepRejected, 5),
+    ((VortexLoopError, ValueError), 2),
+)
+
 
 def _emit(doc) -> None:
     sys.stdout.write(io.dumps(doc))
@@ -66,6 +75,20 @@ def _default_seed() -> int:
         return int(env)
     except ValueError:
         raise SchemaError(f"VORTEXLOOP_SEED: expected an integer, got {env!r}")
+
+
+def _check_writable(path) -> None:
+    """Raise SchemaError naming ``path`` unless a file can be written there."""
+    folder = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(folder):
+        code = errno.ENOTDIR if os.path.exists(folder) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise SchemaError(f"{path}: {os.strerror(code)}")
 
 
 def cmd_invariants(args) -> int:
@@ -126,6 +149,10 @@ def cmd_flow(args) -> int:
     h = io.hamiltonian_from_dict(io.load(args.hamiltonian))
     if args.dt > args.duration:
         raise SchemaError("--dt must not exceed -T")
+    # fail before advecting, so a bad path leaves no output file behind
+    for path in (args.output, args.emit_csv, args.emit_svg):
+        if path:
+            _check_writable(path)
 
     snapshots = []
     observer = None
@@ -226,21 +253,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SchemaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except (MorseViolation, OddZeroCount, AlternationViolation) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except (ProfileMismatch, NoSymmetry) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
-    except StepRejected as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 5
     except (VortexLoopError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 2
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

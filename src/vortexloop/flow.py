@@ -14,9 +14,8 @@ import numpy as np
 
 from .circle_forms import FloatArray
 from .errors import StepRejected, ValidationFailed, VortexLoopError
-from .loops import DecoratedLoop, LoopEmbedding, enclosed_area, orbit_invariants
-from .quadrature import periodic_trapezoid
-from .symplectic import momentum_map_eval
+from .loops import DecoratedLoop, LoopEmbedding, _perp, enclosed_area, orbit_invariants
+from .symplectic import _against, momentum_map_eval
 
 DEFAULT_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
@@ -97,8 +96,7 @@ class PlanarHamiltonian:
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:
     """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``."""
-    g = np.asarray(h.gradient(points), dtype=float)
-    return np.stack([g[..., 1], -g[..., 0]], axis=-1)
+    return _perp(np.asarray(h.gradient(points), dtype=float))
 
 
 def _rk4_step(points: FloatArray, dt: float, h) -> FloatArray:
@@ -245,6 +243,4 @@ def equivariance_residual(loop: DecoratedLoop, h_flow, h_test, duration: float,
             raise ValidationFailed(f"reference flow integration failed: {sol.message}")
         pts_ref = sol.y[:, -1].reshape(-1, 2)
 
-    beta = np.asarray(loop.decoration(loop.embedding.grid), dtype=float)
-    route_b = periodic_trapezoid(np.asarray(h_test(pts_ref), dtype=float) * beta)
-    return abs(route_a - route_b)
+    return abs(route_a - _against(h_test(pts_ref), loop.decoration))

@@ -30,10 +30,16 @@ DEFAULT_AREA_REL_TOL = 1e-6
 _SIMPLE_BLOCK = 128
 
 _GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
+_QUARTER_TURN = np.array([1.0, -1.0])
 
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
+
+
+def _perp(u: np.ndarray) -> np.ndarray:
+    """The quarter turn (x, y) -> (y, -x) of the last axis."""
+    return u[..., ::-1] * _QUARTER_TURN
 
 
 def _shoelace(samples: FloatArray) -> float:
@@ -179,8 +185,7 @@ class LoopEmbedding:
         d = self.derivative(s)
         speed = np.linalg.norm(d, axis=-1, keepdims=True)
         tangent = d / speed
-        normal = np.stack([-tangent[..., 1], tangent[..., 0]], axis=-1)
-        return tangent, normal
+        return tangent, -_perp(tangent)
 
     def resample(self, n: int) -> "LoopEmbedding":
         s = np.linspace(0.0, TWO_PI, n, endpoint=False)

@@ -52,10 +52,12 @@ def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> flo
     return sign * float(np.sum(panel_integrals(fn, edges)))
 
 
-def periodic_trapezoid(values: np.ndarray) -> float:
-    """Trapezoidal rule for one period of a uniformly sampled periodic function."""
+def periodic_trapezoid(values: np.ndarray):
+    """Trapezoidal rule for one period of a uniformly sampled periodic function
+    along the last axis: a float for 1-d input, one integral per stacked row."""
     values = np.asarray(values, dtype=float)
-    return float(values.sum() * (TWO_PI / values.size))
+    total = values.sum(axis=-1) * (TWO_PI / values.shape[-1])
+    return float(total) if total.ndim == 0 else total
 
 
 def periodic_spline(values) -> CubicSpline:

@@ -9,7 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from .loops import DecoratedLoop, _spline_area
-from .quadrature import periodic_spline, periodic_trapezoid
+from .quadrature import periodic_spline
+from .symplectic import _against
 
 _STYLE_BEFORE = 'fill="none" stroke="#4682b4" stroke-width="2"'
 _STYLE_AFTER = 'fill="none" stroke="#dc143c" stroke-width="2" stroke-dasharray="6 3"'
@@ -66,13 +67,13 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     construction, so each row repeats the input profile.
     """
     omegas = loop.profile.omegas
-    beta = np.asarray(loop.decoration(loop.embedding.grid), dtype=float)
     header = "step,t,area,momentum," + ",".join(f"omega_{i+1}" for i in range(omegas.size))
     rows = [header]
-    for step, t, pts in snapshots:
+    # h per snapshot: on all snapshots at once it would hold every bump term of every point
+    momenta = _against([h(pts) for _, _, pts in snapshots], loop.decoration)
+    for (step, t, pts), momentum in zip(snapshots, momenta.tolist()):
         # the loop area routine, without re-validating every snapshot
         area = _spline_area(periodic_spline(pts))
-        momentum = periodic_trapezoid(np.asarray(h(pts), dtype=float) * beta)
         cells = [str(step), format(t, ".12g"), format(area, ".15g"), format(momentum, ".15g")]
         cells.extend(format(w, ".15g") for w in omegas)
         rows.append(",".join(cells))

@@ -16,7 +16,7 @@ from scipy.linalg import svdvals
 
 from .circle_forms import CircleForm, FloatArray
 from .errors import ConstraintViolation
-from .loops import DecoratedLoop, LoopEmbedding, _cross
+from .loops import DecoratedLoop, LoopEmbedding, _cross, _perp
 from .quadrature import TWO_PI, periodic_spline, periodic_trapezoid
 
 AREA_CONSTRAINT_TOL = 1e-10
@@ -32,27 +32,38 @@ def _as_vectors(u, n: int) -> FloatArray:
     return vec
 
 
-def _constraint_gradient(embedding: LoopEmbedding) -> FloatArray:
-    d = embedding.derivative(embedding.grid)
-    return np.column_stack([d[:, 1], -d[:, 0]])
+def _against(values, form: CircleForm):
+    """Periodic trapezoid of ``values * form`` on the uniform grid of the last
+    axis of ``values``; stacked rows give one integral per row."""
+    values = np.asarray(values, dtype=float)
+    grid = np.linspace(0.0, TWO_PI, values.shape[-1], endpoint=False)
+    return periodic_trapezoid(values * np.asarray(form(grid), dtype=float))
+
+
+def _constraint(embedding: LoopEmbedding, vec: FloatArray, limit: float = np.inf):
+    """Area-variation integral of ``vec``, its size relative to ``vec`` and the
+    constraint gradient g, g and ``integral(g . g)``; raises ConstraintViolation
+    when the relative size exceeds ``limit``."""
+    g = _perp(embedding.derivative(embedding.grid))
+    raw = periodic_trapezoid(np.sum(vec * g, axis=1))
+    gg = periodic_trapezoid(np.sum(g * g, axis=1))
+    scale = np.sqrt(periodic_trapezoid(np.sum(vec * vec, axis=1)) * gg)
+    violation = abs(raw) / max(scale, 1e-300)
+    if violation > limit:
+        raise ConstraintViolation(
+            f"area constraint violated at {violation:.3e}, beyond {limit:g}")
+    return raw, violation, g, gg
 
 
 def area_constraint_residual(embedding: LoopEmbedding, u) -> float:
     """Relative size of the area-variation integral for the field ``u``."""
-    vec = _as_vectors(u, embedding.size)
-    g = _constraint_gradient(embedding)
-    raw = periodic_trapezoid(np.sum(vec * g, axis=1))
-    scale = np.sqrt(periodic_trapezoid(np.sum(vec * vec, axis=1))
-                    * periodic_trapezoid(np.sum(g * g, axis=1)))
-    return abs(raw) / max(scale, 1e-300)
+    return _constraint(embedding, _as_vectors(u, embedding.size))[1]
 
 
 def project_area_constraint(embedding: LoopEmbedding, u) -> FloatArray:
     """Project a vector field onto the area-preserving constraint."""
-    vec = _as_vectors(u, embedding.size).copy()
-    g = _constraint_gradient(embedding)
-    raw = periodic_trapezoid(np.sum(vec * g, axis=1))
-    gg = periodic_trapezoid(np.sum(g * g, axis=1))
+    vec = _as_vectors(u, embedding.size)
+    raw, _, g, gg = _constraint(embedding, vec)
     return vec - (raw / gg) * g
 
 
@@ -60,29 +71,20 @@ def _enforced(embedding: LoopEmbedding, u) -> FloatArray:
     """Apply the evaluation-time constraint policy: project small violations,
     reject anything beyond the projection limit."""
     vec = _as_vectors(u, embedding.size)
-    violation = area_constraint_residual(embedding, vec)
-    if violation > PROJECTION_LIMIT:
-        raise ConstraintViolation(
-            f"area constraint violated at {violation:.3e}, beyond {PROJECTION_LIMIT:g}")
+    raw, violation, g, gg = _constraint(embedding, vec, PROJECTION_LIMIT)
     if violation == 0.0:
         return vec
-    return project_area_constraint(embedding, vec)
+    return vec - (raw / gg) * g
 
 
 class TangentVector:
     """Per-sample variation field along a loop embedding."""
 
     def __init__(self, embedding: LoopEmbedding, vectors):
-        vec = np.asarray(vectors, dtype=float)
-        if vec.shape != (embedding.size, 2):
-            raise ValueError("vectors must match the embedding's sample count")
+        vec = _as_vectors(vectors, embedding.size)
         if not np.all(np.isfinite(vec)):
             raise ValueError("tangent vectors must be finite")
-        violation = area_constraint_residual(embedding, vec)
-        if violation > AREA_CONSTRAINT_TOL:
-            raise ConstraintViolation(
-                f"area constraint violated at {violation:.3e}; "
-                "project the field before wrapping it")
+        _constraint(embedding, vec, AREA_CONSTRAINT_TOL)
         self._embedding = embedding
         self._vectors = vec.copy()
 
@@ -127,9 +129,7 @@ def tangent_decompose(embedding: LoopEmbedding, u) -> tuple[FloatArray, FloatArr
     caller's business whether to quotient it away.
     """
     vec = _as_vectors(u, embedding.size)
-    violation = area_constraint_residual(embedding, vec)
-    if violation > AREA_CONSTRAINT_TOL:
-        raise ConstraintViolation(f"area constraint violated at {violation:.3e}")
+    _constraint(embedding, vec, AREA_CONSTRAINT_TOL)
     tangent, normal = embedding.frame(embedding.grid)
     rho = np.sum(vec * tangent, axis=1)
     lam = np.sum(vec * normal, axis=1)
@@ -145,17 +145,15 @@ def pairing(rho, lam, form: CircleForm, resolution: int = DEFAULT_PAIRING_RESOLU
     """
     if callable(rho) or callable(lam):
         grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
-        rho_v = np.asarray(rho(grid) if callable(rho) else rho, dtype=float)
-        lam_v = np.asarray(lam(grid) if callable(lam) else lam, dtype=float)
-        if rho_v.shape != grid.shape or lam_v.shape != grid.shape:
+        rho = rho(grid) if callable(rho) else rho
+        lam = lam(grid) if callable(lam) else lam
+        if np.shape(rho) != grid.shape or np.shape(lam) != grid.shape:
             raise ValueError(f"an array paired with a callable needs {resolution} samples")
-    else:
-        rho_v = np.asarray(rho, dtype=float)
-        lam_v = np.asarray(lam, dtype=float)
-        if rho_v.shape != lam_v.shape:
-            raise ValueError("sampled rho and lam must share a grid")
-        grid = np.linspace(0.0, TWO_PI, rho_v.size, endpoint=False)
-    return periodic_trapezoid(rho_v * lam_v * np.asarray(form(grid), dtype=float))
+    rho_v = np.asarray(rho, dtype=float)
+    lam_v = np.asarray(lam, dtype=float)
+    if rho_v.shape != lam_v.shape or rho_v.ndim != 1:
+        raise ValueError("sampled rho and lam must share a grid")
+    return _against(rho_v * lam_v, form)
 
 
 def pairing_matrix(form: CircleForm, n: int = 16,
@@ -173,16 +171,12 @@ def pairing_matrix(form: CircleForm, n: int = 16,
         resolution = max(4096, 16 * n)
     grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
     beta = np.asarray(form(grid), dtype=float)
-    rho_basis = []
-    for j in range(1, n + 1):
-        rho_basis.append(np.cos(j * grid) / np.sqrt(np.pi))
-        rho_basis.append(np.sin(j * grid) / np.sqrt(np.pi))
-    lam_basis = [np.full(resolution, 1.0 / np.sqrt(TWO_PI))]
-    for j in range(1, n):
-        lam_basis.append(np.cos(j * grid) / np.sqrt(np.pi))
-        lam_basis.append(np.sin(j * grid) / np.sqrt(np.pi))
-    rho_arr = np.array(rho_basis)
-    lam_arr = np.array(lam_basis)
+    phase = np.arange(1, n + 1)[:, None] * grid
+    # rows cos(t), sin(t), cos(2t), sin(2t), ...
+    rho_arr = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(2 * n, resolution)
+    rho_arr /= np.sqrt(np.pi)
+    lam_arr = np.concatenate([np.full((1, resolution), 1.0 / np.sqrt(TWO_PI)),
+                              rho_arr[:2 * n - 2]])
     weighted = lam_arr * beta
     matrix = (rho_arr @ weighted.T) * (TWO_PI / resolution)
     sigma = svdvals(matrix)
@@ -191,10 +185,7 @@ def pairing_matrix(form: CircleForm, n: int = 16,
 
 def omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm) -> float:
     """The two-form ``integral(omega(u, v) * form)`` at the loop."""
-    uu = _enforced(embedding, u)
-    vv = _enforced(embedding, v)
-    beta = np.asarray(form(embedding.grid), dtype=float)
-    return periodic_trapezoid(_cross(uu, vv) * beta)
+    return _against(_cross(_enforced(embedding, u), _enforced(embedding, v)), form)
 
 
 @dataclass(frozen=True)
@@ -220,8 +211,7 @@ def pointed_omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm,
     """Two-form plus weighted evaluation couplings at the marked parameters."""
     uu = _enforced(embedding, u)
     vv = _enforced(embedding, v)
-    beta = np.asarray(form(embedding.grid), dtype=float)
-    base = periodic_trapezoid(_cross(uu, vv) * beta)
+    base = _against(_cross(uu, vv), form)
     u_at = periodic_spline(uu)(pointed.marked)
     v_at = periodic_spline(vv)(pointed.marked)
     return base + float(np.sum(pointed.weights * _cross(u_at, v_at)))
@@ -230,16 +220,12 @@ def pointed_omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm,
 def primitive_one_form_eval(embedding: LoopEmbedding, u, form: CircleForm) -> float:
     """The primitive ``alpha(u) = integral(nu_f(u) * form)`` with
     ``nu = (x dy - y dx) / 2``."""
-    uu = _enforced(embedding, u)
-    beta = np.asarray(form(embedding.grid), dtype=float)
-    return periodic_trapezoid(0.5 * _cross(embedding.samples, uu) * beta)
+    return _against(0.5 * _cross(embedding.samples, _enforced(embedding, u)), form)
 
 
 def momentum_map_eval(embedding: LoopEmbedding, h, form: CircleForm) -> float:
     """Momentum pairing ``integral((h o f) * form)`` against a test Hamiltonian."""
-    vals = np.asarray(h(embedding.samples), dtype=float)
-    beta = np.asarray(form(embedding.grid), dtype=float)
-    return periodic_trapezoid(vals * beta)
+    return _against(h(embedding.samples), form)
 
 
 def momentum_separation(first: DecoratedLoop, second: DecoratedLoop, dictionary) -> float:
@@ -255,14 +241,6 @@ def momentum_separation(first: DecoratedLoop, second: DecoratedLoop, dictionary)
 # -- finite-difference checks of the structural identities -------------------
 
 
-def _raw_omega(u: FloatArray, v: FloatArray, beta: FloatArray) -> float:
-    return periodic_trapezoid(_cross(u, v) * beta)
-
-
-def _raw_primitive(samples: FloatArray, u: FloatArray, beta: FloatArray) -> float:
-    return periodic_trapezoid(0.5 * _cross(samples, u) * beta)
-
-
 def closedness_residual(embedding: LoopEmbedding, u, v, w, form: CircleForm,
                         step: float = FD_STEP) -> float:
     """Central-difference exterior derivative of the two-form on constant
@@ -276,14 +254,12 @@ def closedness_residual(embedding: LoopEmbedding, u, v, w, form: CircleForm,
     by construction for finite fields.  This is a structural identity, not a
     measurement of discretization error; ``step`` only sets the divisor.
     """
-    n = embedding.size
-    fields = [_as_vectors(x, n) for x in (u, v, w)]
-    beta = np.asarray(form(embedding.grid), dtype=float)
+    uu, vv, ww = (_as_vectors(x, embedding.size) for x in (u, v, w))
+    # omega_f of the two fields left after dropping u, v, w in turn
+    values = _against(np.stack([_cross(vv, ww), _cross(uu, ww), _cross(uu, vv)]), form)
     total = 0.0
     sign = 1.0
-    for i in range(3):
-        a, b = (x for j, x in enumerate(fields) if j != i)
-        value = _raw_omega(a, b, beta)
+    for value in values.tolist():
         total += sign * (value - value) / (2.0 * step)
         sign = -sign
     return abs(total)
@@ -293,13 +269,15 @@ def exactness_residual(embedding: LoopEmbedding, u, v, form: CircleForm,
                        step: float = FD_STEP) -> float:
     """Residual of ``d(primitive) == Omega`` via central differences on
     constant extensions."""
-    n = embedding.size
-    uu = _as_vectors(u, n)
-    vv = _as_vectors(v, n)
-    beta = np.asarray(form(embedding.grid), dtype=float)
+    uu = _as_vectors(u, embedding.size)
+    vv = _as_vectors(v, embedding.size)
     base = embedding.samples
-    d_alpha_v = (_raw_primitive(base + step * uu, vv, beta)
-                 - _raw_primitive(base - step * uu, vv, beta)) / (2.0 * step)
-    d_alpha_u = (_raw_primitive(base + step * vv, uu, beta)
-                 - _raw_primitive(base - step * vv, uu, beta)) / (2.0 * step)
-    return abs((d_alpha_v - d_alpha_u) - _raw_omega(uu, vv, beta))
+    # the primitive alpha(v) at base +- step u, alpha(u) at base +- step v,
+    # then omega_f(u, v)
+    rows = [0.5 * _cross(base + step * uu, vv), 0.5 * _cross(base - step * uu, vv),
+            0.5 * _cross(base + step * vv, uu), 0.5 * _cross(base - step * vv, uu),
+            _cross(uu, vv)]
+    v_plus, v_minus, u_plus, u_minus, omega = _against(np.stack(rows), form).tolist()
+    d_alpha_v = (v_plus - v_minus) / (2.0 * step)
+    d_alpha_u = (u_plus - u_minus) / (2.0 * step)
+    return abs((d_alpha_v - d_alpha_u) - omega)

@@ -29,9 +29,13 @@ def oracle_zeros(f, n=16384):
     return np.array(sorted(np.mod(out, TWO_PI)))
 
 
-def oracle_integral(f, a, b):
-    val, _ = quad(f, a, b, epsabs=1e-13, epsrel=1e-13, limit=400)
-    return val
+def oracle_integral(f, a, b, knots=()):
+    """QUADPACK integral of ``f`` over [a, b], one call per interval between
+    the ``knots`` inside it, so a piecewise-smooth integrand such as a spline
+    is smooth on every call."""
+    edges = [a, *(k for k in np.sort(knots) if a < k < b), b]
+    return sum(quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
 
 
 def oracle_profile(f, zeros):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from vortexloop import io, samples
+from vortexloop import cli, io, samples
 from vortexloop.circle_forms import (
     DEFAULT_MORSE_TOL,
     DEFAULT_PROFILE_REL_TOL,
@@ -13,6 +13,17 @@ from vortexloop.circle_forms import (
     CircleForm,
 )
 from vortexloop.cli import build_parser, main
+from vortexloop.errors import (
+    AlternationViolation,
+    MorseViolation,
+    NoSymmetry,
+    OddZeroCount,
+    ProfileMismatch,
+    SchemaError,
+    StepRejected,
+    ValidationFailed,
+    VortexLoopError,
+)
 from vortexloop.flow import PlanarHamiltonian
 from vortexloop.loops import DEFAULT_AREA_REL_TOL, DecoratedLoop, LoopEmbedding
 
@@ -206,6 +217,53 @@ def test_unwritable_output_path_exit_2(capsys, tmp_path, circle_file, argv):
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: {bad}: ")
+
+
+def test_flow_bad_svg_path_writes_no_output(capsys, tmp_path, circle_file):
+    ham_file = write_ham(tmp_path / "ham.json",
+                         PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4))
+    out_json = tmp_path / "out.json"
+    bad = str(tmp_path / "nonexistent" / "x.svg")
+    code, out, err = run(capsys, ["flow", circle_file, ham_file, "-T", "0.01", "--dt", "0.01",
+                                  "-o", str(out_json), "--emit-svg", bad])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: ")
+    assert not out_json.exists()
+
+
+def test_flow_directory_as_output_exit_2(capsys, tmp_path, circle_file):
+    ham_file = write_ham(tmp_path / "ham.json",
+                         PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4))
+    csv_path = tmp_path / "series.csv"
+    code, _, err = run(capsys, ["flow", circle_file, ham_file, "-T", "0.01", "--dt", "0.01",
+                                "--emit-csv", str(csv_path), "--emit-svg", str(tmp_path)])
+    assert code == 2
+    assert err.startswith(f"error: {tmp_path}: ")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("exc, want", [
+    (SchemaError("bad"), 2),
+    (MorseViolation("bad"), 3),
+    (OddZeroCount("bad"), 3),
+    (AlternationViolation("bad"), 3),
+    (ProfileMismatch("bad"), 4),
+    (NoSymmetry("bad"), 4),
+    (StepRejected("bad"), 5),
+    (ValidationFailed("bad"), 2),
+    (VortexLoopError("bad"), 2),
+    (ValueError("bad"), 2),
+])
+def test_exit_code_of_each_failure(capsys, monkeypatch, exc, want):
+    def stub(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_verify", stub)
+    code, out, err = run(capsys, ["verify"])
+    assert code == want
+    assert out == ""
+    assert err == "error: bad\n"
 
 
 def test_broken_json_exit_2(capsys, tmp_path):

@@ -242,6 +242,19 @@ def test_flow_csv_series():
     np.testing.assert_allclose([float(c) for c in first[4:]], loop.profile.omegas)
 
 
+def test_flow_csv_momentum_is_the_momentum_map_at_every_snapshot():
+    rng = np.random.default_rng(21)
+    loop = samples.random_decorated_loop(rng, n=128)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+    snapshots = []
+    advect(loop, h, 0.05, 0.01, observer=lambda i, t, p: snapshots.append((i, t, p)))
+    rows = render.flow_csv(loop, h, snapshots).strip().split("\n")[1:]
+    assert len(rows) == len(snapshots) == 6
+    for row, (_, _, pts) in zip(rows, snapshots):
+        want = momentum_map_eval(LoopEmbedding(pts), h, loop.decoration)
+        assert row.split(",")[3] == format(want, ".15g")
+
+
 def test_thin_snapshots_keeps_ends():
     snaps = [(i, 0.1 * i, None) for i in range(1000)]
     thinned = render.thin_snapshots(snaps, limit=100)

@@ -266,7 +266,8 @@ def test_momentum_matches_quadpack_and_far_bump_vanishes():
     h = PlanarHamiltonian.single((0.1, -0.2), 1.1, 0.8)
     got = momentum_map_eval(emb, h, form)
     want = oracle_integral(
-        lambda t: float(h(emb.eval(np.atleast_1d(t)))[0] * form(t)), 0.0, TWO_PI)
+        lambda t: float(h(emb.eval(np.atleast_1d(t)))[0] * form(t)), 0.0, TWO_PI,
+        knots=emb.grid)
     assert got == pytest.approx(want, abs=1e-9)
 
     far = PlanarHamiltonian.single((40.0, 40.0), 0.5, 1.0)
