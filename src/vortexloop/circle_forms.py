@@ -110,9 +110,9 @@ class CircleForm:
 
     Two representations are supported: a trigonometric series
     ``a0 + sum_j (a_j cos(j t) + b_j sin(j t))`` and uniform samples joined by
-    a periodic cubic spline.  ``node_count`` is the resolution used by grid
-    based operations (dense scans, derived sample grids): 1024 for a trig
-    series and the sample count for sampled forms.
+    a periodic cubic spline.  ``node_count`` is the resolution of derived
+    sample grids: 1024 for a trig series and the sample count for sampled
+    forms.
     """
 
     def __init__(
@@ -128,7 +128,7 @@ class CircleForm:
             raise ValueError(f"unknown form kind {kind!r}")
         self._kind = kind
         self._coeffs = self._values = self._spline = self._dspline = self._aspline = None
-        self._abs_max: float | None = None
+        self._sampling: tuple[FloatArray, FloatArray] | None = None
         self._abs_max_deriv: float | None = None
         if kind == "trig":
             self._node_count = _TRIG_NODE_COUNT
@@ -246,18 +246,21 @@ class CircleForm:
         """Exact signed integral of the density from ``a`` to ``b``."""
         return self.antiderivative(b) - self.antiderivative(a)
 
-    def _dense_grid(self) -> FloatArray:
-        n = max(4096, 4 * self._node_count)
-        return np.linspace(0.0, TWO_PI, n, endpoint=False)
+    def _sampling_grid(self) -> tuple[FloatArray, FloatArray]:
+        """The density's one uniform grid, of max(4096, 8 * degree) points for a
+        trig series and max(4096, 4 * node_count) for samples, and its values."""
+        if self._sampling is None:
+            n = max(4096, 8 * self.degree if self._kind == "trig" else 4 * self._node_count)
+            grid = np.arange(n) * (TWO_PI / n)
+            self._sampling = grid, self(grid)
+        return self._sampling
 
     def max_abs(self) -> float:
-        if self._abs_max is None:
-            self._abs_max = float(np.max(np.abs(self(self._dense_grid()))))
-        return self._abs_max
+        return float(np.max(np.abs(self._sampling_grid()[1])))
 
     def max_abs_derivative(self) -> float:
         if self._abs_max_deriv is None:
-            self._abs_max_deriv = float(np.max(np.abs(self.derivative(self._dense_grid()))))
+            self._abs_max_deriv = float(np.max(np.abs(self.derivative(self._sampling_grid()[0]))))
         return self._abs_max_deriv
 
     def __repr__(self) -> str:
@@ -293,26 +296,25 @@ class VorticityProfile:
 def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> ZeroSet:
     """Locate all zeros of the density in [0, 2*pi).
 
-    Sign changes are detected on a uniform scan grid of max(1024, 8 * degree)
-    points for a trig series and max(1024, 4 * node_count) for a sampled
-    form; each scan cell with a sign change is solved by the safeguarded
-    Newton kernel (``_newton_bracketed``) to a bracket or step of 1e-13, and
-    a zero that lands exactly on the grid is taken as it is.  Raises
-    MorseViolation when a zero's derivative is below ``morse_tol`` relative to
-    the derivative scale or when zeros cannot be separated at the scan
-    resolution, and OddZeroCount when an odd number of crossings is found.
+    Sign changes are detected on the form's one uniform sampling grid, of
+    max(4096, 8 * degree) points for a trig series and
+    max(4096, 4 * node_count) for a sampled form; the same grid gives the
+    value and derivative scales.  Each scan cell with a sign change is solved
+    by the safeguarded Newton kernel (``_newton_bracketed``) to a bracket or
+    step of 1e-13, and a zero that lands exactly on the grid is taken as it
+    is.  Raises MorseViolation when a zero's derivative is below
+    ``morse_tol`` relative to the derivative scale or when zeros cannot be
+    separated at the scan resolution, and OddZeroCount when an odd number of
+    crossings is found.  Two zeros closer together than one grid cell can
+    leave no sign change and are then missed.
     """
-    if form.kind == "trig":
-        scan_points = max(1024, 8 * form.degree)
-    else:
-        scan_points = max(1024, 4 * form.node_count)
     scale = form.max_abs()
     if scale == 0.0:
         raise MorseViolation("density is identically zero")
 
+    grid, vals = form._sampling_grid()
+    scan_points = grid.size
     h = TWO_PI / scan_points
-    grid = np.arange(scan_points) * h
-    vals = form(grid)
 
     on_grid = np.nonzero(vals == 0.0)[0]
     for j in on_grid:
@@ -367,7 +369,11 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet | None = None) -> Vorti
     """Integrate the density over each inter-zero segment.
 
     Raises AlternationViolation when the signed segment integrals fail to
-    alternate strictly, vanish, or do not add up to the full-period integral.
+    alternate strictly or vanish, or when their sum is off the exact period
+    integral (2 pi a0, or the trapezoid sum of the samples, which a periodic
+    cubic spline integrates to exactly) by over 1e-10 of max(max|omega|, 1).
+    That catches a broken antiderivative, not a missed zero: the sum
+    telescopes over any zero set.
     """
     if zeros is None:
         zeros = find_zeros(form)
@@ -385,15 +391,12 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet | None = None) -> Vorti
         raise AlternationViolation("partial vorticities do not alternate in sign")
 
     total = float(np.sum(omegas))
-    full = quadrature.integrate(form, 0.0, TWO_PI)
-    # independent quadrature route; panel rules see spline data only at the
-    # panel scale, so sampled forms get a correspondingly looser tolerance
-    rel = 1e-10 if form.kind == "trig" else 1e-5
-    tol = rel * max(float(np.max(np.abs(omegas))), 1.0)
-    if abs(total - full) > tol:
+    full = (TWO_PI * form._a0 if form.kind == "trig"
+            else quadrature.periodic_trapezoid(form._values))
+    if abs(total - full) > 1e-10 * max(float(np.max(np.abs(omegas))), 1.0):
         raise AlternationViolation(
-            f"segment integrals sum to {total:.15g} but the full period gives {full:.15g}; "
-            "a zero was probably missed")
+            f"segment integrals sum to {total:.15g} but the period integral is {full:.15g}; "
+            "the antiderivative is inconsistent")
     return VorticityProfile(omegas, total)
 
 

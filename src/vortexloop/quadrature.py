@@ -1,55 +1,17 @@
 """Quadrature and interpolation helpers used throughout the package.
 
-Integrals over inter-zero segments use composite Gauss-Legendre panels; full
-period integrals of smooth periodic integrands use the trapezoidal rule on a
-uniform grid, which converges spectrally there.  Uniformly sampled periodic
-data (loop coordinates, sampled densities, vector fields along a loop) is
-interpolated by one periodic cubic spline construction.
+Full period integrals of smooth periodic integrands use the trapezoidal rule
+on a uniform grid, which converges spectrally there.  Uniformly sampled
+periodic data (loop coordinates, sampled densities, vector fields along a
+loop) is interpolated by one periodic cubic spline construction.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
-
-# Panels wider than this are subdivided before applying the 64-node rule.
-MAX_PANEL = np.pi / 4.0
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-
-def panel_integrals(fn: Callable[[np.ndarray], np.ndarray], edges: np.ndarray) -> np.ndarray:
-    """Integrate ``fn`` over each interval of the partition ``edges``.
-
-    Applies one 64-node Gauss-Legendre rule per interval; every interval must
-    already be narrower than ``MAX_PANEL`` if panel-level accuracy is needed.
-    Returns an array of per-interval integrals (signed by interval direction).
-    """
-    edges = np.asarray(edges, dtype=float)
-    lo = edges[:-1]
-    hi = edges[1:]
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    nodes = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-    vals = fn(nodes.ravel()).reshape(nodes.shape)
-    return half * (vals @ _GL_WEIGHTS)
-
-
-def integrate(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float) -> float:
-    """Composite Gauss-Legendre integral of ``fn`` over ``[a, b]``."""
-    if b == a:
-        return 0.0
-    sign = 1.0
-    if b < a:
-        a, b = b, a
-        sign = -1.0
-    n_panels = max(1, int(np.ceil((b - a) / MAX_PANEL)))
-    edges = np.linspace(a, b, n_panels + 1)
-    return sign * float(np.sum(panel_integrals(fn, edges)))
 
 
 def periodic_trapezoid(values: np.ndarray):

@@ -17,7 +17,13 @@ from vortexloop.circle_forms import (
     stabilizer_generator,
     symmetry_step,
 )
-from vortexloop.errors import MorseViolation, NoSymmetry, ProfileMismatch, VortexLoopError
+from vortexloop.errors import (
+    AlternationViolation,
+    MorseViolation,
+    NoSymmetry,
+    ProfileMismatch,
+    VortexLoopError,
+)
 from vortexloop.samples import (
     near_degenerate_form,
     random_morse_form,
@@ -170,6 +176,52 @@ def test_profiles_against_quadpack_oracle():
         # signs must alternate for a transversally vanishing density
         signs = np.sign(prof.omegas)
         assert np.all(signs * np.roll(signs, -1) == -1.0)
+
+
+def test_steep_sampled_profile_matches_quadpack():
+    # 256 samples of a seeded degree-80 density: a quadrature that ignores the
+    # spline knots is off by 1.6e-4 over the period, so the period check must
+    # integrate the spline exactly
+    rng = np.random.default_rng(0)
+    j = np.arange(1, 81)
+    trig = CircleForm.trig(cos=rng.standard_normal(80) / j, sin=rng.standard_normal(80) / j)
+    h = TWO_PI / 256
+    form = CircleForm.from_samples(trig(np.arange(256) * h))
+    prof = partial_vorticities(form)
+    assert prof.k == 28 == oracle_zeros(form).size
+    zs = find_zeros(form).zeros
+    ext = np.append(zs, zs[0] + TWO_PI)
+    want = [oracle_integral(form, a, b, knots=np.arange(513) * h)
+            for a, b in zip(ext[:-1], ext[1:])]
+    assert np.max(np.abs(prof.omegas - want)) <= 1e-9 * np.max(np.abs(prof.omegas))
+
+
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+def test_period_check_catches_a_drifting_antiderivative(monkeypatch, kind):
+    form = standard_form("sin2t")
+    if kind == "samples":
+        form = CircleForm.from_samples(form(np.arange(256) * (TWO_PI / 256)))
+    exact = CircleForm.antiderivative
+    monkeypatch.setattr(CircleForm, "antiderivative",
+                        lambda self, t: exact(self, t) + 1e-6 * np.asarray(t))
+    with pytest.raises(AlternationViolation, match="antiderivative is inconsistent"):
+        partial_vorticities(form)
+
+
+def test_close_zero_pair_is_never_reported_as_two():
+    # f = delta - u + u^2 with u = 1 - cos(t - c) has zeros near c +- pi/2 and a
+    # pair at c +- sqrt(2 delta) = c +- 1e-3, inside one cell of a 1024-point scan
+    delta, c = 5e-7, 100.5 * TWO_PI / 1024
+    form = CircleForm.trig(delta + 0.5, cos=(-np.cos(c), 0.5 * np.cos(2 * c)),
+                           sin=(-np.sin(c), 0.5 * np.sin(2 * c)))
+    t = np.linspace(0.0, TWO_PI, 64)
+    u = 1.0 - np.cos(t - c)
+    np.testing.assert_allclose(form(t), delta - u + u * u, rtol=0.0, atol=1e-15)
+    try:
+        zs = find_zeros(form)
+    except MorseViolation:
+        return
+    assert zs.k == 4
 
 
 def test_near_degenerate_zero_is_rejected_with_location():

@@ -304,6 +304,17 @@ def test_degenerate_zero_exit_3(capsys, tmp_path):
     assert "zero" in err
 
 
+def test_steep_sampled_density_invariants_exit_0(capsys, tmp_path):
+    rng = np.random.default_rng(0)
+    j = np.arange(1, 81)
+    trig = CircleForm.trig(cos=rng.standard_normal(80) / j, sin=rng.standard_normal(80) / j)
+    form = CircleForm.from_samples(trig(np.arange(256) * (TWO_PI / 256)))
+    path = write_loop(tmp_path / "steep.json", DecoratedLoop(LoopEmbedding.circle(n=256), form))
+    code, out, err = run(capsys, ["invariants", path])
+    assert code == 0, err
+    assert json.loads(out)["k"] == 28
+
+
 def test_morse_tol_flag_loosens_the_zero_check(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)
