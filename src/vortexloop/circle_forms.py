@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.interpolate import CubicHermiteSpline, PchipInterpolator
 
 from . import quadrature
 from .errors import (
@@ -127,7 +126,7 @@ class CircleForm:
         if kind not in ("trig", "samples"):
             raise ValueError(f"unknown form kind {kind!r}")
         self._kind = kind
-        self._coeffs = self._values = self._spline = self._dspline = self._aspline = None
+        self._coeffs = self._values = self._spline = None
         self._sampling: tuple[FloatArray, FloatArray] | None = None
         self._abs_max_deriv: float | None = None
         if kind == "trig":
@@ -153,7 +152,6 @@ class CircleForm:
             self._values = vals.copy()
             self._node_count = vals.size
             self._spline = quadrature.periodic_spline(vals)
-            self._dspline = self._spline.derivative()
 
     # -- constructors -----------------------------------------------------
 
@@ -219,27 +217,20 @@ class CircleForm:
 
     def derivative(self, t):
         arr = np.asarray(t, dtype=float)
-        out = _power_sum(self._dcoeffs, arr) if self._kind == "trig" else self._dspline(arr)
+        out = _power_sum(self._dcoeffs, arr) if self._kind == "trig" else self._spline(arr, 1)
         return _scalar_out(t, out)
 
     def antiderivative(self, t):
         """Cumulative integral of the density from 0 to ``t``, exactly.
 
         Closed form for trig series, piecewise-polynomial antiderivative for
-        sampled forms.  Valid for any real ``t``; the winding contribution
-        ``total * floor(t / 2 pi)`` is included, so differences of this
-        function give exact integrals over arbitrary intervals.
+        sampled forms.  Valid for any real ``t``, winding included, so
+        differences of this function give exact integrals over arbitrary
+        intervals.
         """
         arr = np.asarray(t, dtype=float)
-        if self._kind == "trig":
-            out = self._a0 * arr + _power_sum(self._icoeffs, arr, minus_one=True)
-        else:
-            if self._aspline is None:
-                self._aspline = self._spline.antiderivative()
-            total = float(self._aspline(TWO_PI))
-            wrapped = np.mod(arr, TWO_PI)
-            winding = np.round((arr - wrapped) / TWO_PI)
-            out = self._aspline(wrapped) + total * winding
+        out = (self._a0 * arr + _power_sum(self._icoeffs, arr, minus_one=True)
+               if self._kind == "trig" else self._spline.antiderivative(arr))
         return _scalar_out(t, out)
 
     def integrate(self, a, b):
@@ -469,10 +460,11 @@ class CircleDiffeo:
 
     Samples live on the uniform grid ``s_j = 2*pi*j/M`` and are unwrapped so
     the stored sequence is strictly increasing; the map extends to the line by
-    ``gamma(t + 2*pi) = gamma(t) + 2*pi``.  Between samples the map
-    interpolates monotonically: constructions that know the exact slope (the
-    cumulative-transport maps) supply nodal derivatives and get a cubic
-    Hermite interpolant; bare samples fall back to a monotone PCHIP fit.
+    ``gamma(t + 2*pi) = gamma(t) + 2*pi``.  It is ``t`` plus the periodic cubic
+    Hermite interpolant of the displacement ``gamma - t`` at the nodes.  The
+    cumulative-transport maps supply their exact nodal slopes; bare samples
+    take the cyclic harmonic mean of the two neighbouring secants (PCHIP's
+    slope inside the grid), so the map is monotone and C^1 across ``t = 0``.
     """
 
     def __init__(self, samples, derivatives=None):
@@ -490,22 +482,19 @@ class CircleDiffeo:
         shift = np.floor(vals[0] / TWO_PI) * TWO_PI
         vals = vals - shift
         self._samples = vals
-        m = vals.size
-        grid = np.linspace(0.0, TWO_PI, m + 1)
-        self._grid = grid[:-1]
-        closed = np.append(vals, vals[0] + TWO_PI)
+        self._grid = np.arange(vals.size) * (TWO_PI / vals.size)
         if derivatives is None:
-            self._derivs = None
-            self._interp = PchipInterpolator(grid, closed)
+            secant = np.diff(vals, append=vals[0] + TWO_PI) * (vals.size / TWO_PI)
+            before = np.roll(secant, 1)
+            d = 2.0 * before * secant / (before + secant)
         else:
-            d = np.asarray(derivatives, dtype=float)
+            d = np.array(derivatives, dtype=float)
             if d.shape != vals.shape:
                 raise ValueError("derivative data must match the samples in shape")
             if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
                 raise ValueError("derivative data must be finite and positive")
-            self._derivs = d.copy()
-            self._interp = CubicHermiteSpline(grid, closed, np.append(d, d[0]))
-        self._dinterp = self._interp.derivative()
+        self._derivs = d
+        self._displacement = quadrature.PeriodicCubic(vals - self._grid, d - 1.0)
 
     @property
     def size(self) -> int:
@@ -520,8 +509,8 @@ class CircleDiffeo:
         return self._grid.copy()
 
     @property
-    def sample_derivatives(self) -> FloatArray | None:
-        return None if self._derivs is None else self._derivs.copy()
+    def sample_derivatives(self) -> FloatArray:
+        return self._derivs.copy()
 
     @classmethod
     def identity(cls, size: int = 512) -> "CircleDiffeo":
@@ -538,14 +527,10 @@ class CircleDiffeo:
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
-        winding = np.floor(arr / TWO_PI)
-        frac = arr - winding * TWO_PI
-        return _scalar_out(t, self._interp(frac) + winding * TWO_PI)
+        return _scalar_out(t, arr + self._displacement(arr))
 
     def derivative(self, t):
-        arr = np.asarray(t, dtype=float)
-        frac = arr - np.floor(arr / TWO_PI) * TWO_PI
-        return _scalar_out(t, self._dinterp(frac))
+        return _scalar_out(t, 1.0 + self._displacement(np.asarray(t, dtype=float), 1))
 
     def inverse(self) -> "CircleDiffeo":
         """Inverse map, resampled onto the uniform grid.
@@ -563,19 +548,14 @@ class CircleDiffeo:
         idx = np.clip(np.searchsorted(x, targets - winding, side="right") - 1, 0, m - 1)
         t = _newton_bracketed(self, self.derivative, targets,
                               nodes[idx] + winding, nodes[idx + 1] + winding)
-        dinv = None
-        if self._derivs is not None:
-            dinv = 1.0 / np.maximum(self.derivative(t), 1e-300)
-        return CircleDiffeo(t, dinv)
+        return CircleDiffeo(t, 1.0 / np.maximum(self.derivative(t), 1e-300))
 
     def compose(self, other: "CircleDiffeo") -> "CircleDiffeo":
         """The map ``t -> self(other(t))``."""
         m = max(self.size, other.size)
         grid = np.linspace(0.0, TWO_PI, m, endpoint=False)
         inner = other(grid)
-        if self._derivs is not None and other._derivs is not None:
-            return CircleDiffeo(self(inner), self.derivative(inner) * other.derivative(grid))
-        return CircleDiffeo(self(inner))
+        return CircleDiffeo(self(inner), self.derivative(inner) * other.derivative(grid))
 
     def __repr__(self) -> str:
         return f"CircleDiffeo(size={self.size})"

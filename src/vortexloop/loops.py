@@ -140,8 +140,7 @@ class LoopEmbedding:
             raise ValidationFailed("loop polyline self-intersects")
         self._samples = pts.copy()
         self._spline = quadrature.periodic_spline(pts)
-        self._dspline = self._spline.derivative()
-        d = self._dspline(self.grid)
+        d = self._spline(self.grid, 1)
         speed = np.hypot(d[:, 0], d[:, 1])
         if np.min(speed) <= 1e-8 * np.max(speed):
             raise ValidationFailed("parametrization is not an immersion at the samples")
@@ -178,7 +177,7 @@ class LoopEmbedding:
         return self._spline(np.asarray(s, dtype=float))
 
     def derivative(self, s) -> FloatArray:
-        return self._dspline(np.asarray(s, dtype=float))
+        return self._spline(np.asarray(s, dtype=float), 1)
 
     def frame(self, s) -> tuple[FloatArray, FloatArray]:
         """Unit tangent and unit normal (tangent rotated by +pi/2)."""
@@ -196,16 +195,14 @@ class LoopEmbedding:
 
 
 def _spline_area(spline) -> float:
-    """Signed area ``integral((x y' - y x') / 2)`` enclosed by a closed 2-d spline.
+    """Signed area ``integral((x y' - y x') / 2)`` inside a closed 2-d ``PeriodicCubic``.
 
-    On each knot interval ``x y' - y x'`` is a quintic, so one 3-point Gauss
-    rule per interval integrates it exactly.
+    On each cell of its uniform grid ``x y' - y x'`` is a quintic, so one
+    3-point Gauss rule per cell integrates it exactly.
     """
-    knots = spline.x
-    half = 0.5 * np.diff(knots)
-    t = (knots[:-1] + half)[:, None] + half[:, None] * _GAUSS3_NODES
-    per_knot = _cross(spline(t), spline(t, 1)) @ _GAUSS3_WEIGHTS
-    return 0.5 * float(half @ per_knot)
+    half = np.pi / spline.knots.size
+    t = (spline.knots + half)[:, None] + half * _GAUSS3_NODES
+    return 0.5 * half * float(np.sum(_cross(spline(t), spline(t, 1)) * _GAUSS3_WEIGHTS))
 
 
 def enclosed_area(embedding: LoopEmbedding) -> float:

@@ -3,13 +3,14 @@
 Full period integrals of smooth periodic integrands use the trapezoidal rule
 on a uniform grid, which converges spectrally there.  Uniformly sampled
 periodic data (loop coordinates, sampled densities, vector fields along a
-loop) is interpolated by one periodic cubic spline construction.
+loop, the displacement of a circle map) is interpolated by one periodic
+piecewise cubic, ``PeriodicCubic``; ``periodic_spline`` gives it the nodal
+slopes of the periodic cubic spline.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 TWO_PI = 2.0 * np.pi
 
@@ -22,14 +23,65 @@ def periodic_trapezoid(values: np.ndarray):
     return float(total) if total.ndim == 0 else total
 
 
-def periodic_spline(values) -> CubicSpline:
-    """Periodic cubic spline through uniform samples on [0, 2*pi), along axis 0.
+class PeriodicCubic:
+    """C^1 piecewise cubic through ``N`` uniform nodes of [0, 2*pi), along axis 0.
 
-    Row ``j`` of ``values`` is the value at ``2*pi*j/N``.  The spline and its
-    derivatives wrap any real argument onto the period.  Its antiderivative
-    is not periodic and returns NaN outside [0, 2*pi], so callers wrap that
-    argument themselves.
+    Node ``j`` sits at ``knots[j] = 2*pi*j/N`` with value ``values[j]`` and
+    slope ``slopes[j]`` (rows are scalars or points).  Cell ``j`` is the cubic
+    Hermite interpolant of nodes ``j`` and ``j + 1 mod N`` in its own
+    coordinate ``t - knots[j]``, so every node gives back its sample exactly.
+    Any real argument is accepted: value and derivative are periodic, and the
+    antiderivative from 0 adds the period integral once per winding.
     """
-    vals = np.asarray(values, dtype=float)
-    grid = np.linspace(0.0, TWO_PI, vals.shape[0] + 1)
-    return CubicSpline(grid, np.concatenate([vals, vals[:1]]), bc_type="periodic")
+
+    def __init__(self, values, slopes):
+        y = np.asarray(values, dtype=float)
+        m = np.asarray(slopes, dtype=float)
+        h = TWO_PI / y.shape[0]
+        self.knots = np.arange(y.shape[0]) * h
+        secant = (np.roll(y, -1, axis=0) - y) / h
+        m_next = np.roll(m, -1, axis=0)
+        c = (3.0 * secant - 2.0 * m - m_next) / h
+        d = (m + m_next - 2.0 * secant) / (h * h)
+        self._coeffs = np.stack([y, m, c, d])
+        cells = h * (y + h * (m / 2.0 + h * (c / 3.0 + h * d / 4.0)))
+        self._cumulative = np.concatenate([np.zeros_like(y[:1]), np.cumsum(cells, axis=0)])
+
+    def _locate(self, t):
+        """Wrapped argument, cell index, cell coordinate and cell coefficients."""
+        wrapped = np.mod(t, TWO_PI)
+        j = np.searchsorted(self.knots, wrapped, side="right") - 1
+        x = (wrapped - self.knots[j]).reshape(j.shape + (1,) * (self._cumulative.ndim - 1))
+        return wrapped, j, x, np.take(self._coeffs, j, axis=1)
+
+    def __call__(self, t, nu: int = 0):
+        """Value (``nu=0``) or first derivative (``nu=1``) at ``t``."""
+        _, _, x, (y, m, c, d) = self._locate(np.asarray(t, dtype=float))
+        if nu == 0:
+            return y + x * (m + x * (c + x * d))
+        if nu == 1:
+            return m + x * (2.0 * c + 3.0 * x * d)
+        raise ValueError(f"derivative order must be 0 or 1, got {nu}")
+
+    def antiderivative(self, t):
+        """Integral from 0 to ``t``, for any real ``t``."""
+        t = np.asarray(t, dtype=float)
+        wrapped, j, x, (y, m, c, d) = self._locate(t)
+        winding = np.round((t - wrapped) / TWO_PI).reshape(x.shape)
+        return (np.take(self._cumulative, j, axis=0) + winding * self._cumulative[-1]
+                + x * (y + x * (m / 2.0 + x * (c / 3.0 + x * d / 4.0))))
+
+
+def periodic_spline(values) -> PeriodicCubic:
+    """Periodic C^2 cubic spline through uniform samples on [0, 2*pi), along axis 0.
+
+    Row ``j`` of ``values`` is the value at ``2*pi*j/N``.  The nodal slopes
+    solve the circulant system ``m[j-1] + 4 m[j] + m[j+1] = 3 (y[j+1] - y[j-1]) / h``,
+    which the real FFT diagonalizes with eigenvalues ``4 + 2 cos(2 pi k / N)``.
+    """
+    y = np.asarray(values, dtype=float)
+    n = y.shape[0]
+    rhs = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) * (3.0 * n / TWO_PI)
+    eig = 4.0 + 2.0 * np.cos(np.arange(n // 2 + 1) * (TWO_PI / n))
+    eig = eig.reshape((-1,) + (1,) * (y.ndim - 1))
+    return PeriodicCubic(y, np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig, n=n, axis=0))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from .circle_forms import CircleForm, FloatArray
 from .errors import ConstraintViolation
@@ -179,7 +178,7 @@ def pairing_matrix(form: CircleForm, n: int = 16,
                               rho_arr[:2 * n - 2]])
     weighted = lam_arr * beta
     matrix = (rho_arr @ weighted.T) * (TWO_PI / resolution)
-    sigma = svdvals(matrix)
+    sigma = np.linalg.svd(matrix, compute_uv=False)
     return matrix, float(sigma[-1])
 
 

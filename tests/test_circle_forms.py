@@ -432,14 +432,23 @@ def test_inverse_round_trip():
 
 
 def test_inverse_round_trip_without_derivative_data():
-    # bare samples: PCHIP interpolation, the inverse solved on the forward map
+    # bare samples: harmonic-mean slopes, the inverse solved on the forward map
     psi = CircleDiffeo.from_function(lambda s: s + 0.3 * np.sin(s) + 0.2, size=256)
     inv = psi.inverse()
-    assert inv.sample_derivatives is None
+    slopes = inv.sample_derivatives
+    assert np.all(np.isfinite(slopes)) and np.all(slopes > 0.0)
     assert np.max(circle_dist(psi(inv.samples), inv.grid)) < 1e-13
     t = np.linspace(0.0, TWO_PI, 1001)
     assert np.max(circle_dist(psi(inv(t)), t)) < 1e-5
     assert np.max(circle_dist(inv(psi(t)), t)) < 1e-5
+
+
+def test_bare_sample_diffeo_is_c1_across_the_wrap():
+    # one-sided end slopes would make the derivative jump by 7e-4 at t = 0
+    psi = CircleDiffeo.from_function(
+        lambda s: s + 0.3 * np.sin(s) + 0.1 * np.cos(2.0 * s + 0.4) + 0.2, size=64)
+    assert abs(psi.derivative(0.0) - psi.derivative(-1e-13)) < 1e-12
+    assert abs(psi.derivative(TWO_PI) - psi.derivative(TWO_PI - 1e-13)) < 1e-12
 
 
 def test_compose_matches_nested_evaluation():

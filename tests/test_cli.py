@@ -1,10 +1,15 @@
 """Command-line surface: JSON output and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vortexloop
 from vortexloop import cli, io, samples
 from vortexloop.circle_forms import (
     DEFAULT_MORSE_TOL,
@@ -350,3 +355,12 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     code, _, err = run(capsys, ["verify", "--suite", "forms"])
     assert code == 2
     assert "VORTEXLOOP_SEED" in err
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is reached lazily, by the reference integrator of ``verify --suite flow``
+    env = dict(os.environ, PYTHONPATH=str(Path(vortexloop.__file__).parents[1]))
+    probe = "import sys, vortexloop.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
