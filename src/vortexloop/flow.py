@@ -14,13 +14,25 @@ import numpy as np
 
 from .circle_forms import FloatArray
 from .errors import StepRejected, ValidationFailed, VortexLoopError
-from .loops import DecoratedLoop, LoopEmbedding, _perp, enclosed_area, orbit_invariants
+from .loops import (
+    DecoratedLoop,
+    LoopEmbedding,
+    _perp,
+    _polyline_is_simple,
+    enclosed_area,
+    orbit_invariants,
+)
 from .symplectic import _against, momentum_map_eval
 
 DEFAULT_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
-_CUTOFF_END = 6.0
+# the blend in _terms runs over s = rho - _CUTOFF_START in [0, 1], one sigma wide
+_CUTOFF_END = _CUTOFF_START + 1.0
 _MIDPOINT_ITERATIONS = 60
+# step sizes of a step-doubling pair, relative to the step: the full step and the first half
+_FULL_AND_HALF = np.array([1.0, 0.5]).reshape(2, 1, 1)
+# accepted steps between two simplicity checks of the evolving polyline
+_SIMPLE_STRIDE = 10
 
 
 @dataclass(frozen=True)
@@ -46,11 +58,13 @@ class PlanarHamiltonian:
 
     def __init__(self, bumps):
         self._bumps = tuple(bumps)
-        # bump axis first: centres of shape (2, B, 1), widths and amplitudes (B, 1)
+        # bump axis first: centres of shape (2, B, 1), the others (B, 1)
         centers = np.array([b.center for b in self._bumps], dtype=float).reshape(-1, 2)
         self._centers = centers.T[:, :, None]
-        self._sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
+        sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
         self._amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)[:, None]
+        self._inv_sigma2 = 1.0 / sigmas**2
+        self._amp_inv_sigma2 = self._amplitudes * self._inv_sigma2
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -61,37 +75,60 @@ class PlanarHamiltonian:
         return cls([PlanarBump((float(center[0]), float(center[1])), float(sigma), float(amplitude))])
 
     def _terms(self, pts):
-        """Offsets, r/sigma, Gaussian core, blend and its slope in r/sigma.
+        """Offsets, rho = r/sigma, unit Gaussian exp(-rho^2/2), blend and its slope in rho.
 
         The M points of ``pts`` (shape (..., 2)) and the B bumps give offsets
-        of shape (2, B, M) and the other four of shape (B, M).
+        of shape (2, B, M) and the other four of shape (B, M).  With
+        s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5 and its
+        slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
+        and s = 1.
         """
         d = np.ascontiguousarray(pts.reshape(-1, 2).T)[:, None, :] - self._centers
-        rho = np.sqrt(d[0] * d[0] + d[1] * d[1]) / self._sigmas
-        core = self._amplitudes * np.exp(-0.5 * rho * rho)
-        width = _CUTOFF_END - _CUTOFF_START
-        s = np.clip((rho - _CUTOFF_START) / width, 0.0, 1.0)
-        blend = 1.0 - s * s * s * (10.0 - 15.0 * s + 6.0 * s * s)
-        slope = -30.0 * s * s * (1.0 - s) * (1.0 - s) / width
-        return d, rho, core, blend, slope
+        rho2 = d[0] * d[0]
+        rho2 += d[1] * d[1]
+        rho2 *= self._inv_sigma2
+        rho = np.sqrt(rho2)
+        gauss = np.exp(np.multiply(rho2, -0.5, out=rho2), out=rho2)
+        s = rho - _CUTOFF_START
+        np.minimum(np.maximum(s, 0.0, out=s), 1.0, out=s)
+        s2 = s * s
+        slope = s * -30.0
+        slope += 60.0
+        slope *= s
+        slope -= 30.0
+        slope *= s2
+        blend = s * -6.0
+        blend += 15.0
+        blend *= s
+        blend -= 10.0
+        blend *= s2
+        blend *= s
+        blend += 1.0
+        return d, rho, gauss, blend, slope
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        _, _, core, blend, _ = self._terms(pts)
-        return np.sum(core * blend, axis=0).reshape(pts.shape[:-1])
+        _, _, gauss, blend, _ = self._terms(pts)
+        blend *= gauss
+        blend *= self._amplitudes
+        return blend.sum(axis=0).reshape(pts.shape[:-1])
 
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        d, rho, core, blend, slope = self._terms(pts)
-        # grad = core (slope / rho - blend) d / sigma^2; the slope is 0 below
-        # 5 sigma, so the guarded rho keeps the bump centre finite
-        coef = core * (slope / np.maximum(rho, _CUTOFF_START) - blend) / self._sigmas**2
-        return np.sum(coef * d, axis=1).T.reshape(pts.shape)
+        d, rho, gauss, blend, slope = self._terms(pts)
+        # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2; the slope
+        # is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
+        slope /= np.maximum(rho, _CUTOFF_START, out=rho)
+        slope -= blend
+        slope *= gauss
+        slope *= self._amp_inv_sigma2
+        grad = (d * slope).sum(axis=1)
+        return grad.T.reshape(pts.shape)
 
     def support_mask(self, points) -> np.ndarray:
         """True for points inside the union of cutoff discs."""
         pts = np.asarray(points, dtype=float)
-        return np.any(self._terms(pts)[1] < _CUTOFF_END, axis=0).reshape(pts.shape[:-1])
+        return (self._terms(pts)[1] < _CUTOFF_END).any(axis=0).reshape(pts.shape[:-1])
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:
@@ -99,7 +136,9 @@ def hamiltonian_vector_field(h, points) -> np.ndarray:
     return _perp(np.asarray(h.gradient(points), dtype=float))
 
 
-def _rk4_step(points: FloatArray, dt: float, h) -> FloatArray:
+def _rk4_step(points: FloatArray, dt, h) -> FloatArray:
+    """One classical RK4 step; an array ``dt`` of shape (R, 1, 1) takes R steps
+    from ``points`` at once, sharing k1 and batching stages 2-4."""
     k1 = hamiltonian_vector_field(h, points)
     k2 = hamiltonian_vector_field(h, points + 0.5 * dt * k1)
     k3 = hamiltonian_vector_field(h, points + 0.5 * dt * k2)
@@ -107,22 +146,33 @@ def _rk4_step(points: FloatArray, dt: float, h) -> FloatArray:
     return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _midpoint_step(points: FloatArray, dt: float, h) -> FloatArray:
+def _midpoint_step(points: FloatArray, dt, h) -> FloatArray:
     """Implicit midpoint step, solved by fixed-point iteration.
 
-    Raises StepRejected when the iteration has not converged after
-    ``_MIDPOINT_ITERATIONS`` updates.
+    An array ``dt`` of shape (R, 1, 1) solves R steps from ``points`` at once:
+    they share the explicit first guess, each iteration evaluates the field
+    once on the rows still iterating, and each row stops on its own test, as
+    its separate solve would.  Raises StepRejected when a row has
+    not converged after ``_MIDPOINT_ITERATIONS`` updates, quoting the last
+    update of the first such row.
     """
-    z = points + dt * hamiltonian_vector_field(h, points)
+    first = points + dt * hamiltonian_vector_field(h, points)
+    rows = first.reshape((-1,) + points.shape)  # a view: solved rows land in ``first``
+    row_dt = np.reshape(dt, (-1,) + (1,) * points.ndim)
+    active = np.arange(rows.shape[0])
+    axes = tuple(range(1, rows.ndim))
     for _ in range(_MIDPOINT_ITERATIONS):
-        z_next = points + dt * hamiltonian_vector_field(h, 0.5 * (points + z))
-        update = float(np.max(np.abs(z_next - z)))
-        if update <= 1e-14 * max(1.0, float(np.max(np.abs(z)))):
-            return z_next
-        z = z_next
+        z = rows[active]
+        z_next = points + row_dt[active] * hamiltonian_vector_field(h, 0.5 * (points + z))
+        update = np.max(np.abs(z_next - z), axis=axes)
+        done = update <= 1e-14 * np.maximum(1.0, np.max(np.abs(z), axis=axes))
+        rows[active] = z_next
+        active = active[~done]
+        if active.size == 0:
+            return first
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
-        f"iterations; last update {update:.3e}")
+        f"iterations; last update {update[~done][0]:.3e}")
 
 
 _STEPPERS = {"rk4": _rk4_step, "implicit-midpoint": _midpoint_step}
@@ -169,8 +219,12 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
 
     Every step carries a step-doubling local error estimate; a step whose
     estimate exceeds ``error_limit`` or is not finite raises StepRejected.
-    The evolved sample polyline is re-validated, raising ValidationFailed if
-    it self-intersects.
+    The full step and the first half step are one stepper call on the stacked
+    step sizes, so they share the field at the start of the step.
+    The evolving sample polyline is checked for self-intersection every
+    ``_SIMPLE_STRIDE`` accepted steps and, through the evolved loop's own
+    validation, after the last one; a failed check raises ValidationFailed
+    naming the step.
     When given, ``observer(step_index, time, points)`` is called at step 0 and
     after every accepted step.
     """
@@ -190,8 +244,8 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     if observer is not None:
         observer(0, 0.0, pts.copy())
     for i, step_dt in enumerate(steps):
-        full = stepper(pts, step_dt, h)
-        half = stepper(stepper(pts, 0.5 * step_dt, h), 0.5 * step_dt, h)
+        full, half = stepper(pts, step_dt * _FULL_AND_HALF, h)
+        half = stepper(half, 0.5 * step_dt, h)
         est = float(np.max(np.abs(full - half)))
         max_est = max(max_est, est)
         if not est <= error_limit:
@@ -199,13 +253,17 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
                 f"step {i}: local error estimate {est:.3e} exceeds {error_limit:g}")
         pts = full
         elapsed += step_dt
+        done = i + 1
+        if done % _SIMPLE_STRIDE == 0 and done < len(steps) and not _polyline_is_simple(pts):
+            raise ValidationFailed(f"evolved loop polyline self-intersects after {done} steps")
         if observer is not None:
-            observer(i + 1, elapsed, pts.copy())
+            observer(done, elapsed, pts.copy())
 
     try:
         evolved = DecoratedLoop(LoopEmbedding(pts), form)
     except VortexLoopError as exc:
-        raise ValidationFailed(f"evolved loop failed validation: {exc}") from exc
+        raise ValidationFailed(
+            f"evolved loop failed validation after {len(steps)} steps: {exc}") from exc
 
     inv = orbit_invariants(evolved)
     area_drift = abs(inv.area - area0) / abs(area0)

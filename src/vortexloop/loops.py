@@ -194,15 +194,21 @@ class LoopEmbedding:
         return f"LoopEmbedding(n={self.size})"
 
 
-def _spline_area(spline) -> float:
+def _spline_area(spline):
     """Signed area ``integral((x y' - y x') / 2)`` inside a closed 2-d ``PeriodicCubic``.
 
     On each cell of its uniform grid ``x y' - y x'`` is a quintic, so one
-    3-point Gauss rule per cell integrates it exactly.
+    3-point Gauss rule per cell integrates it exactly.  A spline through
+    stacked curves (values of shape (N, S, 2)) gives the S areas as an array,
+    each equal to the area of its own curve's spline.
     """
     half = np.pi / spline.knots.size
     t = (spline.knots + half)[:, None] + half * _GAUSS3_NODES
-    return 0.5 * half * float(np.sum(_cross(spline(t), spline(t, 1)) * _GAUSS3_WEIGHTS))
+    # (..., N, 3): each curve's Gauss terms in one contiguous run, summed pairwise
+    terms = np.ascontiguousarray(np.moveaxis(_cross(spline(t), spline(t, 1)), (0, 1), (-2, -1)))
+    terms *= _GAUSS3_WEIGHTS
+    areas = 0.5 * half * terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    return float(areas) if areas.ndim == 0 else areas
 
 
 def enclosed_area(embedding: LoopEmbedding) -> float:

@@ -7,9 +7,13 @@ from vortexloop import samples
 from vortexloop.circle_forms import TWO_PI
 from vortexloop.errors import StepRejected, ValidationFailed
 from vortexloop.flow import (
+    _FULL_AND_HALF,
+    _SIMPLE_STRIDE,
     FlowReport,
     PlanarBump,
     PlanarHamiltonian,
+    _midpoint_step,
+    _rk4_step,
     advect,
     equivariance_residual,
     hamiltonian_vector_field,
@@ -252,12 +256,20 @@ def test_midpoint_solve_that_does_not_converge_is_rejected():
         advect(loop, h, 1.0, 0.1, scheme="implicit-midpoint")
 
 
+def test_non_finite_midpoint_solve_is_rejected():
+    with pytest.raises(StepRejected, match="did not converge in 60 iterations; last update nan"):
+        advect(circle_loop(n=32), _NanGradient(), 0.3, 0.1, scheme="implicit-midpoint")
+
+
 def test_collision_raises_validation_failed():
     # differential swirl around an off-center bump folds the coarse polyline
     loop = circle_loop(n=32)
     h = PlanarHamiltonian.single((1.0, 0.0), 0.25, 2.0)
-    with pytest.raises(ValidationFailed, match="self-intersects"):
+    with pytest.raises(ValidationFailed, match=r"self-intersects after (\d+) steps") as err:
         advect(loop, h, 2.0, 0.002, error_limit=1e9)
+    # found mid-run, at a multiple of the stride, long before the 1000th step
+    done = int(err.value.args[0].rsplit(" ", 2)[1])
+    assert done % _SIMPLE_STRIDE == 0 and done < 1000
 
 
 def test_observer_sees_every_step():
@@ -273,6 +285,109 @@ def test_observer_sees_every_step():
     np.testing.assert_array_equal(seen[0][2], loop.embedding.samples)
     np.testing.assert_array_equal(seen[-1][2], report.loop.embedding.samples)
     assert report.steps == 3
+
+
+# ---------------------------------------------------------------- stacked step pair
+
+
+class _CountingHamiltonian(PlanarHamiltonian):
+    """Counts gradient calls and the points they were given."""
+
+    def __init__(self, bumps):
+        super().__init__(bumps)
+        self.calls = 0
+        self.points = 0
+
+    def gradient(self, points):
+        self.calls += 1
+        self.points += np.size(points) // 2
+        return super().gradient(points)
+
+
+def _random_case(seed=34, n=256):
+    rng = np.random.default_rng(seed)
+    loop = samples.random_decorated_loop(rng, n=n)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+    return loop, _CountingHamiltonian(h.bumps)
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
+def test_stacked_rk4_step_is_the_full_and_first_half_step(dt):
+    loop, h = _random_case()
+    pts = loop.embedding.samples
+    full, half = _rk4_step(pts, dt * _FULL_AND_HALF, h)
+    assert h.calls == 4 and h.points == 7 * pts.shape[0]
+    np.testing.assert_array_equal(full, _rk4_step(pts, dt, h))
+    np.testing.assert_array_equal(half, _rk4_step(pts, 0.5 * dt, h))
+
+
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
+def test_stacked_midpoint_rows_are_the_separate_solves(dt):
+    # at 1e-3 both rows take 3 iterations; at 1e-2 and 0.1 the full step takes
+    # one more than the half step, so the half row stops first
+    loop, h = _random_case()
+    pts = loop.embedding.samples
+    full, half = _midpoint_step(pts, dt * _FULL_AND_HALF, h)
+    stacked_calls = h.calls
+    np.testing.assert_array_equal(full, _midpoint_step(pts, dt, h))
+    full_calls = h.calls - stacked_calls
+    np.testing.assert_array_equal(half, _midpoint_step(pts, 0.5 * dt, h))
+    half_calls = h.calls - stacked_calls - full_calls
+    assert stacked_calls == max(full_calls, half_calls)
+    assert (full_calls > half_calls) == (dt > 1e-3)
+
+
+def _nested_step_doubling(pts, h, steps, stepper):
+    """Step doubling by three separate stepper calls per step: the reference."""
+    for dt in steps:
+        full = stepper(pts, dt, h)
+        half = stepper(stepper(pts, 0.5 * dt, h), 0.5 * dt, h)
+        assert np.max(np.abs(full - half)) <= 1e-3
+        pts = full
+    return pts
+
+
+@pytest.mark.parametrize("scheme, stepper", [("rk4", _rk4_step),
+                                             ("implicit-midpoint", _midpoint_step)])
+def test_advect_matches_nested_step_doubling_with_a_partial_step(scheme, stepper):
+    loop, h = _random_case(n=128)
+    report = advect(loop, h, 0.025, 0.01, scheme)  # steps 0.01, 0.01 and a partial 0.005
+    assert report.steps == 3
+    want = _nested_step_doubling(loop.embedding.samples, h, [0.01, 0.01, 0.025 - 0.02], stepper)
+    np.testing.assert_array_equal(report.loop.embedding.samples, want)
+
+
+def test_rk4_advection_makes_eight_field_calls_per_step():
+    loop, h = _random_case()
+    report = advect(loop, h, 0.05, 1e-3)
+    n = loop.embedding.size
+    assert report.steps == 50
+    assert h.calls == 8 * report.steps
+    assert h.points == (1 + 3 * 2 + 4) * n * report.steps
+
+
+@pytest.mark.parametrize("dt, per_step", [(1e-3, 8), (1e-2, 9)])
+def test_midpoint_advection_field_calls_per_step(dt, per_step):
+    loop, h = _random_case(n=128)
+    seen = []
+    advect(loop, h, 5 * dt, dt, "implicit-midpoint",
+           observer=lambda i, t, pts: seen.append(pts))
+    advect_calls = h.calls
+    # per step: the shared start, one call per iteration of the slower stacked
+    # row, then the second half step's start and iterations
+    want = 0
+    for pts in seen[:-1]:
+        iterations = []
+        for step in (dt, 0.5 * dt):
+            h.calls = 0
+            half = _midpoint_step(pts, step, h)
+            iterations.append(h.calls - 1)
+        h.calls = 0
+        _midpoint_step(half, 0.5 * dt, h)
+        want += 2 + max(iterations) + (h.calls - 1)
+    # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2 the
+    # full step takes 4
+    assert advect_calls == want == 5 * per_step
 
 
 # ---------------------------------------------------------------- two routes

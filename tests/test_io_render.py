@@ -255,6 +255,24 @@ def test_flow_csv_momentum_is_the_momentum_map_at_every_snapshot():
         assert row.split(",")[3] == format(want, ".15g")
 
 
+def test_flow_csv_rows_match_each_snapshot_across_blocks():
+    # a block holds two snapshots of this size, so six snapshots take three;
+    # every row is what the single-snapshot routines give, bit for bit
+    n = render._BLOCK_POINTS // 2
+    loop = DecoratedLoop(LoopEmbedding.circle(n=n), samples.standard_form("sin2t"))
+    h = PlanarHamiltonian.single((0.3, 0.2), 0.5, 0.4)
+    snapshots = []
+    advect(loop, h, 0.05, 0.01, observer=lambda i, t, p: snapshots.append((i, t, p)))
+    rows = render.flow_csv(loop, h, snapshots).strip().split("\n")[1:]
+    assert len(rows) == len(snapshots) == 6
+    for row, (step, _, pts) in zip(rows, snapshots):
+        cells = row.split(",")
+        emb = LoopEmbedding(pts)
+        assert int(cells[0]) == step
+        assert cells[2] == format(enclosed_area(emb), ".15g")
+        assert cells[3] == format(momentum_map_eval(emb, h, loop.decoration), ".15g")
+
+
 def test_thin_snapshots_keeps_ends():
     snaps = [(i, 0.1 * i, None) for i in range(1000)]
     thinned = render.thin_snapshots(snaps, limit=100)

@@ -1,0 +1,193 @@
+"""Per-layer timings of the advection path in two source trees, written as one JSON record.
+
+    python3 tools/bench_layers.py --parent PARENT_ROOT --out BENCH_<n>.json
+
+``PARENT_ROOT`` and ``--change`` (default: the current directory) are roots of
+source checkouts.  Each of ``ROUNDS`` rounds measures both trees, alternating
+which goes first, each in a fresh process that imports ``vortexloop`` from that
+tree's ``src`` and from nowhere else.  A round times, single threaded:
+
+- ``PlanarHamiltonian.gradient`` per call at n in {256, 512, 4096} points and
+  B in {1, 2, 3} bumps;
+- one step-doubled step of ``advect`` (rk4 and implicit midpoint) at
+  n in {256, 4096}: a run of K steps minus a run of none, over K, so the
+  per-step simplicity checks count and the set-up and final checks do not;
+- ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256;
+- ``loops._polyline_is_simple`` at n = 256 (one simplicity check).
+
+The record holds machine details, the median and quartiles over the rounds of
+each kernel in both trees, and the flow layer metrics of ``benchmark/run.py
+--workload flow --seed 1 --seconds 1 --trace 1``, run ``TRACE_RUNS`` times in
+each tree, alternating: the counters repeat exactly, the times are medians.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+import time
+
+SEED = 12
+FLOW_DT = 1e-3
+# (n, steps per timed run) of the step kernels
+STEP_SIZES = ((256, 50), (4096, 10))
+ROUNDS = 7
+TRACE_RUNS = 3
+TRACE_KEYS = ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
+              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s", "render.flow_csv.s")
+
+
+def _per_call(fn, min_s=0.05):
+    """Seconds per call: the best of three batches of at least ``min_s`` each."""
+    fn()
+    number = 1
+    while True:
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        elapsed = time.perf_counter() - t0
+        if elapsed >= min_s:
+            break
+        number *= 4
+    best = elapsed
+    for _ in range(2):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        best = min(best, time.perf_counter() - t0)
+    return best / number
+
+
+def measure(root):
+    """Time every kernel once with the package under ``root/src``; return {name: seconds}."""
+    sys.path.insert(0, os.path.join(root, "src"))
+    import numpy as np
+
+    from vortexloop import render, samples
+    from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
+    from vortexloop.loops import _polyline_is_simple
+
+    out = {}
+    rng = np.random.default_rng(SEED)
+    for n in (256, 512, 4096):
+        loop = samples.random_decorated_loop(rng, n=n)
+        pts = loop.embedding.samples
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        for b in (1, 2, 3):
+            h = PlanarHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2),
+                                              rng.uniform(0.1, 0.3)) for _ in range(b)])
+            out[f"gradient.n{n}.b{b}"] = _per_call(lambda: h.gradient(pts))
+
+    for n, k in STEP_SIZES:
+        loop = samples.random_decorated_loop(rng, n=n)
+        h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+        for scheme in ("rk4", "implicit-midpoint"):
+            run = _per_call(lambda: advect(loop, h, k * FLOW_DT, FLOW_DT, scheme), min_s=0.0)
+            still = _per_call(lambda: advect(loop, h, 0.0, FLOW_DT, scheme), min_s=0.0)
+            out[f"step.{scheme}.n{n}"] = (run - still) / k
+
+    loop = samples.random_decorated_loop(rng, n=256)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+    snapshots = []
+    advect(loop, h, 100 * FLOW_DT, FLOW_DT, observer=lambda i, t, p: snapshots.append((i, t, p)))
+    out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
+    pts = loop.embedding.samples
+    out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
+    return out
+
+
+def _child_env():
+    env = dict(os.environ)
+    env.pop("PYTHONPATH", None)
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"
+    return env
+
+
+def _measure_in_child(root):
+    cmd = [sys.executable, os.path.abspath(__file__), "--measure", root]
+    done = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _traced_layers(root):
+    cmd = [sys.executable, "benchmark/run.py", "--workload", "flow", "--seed", "1",
+           "--seconds", "1", "--trace", "1"]
+    done = subprocess.run(cmd, cwd=root, env=_child_env(), capture_output=True, text=True,
+                          check=True)
+    metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
+    return {key: metrics[key]["value"] for key in TRACE_KEYS}
+
+
+def _summary(values):
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": median, "q1": q1, "q3": q3, "iqr": q3 - q1, "runs": values}
+
+
+def _machine():
+    import numpy as np
+
+    model = None
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            model = next((line.split(":", 1)[1].strip() for line in fh
+                          if line.startswith("model name")), None)
+    except OSError:
+        pass
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "platform": platform.platform(), "cpu": model, "cpus": os.cpu_count()}
+
+
+def main(argv=None):
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("--parent", help="root of the parent checkout")
+    p.add_argument("--change", default=os.getcwd(), help="root of the changed checkout")
+    p.add_argument("--out", help="JSON file to write")
+    p.add_argument("--measure", help=argparse.SUPPRESS)
+    args = p.parse_args(argv)
+    if args.measure:
+        print(json.dumps(measure(args.measure)))
+        return 0
+    if not (args.parent and args.out):
+        p.error("--parent and --out are required")
+
+    trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
+    runs = {side: [] for side in trees}
+    for r in range(ROUNDS):
+        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
+        for side in order:
+            runs[side].append(_measure_in_child(trees[side]))
+    kernels = {}
+    for name in runs["parent"][0]:
+        both = {side: _summary([run[name] for run in runs[side]]) for side in trees}
+        both["unit"] = "s"
+        both["change_over_parent"] = both["change"]["median"] / both["parent"]["median"]
+        kernels[name] = both
+    # a kernel moved when every quartile of the change clears the parent's
+    moved = sorted(name for name, k in kernels.items()
+                   if k["change"]["q3"] < k["parent"]["q1"] or k["change"]["q1"] > k["parent"]["q3"])
+    traced = {side: [] for side in trees}
+    for r in range(TRACE_RUNS):
+        for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
+            traced[side].append(_traced_layers(trees[side]))
+    record = {
+        "machine": _machine(),
+        "rounds": ROUNDS,
+        "kernels": kernels,
+        "moved": {name: kernels[name]["change_over_parent"] for name in moved},
+        "trace_flow_seed1": {key: {side: statistics.median(run[key] for run in traced[side])
+                                   for side in trees} for key in TRACE_KEYS},
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1)
+        fh.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
