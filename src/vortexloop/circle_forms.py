@@ -22,7 +22,7 @@ from .errors import (
     ProfileMismatch,
     VortexLoopError,
 )
-from .quadrature import TWO_PI
+from .quadrature import TWO_PI, uniform_grid
 
 FloatArray = NDArray[np.float64]
 
@@ -167,8 +167,7 @@ class CircleForm:
     @classmethod
     def from_function(cls, fn, degree: int | None = None) -> "CircleForm":
         """Project a smooth periodic callable onto a trigonometric series."""
-        grid = np.linspace(0.0, TWO_PI, _TRIG_NODE_COUNT, endpoint=False)
-        vals = np.asarray(fn(grid), dtype=float)
+        vals = np.asarray(fn(uniform_grid(_TRIG_NODE_COUNT)), dtype=float)
         spec = np.fft.rfft(vals) / _TRIG_NODE_COUNT
         a0 = spec[0].real
         a = 2.0 * spec[1:].real
@@ -242,7 +241,7 @@ class CircleForm:
         trig series and max(4096, 4 * node_count) for samples, and its values."""
         if self._sampling is None:
             n = max(4096, 8 * self.degree if self._kind == "trig" else 4 * self._node_count)
-            grid = np.arange(n) * (TWO_PI / n)
+            grid = uniform_grid(n)
             self._sampling = grid, self(grid)
         return self._sampling
 
@@ -356,8 +355,8 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     return ZeroSet(roots, derivs)
 
 
-def partial_vorticities(form: CircleForm, zeros: ZeroSet | None = None) -> VorticityProfile:
-    """Integrate the density over each inter-zero segment.
+def partial_vorticities(form: CircleForm, zeros: ZeroSet) -> VorticityProfile:
+    """Integrate the density over each inter-zero segment between its ``zeros``.
 
     Raises AlternationViolation when the signed segment integrals fail to
     alternate strictly or vanish, or when their sum is off the exact period
@@ -366,8 +365,6 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet | None = None) -> Vorti
     That catches a broken antiderivative, not a missed zero: the sum
     telescopes over any zero set.
     """
-    if zeros is None:
-        zeros = find_zeros(form)
     k = zeros.k
     if k < 2:
         raise MorseViolation("partial vorticities need at least two zeros")
@@ -482,7 +479,6 @@ class CircleDiffeo:
         shift = np.floor(vals[0] / TWO_PI) * TWO_PI
         vals = vals - shift
         self._samples = vals
-        self._grid = np.arange(vals.size) * (TWO_PI / vals.size)
         if derivatives is None:
             secant = np.diff(vals, append=vals[0] + TWO_PI) * (vals.size / TWO_PI)
             before = np.roll(secant, 1)
@@ -494,7 +490,7 @@ class CircleDiffeo:
             if not np.all(np.isfinite(d)) or np.any(d <= 0.0):
                 raise ValueError("derivative data must be finite and positive")
         self._derivs = d
-        self._displacement = quadrature.PeriodicCubic(vals - self._grid, d - 1.0)
+        self._displacement = quadrature.PeriodicCubic(vals - uniform_grid(vals.size), d - 1.0)
 
     @property
     def size(self) -> int:
@@ -506,7 +502,7 @@ class CircleDiffeo:
 
     @property
     def grid(self) -> FloatArray:
-        return self._grid.copy()
+        return uniform_grid(self.size)
 
     @property
     def sample_derivatives(self) -> FloatArray:
@@ -514,16 +510,15 @@ class CircleDiffeo:
 
     @classmethod
     def identity(cls, size: int = 512) -> "CircleDiffeo":
-        return cls(np.linspace(0.0, TWO_PI, size, endpoint=False), np.ones(size))
+        return cls.rotation(0.0, size)
 
     @classmethod
     def rotation(cls, offset: float, size: int = 512) -> "CircleDiffeo":
-        return cls(np.linspace(0.0, TWO_PI, size, endpoint=False) + offset, np.ones(size))
+        return cls(uniform_grid(size) + offset, np.ones(size))
 
     @classmethod
     def from_function(cls, fn, size: int = 512) -> "CircleDiffeo":
-        grid = np.linspace(0.0, TWO_PI, size, endpoint=False)
-        return cls(np.asarray(fn(grid), dtype=float))
+        return cls(np.asarray(fn(uniform_grid(size)), dtype=float))
 
     def __call__(self, t):
         arr = np.asarray(t, dtype=float)
@@ -542,8 +537,8 @@ class CircleDiffeo:
         """
         m = self._samples.size
         x = np.append(self._samples, self._samples[0] + TWO_PI)
-        nodes = np.linspace(0.0, TWO_PI, m + 1)
-        targets = np.linspace(0.0, TWO_PI, m, endpoint=False)
+        targets = uniform_grid(m)
+        nodes = np.append(targets, TWO_PI)
         winding = np.floor((targets - x[0]) / TWO_PI) * TWO_PI
         idx = np.clip(np.searchsorted(x, targets - winding, side="right") - 1, 0, m - 1)
         t = _newton_bracketed(self, self.derivative, targets,
@@ -552,8 +547,7 @@ class CircleDiffeo:
 
     def compose(self, other: "CircleDiffeo") -> "CircleDiffeo":
         """The map ``t -> self(other(t))``."""
-        m = max(self.size, other.size)
-        grid = np.linspace(0.0, TWO_PI, m, endpoint=False)
+        grid = uniform_grid(max(self.size, other.size))
         inner = other(grid)
         return CircleDiffeo(self(inner), self.derivative(inner) * other.derivative(grid))
 
@@ -623,7 +617,7 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
     bounds = np.cumsum(np.append(dst_zs[shift], np.roll(dst_len, -shift)))
 
     # grid points before the first source zero are carried one period on
-    s_grid = np.arange(grid_size) * (TWO_PI / grid_size)
+    s_grid = uniform_grid(grid_size)
     wrapped = s_grid < src_ext[0] - 1e-15
     x = s_grid + TWO_PI * wrapped
 
@@ -689,6 +683,6 @@ def pullback_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -
     """Sampled density of the pullback ``gamma^* form``: beta(gamma(t)) gamma'(t)."""
     if n is None:
         n = max(form.node_count, gamma.size)
-    grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
+    grid = uniform_grid(n)
     vals = np.asarray(form(gamma(grid)), dtype=float) * gamma.derivative(grid)
     return CircleForm.from_samples(vals)

@@ -42,7 +42,7 @@ from .loops import (
     intertwiner,
     pushforward_form,
 )
-from .flow import advect
+from .flow import _step_schedule, advect
 
 _EPILOG = ("Angles are in radians, areas in squared length units, "
            "circulations are dimensionless.")
@@ -157,7 +157,11 @@ def cmd_flow(args) -> int:
     snapshots = []
     observer = None
     if args.emit_csv:
-        observer = lambda step, t, pts: snapshots.append((step, t, pts))
+        # the kept steps are chosen before advecting, so memory does not grow with T / dt
+        keep = render.snapshot_steps(len(_step_schedule(args.duration, args.dt)) + 1)
+        def observer(step, t, pts):
+            if step in keep:
+                snapshots.append((step, t, pts))
     try:
         report = advect(loop, h, args.duration, args.dt, args.scheme, observer=observer)
     except ValidationFailed as exc:
@@ -167,7 +171,7 @@ def cmd_flow(args) -> int:
     if args.output:
         io.dump(io.loop_to_dict(report.loop), args.output)
     if args.emit_csv:
-        io.write_text(args.emit_csv, render.flow_csv(loop, h, render.thin_snapshots(snapshots)))
+        io.write_text(args.emit_csv, render.flow_csv(loop, h, snapshots))
     if args.emit_svg:
         io.write_text(args.emit_svg, render.svg_overlay(loop, report.loop))
     _emit(io.report_to_dict(report))

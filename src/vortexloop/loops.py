@@ -23,7 +23,7 @@ from .circle_forms import (
     symmetry_step,
 )
 from .errors import MorseViolation, OrientationError, ValidationFailed
-from .quadrature import TWO_PI
+from .quadrature import uniform_grid
 
 DEFAULT_AREA_REL_TOL = 1e-6
 # a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
@@ -155,7 +155,7 @@ class LoopEmbedding:
 
     @property
     def grid(self) -> FloatArray:
-        return np.linspace(0.0, TWO_PI, self.size, endpoint=False)
+        return uniform_grid(self.size)
 
     @property
     def auto_reversed(self) -> bool:
@@ -163,13 +163,11 @@ class LoopEmbedding:
 
     @classmethod
     def circle(cls, radius: float = 1.0, center=(0.0, 0.0), n: int = 256) -> "LoopEmbedding":
-        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        return cls(np.column_stack([center[0] + radius * np.cos(s),
-                                    center[1] + radius * np.sin(s)]))
+        return cls.ellipse(radius, radius, center, n)
 
     @classmethod
     def ellipse(cls, a: float, b: float, center=(0.0, 0.0), n: int = 256) -> "LoopEmbedding":
-        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        s = uniform_grid(n)
         return cls(np.column_stack([center[0] + a * np.cos(s),
                                     center[1] + b * np.sin(s)]))
 
@@ -187,8 +185,7 @@ class LoopEmbedding:
         return tangent, -_perp(tangent)
 
     def resample(self, n: int) -> "LoopEmbedding":
-        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        return LoopEmbedding(self.eval(s))
+        return LoopEmbedding(self.eval(uniform_grid(n)))
 
     def __repr__(self) -> str:
         return f"LoopEmbedding(n={self.size})"

@@ -15,6 +15,12 @@ import numpy as np
 TWO_PI = 2.0 * np.pi
 
 
+def uniform_grid(n: int) -> np.ndarray:
+    """Every uniform sample grid of the package: ``t_j = 2*pi*j/n`` for j < n,
+    bit for bit ``np.linspace(0, 2*pi, n, endpoint=False)``."""
+    return np.arange(n) * (TWO_PI / n)
+
+
 def periodic_trapezoid(values: np.ndarray):
     """Trapezoidal rule for one period of a uniformly sampled periodic function
     along the last axis: a float for 1-d input, one integral per stacked row."""
@@ -38,7 +44,7 @@ class PeriodicCubic:
         y = np.asarray(values, dtype=float)
         m = np.asarray(slopes, dtype=float)
         h = TWO_PI / y.shape[0]
-        self.knots = np.arange(y.shape[0]) * h
+        self.knots = uniform_grid(y.shape[0])
         secant = (np.roll(y, -1, axis=0) - y) / h
         m_next = np.roll(m, -1, axis=0)
         c = (3.0 * secant - 2.0 * m - m_next) / h

@@ -35,8 +35,9 @@ def _markers(points, color: str) -> str:
         for x, y in points)
 
 
-def svg_overlay(before: DecoratedLoop, after: DecoratedLoop, size: int = 640) -> str:
-    """Overlay of the two curves with their zero images marked."""
+def svg_overlay(before: DecoratedLoop, after: DecoratedLoop) -> str:
+    """Overlay of the two curves with their zero images marked, 640 pixels square."""
+    size = 640
     pts = np.vstack([before.embedding.samples, after.embedding.samples])
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
@@ -88,9 +89,7 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     return "\n".join(rows) + "\n"
 
 
-def thin_snapshots(snapshots, limit: int = 256):
-    """Keep at most ``limit`` evenly spaced snapshots, always keeping the ends."""
-    if len(snapshots) <= limit:
-        return list(snapshots)
-    idx = np.unique(np.linspace(0, len(snapshots) - 1, limit).round().astype(int))
-    return [snapshots[i] for i in idx]
+def snapshot_steps(count: int) -> set[int]:
+    """Which of ``count`` observer calls the flow CSV keeps: at most 256, evenly
+    spaced, both ends included, and every one when there are at most 256."""
+    return set(np.linspace(0, count - 1, 256).round().astype(int).tolist())

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .circle_forms import TWO_PI, CircleForm, find_zeros, partial_vorticities
+from .circle_forms import CircleForm, find_zeros, partial_vorticities
 from .errors import VortexLoopError
 from .flow import PlanarBump, PlanarHamiltonian
 from .loops import DecoratedLoop, LoopEmbedding
+from .quadrature import TWO_PI, uniform_grid
 
 
 def standard_form(name: str) -> CircleForm:
@@ -98,7 +99,7 @@ def random_loop(rng: np.random.Generator, n: int = 256) -> LoopEmbedding:
     total = np.sum(np.abs(amps))
     if total > 0.0:
         amps *= budget / total
-    t = np.arange(n) * (TWO_PI / n)
+    t = uniform_grid(n)
     r = np.ones(n)
     for j in range(degree):
         r += amps[2 * j] * np.cos((j + 1) * t) + amps[2 * j + 1] * np.sin((j + 1) * t)

@@ -16,7 +16,7 @@ import numpy as np
 from .circle_forms import CircleForm, FloatArray
 from .errors import ConstraintViolation
 from .loops import DecoratedLoop, LoopEmbedding, _cross, _perp
-from .quadrature import TWO_PI, periodic_spline, periodic_trapezoid
+from .quadrature import TWO_PI, periodic_spline, periodic_trapezoid, uniform_grid
 
 AREA_CONSTRAINT_TOL = 1e-10
 PROJECTION_LIMIT = 1e-6
@@ -35,8 +35,8 @@ def _against(values, form: CircleForm):
     """Periodic trapezoid of ``values * form`` on the uniform grid of the last
     axis of ``values``; stacked rows give one integral per row."""
     values = np.asarray(values, dtype=float)
-    grid = np.linspace(0.0, TWO_PI, values.shape[-1], endpoint=False)
-    return periodic_trapezoid(values * np.asarray(form(grid), dtype=float))
+    beta = np.asarray(form(uniform_grid(values.shape[-1])), dtype=float)
+    return periodic_trapezoid(values * beta)
 
 
 def _constraint(embedding: LoopEmbedding, vec: FloatArray, limit: float = np.inf):
@@ -61,18 +61,14 @@ def area_constraint_residual(embedding: LoopEmbedding, u) -> float:
 
 def project_area_constraint(embedding: LoopEmbedding, u) -> FloatArray:
     """Project a vector field onto the area-preserving constraint."""
-    vec = _as_vectors(u, embedding.size)
-    raw, _, g, gg = _constraint(embedding, vec)
-    return vec - (raw / gg) * g
+    return _enforced(embedding, u, np.inf)
 
 
-def _enforced(embedding: LoopEmbedding, u) -> FloatArray:
-    """Apply the evaluation-time constraint policy: project small violations,
-    reject anything beyond the projection limit."""
+def _enforced(embedding: LoopEmbedding, u, limit: float = PROJECTION_LIMIT) -> FloatArray:
+    """Project ``u`` onto the area constraint, raising ConstraintViolation when
+    its relative violation exceeds ``limit`` (by default the evaluation-time limit)."""
     vec = _as_vectors(u, embedding.size)
-    raw, violation, g, gg = _constraint(embedding, vec, PROJECTION_LIMIT)
-    if violation == 0.0:
-        return vec
+    raw, _, g, gg = _constraint(embedding, vec, limit)
     return vec - (raw / gg) * g
 
 
@@ -143,7 +139,7 @@ def pairing(rho, lam, form: CircleForm, resolution: int = DEFAULT_PAIRING_RESOLU
     a callable must hold exactly ``resolution`` samples.
     """
     if callable(rho) or callable(lam):
-        grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+        grid = uniform_grid(resolution)
         rho = rho(grid) if callable(rho) else rho
         lam = lam(grid) if callable(lam) else lam
         if np.shape(rho) != grid.shape or np.shape(lam) != grid.shape:
@@ -155,8 +151,7 @@ def pairing(rho, lam, form: CircleForm, resolution: int = DEFAULT_PAIRING_RESOLU
     return _against(rho_v * lam_v, form)
 
 
-def pairing_matrix(form: CircleForm, n: int = 16,
-                   resolution: int | None = None) -> tuple[FloatArray, float]:
+def pairing_matrix(form: CircleForm, n: int = 16) -> tuple[FloatArray, float]:
     """Gram matrix of the pairing over truncated Fourier bases.
 
     Rows run over the zero-mean modes cos(jt), sin(jt) for j = 1..n; columns
@@ -164,11 +159,10 @@ def pairing_matrix(form: CircleForm, n: int = 16,
     functions are L2-normalized.  Returns the matrix and its smallest
     singular value; a near-zero value signals a direction annihilated by the
     pairing, which is exactly what happens on the constant for a density
-    without zeros.
+    without zeros.  The integrals are trapezoid sums on max(4096, 16 * n) points.
     """
-    if resolution is None:
-        resolution = max(4096, 16 * n)
-    grid = np.linspace(0.0, TWO_PI, resolution, endpoint=False)
+    resolution = max(4096, 16 * n)
+    grid = uniform_grid(resolution)
     beta = np.asarray(form(grid), dtype=float)
     phase = np.arange(1, n + 1)[:, None] * grid
     # rows cos(t), sin(t), cos(2t), sin(2t), ...

@@ -187,7 +187,7 @@ def test_steep_sampled_profile_matches_quadpack():
     trig = CircleForm.trig(cos=rng.standard_normal(80) / j, sin=rng.standard_normal(80) / j)
     h = TWO_PI / 256
     form = CircleForm.from_samples(trig(np.arange(256) * h))
-    prof = partial_vorticities(form)
+    prof = partial_vorticities(form, find_zeros(form))
     assert prof.k == 28 == oracle_zeros(form).size
     zs = find_zeros(form).zeros
     ext = np.append(zs, zs[0] + TWO_PI)
@@ -205,7 +205,7 @@ def test_period_check_catches_a_drifting_antiderivative(monkeypatch, kind):
     monkeypatch.setattr(CircleForm, "antiderivative",
                         lambda self, t: exact(self, t) + 1e-6 * np.asarray(t))
     with pytest.raises(AlternationViolation, match="antiderivative is inconsistent"):
-        partial_vorticities(form)
+        partial_vorticities(form, find_zeros(form))
 
 
 def test_close_zero_pair_is_never_reported_as_two():
@@ -242,13 +242,14 @@ def test_morse_tolerance_is_adjustable():
 def test_symmetry_steps_of_fixtures():
     cases = [("sin2t", 2), ("sin3t", 2), ("mixed", 4)]
     for name, want in cases:
-        prof = partial_vorticities(standard_form(name))
+        form = standard_form(name)
+        prof = partial_vorticities(form, find_zeros(form))
         assert symmetry_step(prof) == want
 
 
 def test_symmetric_family_profile_and_step():
     form = symmetric_form(eps=0.05, b=0.2)
-    prof = partial_vorticities(form)
+    prof = partial_vorticities(form, find_zeros(form))
     assert np.max(np.abs(prof.omegas - symmetric_form_profile(0.2))) < 1e-12
     assert symmetry_step(prof) == 2
 

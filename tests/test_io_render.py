@@ -273,11 +273,8 @@ def test_flow_csv_rows_match_each_snapshot_across_blocks():
         assert cells[3] == format(momentum_map_eval(emb, h, loop.decoration), ".15g")
 
 
-def test_thin_snapshots_keeps_ends():
-    snaps = [(i, 0.1 * i, None) for i in range(1000)]
-    thinned = render.thin_snapshots(snaps, limit=100)
-    assert len(thinned) <= 100
-    assert thinned[0] == snaps[0]
-    assert thinned[-1] == snaps[-1]
-    short = render.thin_snapshots(snaps[:5], limit=100)
-    assert short == snaps[:5]
+def test_snapshot_steps_keeps_ends():
+    kept = render.snapshot_steps(1000)
+    assert len(kept) <= 256
+    assert {0, 999} <= kept
+    assert render.snapshot_steps(5) == set(range(5))

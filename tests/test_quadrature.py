@@ -3,7 +3,24 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from conftest import TWO_PI
-from vortexloop.quadrature import periodic_spline
+from vortexloop.circle_forms import CircleDiffeo
+from vortexloop.loops import LoopEmbedding
+from vortexloop.quadrature import PeriodicCubic, periodic_spline, uniform_grid
+
+
+@pytest.mark.parametrize("n", [8, 16, 192, 256, 1000, 1024, 4096, 16384])
+def test_uniform_grid_is_the_linspace_grid_bit_for_bit(n):
+    grid = uniform_grid(n)
+    assert np.array_equal(grid, np.linspace(0.0, TWO_PI, n, endpoint=False))
+    assert np.array_equal(np.append(grid, TWO_PI), np.linspace(0.0, TWO_PI, n + 1))
+
+
+@pytest.mark.parametrize("n", [16, 256, 1000])
+def test_sample_grids_are_the_uniform_grid(n):
+    grid = uniform_grid(n)
+    assert np.array_equal(PeriodicCubic(np.zeros(n), np.zeros(n)).knots, grid)
+    assert np.array_equal(LoopEmbedding.circle(n=n).grid, grid)
+    assert np.array_equal(CircleDiffeo.rotation(0.3, n).grid, grid)
 
 
 @pytest.mark.parametrize("n", [16, 256, 4096])
