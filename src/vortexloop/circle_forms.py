@@ -236,13 +236,31 @@ class CircleForm:
         """Exact signed integral of the density from ``a`` to ``b``."""
         return self.antiderivative(b) - self.antiderivative(a)
 
+    def _on_uniform_grid(self, n: int, order: int = 0) -> FloatArray:
+        """The density (``order=0``) or its derivative (``order=1``) at ``uniform_grid(n)``.
+
+        On that grid ``e^{ijt}`` equals ``e^{i(j mod n)t}``, so a trig series
+        folds its coefficients into n bins by ``j mod n`` and takes one inverse
+        real FFT of their Hermitian half spectrum, exactly for any n and
+        degree.  A sampled form evaluates its spline there.  Off-grid points
+        go through ``_power_sum``.
+        """
+        if self._kind != "trig":
+            return self._spline(uniform_grid(n), order)
+        coeffs = np.concatenate(([self._a0], self._coeffs) if order == 0
+                                else ([0.0], self._dcoeffs))
+        bins = np.pad(coeffs, (0, -coeffs.size % n)).reshape(-1, n).sum(axis=0)
+        half = np.arange(n // 2 + 1)
+        # Re sum_m bins[m] e^{imt} has the Hermitian spectrum (bins[m] + conj(bins[-m])) / 2
+        spectrum = 0.5 * (bins[half] + np.conj(bins[-half % n]))
+        return np.fft.irfft(spectrum, n, norm="forward")
+
     def _sampling_grid(self) -> tuple[FloatArray, FloatArray]:
         """The density's one uniform grid, of max(4096, 8 * degree) points for a
         trig series and max(4096, 4 * node_count) for samples, and its values."""
         if self._sampling is None:
             n = max(4096, 8 * self.degree if self._kind == "trig" else 4 * self._node_count)
-            grid = uniform_grid(n)
-            self._sampling = grid, self(grid)
+            self._sampling = uniform_grid(n), self._on_uniform_grid(n)
         return self._sampling
 
     def max_abs(self) -> float:
@@ -250,7 +268,8 @@ class CircleForm:
 
     def max_abs_derivative(self) -> float:
         if self._abs_max_deriv is None:
-            self._abs_max_deriv = float(np.max(np.abs(self.derivative(self._sampling_grid()[0]))))
+            n = self._sampling_grid()[0].size
+            self._abs_max_deriv = float(np.max(np.abs(self._on_uniform_grid(n, 1))))
         return self._abs_max_deriv
 
     def __repr__(self) -> str:

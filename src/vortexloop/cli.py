@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import functools
 import os
 import sys
 
@@ -196,7 +197,9 @@ def _add_loop_options(p) -> None:
                    help="relative tolerance for profile comparisons (default %(default)g)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``main`` dispatches on the command name."""
     parser = argparse.ArgumentParser(prog="vortexloop",
                                      description="Invariants, equivalence, and flows "
                                                  "of decorated plane loops.",
@@ -209,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morse-tol", type=_positive, default=DEFAULT_MORSE_TOL,
                    help="relative floor for density derivatives at zeros (default %(default)g)")
     _add_loop_options(p)
-    p.set_defaults(func=cmd_invariants)
 
     p = sub.add_parser("equiv", help="test two loops for orbit equivalence",
                        epilog=_EPILOG)
@@ -218,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--area-tol", type=_positive, default=DEFAULT_AREA_REL_TOL,
                    help="relative tolerance for area agreement (default %(default)g)")
     _add_loop_options(p)
-    p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("intertwine", help="construct the reparametrization matching "
                                           "two loops' densities", epilog=_EPILOG)
@@ -228,7 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="cyclic shift aligning the two profiles (default 0)")
     p.add_argument("-o", "--output", help="write the circle map samples to this file")
     _add_loop_options(p)
-    p.set_defaults(func=cmd_intertwine)
 
     p = sub.add_parser("flow", help="advect a loop along a bump Hamiltonian",
                        epilog=_EPILOG)
@@ -241,22 +241,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-csv", help="write per-step invariants to this file")
     p.add_argument("--emit-svg", help="write an overlay figure to this file")
     _add_auto_orient(p)
-    p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("verify", help="run the property suites", epilog=_EPILOG)
     p.add_argument("--suite", choices=("forms", "symplectic", "flow", "all"),
                    default="all")
     p.add_argument("--seed", type=int, default=None,
                    help="suite seed (default: VORTEXLOOP_SEED or 0)")
-    p.set_defaults(func=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # looked up at call time, so a replaced ``cmd_*`` takes effect
+        return globals()[f"cmd_{args.command}"](args)
     except (VortexLoopError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))

@@ -35,8 +35,7 @@ def _against(values, form: CircleForm):
     """Periodic trapezoid of ``values * form`` on the uniform grid of the last
     axis of ``values``; stacked rows give one integral per row."""
     values = np.asarray(values, dtype=float)
-    beta = np.asarray(form(uniform_grid(values.shape[-1])), dtype=float)
-    return periodic_trapezoid(values * beta)
+    return periodic_trapezoid(values * form._on_uniform_grid(values.shape[-1]))
 
 
 def _constraint(embedding: LoopEmbedding, vec: FloatArray, limit: float = np.inf):
@@ -163,7 +162,7 @@ def pairing_matrix(form: CircleForm, n: int = 16) -> tuple[FloatArray, float]:
     """
     resolution = max(4096, 16 * n)
     grid = uniform_grid(resolution)
-    beta = np.asarray(form(grid), dtype=float)
+    beta = form._on_uniform_grid(resolution)
     phase = np.arange(1, n + 1)[:, None] * grid
     # rows cos(t), sin(t), cos(2t), sin(2t), ...
     rho_arr = np.stack([np.cos(phase), np.sin(phase)], axis=1).reshape(2 * n, resolution)

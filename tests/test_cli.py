@@ -189,6 +189,15 @@ def test_parser_defaults_are_the_library_constants():
         assert {key: args[key] for key in want} == want, argv
 
 
+def test_cached_parser_carries_no_option_into_the_next_call(monkeypatch, circle_file):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_invariants", lambda args: seen.append(args.rel_tol) or 0)
+    assert main(["invariants", circle_file, "--rel-tol", "0.5"]) == 0
+    assert main(["invariants", circle_file]) == 0
+    assert seen == [0.5, DEFAULT_PROFILE_REL_TOL]
+    assert build_parser() is build_parser()
+
+
 @pytest.mark.parametrize("argv", [
     ["invariants", "{loop}", "--rel-tol", "nan"],
     ["invariants", "{loop}", "--morse-tol", "inf"],

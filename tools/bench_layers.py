@@ -1,4 +1,4 @@
-"""Per-layer timings of the advection path in two source trees, written as one JSON record.
+"""Per-layer timings of the advection and invariants paths in two source trees, as one JSON record.
 
     python3 tools/bench_layers.py --parent PARENT_ROOT --out BENCH_<n>.json
 
@@ -13,23 +13,31 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
 - ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256;
-- ``loops._polyline_is_simple`` at n = 256 (one simplicity check).
+- ``loops._polyline_is_simple`` at n = 256 (one simplicity check);
+- ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
+  100, and on a fresh sampled form of 256, 1024 and 2048 values;
+- one in-process ``cli.main(["invariants", ...])`` on a 256-point circle
+  decorated by a degree-25 density.
 
 The record holds machine details, the median and quartiles over the rounds of
-each kernel in both trees, and the flow layer metrics of ``benchmark/run.py
---workload flow --seed 1 --seconds 1 --trace 1``, run ``TRACE_RUNS`` times in
-each tree, alternating: the counters repeat exactly, the times are medians.
+each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
+``benchmark/run.py --workload W --seed 1 --seconds 1 --trace 1`` for each
+workload W, run ``TRACE_RUNS`` times in each tree, alternating: the counters
+repeat exactly, the times are medians.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 SEED = 12
@@ -38,8 +46,18 @@ FLOW_DT = 1e-3
 STEP_SIZES = ((256, 50), (4096, 10))
 ROUNDS = 7
 TRACE_RUNS = 3
-TRACE_KEYS = ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
-              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s", "render.flow_csv.s")
+ZERO_DEGREES = (3, 25, 100)
+ZERO_SAMPLES = (256, 1024, 2048)
+TRACE_KEYS = {
+    "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
+             "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
+             "render.flow_csv.s"),
+    "invariants": ("circle_forms.find_zeros.call_s.deg3", "circle_forms.find_zeros.call_s.deg25",
+                   "circle_forms.find_zeros.call_s.deg100",
+                   "circle_forms.find_zeros.call_s.samples", "circle_forms.find_zeros.evals_per_zero",
+                   "circle_forms.eval.points", "cli.main.self_s"),
+    "intertwine": ("circle_forms.antiderivative.calls_per_segment", "cli.main.self_s"),
+}
 
 
 def _per_call(fn, min_s=0.05):
@@ -68,9 +86,12 @@ def measure(root):
     sys.path.insert(0, os.path.join(root, "src"))
     import numpy as np
 
-    from vortexloop import render, samples
+    from vortexloop import cli, render, samples
+    from vortexloop import io as vio
+    from vortexloop.circle_forms import CircleForm, find_zeros
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
-    from vortexloop.loops import _polyline_is_simple
+    from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple
+    from vortexloop.quadrature import uniform_grid
 
     out = {}
     rng = np.random.default_rng(SEED)
@@ -98,6 +119,28 @@ def measure(root):
     out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
     pts = loop.embedding.samples
     out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
+
+    # a fresh form per call, so its sampling grid and scales are computed each time
+    for degree in ZERO_DEGREES:
+        a0, cos, sin = samples.random_morse_form(rng, degree).trig_coefficients
+        out[f"find_zeros.deg{degree}"] = _per_call(
+            lambda: find_zeros(CircleForm.trig(a0, cos, sin)))
+    density = samples.random_morse_form(rng, 10)
+    for n in ZERO_SAMPLES:
+        values = density(uniform_grid(n))
+        out[f"find_zeros.samples{n}"] = _per_call(
+            lambda: find_zeros(CircleForm.from_samples(values)))
+
+    with tempfile.TemporaryDirectory() as folder:
+        path = os.path.join(folder, "loop.json")
+        decoration = samples.random_morse_form(rng, 25)
+        vio.dump(vio.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(n=256), decoration)), path)
+
+        def invariants():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli.main(["invariants", path])
+
+        out["cli_invariants.n256"] = _per_call(invariants)
     return out
 
 
@@ -115,13 +158,13 @@ def _measure_in_child(root):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def _traced_layers(root):
-    cmd = [sys.executable, "benchmark/run.py", "--workload", "flow", "--seed", "1",
+def _traced_layers(root, workload):
+    cmd = [sys.executable, "benchmark/run.py", "--workload", workload, "--seed", "1",
            "--seconds", "1", "--trace", "1"]
     done = subprocess.run(cmd, cwd=root, env=_child_env(), capture_output=True, text=True,
                           check=True)
     metrics = json.loads(done.stdout.splitlines()[-1])["metrics"]
-    return {key: metrics[key]["value"] for key in TRACE_KEYS}
+    return {key: metrics[key]["value"] for key in TRACE_KEYS[workload]}
 
 
 def _summary(values):
@@ -171,17 +214,19 @@ def main(argv=None):
     # a kernel moved when every quartile of the change clears the parent's
     moved = sorted(name for name, k in kernels.items()
                    if k["change"]["q3"] < k["parent"]["q1"] or k["change"]["q1"] > k["parent"]["q3"])
-    traced = {side: [] for side in trees}
+    traced = {workload: {side: [] for side in trees} for workload in TRACE_KEYS}
     for r in range(TRACE_RUNS):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
-            traced[side].append(_traced_layers(trees[side]))
+            for workload, runs_of in traced.items():
+                runs_of[side].append(_traced_layers(trees[side], workload))
     record = {
         "machine": _machine(),
         "rounds": ROUNDS,
         "kernels": kernels,
         "moved": {name: kernels[name]["change_over_parent"] for name in moved},
-        "trace_flow_seed1": {key: {side: statistics.median(run[key] for run in traced[side])
-                                   for side in trees} for key in TRACE_KEYS},
+        **{f"trace_{workload}_seed1": {
+            key: {side: statistics.median(run[key] for run in runs_of[side]) for side in trees}
+            for key in TRACE_KEYS[workload]} for workload, runs_of in traced.items()},
     }
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1)
