@@ -28,6 +28,8 @@ DEFAULT_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
 # the blend in _terms runs over s = rho - _CUTOFF_START in [0, 1], one sigma wide
 _CUTOFF_END = _CUTOFF_START + 1.0
+# the exponent -rho^2/2 at rho = _CUTOFF_START; an exponent below it means rho > _CUTOFF_START
+_CUTOFF_EXPONENT = -0.5 * _CUTOFF_START**2
 _MIDPOINT_ITERATIONS = 60
 # step sizes of a step-doubling pair, relative to the step: the full step and the first half
 _FULL_AND_HALF = np.array([1.0, 0.5]).reshape(2, 1, 1)
@@ -42,6 +44,8 @@ class PlanarBump:
     amplitude: float
 
     def __post_init__(self):
+        if len(self.center) != 2 or not all(abs(c) < np.inf for c in self.center):
+            raise ValueError("bump centre must be two finite numbers")
         if not 0.0 < self.sigma < np.inf:
             raise ValueError("bump width must be positive and finite")
         if not abs(self.amplitude) < np.inf:
@@ -63,8 +67,10 @@ class PlanarHamiltonian:
         self._centers = centers.T[:, :, None]
         sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
         self._amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)[:, None]
-        self._inv_sigma2 = 1.0 / sigmas**2
-        self._amp_inv_sigma2 = self._amplitudes * self._inv_sigma2
+        inv_sigma2 = 1.0 / sigmas**2
+        self._exponent_scale = -0.5 * inv_sigma2
+        self._amp_inv_sigma2 = self._amplitudes * inv_sigma2
+        self._neg_amp_inv_sigma2 = -self._amp_inv_sigma2
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -81,14 +87,19 @@ class PlanarHamiltonian:
         of shape (2, B, M) and the other four of shape (B, M).  With
         s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5 and its
         slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
-        and s = 1.
+        and s = 1.  When no point lies past 5 sigma of any bump, s is 0
+        everywhere, so the blend is exactly 1 and the slope exactly 0: rho,
+        blend and slope are then returned as None and not computed.
         """
         d = np.ascontiguousarray(pts.reshape(-1, 2).T)[:, None, :] - self._centers
-        rho2 = d[0] * d[0]
-        rho2 += d[1] * d[1]
-        rho2 *= self._inv_sigma2
-        rho = np.sqrt(rho2)
-        gauss = np.exp(np.multiply(rho2, -0.5, out=rho2), out=rho2)
+        e = np.square(d).sum(axis=0)
+        e *= self._exponent_scale
+        # not e.min() < ..., so that a NaN takes the dense path below
+        if e.size == 0 or e.min() >= _CUTOFF_EXPONENT:
+            return d, None, np.exp(e, out=e), None, None
+        # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
+        rho = np.sqrt(e * -2.0)
+        gauss = np.exp(e, out=e)
         s = rho - _CUTOFF_START
         np.minimum(np.maximum(s, 0.0, out=s), 1.0, out=s)
         s2 = s * s
@@ -109,26 +120,34 @@ class PlanarHamiltonian:
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         _, _, gauss, blend, _ = self._terms(pts)
-        blend *= gauss
-        blend *= self._amplitudes
-        return blend.sum(axis=0).reshape(pts.shape[:-1])
+        if blend is not None:
+            gauss *= blend
+        gauss *= self._amplitudes
+        return gauss.sum(axis=0).reshape(pts.shape[:-1])
 
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         d, rho, gauss, blend, slope = self._terms(pts)
-        # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2; the slope
-        # is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
-        slope /= np.maximum(rho, _CUTOFF_START, out=rho)
-        slope -= blend
-        slope *= gauss
-        slope *= self._amp_inv_sigma2
-        grad = (d * slope).sum(axis=1)
+        # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2
+        if rho is None:
+            # blend 1 and slope 0 everywhere
+            gauss *= self._neg_amp_inv_sigma2
+        else:
+            # the slope is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
+            slope /= np.maximum(rho, _CUTOFF_START, out=rho)
+            slope -= blend
+            gauss *= slope
+            gauss *= self._amp_inv_sigma2
+        grad = (d * gauss).sum(axis=1)
         return grad.T.reshape(pts.shape)
 
     def support_mask(self, points) -> np.ndarray:
         """True for points inside the union of cutoff discs."""
         pts = np.asarray(points, dtype=float)
-        return (self._terms(pts)[1] < _CUTOFF_END).any(axis=0).reshape(pts.shape[:-1])
+        rho = self._terms(pts)[1]
+        if rho is None:  # every point within 5 sigma of every bump, if there is one
+            return np.full(pts.shape[:-1], bool(self._bumps))
+        return (rho < _CUTOFF_END).any(axis=0).reshape(pts.shape[:-1])
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:

@@ -3,8 +3,9 @@
 Everything here recomputes expected values by routes independent of the
 package internals: dense scanning plus brentq for zeros, QUADPACK for
 integrals, analytic derivatives for areas, plain loops for cyclic
-matching, an all-pairs crossing test for polyline simplicity, and a loop
-over the bumps of a bump Hamiltonian for its value and gradient.
+matching, an all-pairs crossing test for polyline simplicity, a loop over
+the bumps of a bump Hamiltonian for its value and gradient, and the bump
+kernel in its dense form, which evaluates the blend at every pair.
 """
 
 import numpy as np
@@ -110,6 +111,67 @@ def brute_bump_gradient(h, points):
             safe_r = np.where(r > 0.0, r, 1.0)
             out += ((core * dw / safe_r)[..., None] * d) * active[..., None]
     return out
+
+
+class DenseBumpField:
+    """Reference bump field that evaluates the blend and its slope at every
+    (bump, point) pair, also where every point lies within 5 sigma and the
+    blend is 1: the one-pass kernel as it stood before it learned to skip
+    the blend there.  Its value, gradient and support mask are the ones the
+    package must reproduce bit for bit."""
+
+    def __init__(self, bumps):
+        centers = np.array([b.center for b in bumps], dtype=float).reshape(-1, 2)
+        self._centers = centers.T[:, :, None]
+        sigmas = np.array([b.sigma for b in bumps], dtype=float)[:, None]
+        self._amplitudes = np.array([b.amplitude for b in bumps], dtype=float)[:, None]
+        self._inv_sigma2 = 1.0 / sigmas**2
+        self._amp_inv_sigma2 = self._amplitudes * self._inv_sigma2
+
+    def _terms(self, pts):
+        d = np.ascontiguousarray(pts.reshape(-1, 2).T)[:, None, :] - self._centers
+        rho2 = d[0] * d[0]
+        rho2 += d[1] * d[1]
+        rho2 *= self._inv_sigma2
+        rho = np.sqrt(rho2)
+        gauss = np.exp(np.multiply(rho2, -0.5, out=rho2), out=rho2)
+        s = rho - 5.0
+        np.minimum(np.maximum(s, 0.0, out=s), 1.0, out=s)
+        s2 = s * s
+        slope = s * -30.0
+        slope += 60.0
+        slope *= s
+        slope -= 30.0
+        slope *= s2
+        blend = s * -6.0
+        blend += 15.0
+        blend *= s
+        blend -= 10.0
+        blend *= s2
+        blend *= s
+        blend += 1.0
+        return d, rho, gauss, blend, slope
+
+    def __call__(self, points):
+        pts = np.asarray(points, dtype=float)
+        _, _, gauss, blend, _ = self._terms(pts)
+        blend *= gauss
+        blend *= self._amplitudes
+        return blend.sum(axis=0).reshape(pts.shape[:-1])
+
+    def gradient(self, points):
+        pts = np.asarray(points, dtype=float)
+        d, rho, gauss, blend, slope = self._terms(pts)
+        slope /= np.maximum(rho, 5.0, out=rho)
+        slope -= blend
+        slope *= gauss
+        slope *= self._amp_inv_sigma2
+        grad = (d * slope).sum(axis=1)
+        return grad.T.reshape(pts.shape)
+
+    def support_mask(self, points):
+        pts = np.asarray(points, dtype=float)
+        return (self._terms(pts)[1] < 6.0).any(axis=0).reshape(pts.shape[:-1])
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

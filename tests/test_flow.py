@@ -20,7 +20,7 @@ from vortexloop.flow import (
 )
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, orbit_equivalent
 
-from conftest import brute_bump_gradient, brute_bump_value, fd_gradient
+from conftest import DenseBumpField, brute_bump_gradient, brute_bump_value, fd_gradient
 
 
 def circle_loop(n=128, form_name="sin2t"):
@@ -41,6 +41,79 @@ def test_bump_rejects_non_finite_width_and_amplitude():
     for sigma, amplitude in [(np.nan, 1.0), (np.inf, 1.0), (0.5, np.nan), (0.5, -np.inf)]:
         with pytest.raises(ValueError, match="finite"):
             PlanarBump((0.0, 0.0), sigma, amplitude)
+
+
+def test_bump_rejects_non_finite_centre():
+    for center in [(np.nan, 0.0), (np.inf, 0.0), (0.0, -np.inf), (1.0,), (0.0, 1.0, 2.0)]:
+        with pytest.raises(ValueError, match="centre"):
+            PlanarBump(center, 1.0, 1.0)
+    with pytest.raises(ValueError, match="centre"):
+        PlanarHamiltonian.single((np.inf, 0.0), 1.0, 1.0)
+
+
+def _ring(rng, bumps, lo, hi, size):
+    """Points at rho in [lo, hi) of a random bump among ``bumps``."""
+    b = [bumps[i] for i in rng.integers(len(bumps), size=size)]
+    center = np.array([x.center for x in b])
+    rho = rng.uniform(lo, hi, size) * np.array([x.sigma for x in b])
+    angle = rng.uniform(0.0, TWO_PI, size)
+    return center + rho[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+
+
+def _region_points(rng, bumps, region):
+    """Points within 5 sigma of every bump ("core"), in the 5-6 sigma band of
+    some bump ("band"), beyond 6 sigma of every bump ("far"), all three
+    ("mixed"), or core points and one NaN ("nan")."""
+    # centres within 0.5 of the origin and sigma >= 0.5: a disc of radius 1.5 is in every core
+    radius = np.sqrt(rng.uniform(0.0, 1.0, 48)) * 1.5
+    angle = rng.uniform(0.0, TWO_PI, 48)
+    core = radius[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+    if region == "core":
+        return core
+    if region == "nan":
+        return np.vstack([core, [[np.nan, 0.0]]])
+    band = _ring(rng, bumps, 5.0, 6.0, 48) if bumps else core
+    if region == "band":
+        return band
+    far = _ring(rng, bumps or [PlanarBump((0.0, 0.0), 1.0, 1.0)], 9.0, 20.0, 48)
+    if region == "far":
+        return far
+    return rng.permutation(np.vstack([core, band, far]))
+
+
+@pytest.mark.parametrize("region", ["core", "band", "far", "mixed", "nan"])
+@pytest.mark.parametrize("n_bumps", range(4))
+def test_bump_kernel_equals_dense_blend_bit_for_bit(region, n_bumps):
+    rng = np.random.default_rng(31 * n_bumps + len(region))
+    bumps = [PlanarBump(tuple(rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.5, 1.2),
+                        rng.uniform(-2.0, 2.0)) for _ in range(n_bumps)]
+    h, ref = PlanarHamiltonian(bumps), DenseBumpField(bumps)
+    pts = _region_points(rng, bumps, region)
+    # the blend is skipped exactly when every point lies within 5 sigma of every bump
+    assert (h._terms(pts)[1] is None) == (region == "core" or not n_bumps)
+    for probe in (pts, pts[:48].reshape(2, 24, 2), pts[0]):
+        np.testing.assert_array_equal(h(probe), ref(probe))
+        np.testing.assert_array_equal(h.gradient(probe), ref.gradient(probe))
+        np.testing.assert_array_equal(h.support_mask(probe), ref.support_mask(probe))
+        assert h.gradient(probe).shape == probe.shape
+
+
+# offsets of exactly 5 sigma whose point minus centre is exact, also one ulp further out
+@pytest.mark.parametrize("center, sigma, offset", [
+    ((0.0, 0.0), 0.5, (2.5, 0.0)),
+    ((0.5, 4.0), 0.25, (0.0, -1.25)),
+    ((1.0, 2.0), 1.0, (3.0, 4.0)),
+])
+def test_bump_kernel_at_five_sigma_equals_dense_blend(center, sigma, offset):
+    bumps = [PlanarBump(center, sigma, 1.3)]
+    h, ref = PlanarHamiltonian(bumps), DenseBumpField(bumps)
+    at = np.asarray(center) + np.asarray(offset)
+    past = np.nextafter(at, at + np.sign(offset))
+    for pts, skipped in ((at[None, :], True), (past[None, :], False)):
+        assert (h._terms(pts)[1] is None) == skipped
+        np.testing.assert_array_equal(h(pts), ref(pts))
+        np.testing.assert_array_equal(h.gradient(pts), ref.gradient(pts))
+        np.testing.assert_array_equal(h.support_mask(pts), ref.support_mask(pts))
 
 
 def _probe_points(rng, bumps):

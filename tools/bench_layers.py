@@ -9,6 +9,9 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 
 - ``PlanarHamiltonian.gradient`` per call at n in {256, 512, 4096} points and
   B in {1, 2, 3} bumps;
+- ``PlanarHamiltonian.gradient`` and ``__call__`` per call at n = 256 and
+  B = 2 on points within 5 sigma of both bumps, in the 5-6 sigma band of one,
+  beyond 6 sigma of both, and a third of each (``BUMP_REGIONS``);
 - one step-doubled step of ``advect`` (rk4 and implicit midpoint) at
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
@@ -46,6 +49,10 @@ FLOW_DT = 1e-3
 STEP_SIZES = ((256, 50), (4096, 10))
 ROUNDS = 7
 TRACE_RUNS = 3
+# where the points of the region timings lie, relative to the bumps
+BUMP_REGIONS = ("inside5", "band", "beyond6", "mixed")
+# (centre, sigma, amplitude) of the two bumps of the region timings
+REGION_BUMPS = (((-0.25, 0.0), 0.8, 0.2), ((0.25, 0.0), 1.0, -0.15))
 ZERO_DEGREES = (3, 25, 100)
 ZERO_SAMPLES = (256, 1024, 2048)
 TRACE_KEYS = {
@@ -81,6 +88,29 @@ def _per_call(fn, min_s=0.05):
     return best / number
 
 
+def _bump_region_points(rng, region, n):
+    """n points within 5 sigma of both bumps of ``REGION_BUMPS``, in the 5-6
+    sigma band of the first, beyond 6 sigma of both, or a third of each."""
+    import numpy as np
+
+    def ring(center, lo, hi, size):
+        rho = rng.uniform(lo, hi, size)
+        angle = rng.uniform(0.0, 2.0 * np.pi, size)
+        return np.asarray(center) + rho[:, None] * np.column_stack([np.cos(angle), np.sin(angle)])
+
+    (c0, s0, _), _ = REGION_BUMPS
+    if region == "inside5":  # centres 0.5 apart, 5 sigma >= 4
+        return ring((0.0, 0.0), 0.0, 3.0, n)
+    if region == "band":
+        return ring(c0, 5.0 * s0, 6.0 * s0, n)
+    if region == "beyond6":
+        return ring((0.0, 0.0), 7.0, 12.0, n)
+    third = n // 3
+    return rng.permutation(np.vstack([_bump_region_points(rng, "inside5", third),
+                                      _bump_region_points(rng, "band", third),
+                                      _bump_region_points(rng, "beyond6", n - 2 * third)]))
+
+
 def measure(root):
     """Time every kernel once with the package under ``root/src``; return {name: seconds}."""
     sys.path.insert(0, os.path.join(root, "src"))
@@ -103,6 +133,13 @@ def measure(root):
             h = PlanarHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2),
                                               rng.uniform(0.1, 0.3)) for _ in range(b)])
             out[f"gradient.n{n}.b{b}"] = _per_call(lambda: h.gradient(pts))
+    # a generator of their own, so the inputs of the other kernels do not move
+    region_rng = np.random.default_rng(SEED)
+    h = PlanarHamiltonian([PlanarBump(*bump) for bump in REGION_BUMPS])
+    for region in BUMP_REGIONS:
+        pts = _bump_region_points(region_rng, region, 256)
+        out[f"gradient.{region}.n256.b2"] = _per_call(lambda: h.gradient(pts))
+        out[f"value.{region}.n256.b2"] = _per_call(lambda: h(pts))
 
     for n, k in STEP_SIZES:
         loop = samples.random_decorated_loop(rng, n=n)
