@@ -56,7 +56,6 @@ from .loops import (
     reversed_decoration,
 )
 from .symplectic import (
-    PointedDecoration,
     TangentVector,
     closedness_residual,
     exactness_residual,
@@ -65,7 +64,6 @@ from .symplectic import (
     omega_eval,
     pairing,
     pairing_matrix,
-    pointed_omega_eval,
     primitive_one_form_eval,
     project_area_constraint,
     tangent_decompose,
@@ -89,14 +87,13 @@ __all__ = [
     "OutOfRange",
     "PlanarBump",
     "PlanarHamiltonian",
-    "PointedDecoration",
     "ProfileMismatch",
     "SchemaError",
     "StepRejected",
     "TangentVector",
     "ValidationFailed",
-    "VorticityProfile",
     "VortexLoopError",
+    "VorticityProfile",
     "ZeroSet",
     "advect",
     "circular_match",
@@ -117,7 +114,6 @@ __all__ = [
     "pairing",
     "pairing_matrix",
     "partial_vorticities",
-    "pointed_omega_eval",
     "primitive_one_form_eval",
     "project_area_constraint",
     "pullback_form",

@@ -26,8 +26,6 @@ from .symplectic import _against, momentum_map_eval
 
 DEFAULT_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
-# the blend in _terms runs over s = rho - _CUTOFF_START in [0, 1], one sigma wide
-_CUTOFF_END = _CUTOFF_START + 1.0
 # the exponent -rho^2/2 at rho = _CUTOFF_START; an exponent below it means rho > _CUTOFF_START
 _CUTOFF_EXPONENT = -0.5 * _CUTOFF_START**2
 _MIDPOINT_ITERATIONS = 60
@@ -140,14 +138,6 @@ class PlanarHamiltonian:
             gauss *= self._amp_inv_sigma2
         grad = (d * gauss).sum(axis=1)
         return grad.T.reshape(pts.shape)
-
-    def support_mask(self, points) -> np.ndarray:
-        """True for points inside the union of cutoff discs."""
-        pts = np.asarray(points, dtype=float)
-        rho = self._terms(pts)[1]
-        if rho is None:  # every point within 5 sigma of every bump, if there is one
-            return np.full(pts.shape[:-1], bool(self._bumps))
-        return (rho < _CUTOFF_END).any(axis=0).reshape(pts.shape[:-1])
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:

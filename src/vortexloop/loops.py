@@ -184,9 +184,6 @@ class LoopEmbedding:
         tangent = d / speed
         return tangent, -_perp(tangent)
 
-    def resample(self, n: int) -> "LoopEmbedding":
-        return LoopEmbedding(self.eval(uniform_grid(n)))
-
     def __repr__(self) -> str:
         return f"LoopEmbedding(n={self.size})"
 

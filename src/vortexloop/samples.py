@@ -30,12 +30,12 @@ def standard_form(name: str) -> CircleForm:
     raise ValueError(f"unknown standard form {name!r}")
 
 
-def symmetric_form(eps: float = 0.05, b: float = 0.2, theta: float = 0.0) -> CircleForm:
+def symmetric_form(eps: float = 0.05, b: float = 0.2) -> CircleForm:
     """Morse density with exact two-step symmetry but no rigid symmetry.
 
-    beta(t) = (1 + b sin 2t + eps (3 sin t - 5 sin 3t)) sin 2t, rotated by
-    theta.  Zeros stay at the sin 2t zeros, the profile is exactly
-    (1 + b pi/4, -(1 - b pi/4), 1 + b pi/4, -(1 - b pi/4)), and for eps != 0
+    beta(t) = (1 + b sin 2t + eps (3 sin t - 5 sin 3t)) sin 2t.  Zeros stay
+    at the sin 2t zeros, the profile is exactly (1 + b pi/4, -(1 - b pi/4),
+    1 + b pi/4, -(1 - b pi/4)), and for eps != 0
     no rigid rotation preserves the density, so the stabilizer generator is a
     genuinely nonlinear circle map.
     """
@@ -43,9 +43,8 @@ def symmetric_form(eps: float = 0.05, b: float = 0.2, theta: float = 0.0) -> Cir
         raise ValueError("amplitude budget violated; zeros would move")
 
     def fn(t):
-        s = t + theta
-        amp = 1.0 + b * np.sin(2.0 * s) + eps * (3.0 * np.sin(s) - 5.0 * np.sin(3.0 * s))
-        return amp * np.sin(2.0 * s)
+        amp = 1.0 + b * np.sin(2.0 * t) + eps * (3.0 * np.sin(t) - 5.0 * np.sin(3.0 * t))
+        return amp * np.sin(2.0 * t)
 
     return CircleForm.from_function(fn, degree=5)
 
@@ -112,24 +111,24 @@ def random_decorated_loop(rng: np.random.Generator, n: int = 256) -> DecoratedLo
     return DecoratedLoop(random_loop(rng, n), random_morse_form(rng))
 
 
-def random_hamiltonian(rng: np.random.Generator, bbox, n_bumps: int = 2,
-                       amplitude: float = 0.3) -> PlanarHamiltonian:
-    """Random bump Hamiltonian whose support covers the given box."""
+def random_hamiltonian(rng: np.random.Generator, bbox) -> PlanarHamiltonian:
+    """Random two-bump Hamiltonian, amplitudes at most 0.3, whose support covers the given box."""
     (xlo, xhi), (ylo, yhi) = bbox
     bumps = []
-    for _ in range(n_bumps):
+    for _ in range(2):
         cx = rng.uniform(xlo, xhi)
         cy = rng.uniform(ylo, yhi)
         sigma = rng.uniform(0.6, 1.2)
-        amp = rng.uniform(0.3, 1.0) * amplitude * rng.choice([-1.0, 1.0])
+        amp = rng.uniform(0.3, 1.0) * 0.3 * rng.choice([-1.0, 1.0])
         bumps.append(PlanarBump((cx, cy), sigma, amp))
     return PlanarHamiltonian(bumps)
 
 
-def loop_bbox(*loops, margin: float = 0.5):
+def loop_bbox(*loops):
+    """Bounding box of the loops' samples, widened by 0.5 on every side."""
     pts = np.vstack([lp.samples for lp in loops])
-    return ((float(pts[:, 0].min() - margin), float(pts[:, 0].max() + margin)),
-            (float(pts[:, 1].min() - margin), float(pts[:, 1].max() + margin)))
+    return ((float(pts[:, 0].min() - 0.5), float(pts[:, 0].max() + 0.5)),
+            (float(pts[:, 1].min() - 0.5), float(pts[:, 1].max() + 0.5)))
 
 
 def bump_dictionary(bbox, count: int = 50) -> list[PlanarHamiltonian]:
@@ -210,13 +209,13 @@ class AnalyticDiffeo:
         raise VortexLoopError("AnalyticDiffeo.inverse_eval: Newton did not converge in 60 steps")
 
 
-def random_monotone_diffeo(rng: np.random.Generator, max_harmonic: int = 3,
-                           strength: float = 0.6) -> AnalyticDiffeo:
-    cos = rng.uniform(-1.0, 1.0, size=max_harmonic)
-    sin = rng.uniform(-1.0, 1.0, size=max_harmonic)
-    j = np.arange(1, max_harmonic + 1)
+def random_monotone_diffeo(rng: np.random.Generator) -> AnalyticDiffeo:
+    """Random rotation plus three harmonics, with displacement slope at most 0.6."""
+    cos = rng.uniform(-1.0, 1.0, size=3)
+    sin = rng.uniform(-1.0, 1.0, size=3)
+    j = np.arange(1, 4)
     slope = np.sum(j * (np.abs(cos) + np.abs(sin)))
-    target = strength * rng.uniform(0.3, 1.0)
+    target = 0.6 * rng.uniform(0.3, 1.0)
     cos *= target / slope
     sin *= target / slope
     return AnalyticDiffeo(rng.uniform(0.0, TWO_PI), cos, sin)

