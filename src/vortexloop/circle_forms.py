@@ -36,26 +36,32 @@ _TRIG_NODE_COUNT = 1024
 _INVERT_PANELS = 256
 
 
-def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
+def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0) -> FloatArray:
     """Solve ``sign * f(t) == target`` entrywise inside brackets ``[lo, hi]``.
 
     ``sign * f - target`` must change from nonpositive to nonnegative across
     each bracket, ``df`` is the derivative of ``f``, and ``target`` and
-    ``sign`` are scalars or one value per entry.  Each entry starts at its
-    bracket midpoint.  A Newton step is taken only when it lands in the
+    ``sign`` are scalars or one value per entry.  Each entry starts at
+    ``start``, clipped into its bracket, or at its bracket midpoint when no
+    ``start`` is given.  A Newton step is taken only when it lands in the
     closed bracket and is at most half the previous step; otherwise the
     bracket is bisected.  The halving rule keeps Newton from cycling between
-    two points at the rounding floor.  An entry stops once its bracket or its
-    last step is at most ``_BRACKET_WIDTH``; a zero-width bracket returns its
-    end at once.  The iteration cap is twice what bisection alone needs on
-    the widest bracket; an entry still active there, such as one where ``f``
-    is NaN, raises VortexLoopError.
+    two points at the rounding floor.  An entry stops at the point it just
+    evaluated once its residual is at most ``floor`` in magnitude (so an
+    exact zero stops at once), and otherwise once its bracket or its last
+    step is at most ``_BRACKET_WIDTH``; a zero-width bracket returns its end
+    at once.  A ``floor`` at the rounding level of ``f`` (``_rounding_floor``)
+    ends an entry whose root lies where ``df`` is small, where rounding noise
+    in the residual would otherwise stop Newton steps from halving and leave
+    the entry to bisect its whole bracket.  The iteration cap is twice what
+    bisection alone needs on the widest bracket; an entry still active there,
+    such as one where ``f`` is NaN, raises VortexLoopError.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
     sign = np.broadcast_to(np.asarray(sign, dtype=float), lo.shape)
-    t = 0.5 * (lo + hi)
+    t = 0.5 * (lo + hi) if start is None else np.clip(start, lo, hi)
     step = hi - lo
     active = np.nonzero(step > _BRACKET_WIDTH)[0]
     widest = float(np.max(step, initial=_BRACKET_WIDTH))
@@ -66,6 +72,9 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
         ta = t[active]
         sg = sign[active]
         resid = sg * np.asarray(f(ta), dtype=float) - target[active]
+        # written so that a NaN residual keeps its entry active
+        moving = ~(np.abs(resid) <= floor)
+        active, ta, sg, resid = active[moving], ta[moving], sg[moving], resid[moving]
         lo_a = np.where(resid < 0.0, ta, lo[active])
         hi_a = np.where(resid >= 0.0, ta, hi[active])
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -83,6 +92,40 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0) -> FloatArray:
             f"bracketed Newton did not converge in {cap} iterations: "
             f"{active.size} entries still active, first in [{lo[j]:.17g}, {hi[j]:.17g}]")
     return t
+
+
+def _rounding_floor(values) -> float:
+    """Residual floor of a solve whose function takes ``values``: 4 eps (max|values| + 1)."""
+    return 4.0 * np.finfo(float).eps * (float(np.max(np.abs(values))) + 1.0)
+
+
+def _inverse_hermite(y, y0, y1, t0, t1, d0, d1) -> FloatArray:
+    """Start points for solving ``F(t) == y`` on cells ``[t0, t1]``.
+
+    ``F`` rises from ``y0`` to ``y1`` across each cell, with slopes ``d0`` and
+    ``d1`` at its ends.  The start is the cubic Hermite interpolant of the
+    inverse, which has values ``t0``, ``t1`` and slopes ``1/d0``, ``1/d1``
+    there; it is accurate to O(h^4) in the cell width h.  Where it is not
+    finite or leaves its cell, as in a cell that ends at a zero of the slope,
+    ``t`` is taken as a quadratic in the square root of the distance in ``y``
+    from the end of smaller slope, through both ends and with the inverse's
+    slope at the other: exact where ``F`` is a parabola about a zero at that
+    end.  Where that leaves the cell too, the start is the linear interpolant.
+    """
+    dy, dt = y1 - y0, t1 - t0
+    u = np.clip(np.divide(y - y0, dy, out=np.full_like(dy, 0.5), where=dy > 0.0), 0.0, 1.0)
+    linear = t0 + u * dt
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = dy / d0 - dt, dy / d1 - dt
+        cubic = linear + u * (1.0 - u) * (a * (1.0 - u) - b * u)
+        flat0 = d0 < d1
+        root = np.sqrt(np.where(flat0, u, 1.0 - u))
+        p = 2.0 * dy / (np.where(flat0, d1, d0) * dt)
+        reach = dt * (root + (p - 1.0) * (root * root - root))
+        sqrt_form = np.where(flat0, t0 + reach, t1 - reach)
+    inside = lambda start: (start >= t0) & (start <= t1)
+    return np.where(inside(cubic), cubic,
+                    np.where(inside(sqrt_form), sqrt_form, linear))
 
 
 def _scalar_out(t, out):
@@ -552,16 +595,25 @@ class CircleDiffeo:
         Each grid value is bracketed between two consecutive samples of the
         monotone forward map and solved on the forward map by the safeguarded
         Newton kernel (``_newton_bracketed``), so the pair is mutually inverse
-        to rounding.  A solve that does not converge raises VortexLoopError.
+        to rounding.  The forward samples and nodal slopes are the inverse's
+        Hermite data, so each solve starts at the inverse cubic Hermite of its
+        cell and stops once its residual is at the rounding floor of the
+        samples; on a 4096-node grid most solves end at their first
+        evaluation.  A solve that does not converge raises VortexLoopError.
         """
         m = self._samples.size
         x = np.append(self._samples, self._samples[0] + TWO_PI)
+        d = np.append(self._derivs, self._derivs[0])
         targets = uniform_grid(m)
         nodes = np.append(targets, TWO_PI)
         winding = np.floor((targets - x[0]) / TWO_PI) * TWO_PI
-        idx = np.clip(np.searchsorted(x, targets - winding, side="right") - 1, 0, m - 1)
-        t = _newton_bracketed(self, self.derivative, targets,
-                              nodes[idx] + winding, nodes[idx + 1] + winding)
+        y = targets - winding
+        idx = np.clip(np.searchsorted(x, y, side="right") - 1, 0, m - 1)
+        start = _inverse_hermite(y, x[idx], x[idx + 1], nodes[idx], nodes[idx + 1],
+                                 d[idx], d[idx + 1])
+        t = _newton_bracketed(self, self.derivative, targets, nodes[idx] + winding,
+                              nodes[idx + 1] + winding, start=start + winding,
+                              floor=_rounding_floor(x))
         return CircleDiffeo(t, 1.0 / np.maximum(self.derivative(t), 1e-300))
 
     def compose(self, other: "CircleDiffeo") -> "CircleDiffeo":
@@ -584,10 +636,15 @@ def _invert_batch(form: CircleForm, starts: FloatArray, lengths: FloatArray,
     starts.  One antiderivative call tabulates every segment; each row,
     clipped to ``[0, |omega_j|]`` and lifted by the unsigned vorticity before
     it, joins one sorted table, so one search brackets every target in its
-    own segment.  One call of the safeguarded Newton kernel
-    (``_newton_bracketed``) finishes them all; its bisection fallback keeps
-    convergence independent of the density staying away from zero at the
-    segment ends.
+    own segment.  The table holds the antiderivative at both ends of every
+    panel and its slope there is the density, so each target starts at the
+    inverse cubic Hermite of its panel, or at the square-root form in a
+    panel that ends at a zero of the density (``_inverse_hermite``).  One
+    call of the safeguarded Newton kernel (``_newton_bracketed``) finishes
+    them all, each stopping once its residual is at the rounding floor of the
+    table, about two antiderivative evaluations per target; its bisection
+    fallback keeps convergence independent of the density staying away from
+    zero at the segment ends.
     """
     sgn = np.sign(omegas)
     w = np.abs(omegas)
@@ -599,10 +656,17 @@ def _invert_batch(form: CircleForm, starts: FloatArray, lengths: FloatArray,
     table = np.maximum.accumulate(sgn[:, None] * (anti - anti[:, :1]), axis=1)
     table = np.clip(table, 0.0, w[:, None]) + lift[:, None]
 
-    flat = np.searchsorted(table.ravel(), lift[seg] + targets, side="right") - 1
-    idx = np.clip(flat - seg * (_INVERT_PANELS + 1), 0, _INVERT_PANELS - 1)
+    lifted = lift[seg] + targets
+    flat = np.searchsorted(table.ravel(), lifted, side="right") - 1
+    rows = seg * (_INVERT_PANELS + 1)
+    left = rows + np.clip(flat - rows, 0, _INVERT_PANELS - 1)
+    # the table's slope is the density, signed to rise along the segment
+    tab, edge, slope = table.ravel(), edges.ravel(), (sgn[:, None] * form(edges)).ravel()
+    start = _inverse_hermite(lifted, tab[left], tab[left + 1], edge[left], edge[left + 1],
+                             slope[left], slope[left + 1])
     t = _newton_bracketed(form.antiderivative, form, targets + sgn[seg] * anti[seg, 0],
-                          edges[seg, idx], edges[seg, idx + 1], sgn[seg])
+                          edge[left], edge[left + 1], sgn[seg], start=start,
+                          floor=_rounding_floor(anti))
     x = np.where(targets >= w[seg], lengths[seg], np.where(targets <= 0.0, 0.0, t - starts[seg]))
     return np.clip(x, 0.0, lengths[seg])
 

@@ -12,7 +12,6 @@ import numpy as np
 from . import samples
 from .circle_forms import (
     TWO_PI,
-    CircleForm,
     cumulative,
     find_zeros,
     invert_cumulative,

@@ -9,7 +9,6 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
-import pytest
 
 from vortexloop import io, samples
 from vortexloop.circle_forms import (

@@ -27,6 +27,7 @@ from vortexloop.errors import (
 from vortexloop.quadrature import uniform_grid
 from vortexloop.samples import (
     near_degenerate_form,
+    random_monotone_diffeo,
     random_morse_form,
     standard_form,
     symmetric_form,
@@ -370,17 +371,110 @@ def test_batched_inversion_over_all_segments_matches_brentq_oracle(kind):
             assert abs(x - want) < 1e-10
 
 
+def _counting_antiderivative(form):
+    """Wrap ``form.antiderivative`` on the instance; return the list of point counts per call."""
+    points = []
+    antiderivative = form.antiderivative
+    form.antiderivative = lambda t: (points.append(np.size(t)), antiderivative(t))[1]
+    return points
+
+
+def test_batched_inversion_stops_at_the_rounding_floor_where_the_density_is_small():
+    # Roots where |density| is 0.0035-0.0045, just inside both ends of every
+    # segment of a degree-20 density.  The antiderivative's rounding there
+    # moves a root by more than 1e-13, so a solve that stops only on a 1e-13
+    # step or bracket stops halving its steps and bisects the rest of its
+    # panel: 39 kernel iterations on this form without the residual floor.
+    form = random_morse_form(np.random.default_rng(3), 20)
+    zs = find_zeros(form)
+    omegas = partial_vorticities(form, zs).omegas
+    starts = zs.zeros
+    lengths = np.diff(np.append(starts, starts[0] + TWO_PI))
+    density = np.array([0.0035, 0.004, 0.0045])
+    head = density[None, :] / np.abs(zs.derivatives)[:, None]
+    tail = lengths[:, None] - density[None, :] / np.abs(np.roll(zs.derivatives, -1))[:, None]
+    seg = np.repeat(np.arange(zs.k), 6)
+    x = np.concatenate([head, tail], axis=1).ravel()
+    s = np.array([form.integrate(starts[j], starts[j] + y) for j, y in zip(seg, x)])
+
+    points = _counting_antiderivative(form)
+    got = _invert_batch(form, starts, lengths, omegas, s, seg)
+    assert len(points) - 1 <= 16  # one table, then one call per kernel iteration
+
+    want = np.array([brentq(lambda y: oracle_integral(form, starts[j], starts[j] + y) - target,
+                            0.0, lengths[j], xtol=1e-15, rtol=8.9e-16)
+                     for j, target in zip(seg, s)])
+    # conditioning: the antiderivative's rounding over the density at the root
+    scale = np.max(np.abs(form.antiderivative(starts[0] + uniform_grid(4096))))
+    rounding = 8.0 * np.finfo(float).eps * (scale + 1.0)
+    assert np.all(np.abs(got - want) <= rounding / np.abs(form(starts[seg] + want)))
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_batched_inversion_evaluates_few_points_per_target(seed):
+    # 4096 targets, the images of a monotone reparametrization of the grid,
+    # as in one transport; the count includes the table of 257 points per
+    # segment.  Targets in a panel that ends at a zero of the density start
+    # from the square-root seed, so no entry needs more than a few iterations.
+    form = random_morse_form(np.random.default_rng(seed))
+    zs = find_zeros(form)
+    omegas = partial_vorticities(form, zs).omegas
+    starts = zs.zeros
+    ext = np.append(starts, starts[0] + TWO_PI)
+    grid = uniform_grid(4096)
+    x = np.sort(np.mod(grid + 0.3 * np.sin(grid) + 0.1, TWO_PI))
+    x = np.where(x < starts[0], x + TWO_PI, x)
+    seg = np.clip(np.searchsorted(ext, x, side="right") - 1, 0, zs.k - 1)
+    s = form.antiderivative(x) - form.antiderivative(starts[seg])
+
+    points = _counting_antiderivative(form)
+    got = _invert_batch(form, starts, np.diff(ext), omegas, s, seg)
+    assert sum(points) <= 2.6 * s.size
+    assert len(points) - 1 <= 6
+    assert np.max(np.abs(starts[seg] + got - x)) < 1e-10
+
+
 # -- safeguarded Newton kernel ------------------------------------------------
 
 
-def test_kernel_matches_brentq_oracle_on_rising_falling_and_grid_zeros():
+def _midpoint_kernel(f, df, target, lo, hi, sign=1.0):
+    """``_newton_bracketed`` with its midpoint start and no residual floor,
+    written out on its own as the reference for the kernel's default path."""
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    target = np.broadcast_to(np.asarray(target, dtype=float), lo.shape)
+    sign = np.broadcast_to(np.asarray(sign, dtype=float), lo.shape)
+    t = 0.5 * (lo + hi)
+    step = hi - lo
+    active = np.nonzero(step > 1e-13)[0]
+    while active.size:
+        ta, sg = t[active], sign[active]
+        resid = sg * f(ta) - target[active]
+        lo_a = np.where(resid < 0.0, ta, lo[active])
+        hi_a = np.where(resid >= 0.0, ta, hi[active])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = ta - resid / (sg * df(ta))
+        take = (newton >= lo_a) & (newton <= hi_a) & (np.abs(newton - ta) <= 0.5 * step[active])
+        t_next = np.where(take, newton, 0.5 * (lo_a + hi_a))
+        step_a = np.abs(t_next - ta)
+        lo[active], hi[active], t[active], step[active] = lo_a, hi_a, t_next, step_a
+        active = active[~((hi_a - lo_a <= 1e-13) | (step_a <= 1e-13))]
+    return t
+
+
+def _sin_cos_case():
     # zeros at 0 (exact, given as a zero-width bracket), pi (rising) and
     # +-arccos(0.3) (both falling)
     f = lambda t: np.sin(t) * (np.cos(t) - 0.3)
     df = lambda t: np.cos(t) * (np.cos(t) - 0.3) - np.sin(t) ** 2
     lo = np.array([0.0, 2.9, 1.0, 4.8])
     hi = np.array([0.0, 3.3, 1.5, 5.3])
-    roots = _newton_bracketed(f, df, 0.0, lo, hi, np.array([1.0, 1.0, -1.0, -1.0]))
+    return f, df, 0.0, lo, hi, np.array([1.0, 1.0, -1.0, -1.0])
+
+
+def test_kernel_matches_brentq_oracle_on_rising_falling_and_grid_zeros():
+    f, df, target, lo, hi, sign = _sin_cos_case()
+    roots = _newton_bracketed(f, df, target, lo, hi, sign)
     want = oracle_zeros(f)
     assert want.size == 4
     assert np.max(np.abs(np.sort(roots) - want)) < 1e-13
@@ -402,6 +496,38 @@ def test_kernel_raises_on_nan_density():
     with pytest.raises(VortexLoopError, match="did not converge"):
         _newton_bracketed(lambda t: np.full_like(t, np.nan), np.ones_like, 0.0,
                           [0.0, 1.0], [0.5, 1.5])
+    with pytest.raises(VortexLoopError, match="did not converge"):
+        _newton_bracketed(lambda t: np.full_like(t, np.nan), np.ones_like, 0.0,
+                          [0.0, 1.0], [0.5, 1.5], start=[0.1, 1.1], floor=1.0)
+
+
+def test_kernel_default_path_is_the_midpoint_kernel_bit_for_bit():
+    case = _sin_cos_case()
+    np.testing.assert_array_equal(_newton_bracketed(*case), _midpoint_kernel(*case))
+    two_cycle = (lambda t: t - 1.0, lambda t: np.full_like(t, 0.5), 0.0, [0.0], [3.0])
+    np.testing.assert_array_equal(_newton_bracketed(*two_cycle), _midpoint_kernel(*two_cycle))
+
+
+def test_kernel_clips_its_start_into_the_bracket():
+    seen = []
+    f = lambda t: (seen.append(t.copy()), t - 1.0)[1]
+    roots = _newton_bracketed(f, np.ones_like, 0.0, [0.0, 0.5], [3.0, 2.0], start=[10.0, -5.0])
+    np.testing.assert_array_equal(seen[0], [3.0, 0.5])
+    np.testing.assert_array_equal(roots, [1.0, 1.0])
+
+
+def test_kernel_stops_at_once_on_a_residual_at_its_floor():
+    calls = []
+    f = lambda t: (calls.append(t.size), t - 1.0)[1]
+    # an exact zero, at the midpoint and at a given start, without a floor
+    assert _newton_bracketed(f, np.ones_like, 0.0, [0.0], [2.0])[0] == 1.0
+    assert _newton_bracketed(f, np.ones_like, 0.0, [0.0], [3.0], start=[1.0])[0] == 1.0
+    assert calls == [1, 1]
+    # a residual inside the floor keeps the point it was evaluated at
+    start = 1.0 + 1e-10
+    assert _newton_bracketed(f, np.ones_like, 0.0, [0.0], [3.0], start=[start],
+                             floor=1e-9)[0] == start
+    assert calls == [1, 1, 1]
 
 
 # -- stabilizers and transport ------------------------------------------------
@@ -488,6 +614,22 @@ def test_inverse_round_trip_without_derivative_data():
     t = np.linspace(0.0, TWO_PI, 1001)
     assert np.max(circle_dist(psi(inv(t)), t)) < 1e-5
     assert np.max(circle_dist(inv(psi(t)), t)) < 1e-5
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_inverse_evaluates_about_one_forward_point_per_node(monkeypatch, seed):
+    # the intertwiner's grid of 4096 nodes with exact nodal slopes
+    analytic = random_monotone_diffeo(np.random.default_rng(seed))
+    grid = uniform_grid(4096)
+    psi = CircleDiffeo(analytic(grid), analytic.derivative(grid))
+    points = []
+    forward = CircleDiffeo.__call__
+    monkeypatch.setattr(CircleDiffeo, "__call__",
+                        lambda self, t: (points.append(np.size(t)), forward(self, t))[1])
+    inv = psi.inverse()
+    monkeypatch.undo()
+    assert sum(points) <= 1.2 * psi.size
+    assert np.max(circle_dist(inv.samples, analytic.inverse_eval(grid))) < 1e-12
 
 
 def test_bare_sample_diffeo_is_c1_across_the_wrap():

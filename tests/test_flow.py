@@ -9,7 +9,6 @@ from vortexloop.errors import StepRejected, ValidationFailed
 from vortexloop.flow import (
     _FULL_AND_HALF,
     _SIMPLE_STRIDE,
-    FlowReport,
     PlanarBump,
     PlanarHamiltonian,
     _midpoint_step,

@@ -1,4 +1,4 @@
-"""Per-layer timings of the advection and invariants paths in two source trees, as one JSON record.
+"""Per-layer timings of the flow, invariants and inversion paths in two trees, as one JSON record.
 
     python3 tools/bench_layers.py --parent PARENT_ROOT --out BENCH_<n>.json
 
@@ -20,7 +20,11 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
   100, and on a fresh sampled form of 256, 1024 and 2048 values;
 - one in-process ``cli.main(["invariants", ...])`` on a 256-point circle
-  decorated by a degree-25 density.
+  decorated by a degree-25 density;
+- ``circle_forms._invert_batch`` per call on 4096 targets spread over every
+  segment of a trig density of degree ``INVERT_DEGREE``, as in one transport;
+- ``CircleDiffeo.inverse`` per call on a 4096-node map with exact nodal slopes,
+  the size of the intertwiner's grid.
 
 The record holds machine details, the median and quartiles over the rounds of
 each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
@@ -55,6 +59,9 @@ BUMP_REGIONS = ("inside5", "band", "beyond6", "mixed")
 REGION_BUMPS = (((-0.25, 0.0), 0.8, 0.2), ((0.25, 0.0), 1.0, -0.15))
 ZERO_DEGREES = (3, 25, 100)
 ZERO_SAMPLES = (256, 1024, 2048)
+INVERT_DEGREE = 40
+# targets of one inversion and nodes of one circle-map inverse
+INVERT_SIZE = 4096
 TRACE_KEYS = {
     "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
@@ -63,7 +70,9 @@ TRACE_KEYS = {
                    "circle_forms.find_zeros.call_s.deg100",
                    "circle_forms.find_zeros.call_s.samples", "circle_forms.find_zeros.evals_per_zero",
                    "circle_forms.eval.points", "cli.main.self_s"),
-    "intertwine": ("circle_forms.antiderivative.calls_per_segment", "cli.main.self_s"),
+    "intertwine": ("circle_forms.antiderivative.calls_per_segment",
+                   "circle_forms.antiderivative.points_per_target",
+                   "circle_forms.CircleDiffeo.inverse.s", "cli.main.self_s"),
 }
 
 
@@ -118,7 +127,8 @@ def measure(root):
 
     from vortexloop import cli, render, samples
     from vortexloop import io as vio
-    from vortexloop.circle_forms import CircleForm, find_zeros
+    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, find_zeros,
+                                         partial_vorticities)
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
     from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple
     from vortexloop.quadrature import uniform_grid
@@ -178,6 +188,21 @@ def measure(root):
                 cli.main(["invariants", path])
 
         out["cli_invariants.n256"] = _per_call(invariants)
+
+    # a generator of their own, so these inputs do not depend on the draws above
+    invert_rng = np.random.default_rng(SEED)
+    form = samples.random_morse_form(invert_rng, INVERT_DEGREE)
+    zs = find_zeros(form)
+    omegas = partial_vorticities(form, zs).omegas
+    ext = np.append(zs.zeros, zs.zeros[0] + 2.0 * np.pi)
+    seg = np.sort(invert_rng.integers(zs.k, size=INVERT_SIZE))
+    s = invert_rng.uniform(0.0, 1.0, INVERT_SIZE) * omegas[seg]
+    out[f"invert_batch.deg{INVERT_DEGREE}"] = _per_call(
+        lambda: _invert_batch(form, zs.zeros, np.diff(ext), omegas, s, seg))
+    analytic = samples.random_monotone_diffeo(invert_rng)
+    grid = uniform_grid(INVERT_SIZE)
+    gamma = CircleDiffeo(analytic(grid), analytic.derivative(grid))
+    out[f"diffeo_inverse.n{INVERT_SIZE}"] = _per_call(gamma.inverse)
     return out
 
 
