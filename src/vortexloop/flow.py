@@ -17,7 +17,6 @@ from .errors import StepRejected, ValidationFailed, VortexLoopError
 from .loops import (
     DecoratedLoop,
     LoopEmbedding,
-    _perp,
     _polyline_is_simple,
     enclosed_area,
     orbit_invariants,
@@ -50,6 +49,14 @@ class PlanarBump:
             raise ValueError("bump amplitude must be finite")
 
 
+def _complex_points(pts) -> np.ndarray:
+    """The M points of ``pts`` (shape (..., 2)) as x + iy, shape (M,); a view
+    of ``pts`` unless its pairs are not contiguous or not evenly spaced."""
+    if pts.strides[-1] != pts.itemsize:
+        pts = np.ascontiguousarray(pts)
+    return pts.view(complex).reshape(-1)
+
+
 class PlanarHamiltonian:
     """Sum of Gaussian bumps, each blended to zero between 5 and 6 sigma.
 
@@ -60,9 +67,9 @@ class PlanarHamiltonian:
 
     def __init__(self, bumps):
         self._bumps = tuple(bumps)
-        # bump axis first: centres of shape (2, B, 1), the others (B, 1)
+        # bump axis first: centres x + iy of shape (B, 1), the others (B, 1)
         centers = np.array([b.center for b in self._bumps], dtype=float).reshape(-1, 2)
-        self._centers = centers.T[:, :, None]
+        self._zc = _complex_points(centers)[:, None]
         sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
         self._amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)[:, None]
         inv_sigma2 = 1.0 / sigmas**2
@@ -81,19 +88,22 @@ class PlanarHamiltonian:
     def _terms(self, pts):
         """Offsets, rho = r/sigma, unit Gaussian exp(-rho^2/2), blend and its slope in rho.
 
-        The M points of ``pts`` (shape (..., 2)) and the B bumps give offsets
-        of shape (2, B, M) and the other four of shape (B, M).  With
+        The M points of ``pts`` (shape (..., 2)) and the B bumps give complex
+        offsets (x - cx) + i(y - cy) of shape (B, M) and the other four of
+        shape (B, M).  With
         s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5 and its
         slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
         and s = 1.  When no point lies past 5 sigma of any bump, s is 0
         everywhere, so the blend is exactly 1 and the slope exactly 0: rho,
         blend and slope are then returned as None and not computed.
         """
-        d = np.ascontiguousarray(pts.reshape(-1, 2).T)[:, None, :] - self._centers
-        e = np.square(d).sum(axis=0)
+        d = _complex_points(pts) - self._zc
+        # the parts squared, (x - cx)^2 + i (y - cy)^2
+        sq = np.square(d.view(float)).view(complex)
+        e = sq.real + sq.imag
         e *= self._exponent_scale
-        # not e.min() < ..., so that a NaN takes the dense path below
-        if e.size == 0 or e.min() >= _CUTOFF_EXPONENT:
+        # a NaN fails >=, so it takes the dense path below
+        if e.size == 0 or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT:
             return d, None, np.exp(e, out=e), None, None
         # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
         rho = np.sqrt(e * -2.0)
@@ -126,33 +136,69 @@ class PlanarHamiltonian:
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         d, rho, gauss, blend, slope = self._terms(pts)
-        # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2
+        # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2, summed over the bumps
         if rho is None:
-            # blend 1 and slope 0 everywhere
+            # blend 1 and slope 0 everywhere.  Every offset is finite here, so the
+            # complex product with the real weight, (x w - y 0) + i (x 0 + y w),
+            # differs from the two real products at most in the sign of a zero
+            # term; the sum over the bumps starts from +0 and ends the same.
             gauss *= self._neg_amp_inv_sigma2
+            d *= gauss
         else:
             # the slope is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
             slope /= np.maximum(rho, _CUTOFF_START, out=rho)
             slope -= blend
             gauss *= slope
             gauss *= self._amp_inv_sigma2
-        grad = (d * gauss).sum(axis=1)
-        return grad.T.reshape(pts.shape)
+            # one part at a time: an infinite offset times the cross term's 0 is NaN
+            re, im = d.real, d.imag
+            re *= gauss
+            im *= gauss
+        return np.add.reduce(d).view(float).reshape(pts.shape)
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:
-    """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``."""
-    return _perp(np.asarray(h.gradient(points), dtype=float))
+    """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``.
+
+    As x + iy this is -i times the gradient.  The parts are swapped and one
+    is multiplied by -1, not the whole by -i, whose cross terms 0 * x could
+    flip the sign of a zero: every bit is the product of the swapped gradient
+    with (1, -1).
+    """
+    grad = np.asarray(h.gradient(points), dtype=float)
+    field = np.empty_like(grad)
+    field[..., 0] = grad[..., 1]
+    np.multiply(grad[..., 0], -1.0, out=field[..., 1])
+    return field
 
 
 def _rk4_step(points: FloatArray, dt, h) -> FloatArray:
     """One classical RK4 step; an array ``dt`` of shape (R, 1, 1) takes R steps
-    from ``points`` at once, sharing k1 and batching stages 2-4."""
+    from ``points`` at once, sharing k1 and batching stages 2-4.
+
+    The stages are combined in place, each operation on the operands of
+    ``points + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` in their order, so every
+    bit is that formula's.
+    """
+    half_dt = 0.5 * dt
     k1 = hamiltonian_vector_field(h, points)
-    k2 = hamiltonian_vector_field(h, points + 0.5 * dt * k1)
-    k3 = hamiltonian_vector_field(h, points + 0.5 * dt * k2)
-    k4 = hamiltonian_vector_field(h, points + dt * k3)
-    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    stage = half_dt * k1
+    np.add(points, stage, out=stage)
+    k2 = hamiltonian_vector_field(h, stage)
+    np.multiply(half_dt, k2, out=stage)
+    np.add(points, stage, out=stage)
+    k3 = hamiltonian_vector_field(h, stage)
+    np.multiply(dt, k3, out=stage)
+    np.add(points, stage, out=stage)
+    k4 = hamiltonian_vector_field(h, stage)
+    np.multiply(2.0, k2, out=k2)
+    np.add(k1, k2, out=k2)
+    np.multiply(2.0, k3, out=k3)
+    np.add(k2, k3, out=k2)
+    np.add(k2, k4, out=k2)
+    np.multiply(dt / 6.0, k2, out=k2)
+    np.add(points, k2, out=k2)
+    return k2
 
 
 def _midpoint_step(points: FloatArray, dt, h) -> FloatArray:
@@ -163,22 +209,34 @@ def _midpoint_step(points: FloatArray, dt, h) -> FloatArray:
     once on the rows still iterating, and each row stops on its own test, as
     its separate solve would.  Raises StepRejected when a row has
     not converged after ``_MIDPOINT_ITERATIONS`` updates, quoting the last
-    update of the first such row.
+    update of the first such row.  As in ``_rk4_step``, the in-place
+    operations keep the operands of the update formula in their order.
     """
-    first = points + dt * hamiltonian_vector_field(h, points)
+    first = dt * hamiltonian_vector_field(h, points)
+    np.add(points, first, out=first)
     rows = first.reshape((-1,) + points.shape)  # a view: solved rows land in ``first``
     row_dt = np.reshape(dt, (-1,) + (1,) * points.ndim)
     active = np.arange(rows.shape[0])
     axes = tuple(range(1, rows.ndim))
+    z = rows
     for _ in range(_MIDPOINT_ITERATIONS):
-        z = rows[active]
-        z_next = points + row_dt[active] * hamiltonian_vector_field(h, 0.5 * (points + z))
-        update = np.max(np.abs(z_next - z), axis=axes)
-        done = update <= 1e-14 * np.maximum(1.0, np.max(np.abs(z), axis=axes))
-        rows[active] = z_next
-        active = active[~done]
-        if active.size == 0:
+        # z_next = points + dt * X(0.5 (points + z)); the stop test then reuses mid
+        mid = points + z
+        np.multiply(0.5, mid, out=mid)
+        z_next = hamiltonian_vector_field(h, mid)
+        np.multiply(row_dt, z_next, out=z_next)
+        np.add(points, z_next, out=z_next)
+        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=mid), out=mid), axis=axes)
+        size = np.maximum.reduce(np.abs(z, out=mid), axis=axes)
+        done = update <= 1e-14 * np.maximum(1.0, size)
+        if not done.any():
+            z = z_next
+            continue
+        rows[active[done]] = z_next[done]
+        if done.all():
             return first
+        keep = ~done
+        active, z, row_dt = active[keep], z_next[keep], row_dt[keep]
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
         f"iterations; last update {update[~done][0]:.3e}")

@@ -4,8 +4,9 @@ Everything here recomputes expected values by routes independent of the
 package internals: dense scanning plus brentq for zeros, QUADPACK for
 integrals, analytic derivatives for areas, plain loops for cyclic
 matching, an all-pairs crossing test for polyline simplicity, a loop over
-the bumps of a bump Hamiltonian for its value and gradient, and the bump
-kernel in its dense form, which evaluates the blend at every pair.
+the bumps of a bump Hamiltonian for its value and gradient, the bump
+kernel in its dense form, which evaluates the blend at every pair, and the
+RK4 and implicit-midpoint steps in plain real arithmetic on that kernel.
 """
 
 import numpy as np
@@ -168,6 +169,57 @@ class DenseBumpField:
         slope *= self._amp_inv_sigma2
         grad = (d * slope).sum(axis=1)
         return grad.T.reshape(pts.shape)
+
+    def vector_field(self, points):
+        """The quarter turn (dh/dy, -dh/dx) of the gradient, as a product with (1, -1)."""
+        return self.gradient(points)[..., ::-1] * np.array([1.0, -1.0])
+
+
+def reference_rk4_step(points, dt, field):
+    """One RK4 step in real arithmetic, every stage a fresh array: the package's
+    step as it stood before its stages were combined in place.  An array ``dt``
+    of shape (R, 1, 1) takes R steps at once."""
+    k1 = field(points)
+    k2 = field(points + 0.5 * dt * k1)
+    k3 = field(points + 0.5 * dt * k2)
+    k4 = field(points + dt * k3)
+    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def reference_midpoint_step(points, dt, field, iterations=60):
+    """One implicit midpoint step by fixed-point iteration, in real arithmetic;
+    the rows of an array ``dt`` of shape (R, 1, 1) stop one by one, each on
+    its own test."""
+    first = points + dt * field(points)
+    rows = first.reshape((-1,) + points.shape)
+    row_dt = np.reshape(dt, (-1,) + (1,) * points.ndim)
+    active = np.arange(rows.shape[0])
+    axes = tuple(range(1, rows.ndim))
+    for _ in range(iterations):
+        z = rows[active]
+        z_next = points + row_dt[active] * field(0.5 * (points + z))
+        update = np.max(np.abs(z_next - z), axis=axes)
+        done = update <= 1e-14 * np.maximum(1.0, np.max(np.abs(z), axis=axes))
+        rows[active] = z_next
+        active = active[~done]
+        if active.size == 0:
+            return first
+    raise AssertionError("reference midpoint solve did not converge")
+
+
+def reference_advect(points, field, steps, stepper):
+    """The step loop of advect: each step is the full step and the first half
+    step as one stacked call, then the second half step.  Returns the points
+    after every step (the start first) and the largest step-doubling estimate."""
+    snapshots = [points.copy()]
+    max_est = 0.0
+    for dt in steps:
+        full, half = stepper(points, dt * np.array([1.0, 0.5]).reshape(2, 1, 1), field)
+        half = stepper(half, 0.5 * dt, field)
+        max_est = max(max_est, float(np.max(np.abs(full - half))))
+        points = full
+        snapshots.append(points.copy())
+    return snapshots, max_est
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

@@ -11,19 +11,36 @@ from vortexloop.flow import (
     _SIMPLE_STRIDE,
     PlanarBump,
     PlanarHamiltonian,
+    _complex_points,
     _midpoint_step,
     _rk4_step,
+    _step_schedule,
     advect,
     equivariance_residual,
     hamiltonian_vector_field,
 )
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, orbit_equivalent
 
-from conftest import DenseBumpField, brute_bump_gradient, brute_bump_value, fd_gradient
+from conftest import (
+    DenseBumpField,
+    brute_bump_gradient,
+    brute_bump_value,
+    fd_gradient,
+    reference_advect,
+    reference_midpoint_step,
+    reference_rk4_step,
+)
 
 
 def circle_loop(n=128, form_name="sin2t"):
     return DecoratedLoop(LoopEmbedding.circle(n=n), samples.standard_form(form_name))
+
+
+def assert_same_bits(got, want):
+    """Same shape, dtype and bytes; unlike assert_array_equal this sees the
+    sign of a zero and the bits of a NaN."""
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------- hamiltonian
@@ -62,7 +79,8 @@ def _ring(rng, bumps, lo, hi, size):
 def _region_points(rng, bumps, region):
     """Points within 5 sigma of every bump ("core"), in the 5-6 sigma band of
     some bump ("band"), beyond 6 sigma of every bump ("far"), all three
-    ("mixed"), or core points and one NaN ("nan")."""
+    ("mixed"), or core points and one NaN ("nan") or two infinite
+    coordinates ("inf")."""
     # centres within 0.5 of the origin and sigma >= 0.5: a disc of radius 1.5 is in every core
     radius = np.sqrt(rng.uniform(0.0, 1.0, 48)) * 1.5
     angle = rng.uniform(0.0, TWO_PI, 48)
@@ -71,6 +89,8 @@ def _region_points(rng, bumps, region):
         return core
     if region == "nan":
         return np.vstack([core, [[np.nan, 0.0]]])
+    if region == "inf":
+        return np.vstack([core, [[np.inf, 0.5], [0.5, -np.inf]]])
     band = _ring(rng, bumps, 5.0, 6.0, 48) if bumps else core
     if region == "band":
         return band
@@ -80,7 +100,7 @@ def _region_points(rng, bumps, region):
     return rng.permutation(np.vstack([core, band, far]))
 
 
-@pytest.mark.parametrize("region", ["core", "band", "far", "mixed", "nan"])
+@pytest.mark.parametrize("region", ["core", "band", "far", "mixed", "nan", "inf"])
 @pytest.mark.parametrize("n_bumps", range(4))
 def test_bump_kernel_equals_dense_blend_bit_for_bit(region, n_bumps):
     rng = np.random.default_rng(31 * n_bumps + len(region))
@@ -90,10 +110,51 @@ def test_bump_kernel_equals_dense_blend_bit_for_bit(region, n_bumps):
     pts = _region_points(rng, bumps, region)
     # the blend is skipped exactly when every point lies within 5 sigma of every bump
     assert (h._terms(pts)[1] is None) == (region == "core" or not n_bumps)
-    for probe in (pts, pts[:48].reshape(2, 24, 2), pts[0]):
-        np.testing.assert_array_equal(h(probe), ref(probe))
-        np.testing.assert_array_equal(h.gradient(probe), ref.gradient(probe))
-        assert h.gradient(probe).shape == probe.shape
+    # an infinite offset times a zero weight is NaN, which numpy warns of
+    with np.errstate(invalid="ignore" if region == "inf" else "warn"):
+        for probe in (pts, pts[:48].reshape(2, 24, 2), pts[0]):
+            assert_same_bits(h(probe), ref(probe))
+            assert_same_bits(h.gradient(probe), ref.gradient(probe))
+            assert h.gradient(probe).shape == probe.shape
+
+
+def test_gradient_with_a_zero_offset_part_equals_dense_blend():
+    # within 5 sigma the weight multiplies each offset as a complex number,
+    # whose cross term 0 * y can give a zero part either sign; the sum over
+    # the bumps must end on the sign the real products give
+    pts = np.array([[0.5, -1.0], [0.5, 0.5], [-0.25, -0.25], [1.0, -0.25], [0.5, -0.25]])
+    for amplitude in (1.3, -1.3, 0.0):
+        bumps = [PlanarBump((0.5, -0.25), 0.75, amplitude)]
+        h, ref = PlanarHamiltonian(bumps), DenseBumpField(bumps)
+        assert h._terms(pts)[1] is None
+        assert_same_bits(h.gradient(pts), ref.gradient(pts))
+
+
+def test_gradient_takes_any_point_layout():
+    rng = np.random.default_rng(5)
+    bumps = [PlanarBump(tuple(rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.5, 1.2),
+                        rng.uniform(-2.0, 2.0)) for _ in range(2)]
+    h, ref = PlanarHamiltonian(bumps), DenseBumpField(bumps)
+    pts = _region_points(rng, bumps, "mixed")
+    stack = pts[:96].reshape(3, 32, 2)
+    layouts = {
+        "every other row": pts[::2],
+        "fortran order": np.asfortranarray(pts),
+        "transposed (2, M)": np.ascontiguousarray(pts.T).T,
+        "integers": np.rint(4.0 * pts).astype(int),
+        "one point": pts[7],
+        "stack": stack,
+        "empty": np.empty((0, 2)),
+    }
+    for name, probe in layouts.items():
+        got = h.gradient(probe)
+        assert got.shape == np.shape(probe), name
+        assert_same_bits(got, ref.gradient(probe))
+    # the complex view copies only when the last axis is not contiguous
+    assert np.shares_memory(_complex_points(layouts["every other row"]), pts)
+    assert np.shares_memory(_complex_points(stack), stack)
+    for name in ("fortran order", "transposed (2, M)"):
+        assert not np.shares_memory(_complex_points(layouts[name]), layouts[name])
 
 
 # offsets of exactly 5 sigma whose point minus centre is exact, also one ulp further out
@@ -109,8 +170,8 @@ def test_bump_kernel_at_five_sigma_equals_dense_blend(center, sigma, offset):
     past = np.nextafter(at, at + np.sign(offset))
     for pts, skipped in ((at[None, :], True), (past[None, :], False)):
         assert (h._terms(pts)[1] is None) == skipped
-        np.testing.assert_array_equal(h(pts), ref(pts))
-        np.testing.assert_array_equal(h.gradient(pts), ref.gradient(pts))
+        assert_same_bits(h(pts), ref(pts))
+        assert_same_bits(h.gradient(pts), ref.gradient(pts))
 
 
 def _probe_points(rng, bumps):
@@ -202,6 +263,25 @@ def test_vector_field_rotates_gradient():
     x = hamiltonian_vector_field(h, pts)
     np.testing.assert_allclose(x[:, 0], g[:, 1], atol=1e-15)
     np.testing.assert_allclose(x[:, 1], -g[:, 0], atol=1e-15)
+
+
+class _FixedGradient:
+    """A gradient that ignores the points: every pair of signed zeros, NaNs,
+    infinities and finite values."""
+
+    def __init__(self):
+        nan = np.frombuffer(np.uint64(0x7FF8000000000123).tobytes(), dtype=float)[0]
+        parts = [0.0, -0.0, nan, -nan, np.inf, -np.inf, 1.5, -2.5]
+        self.value = np.array([(a, b) for a in parts for b in parts])
+
+    def gradient(self, points):
+        return self.value
+
+
+def test_vector_field_is_the_swapped_gradient_times_one_minus_one_to_the_bit():
+    h = _FixedGradient()
+    want = h.value[:, ::-1] * np.array([1.0, -1.0])
+    assert_same_bits(hamiltonian_vector_field(h, h.value), want)
 
 
 # ---------------------------------------------------------------- scheduling
@@ -453,6 +533,96 @@ def test_midpoint_advection_field_calls_per_step(dt, per_step):
     # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2 the
     # full step takes 4
     assert advect_calls == want == 5 * per_step
+
+
+# ---------------------------------------------------------------- against real-arithmetic steps
+
+
+def _oracle_case(region, n_bumps):
+    """A 256-point loop and bumps whose field reaches it everywhere within 5
+    sigma ("core"), or a circle of radius 1 with narrow bumps centred on it,
+    so that it also has points in a 5-6 sigma band and points beyond 6 sigma
+    of every bump ("band"); two of those far points, (0, 1) and (-1, 0), get
+    the coordinate 0 as -0.0."""
+    rng = np.random.default_rng(40 + n_bumps)
+    if region == "core":
+        loop = samples.random_decorated_loop(rng, n=256)
+        pts = loop.embedding.samples
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        bumps = [PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(1.0, 1.2),
+                            rng.uniform(0.1, 0.3) * rng.choice([-1.0, 1.0]))
+                 for _ in range(n_bumps)]
+        return loop, bumps
+    pts = LoopEmbedding.circle(n=256).samples
+    pts[64, 0] = pts[128, 1] = -0.0
+    angles = (0.0, 2.0 * np.pi / 3.0, 4.0 * np.pi / 3.0)[:n_bumps]
+    bumps = [PlanarBump((np.cos(a), np.sin(a)), rng.uniform(0.06, 0.08),
+                        rng.uniform(0.003, 0.006) * rng.choice([-1.0, 1.0])) for a in angles]
+    return DecoratedLoop(LoopEmbedding(pts), samples.standard_form("sin2t")), bumps
+
+
+def _rho(pts, bumps):
+    """Distance in widths from each point to its nearest bump centre."""
+    return np.min([np.hypot(*(pts - b.center).T) / b.sigma for b in bumps], axis=0)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+@pytest.mark.parametrize("n_bumps", [1, 2, 3])
+@pytest.mark.parametrize("region", ["core", "band"])
+def test_advect_is_bit_for_bit_the_real_arithmetic_steps(region, n_bumps, scheme):
+    loop, bumps = _oracle_case(region, n_bumps)
+    h = PlanarHamiltonian(bumps)
+    start = loop.embedding.samples
+    rho = _rho(start, bumps)
+    if region == "core":
+        assert rho.max() < 5.0 and h._terms(start)[1] is None
+    else:
+        assert np.any((rho >= 5.0) & (rho < 6.0)) and np.any(rho < 5.0)
+    seen = []
+    report = advect(loop, h, 0.0205, 1e-3, scheme,
+                    observer=lambda i, t, pts: seen.append(pts))
+    stepper = {"rk4": reference_rk4_step, "implicit-midpoint": reference_midpoint_step}[scheme]
+    want, max_est = reference_advect(start, DenseBumpField(bumps).vector_field,
+                                     _step_schedule(0.0205, 1e-3), stepper)
+    assert report.steps == len(want) - 1 == 21
+    for got, ref in zip(seen, want, strict=True):
+        assert_same_bits(got, ref)
+    assert_same_bits(report.loop.embedding.samples, want[-1])
+    assert np.float64(report.max_local_error).tobytes() == np.float64(max_est).tobytes()
+    assert 0.0 < max_est
+    far = rho > 6.0
+    if region == "band":
+        # beyond 6 sigma of every bump a point never moves.  There the field is
+        # (+0, -0): x = -0.0 gains +0 and ends +0.0, y = -0.0 gains -0 and
+        # stays -0.0, and advect matched both signs above
+        assert far[64] and far[128] and far.sum() > 100
+        np.testing.assert_array_equal(want[-1][far], start[far])
+        assert not np.signbit(want[-1][64, 0]) and np.signbit(want[-1][128, 1])
+        band = (rho >= 5.0) & (rho < 6.0)
+        assert np.any(want[-1][band] != start[band])
+
+
+def test_observer_gets_copies_that_do_not_steer_the_run():
+    loop, h = _random_case(n=128)
+    kept = []
+
+    def spoil(i, t, pts):
+        kept.append(pts.copy())
+        assert pts.dtype == np.float64 and pts.shape == (128, 2)
+        pts[:] = np.nan
+
+    report = advect(loop, h, 0.005, 1e-3, observer=spoil)
+    clean = []
+    again = advect(loop, h, 0.005, 1e-3, observer=lambda i, t, pts: clean.append(pts))
+    assert len(kept) == len(clean) == 6
+    for got, want in zip(kept, clean):
+        assert_same_bits(got, want)
+    assert_same_bits(report.loop.embedding.samples, again.loop.embedding.samples)
+    assert report.max_local_error == again.max_local_error
+    # every snapshot is its own array
+    for a in range(len(clean)):
+        for b in range(a):
+            assert not np.shares_memory(clean[a], clean[b])
 
 
 # ---------------------------------------------------------------- two routes
