@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -210,6 +211,18 @@ def enclosed_area(embedding: LoopEmbedding) -> float:
     return _spline_area(embedding._spline)
 
 
+def _check_zero_images(embedding: LoopEmbedding, zs: ZeroSet) -> None:
+    """Raise ValidationFailed when two zeros land within 1e-9 of the curve's
+    diameter of each other on the curve."""
+    pts = embedding.eval(zs.zeros)
+    diam = float(np.max(np.ptp(embedding.samples, axis=0)))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(dist, np.inf)
+    if np.min(dist) <= 1e-9 * diam:
+        raise ValidationFailed("two zero images coincide on the curve")
+
+
 class DecoratedLoop:
     """A loop embedding together with a Morse density on its parameter circle.
 
@@ -225,13 +238,7 @@ class DecoratedLoop:
         self._profile: VorticityProfile | None = None
         if zs.k == 0:
             raise MorseViolation("decoration has no zeros; a Morse decoration needs at least two")
-        pts = embedding.eval(zs.zeros)
-        diam = float(np.max(np.ptp(embedding.samples, axis=0)))
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.hypot(diff[..., 0], diff[..., 1])
-        np.fill_diagonal(dist, np.inf)
-        if np.min(dist) <= 1e-9 * diam:
-            raise ValidationFailed("two zero images coincide on the curve")
+        _check_zero_images(embedding, zs)
 
     @classmethod
     def build(cls, samples, decoration: CircleForm, *, auto_orient: bool = False,
@@ -241,6 +248,16 @@ class DecoratedLoop:
         if emb.auto_reversed:
             decoration = reversed_decoration(decoration)
         return cls(emb, decoration, morse_tol=morse_tol)
+
+    def _with_embedding(self, embedding: LoopEmbedding) -> "DecoratedLoop":
+        """The same decoration on another embedding.  The zero set and the
+        profile are the decoration's alone, so they are carried over; only
+        the zero images are checked again, on the new curve."""
+        _check_zero_images(embedding, self._zero_set)
+        moved = copy.copy(self)
+        moved._embedding = embedding
+        moved._profile = self.profile
+        return moved
 
     @property
     def embedding(self) -> LoopEmbedding:

@@ -13,6 +13,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from vortexloop.errors import StepRejected
+
 TWO_PI = 2.0 * np.pi
 
 
@@ -204,19 +206,28 @@ def reference_midpoint_step(points, dt, field, iterations=60):
         active = active[~done]
         if active.size == 0:
             return first
-    raise AssertionError("reference midpoint solve did not converge")
+    raise StepRejected(f"implicit midpoint solve did not converge in {iterations} "
+                       f"iterations; last update {update[~done][0]:.3e}")
 
 
-def reference_advect(points, field, steps, stepper):
-    """The step loop of advect: each step is the full step and the first half
-    step as one stacked call, then the second half step.  Returns the points
-    after every step (the start first) and the largest step-doubling estimate."""
-    snapshots = [points.copy()]
+def reference_advect(points, field, steps, stepper, snapshots=None):
+    """The step loop of advect, one step after the other: each step is the full
+    step and the first half step as one stacked call, then the second half
+    step; a step whose estimate exceeds advect's default limit 1e-3 or is not
+    finite raises StepRejected.  Appends the points after every step (the
+    start first) to ``snapshots``, so a caller sees those before a failure
+    too, and returns them with the largest step-doubling estimate."""
+    error_limit = 1e-3
+    snapshots = [] if snapshots is None else snapshots
+    snapshots.append(points.copy())
     max_est = 0.0
-    for dt in steps:
+    for i, dt in enumerate(steps):
         full, half = stepper(points, dt * np.array([1.0, 0.5]).reshape(2, 1, 1), field)
         half = stepper(half, 0.5 * dt, field)
-        max_est = max(max_est, float(np.max(np.abs(full - half))))
+        est = float(np.max(np.abs(full - half)))
+        if not est <= error_limit:
+            raise StepRejected(f"step {i}: local error estimate {est:.3e} exceeds {error_limit:g}")
+        max_est = max(max_est, est)
         points = full
         snapshots.append(points.copy())
     return snapshots, max_est

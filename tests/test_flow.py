@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from vortexloop import samples
+from vortexloop import flow, loops, samples
 from vortexloop.circle_forms import TWO_PI
-from vortexloop.errors import StepRejected, ValidationFailed
+from vortexloop.errors import StepRejected, ValidationFailed, VortexLoopError
 from vortexloop.flow import (
     _FULL_AND_HALF,
+    _PIPELINED_START,
     _SIMPLE_STRIDE,
     PlanarBump,
     PlanarHamiltonian,
@@ -361,6 +362,20 @@ def test_conservation_on_random_loop():
     assert 0.0 <= report.max_local_error < 1e-3
 
 
+def test_advect_carries_the_zero_set_and_profile_over(monkeypatch):
+    loop = circle_loop(form_name="mixed")
+    loop.profile  # found on the input loop, before the zero search is cut off
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the decoration is unchanged; its zeros are known")
+
+    monkeypatch.setattr(loops, "find_zeros", unreachable)
+    monkeypatch.setattr(loops, "partial_vorticities", unreachable)
+    report = advect(loop, PlanarHamiltonian.single((0.2, 0.1), 0.7, 0.3), 0.05, 0.01)
+    assert report.loop.zero_set is loop.zero_set and report.loop.profile is loop.profile
+    assert report.profile_drift == 0.0
+
+
 def test_implicit_midpoint_scheme():
     rng = np.random.default_rng(34)
     loop = samples.random_decorated_loop(rng)
@@ -378,11 +393,11 @@ def test_step_rejected_on_violent_field():
         advect(loop, h, 1.0, 0.1)
 
 
-class _NanGradient:
-    """Zero Hamiltonian whose gradient is NaN everywhere."""
+class _NanGradient(PlanarHamiltonian):
+    """Zero Hamiltonian, the empty bump sum, whose gradient is NaN everywhere."""
 
-    def __call__(self, points):
-        return np.zeros(np.shape(points)[:-1])
+    def __init__(self):
+        super().__init__([])
 
     def gradient(self, points):
         return np.full(np.shape(points), np.nan)
@@ -482,6 +497,29 @@ def test_stacked_midpoint_rows_are_the_separate_solves(dt):
     assert (full_calls > half_calls) == (dt > 1e-3)
 
 
+@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
+@pytest.mark.parametrize("stepper", [_rk4_step, _midpoint_step])
+def test_pipelined_rows_are_the_separate_steps(stepper, dt):
+    # from step i's full and first half step: its second half step, then step
+    # i + 1's full and first half step, both from step i's full step
+    loop, h = _random_case()
+    full, half = pair = stepper(loop.embedding.samples, dt * _FULL_AND_HALF, h)
+    h.calls = h.points = 0
+    rows = stepper(pair, np.array([0.5 * dt, dt, 0.5 * dt]).reshape(3, 1, 1), h, _PIPELINED_START)
+    calls, points = h.calls, h.points
+    iterations = []
+    for got, (start, step) in zip(rows, [(half, 0.5 * dt), (full, dt), (full, 0.5 * dt)],
+                                  strict=True):
+        h.calls = 0
+        assert_same_bits(got, stepper(start, step, h))
+        iterations.append(h.calls - 1)
+    n = full.shape[0]
+    # the field once on the 2 starts, then on the rows still stepping
+    assert calls == 1 + max(iterations) and points == (2 + sum(iterations)) * n
+    if stepper is _rk4_step:
+        assert iterations == [3, 3, 3]
+
+
 def _nested_step_doubling(pts, h, steps, stepper):
     """Step doubling by three separate stepper calls per step: the reference."""
     for dt in steps:
@@ -502,37 +540,122 @@ def test_advect_matches_nested_step_doubling_with_a_partial_step(scheme, stepper
     np.testing.assert_array_equal(report.loop.embedding.samples, want)
 
 
-def test_rk4_advection_makes_eight_field_calls_per_step():
+def test_rk4_advection_makes_four_field_calls_per_step():
     loop, h = _random_case()
     report = advect(loop, h, 0.05, 1e-3)
     n = loop.embedding.size
     assert report.steps == 50
-    assert h.calls == 8 * report.steps
-    assert h.points == (1 + 3 * 2 + 4) * n * report.steps
+    # 4 calls a step and 4 more: the 2-row call that starts step 0 and the
+    # 1-row call that ends the last step make 4 each
+    assert h.calls == 4 * report.steps + 4
+    # per step, k1 on 2 starts and stages 2-4 on 3 rows
+    assert h.points == (2 + 3 * 3) * n * report.steps
 
 
-@pytest.mark.parametrize("dt, per_step", [(1e-3, 8), (1e-2, 9)])
-def test_midpoint_advection_field_calls_per_step(dt, per_step):
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_large_loops_step_in_separate_calls_to_the_same_bits(scheme, monkeypatch):
+    # 1024 samples under 3 bumps are 3072 (sample, bump) pairs, past the pipelined limit
+    rng = np.random.default_rng(35)
+    loop = samples.random_decorated_loop(rng, n=1024)
+    lo, hi = loop.embedding.samples.min(axis=0), loop.embedding.samples.max(axis=0)
+    h = _CountingHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2), 0.2)
+                              for _ in range(3)])
+    alone = advect(loop, h, 0.005, 1e-3, scheme)
+    alone_calls = h.calls
+    monkeypatch.setattr(flow, "_PIPELINED_MAX_PAIRS", 3 * 1024)
+    h.calls = 0
+    pipelined = advect(loop, h, 0.005, 1e-3, scheme)
+    assert_same_bits(pipelined.loop.embedding.samples, alone.loop.embedding.samples)
+    assert pipelined.max_local_error == alone.max_local_error
+    if scheme == "rk4":
+        assert alone.steps == 5 and alone_calls == 8 * 5 and h.calls == 4 * 5 + 4
+    else:
+        assert h.calls < alone_calls
+
+
+@pytest.mark.parametrize("dt, calls", [(1e-3, 24), (1e-2, 29)])
+def test_midpoint_advection_field_calls_per_step(dt, calls):
     loop, h = _random_case(n=128)
     seen = []
     advect(loop, h, 5 * dt, dt, "implicit-midpoint",
            observer=lambda i, t, pts: seen.append(pts))
     advect_calls = h.calls
-    # per step: the shared start, one call per iteration of the slower stacked
-    # row, then the second half step's start and iterations
-    want = 0
-    for pts in seen[:-1]:
-        iterations = []
-        for step in (dt, 0.5 * dt):
-            h.calls = 0
-            half = _midpoint_step(pts, step, h)
-            iterations.append(h.calls - 1)
+
+    def iterations(pts, step):
         h.calls = 0
-        _midpoint_step(half, 0.5 * dt, h)
-        want += 2 + max(iterations) + (h.calls - 1)
+        end = _midpoint_step(pts, step, h)
+        return h.calls - 1, end
+
+    # the iterations of each step's full, first half and second half step, each solved alone
+    full, first, second = [], [], []
+    for pts in seen[:-1]:
+        full.append(iterations(pts, dt)[0])
+        count, half = iterations(pts, 0.5 * dt)
+        first.append(count)
+        second.append(iterations(half, 0.5 * dt)[0])
+    # a call is one field call at its starts and one per iteration of its
+    # slowest row: step 0's full and first half step, then each step's second
+    # half step with the next step's two, then the last second half step
+    want = 1 + max(full[0], first[0])
+    want += sum(1 + max(second[i], full[i + 1], first[i + 1]) for i in range(len(seen) - 2))
+    want += 1 + second[-1]
     # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2 the
     # full step takes 4
-    assert advect_calls == want == 5 * per_step
+    assert advect_calls == want == calls
+
+
+class _NanOnPoints(PlanarHamiltonian):
+    """Bumps whose gradient is NaN on every (M, 2) row of points equal to ``target``."""
+
+    def __init__(self, bumps, target):
+        super().__init__(bumps)
+        self._target = target
+
+    def gradient(self, points):
+        grad = super().gradient(points).reshape((-1,) + self._target.shape)
+        hit = np.all(np.reshape(points, grad.shape) == self._target, axis=(1, 2))
+        grad[hit] = np.nan
+        return grad.reshape(np.shape(points))
+
+
+@pytest.mark.parametrize("scheme, stepper", [("rk4", reference_rk4_step),
+                                             ("implicit-midpoint", reference_midpoint_step)])
+@pytest.mark.parametrize("nan_step", [0, 2, 4, 5])
+def test_a_failed_step_raises_after_the_steps_before_it(scheme, stepper, nan_step):
+    # the field is NaN at the points reached after ``nan_step`` steps, so the
+    # full and first half step of that step fail (the estimate of an RK4 step,
+    # the solve of a midpoint step), while the step before it, which runs in
+    # the same call, passes and must be observed first.  Step 4 is the partial
+    # last step; the points after it start no step, so nan_step 5 fails nothing
+    loop, h = _random_case(n=128)
+    steps = _step_schedule(0.0045, 1e-3)
+    assert len(steps) == 5
+
+    def vector_field(field):
+        return lambda pts: hamiltonian_vector_field(field, pts)
+
+    clean, _ = reference_advect(loop.embedding.samples, vector_field(h), steps, stepper)
+    nan = _NanOnPoints(h.bumps, clean[nan_step])
+
+    def outcome(run):
+        seen = []
+        try:
+            run(seen)
+        except VortexLoopError as exc:
+            return seen, (type(exc), str(exc))
+        return seen, None
+
+    got, got_error = outcome(lambda seen: advect(
+        loop, nan, 0.0045, 1e-3, scheme, observer=lambda i, t, pts: seen.append((i, pts))))
+    want, want_error = outcome(lambda seen: reference_advect(
+        loop.embedding.samples, vector_field(nan), steps, stepper, seen))
+    assert got_error == want_error
+    assert [i for i, _ in got] == list(range(len(want))) == list(range(nan_step + 1))
+    for (_, pts), ref in zip(got, want, strict=True):
+        assert_same_bits(pts, ref)
+    if nan_step < len(steps):
+        reason = "estimate nan" if scheme == "rk4" else "did not converge"
+        assert got_error[0] is StepRejected and reason in got_error[1]
 
 
 # ---------------------------------------------------------------- against real-arithmetic steps

@@ -30,6 +30,7 @@ from vortexloop.loops import (
     pushforward_form,
     reversed_decoration,
 )
+from vortexloop.quadrature import uniform_grid
 from vortexloop.symplectic import momentum_map_eval
 
 from conftest import (
@@ -312,6 +313,27 @@ def test_decorated_loop_requires_zeros():
     emb = LoopEmbedding.circle()
     with pytest.raises(MorseViolation):
         DecoratedLoop(emb, samples.standard_form("volume"))
+
+
+def test_decoration_on_another_embedding_keeps_zeros_and_checks_their_images():
+    loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
+    ellipse = LoopEmbedding.ellipse(2.0, 0.5)
+    moved = loop._with_embedding(ellipse)
+    fresh = DecoratedLoop(ellipse, loop.decoration)
+    assert moved.embedding is ellipse and loop.embedding is not ellipse
+    assert moved.decoration is loop.decoration
+    assert moved.zero_set is loop.zero_set and moved.profile is loop.profile
+    np.testing.assert_array_equal(moved.zero_set.zeros, fresh.zero_set.zeros)
+    np.testing.assert_array_equal(moved.profile.omegas, fresh.profile.omegas)
+    # a curve pinched to touch itself where the zeros pi/2 and 3 pi/2 land
+    t = uniform_grid(256)
+    pts = np.column_stack([2.0 * np.cos(t), np.sin(t) * np.cos(t) ** 2])
+    pts[64] = pts[192] = 0.0
+    pinched = LoopEmbedding(pts)
+    with pytest.raises(ValidationFailed, match="two zero images coincide"):
+        DecoratedLoop(pinched, loop.decoration)
+    with pytest.raises(ValidationFailed, match="two zero images coincide"):
+        loop._with_embedding(pinched)
 
 
 def test_reversed_decoration_flips_total():
