@@ -33,11 +33,6 @@ _FULL_AND_HALF = np.array([1.0, 0.5]).reshape(2, 1, 1)
 # the start of each row of a pipelined call from the stacked [full, first half] step i:
 # step i's second half step, then step i + 1's full and first half step
 _PIPELINED_START = np.array([1, 0, 0])
-# the most (sample, bump) pairs of a loop whose steps are pipelined.  A pipelined call
-# holds 3 rows, and past this its arrays outgrow the cache: on a 2 MB L2, loops of 4096
-# pairs (n = 4096 under 1 bump, 1024 under 4, 256 under 16) stepped 1.1-1.75 times
-# slower pipelined than in separate calls, while loops of 2048 pairs stepped faster
-_PIPELINED_MAX_PAIRS = 2048
 # accepted steps between two simplicity checks of the evolving polyline
 _SIMPLE_STRIDE = 10
 
@@ -306,26 +301,23 @@ def _doubled_steps(stepper, pts, steps, h):
     in one 3-row stepper call with the full and the first half step of step
     i + 1, which both start from step i's full step (``_PIPELINED_START``).
     A 2-row call starts step 0 and a 1-row call ends the last step.
-    Two cases finish step i alone and then start step i + 1 alone instead: a
-    loop of more than ``_PIPELINED_MAX_PAIRS`` (sample, bump) pairs, and a
-    pipelined call that raises.  A failed row of step i + 1 must not raise
-    before step i is accepted, and alone each step raises its own failure.
+    When a pipelined call raises, step i is finished alone and step i + 1
+    started alone instead: a failed row of step i + 1 must not raise before
+    step i is accepted, and alone each step raises its own failure.
     """
     if not steps:
         return
-    pipelined = pts.shape[0] * len(h.bumps) <= _PIPELINED_MAX_PAIRS
     pair = stepper(pts, steps[0] * _FULL_AND_HALF, h)
     for step_dt, next_dt in zip(steps, steps[1:]):
-        if pipelined:
-            dts = np.array([0.5 * step_dt, next_dt, 0.5 * next_dt]).reshape(3, 1, 1)
-            try:
-                rows = stepper(pair, dts, h, _PIPELINED_START)
-            except StepRejected:
-                pass
-            else:
-                yield pair[0], rows[0]
-                pair = rows[1:]
-                continue
+        dts = np.array([0.5 * step_dt, next_dt, 0.5 * next_dt]).reshape(3, 1, 1)
+        try:
+            rows = stepper(pair, dts, h, _PIPELINED_START)
+        except StepRejected:
+            pass
+        else:
+            yield pair[0], rows[0]
+            pair = rows[1:]
+            continue
         yield pair[0], stepper(pair[1], 0.5 * step_dt, h)
         pair = stepper(pair[0], next_dt * _FULL_AND_HALF, h)
     yield pair[0], stepper(pair[1], 0.5 * steps[-1], h)
@@ -338,18 +330,18 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
 
     Every step carries a step-doubling local error estimate; a step whose
     estimate exceeds ``error_limit`` or is not finite raises StepRejected.
-    The steps of a loop of up to ``_PIPELINED_MAX_PAIRS`` (sample, bump)
-    pairs are pipelined (``_doubled_steps``): step i's second half step runs
-    in one stepper call with step i + 1's full and first half step, so an
-    RK4 step makes 4 field calls (8 for larger loops).  A step is accepted
+    The steps are pipelined (``_doubled_steps``): step i's second half step
+    runs in one stepper call with step i + 1's full and first half step, so
+    an RK4 step makes 4 field calls.  A step is accepted
     only once its second half step is done, and a failure of step i + 1 is
     raised only after step i has been accepted, checked and observed.
     The evolving sample polyline is checked for self-intersection every
     ``_SIMPLE_STRIDE`` accepted steps and, through the evolved loop's own
     validation, after the last one; a failed check raises ValidationFailed
     naming the step.  The evolved loop keeps the input loop's zero set and
-    profile, since the decoration is unchanged; the zero images are checked
-    again on the new curve.
+    profile, since the decoration is unchanged, so it keeps the Morse
+    tolerance they were found with too; only the zero images are checked
+    again, on the new curve.
     When given, ``observer(step_index, time, points)`` is called at step 0 and
     after every accepted step.
     """

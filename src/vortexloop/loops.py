@@ -251,8 +251,9 @@ class DecoratedLoop:
 
     def _with_embedding(self, embedding: LoopEmbedding) -> "DecoratedLoop":
         """The same decoration on another embedding.  The zero set and the
-        profile are the decoration's alone, so they are carried over; only
-        the zero images are checked again, on the new curve."""
+        profile are the decoration's alone, so they are carried over, found
+        with this loop's ``morse_tol`` and not searched again; only the zero
+        images are checked again, on the new curve."""
         _check_zero_images(embedding, self._zero_set)
         moved = copy.copy(self)
         moved._embedding = embedding

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from vortexloop import flow, loops, samples
+from vortexloop import loops, samples
 from vortexloop.circle_forms import TWO_PI
-from vortexloop.errors import StepRejected, ValidationFailed, VortexLoopError
+from vortexloop.errors import MorseViolation, StepRejected, ValidationFailed, VortexLoopError
 from vortexloop.flow import (
     _FULL_AND_HALF,
     _PIPELINED_START,
@@ -376,6 +376,18 @@ def test_advect_carries_the_zero_set_and_profile_over(monkeypatch):
     assert report.profile_drift == 0.0
 
 
+def test_advect_keeps_the_input_loops_morse_tolerance():
+    # a near-flat zero passes only the looser tolerance the loop was built with;
+    # the evolved loop keeps that zero set instead of searching at the default
+    flat = samples.near_degenerate_form(flatness=1e-9)
+    with pytest.raises(MorseViolation):
+        DecoratedLoop(LoopEmbedding.circle(), flat)
+    loop = DecoratedLoop(LoopEmbedding.circle(), flat, morse_tol=1e-12)
+    report = advect(loop, PlanarHamiltonian.single((0.2, 0.1), 0.7, 0.3), 0.05, 0.01)
+    assert report.loop.zero_set is loop.zero_set and report.loop.zero_set.k == 4
+    assert report.profile_drift == 0.0
+
+
 def test_implicit_midpoint_scheme():
     rng = np.random.default_rng(34)
     loop = samples.random_decorated_loop(rng)
@@ -393,11 +405,11 @@ def test_step_rejected_on_violent_field():
         advect(loop, h, 1.0, 0.1)
 
 
-class _NanGradient(PlanarHamiltonian):
-    """Zero Hamiltonian, the empty bump sum, whose gradient is NaN everywhere."""
+class _NanGradient:
+    """Zero Hamiltonian whose gradient is NaN everywhere."""
 
-    def __init__(self):
-        super().__init__([])
+    def __call__(self, points):
+        return np.zeros(np.shape(points)[:-1])
 
     def gradient(self, points):
         return np.full(np.shape(points), np.nan)
@@ -550,27 +562,6 @@ def test_rk4_advection_makes_four_field_calls_per_step():
     assert h.calls == 4 * report.steps + 4
     # per step, k1 on 2 starts and stages 2-4 on 3 rows
     assert h.points == (2 + 3 * 3) * n * report.steps
-
-
-@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
-def test_large_loops_step_in_separate_calls_to_the_same_bits(scheme, monkeypatch):
-    # 1024 samples under 3 bumps are 3072 (sample, bump) pairs, past the pipelined limit
-    rng = np.random.default_rng(35)
-    loop = samples.random_decorated_loop(rng, n=1024)
-    lo, hi = loop.embedding.samples.min(axis=0), loop.embedding.samples.max(axis=0)
-    h = _CountingHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2), 0.2)
-                              for _ in range(3)])
-    alone = advect(loop, h, 0.005, 1e-3, scheme)
-    alone_calls = h.calls
-    monkeypatch.setattr(flow, "_PIPELINED_MAX_PAIRS", 3 * 1024)
-    h.calls = 0
-    pipelined = advect(loop, h, 0.005, 1e-3, scheme)
-    assert_same_bits(pipelined.loop.embedding.samples, alone.loop.embedding.samples)
-    assert pipelined.max_local_error == alone.max_local_error
-    if scheme == "rk4":
-        assert alone.steps == 5 and alone_calls == 8 * 5 and h.calls == 4 * 5 + 4
-    else:
-        assert h.calls < alone_calls
 
 
 @pytest.mark.parametrize("dt, calls", [(1e-3, 24), (1e-2, 29)])
