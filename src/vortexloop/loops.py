@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ DEFAULT_AREA_REL_TOL = 1e-6
 # a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
 _SIMPLE_BLOCK = 128
 
-_GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 _QUARTER_TURN = np.array([1.0, -1.0])
 
 
@@ -141,7 +141,7 @@ class LoopEmbedding:
             raise ValidationFailed("loop polyline self-intersects")
         self._samples = pts.copy()
         self._spline = quadrature.periodic_spline(pts)
-        d = self._spline(self.grid, 1)
+        d = self._spline._coeffs[1]  # the nodal slopes: the derivative at the knots
         speed = np.hypot(d[:, 0], d[:, 1])
         if np.min(speed) <= 1e-8 * np.max(speed):
             raise ValidationFailed("parametrization is not an immersion at the samples")
@@ -189,26 +189,42 @@ class LoopEmbedding:
         return f"LoopEmbedding(n={self.size})"
 
 
-def _spline_area(spline):
-    """Signed area ``integral((x y' - y x') / 2)`` inside a closed 2-d ``PeriodicCubic``.
+@functools.cache
+def _area_weights(n: int) -> FloatArray:
+    """``w(theta_k)`` of ``_spline_area`` at ``theta_k = 2*pi*k/n``, k < n."""
+    theta = uniform_grid(n)
+    cos = np.cos(theta)
+    sin = np.sin(theta)
+    eig = 4.0 + 2.0 * cos
+    weights = sin * (1.0 + 1.2 * (2.0 - 2.0 * cos) / eig - 1.2 * sin * sin / (eig * eig)) / (2.0 * n)
+    weights.flags.writeable = False  # shared by every call at this n
+    return weights
 
-    On each cell of its uniform grid ``x y' - y x'`` is a quintic, so one
-    3-point Gauss rule per cell integrates it exactly.  A spline through
-    stacked curves (values of shape (N, S, 2)) gives the S areas as an array,
-    each equal to the area of its own curve's spline.
+
+def _spline_area(samples):
+    """Signed area ``integral((x y' - y x') / 2)`` inside the periodic cubic
+    spline (``quadrature.periodic_spline``) through closed 2-d samples.
+
+    Summed over the cells, the Hermite integral of each cell
+    ``cross(p0, p1) + (h/5) cross(dp, dm) - (h^2/30) cross(m0, m1)`` is a
+    quadratic form that the DFT diagonalizes, because the spline slopes are a
+    circulant operator on the samples (eigenvalues ``4 + 2 cos theta``).  With
+    ``Z = fft(x + iy)`` the area is ``sum_k |Z_k|^2 w(theta_k)``, exact on the
+    spline, with no spline evaluated.  ``w(0) = 0``, so a translation, which
+    moves only ``Z_0``, leaves it unchanged.  Stacked curves (shape
+    (..., N, 2)) give their areas as an array, each row summed on its own, so
+    equal to the area of that curve alone bit for bit.
     """
-    half = np.pi / spline.knots.size
-    t = (spline.knots + half)[:, None] + half * _GAUSS3_NODES
-    # (..., N, 3): each curve's Gauss terms in one contiguous run, summed pairwise
-    terms = np.ascontiguousarray(np.moveaxis(_cross(spline(t), spline(t, 1)), (0, 1), (-2, -1)))
-    terms *= _GAUSS3_WEIGHTS
-    areas = 0.5 * half * terms.reshape(terms.shape[:-2] + (-1,)).sum(axis=-1)
+    z = np.ascontiguousarray(samples, dtype=float).view(complex)[..., 0]
+    spectrum = np.fft.fft(z, axis=-1)
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    areas = np.sum(power * _area_weights(z.shape[-1]), axis=-1)
     return float(areas) if areas.ndim == 0 else areas
 
 
 def enclosed_area(embedding: LoopEmbedding) -> float:
     """Signed area enclosed by the loop, exact on its spline."""
-    return _spline_area(embedding._spline)
+    return _spline_area(embedding._samples)
 
 
 def _check_zero_images(embedding: LoopEmbedding, zs: ZeroSet) -> None:

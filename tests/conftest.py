@@ -5,8 +5,9 @@ package internals: dense scanning plus brentq for zeros, QUADPACK for
 integrals, analytic derivatives for areas, plain loops for cyclic
 matching, an all-pairs crossing test for polyline simplicity, a loop over
 the bumps of a bump Hamiltonian for its value and gradient, the bump
-kernel in its dense form, which evaluates the blend at every pair, and the
-RK4 and implicit-midpoint steps in plain real arithmetic on that kernel.
+kernel in its dense form, which evaluates the blend at every pair, the
+RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
+and the spline area by a Gauss rule on every cell of the spline.
 """
 
 import numpy as np
@@ -14,8 +15,10 @@ from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from vortexloop.errors import StepRejected
+from vortexloop.quadrature import periodic_spline
 
 TWO_PI = 2.0 * np.pi
+_GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 
 
 def oracle_zeros(f, n=16384):
@@ -40,6 +43,23 @@ def oracle_integral(f, a, b, knots=()):
     edges = [a, *(k for k in np.sort(knots) if a < k < b), b]
     return sum(quad(f, lo, hi, epsabs=1e-13, epsrel=1e-13, limit=400)[0]
                for lo, hi in zip(edges[:-1], edges[1:]))
+
+
+def reference_gauss_area(samples):
+    """Signed area inside the periodic cubic spline through closed 2-d samples
+    of shape (N, 2), by a 3-point Gauss rule on each cell.
+
+    On each cell of the spline ``x y' - y x'`` is a quintic, so the rule is
+    exact there; the spline is evaluated through ``PeriodicCubic`` and the
+    spectrum of the samples is never formed.
+    """
+    spline = periodic_spline(samples)
+    half = np.pi / spline.knots.size
+    t = (spline.knots + half)[:, None] + half * _GAUSS3_NODES
+    p = spline(t)
+    d = spline(t, 1)
+    terms = (p[..., 0] * d[..., 1] - p[..., 1] * d[..., 0]) * _GAUSS3_WEIGHTS
+    return float(0.5 * half * terms.sum())
 
 
 def oracle_profile(f, zeros):

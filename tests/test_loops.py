@@ -38,6 +38,7 @@ from conftest import (
     brute_circular_match,
     brute_polyline_is_simple,
     oracle_integral,
+    reference_gauss_area,
 )
 
 
@@ -282,6 +283,31 @@ def test_enclosed_area_is_exact_on_the_spline():
 
     want = sum(oracle_integral(integrand, knots[i], knots[i + 1]) for i in range(n))
     assert enclosed_area(emb) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("n, count", [(16, 20), (256, 20), (2048, 20), (100, 7)])
+def test_spline_area_matches_the_gauss_rule_and_stacks_bit_for_bit(n, count):
+    # the spectral form against a Gauss rule on every cell of the spline, on
+    # star loops moved up to 50 away; then the same loops stacked, where 7
+    # rows of 100 points fill no power-of-two batch of rows or points
+    rng = np.random.default_rng(n)
+    grid = uniform_grid(n)
+    loops_ = np.stack([StarCurve(rng)(grid) + rng.uniform(-50.0, 50.0, 2) for _ in range(count)])
+    single = [loops._spline_area(pts) for pts in loops_]
+    for pts, area in zip(loops_, single):
+        assert area == pytest.approx(reference_gauss_area(pts), rel=1e-13)
+    assert loops._spline_area(loops_).tolist() == single
+
+
+def test_enclosed_area_is_unchanged_by_a_translation():
+    # samples on a 2^-20 lattice move by (1e4, -7e3) without rounding, so both
+    # loops have the same spline up to the shift and the same area
+    curve = StarCurve(np.random.default_rng(3))
+    pts = np.round(curve(uniform_grid(256)) * 2.0**20) / 2.0**20
+    moved = pts + np.array([1e4, -7e3])
+    assert np.array_equal(moved - np.array([1e4, -7e3]), pts)
+    want = enclosed_area(LoopEmbedding(pts))
+    assert enclosed_area(LoopEmbedding(moved)) == pytest.approx(want, rel=1e-13)
 
 
 def test_eval_and_derivative_wrap_their_argument():

@@ -15,7 +15,9 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - one step-doubled step of ``advect`` (rk4 and implicit midpoint) at
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
-- ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256;
+- ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256, and
+  ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
+- ``enclosed_area`` per call on one loop at n in {256, 1024, 2048};
 - ``loops._polyline_is_simple`` at n = 256 (one simplicity check);
 - ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
   100, and on a fresh sampled form of 256, 1024 and 2048 values;
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -59,6 +62,7 @@ BUMP_REGIONS = ("inside5", "band", "beyond6", "mixed")
 REGION_BUMPS = (((-0.25, 0.0), 0.8, 0.2), ((0.25, 0.0), 1.0, -0.15))
 ZERO_DEGREES = (3, 25, 100)
 ZERO_SAMPLES = (256, 1024, 2048)
+AREA_SIZES = (256, 1024, 2048)
 INVERT_DEGREE = 40
 # targets of one inversion and nodes of one circle-map inverse
 INVERT_SIZE = 4096
@@ -130,8 +134,9 @@ def measure(root):
     from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, find_zeros,
                                          partial_vorticities)
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
-    from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple
-    from vortexloop.quadrature import uniform_grid
+    from vortexloop.loops import (DecoratedLoop, LoopEmbedding, _polyline_is_simple,
+                                  _spline_area, enclosed_area)
+    from vortexloop.quadrature import periodic_spline, uniform_grid
 
     out = {}
     rng = np.random.default_rng(SEED)
@@ -164,8 +169,20 @@ def measure(root):
     snapshots = []
     advect(loop, h, 100 * FLOW_DT, FLOW_DT, observer=lambda i, t, p: snapshots.append((i, t, p)))
     out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
+    stack = np.stack([pts for _, _, pts in snapshots])
+    if "spline" in inspect.signature(_spline_area).parameters:  # a tree that integrates a spline
+        out["spline_area.n256x101"] = _per_call(
+            lambda: _spline_area(periodic_spline(stack.transpose(1, 0, 2))))
+    else:
+        out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
     pts = loop.embedding.samples
     out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
+
+    # a generator of their own, so the inputs of the other kernels do not move
+    area_rng = np.random.default_rng(SEED)
+    for n in AREA_SIZES:
+        emb = samples.random_decorated_loop(area_rng, n=n).embedding
+        out[f"enclosed_area.n{n}"] = _per_call(lambda: enclosed_area(emb))
 
     # a fresh form per call, so its sampling grid and scales are computed each time
     for degree in ZERO_DEGREES:
