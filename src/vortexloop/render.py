@@ -73,8 +73,7 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     header = "step,t,area,momentum," + ",".join(f"omega_{i+1}" for i in range(omegas.size))
     rows = [header]
     # one block of stacked snapshots at a time: h and the loop area routine
-    # (without re-validating) each run once per block, and the blocks bound
-    # the bump terms and the area spectrum
+    # (without re-validating) each run once per block
     momenta, areas = [], []
     per_block = max(1, _BLOCK_POINTS // loop.embedding.size)  # advect keeps the n points
     for lo in range(0, len(snapshots), per_block):

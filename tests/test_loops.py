@@ -292,11 +292,11 @@ def test_spline_area_matches_the_gauss_rule_and_stacks_bit_for_bit(n, count):
     # rows of 100 points fill no power-of-two batch of rows or points
     rng = np.random.default_rng(n)
     grid = uniform_grid(n)
-    loops_ = np.stack([StarCurve(rng)(grid) + rng.uniform(-50.0, 50.0, 2) for _ in range(count)])
-    single = [loops._spline_area(pts) for pts in loops_]
-    for pts, area in zip(loops_, single):
+    curves = np.stack([StarCurve(rng)(grid) + rng.uniform(-50.0, 50.0, 2) for _ in range(count)])
+    single = [loops._spline_area(pts) for pts in curves]
+    for pts, area in zip(curves, single):
         assert area == pytest.approx(reference_gauss_area(pts), rel=1e-13)
-    assert loops._spline_area(loops_).tolist() == single
+    assert loops._spline_area(curves).tolist() == single
 
 
 def test_enclosed_area_is_unchanged_by_a_translation():
