@@ -23,7 +23,6 @@ from .circle_forms import (
     _shift_deviations,
     find_zeros,
     partial_vorticities,
-    symmetry_step,
 )
 from .errors import (
     AlternationViolation,
@@ -38,11 +37,13 @@ from .errors import (
 )
 from .loops import (
     DEFAULT_AREA_REL_TOL,
-    circular_match,
-    enclosed_area,
+    _orbit_match,
     intertwiner,
+    orbit_invariants,
     pushforward_form,
 )
+# not called here: benchmark/trace.py wraps these three on this module by name
+from .loops import circular_match, enclosed_area, symmetry_step
 from .flow import _step_schedule, advect
 
 _EPILOG = ("Angles are in radians, areas in squared length units, "
@@ -95,15 +96,14 @@ def _check_writable(path) -> None:
 def cmd_invariants(args) -> int:
     loop = io.loop_from_dict(io.load(args.loop), auto_orient=args.auto_orient,
                              morse_tol=args.morse_tol)
-    prof = loop.profile
-    ell = symmetry_step(prof, rel_tol=args.rel_tol)
+    inv = orbit_invariants(loop, rel_tol=args.rel_tol)
     _emit({
         "schema": io.SCHEMA,
-        "area": enclosed_area(loop.embedding),
-        "omegas": [float(w) for w in prof.omegas],
-        "total": float(prof.total),
-        "k": int(prof.k),
-        "ell": int(ell),
+        "area": inv.area,
+        "omegas": [float(w) for w in inv.omegas],
+        "total": float(inv.total),
+        "k": inv.k,
+        "ell": inv.step,
     })
     return 0
 
@@ -111,11 +111,8 @@ def cmd_invariants(args) -> int:
 def cmd_equiv(args) -> int:
     first = io.loop_from_dict(io.load(args.first), auto_orient=args.auto_orient)
     second = io.loop_from_dict(io.load(args.second), auto_orient=args.auto_orient)
-    area_a = enclosed_area(first.embedding)
-    area_b = enclosed_area(second.embedding)
-    shifts = circular_match(first.profile, second.profile, rel_tol=args.rel_tol)
-    delta = area_b - area_a
-    equivalent = bool(shifts) and abs(delta) <= args.area_tol * abs(area_a)
+    equivalent, shifts, delta = _orbit_match(first, second, area_rel_tol=args.area_tol,
+                                             profile_rel_tol=args.rel_tol)
     _emit({
         "schema": io.SCHEMA,
         "equivalent": equivalent,

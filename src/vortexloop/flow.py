@@ -23,7 +23,7 @@ from .loops import (
 )
 from .symplectic import _against, momentum_map_eval
 
-DEFAULT_ERROR_LIMIT = 1e-3
+_ERROR_LIMIT = 1e-3
 _CUTOFF_START = 5.0
 # the exponent -rho^2/2 at rho = _CUTOFF_START; an exponent below it means rho > _CUTOFF_START
 _CUTOFF_EXPONENT = -0.5 * _CUTOFF_START**2
@@ -301,9 +301,10 @@ def _doubled_steps(stepper, pts, steps, h):
     in one 3-row stepper call with the full and the first half step of step
     i + 1, which both start from step i's full step (``_PIPELINED_START``).
     A 2-row call starts step 0 and a 1-row call ends the last step.
-    When a pipelined call raises, step i is finished alone and step i + 1
-    started alone instead: a failed row of step i + 1 must not raise before
-    step i is accepted, and alone each step raises its own failure.
+    When a pipelined call raises, step i is finished alone and yielded before
+    the failure is raised again, so a failed row of step i + 1 does not raise
+    before step i is accepted.  A stacked call's rows are their separate calls
+    bit for bit, so the failure is the one step i + 1 alone would raise.
     """
     if not steps:
         return
@@ -313,23 +314,19 @@ def _doubled_steps(stepper, pts, steps, h):
         try:
             rows = stepper(pair, dts, h, _PIPELINED_START)
         except StepRejected:
-            pass
-        else:
-            yield pair[0], rows[0]
-            pair = rows[1:]
-            continue
-        yield pair[0], stepper(pair[1], 0.5 * step_dt, h)
-        pair = stepper(pair[0], next_dt * _FULL_AND_HALF, h)
+            yield pair[0], stepper(pair[1], 0.5 * step_dt, h)
+            raise
+        yield pair[0], rows[0]
+        pair = rows[1:]
     yield pair[0], stepper(pair[1], 0.5 * steps[-1], h)
 
 
 def advect(loop: DecoratedLoop, h, duration: float, dt: float,
-           scheme: str = "rk4", *, error_limit: float = DEFAULT_ERROR_LIMIT,
-           observer=None) -> FlowReport:
+           scheme: str = "rk4", *, observer=None) -> FlowReport:
     """Advect a decorated loop by the Hamiltonian flow of ``h``.
 
     Every step carries a step-doubling local error estimate; a step whose
-    estimate exceeds ``error_limit`` or is not finite raises StepRejected.
+    estimate exceeds ``_ERROR_LIMIT`` (1e-3) or is not finite raises StepRejected.
     The steps are pipelined (``_doubled_steps``): step i's second half step
     runs in one stepper call with step i + 1's full and first half step, so
     an RK4 step makes 4 field calls.  A step is accepted
@@ -363,9 +360,9 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     for i, (full, half) in enumerate(_doubled_steps(stepper, pts, steps, h)):
         est = float(np.max(np.abs(full - half)))
         max_est = max(max_est, est)
-        if not est <= error_limit:
+        if not est <= _ERROR_LIMIT:
             raise StepRejected(
-                f"step {i}: local error estimate {est:.3e} exceeds {error_limit:g}")
+                f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")
         pts = full
         elapsed += steps[i]
         done = i + 1

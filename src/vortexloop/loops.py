@@ -116,27 +116,21 @@ class LoopEmbedding:
     Both coordinates are interpolated by one periodic cubic spline.
     Construction validates that the sample polyline is simple, the
     parametrization is an immersion at the samples, and the orientation is
-    positive (counter clockwise); a negatively oriented input is reversed when
-    ``auto_orient`` is set and rejected otherwise.
+    positive (counter clockwise); a negatively oriented input is rejected
+    (``DecoratedLoop.build`` reverses one together with its decoration).
     """
 
-    def __init__(self, samples, *, auto_orient: bool = False):
+    def __init__(self, samples):
         pts = np.asarray(samples, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16:
             raise ValueError("need an (N, 2) array with N >= 16")
         if not np.all(np.isfinite(pts)):
             raise ValueError("loop samples must be finite")
-        self._reversed = False
         area2 = _shoelace(pts)
         if area2 == 0.0:
             raise ValidationFailed("loop encloses zero signed area")
         if area2 < 0.0:
-            if not auto_orient:
-                raise OrientationError(
-                    "loop is negatively oriented; pass auto_orient to reverse it")
-            n = pts.shape[0]
-            pts = pts[(-np.arange(n)) % n]
-            self._reversed = True
+            raise OrientationError("loop is negatively oriented; pass auto_orient to reverse it")
         if not _polyline_is_simple(pts):
             raise ValidationFailed("loop polyline self-intersects")
         self._samples = pts.copy()
@@ -157,10 +151,6 @@ class LoopEmbedding:
     @property
     def grid(self) -> FloatArray:
         return uniform_grid(self.size)
-
-    @property
-    def auto_reversed(self) -> bool:
-        return self._reversed
 
     @classmethod
     def circle(cls, radius: float = 1.0, center=(0.0, 0.0), n: int = 256) -> "LoopEmbedding":
@@ -243,7 +233,8 @@ class DecoratedLoop:
     """A loop embedding together with a Morse density on its parameter circle.
 
     The zeros are found on construction with the relative derivative floor
-    ``morse_tol`` (see ``find_zeros``).
+    ``morse_tol`` (see ``find_zeros``), and the vorticity profile is
+    integrated once they pass the zero-image check.
     """
 
     def __init__(self, embedding: LoopEmbedding, decoration: CircleForm, *,
@@ -251,19 +242,22 @@ class DecoratedLoop:
         self._embedding = embedding
         self._decoration = decoration
         self._zero_set = zs = find_zeros(decoration, morse_tol=morse_tol)
-        self._profile: VorticityProfile | None = None
         if zs.k == 0:
             raise MorseViolation("decoration has no zeros; a Morse decoration needs at least two")
         _check_zero_images(embedding, zs)
+        self._profile = partial_vorticities(decoration, zs)
 
     @classmethod
     def build(cls, samples, decoration: CircleForm, *, auto_orient: bool = False,
               morse_tol: float = DEFAULT_MORSE_TOL) -> "DecoratedLoop":
-        """Build from raw samples, reversing orientation (and decoration) on demand."""
-        emb = LoopEmbedding(samples, auto_orient=auto_orient)
-        if emb.auto_reversed:
+        """Build from raw samples.  With ``auto_orient`` a clockwise curve is
+        reversed (``t -> 2*pi - t``, sample 0 kept) together with its
+        decoration (``reversed_decoration``); without it it is rejected."""
+        pts = np.asarray(samples, dtype=float)
+        if auto_orient and pts.ndim == 2 and pts.shape[1] == 2 and _shoelace(pts) < 0.0:
+            pts = pts[(-np.arange(pts.shape[0])) % pts.shape[0]]
             decoration = reversed_decoration(decoration)
-        return cls(emb, decoration, morse_tol=morse_tol)
+        return cls(LoopEmbedding(pts), decoration, morse_tol=morse_tol)
 
     def _with_embedding(self, embedding: LoopEmbedding) -> "DecoratedLoop":
         """The same decoration on another embedding.  The zero set and the
@@ -273,7 +267,6 @@ class DecoratedLoop:
         _check_zero_images(embedding, self._zero_set)
         moved = copy.copy(self)
         moved._embedding = embedding
-        moved._profile = self.profile
         return moved
 
     @property
@@ -290,8 +283,6 @@ class DecoratedLoop:
 
     @property
     def profile(self) -> VorticityProfile:
-        if self._profile is None:
-            self._profile = partial_vorticities(self._decoration, self.zero_set)
         return self._profile
 
     def __repr__(self) -> str:
@@ -328,15 +319,22 @@ def orbit_invariants(loop: DecoratedLoop, *, rel_tol: float = DEFAULT_PROFILE_RE
     return OrbitInvariants(area, prof.omegas.copy(), prof.total, symmetry_step(prof, rel_tol))
 
 
+def _orbit_match(first: DecoratedLoop, second: DecoratedLoop, area_rel_tol: float,
+                 profile_rel_tol: float) -> tuple[bool, list[int], float]:
+    """The equivalence verdict, the cyclic shifts matching the profiles and
+    ``area(second) - area(first)``.  The loops are equivalent when some shift
+    matches and the area delta is within ``area_rel_tol`` of the first area."""
+    area = enclosed_area(first.embedding)
+    delta = enclosed_area(second.embedding) - area
+    shifts = circular_match(first.profile, second.profile, profile_rel_tol)
+    return bool(shifts) and abs(delta) <= area_rel_tol * abs(area), shifts, delta
+
+
 def orbit_equivalent(first: DecoratedLoop, second: DecoratedLoop, *,
                      area_rel_tol: float = DEFAULT_AREA_REL_TOL,
                      profile_rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> bool:
     """Whether the complete invariants (area, profile up to cyclic shift) agree."""
-    a1 = enclosed_area(first.embedding)
-    a2 = enclosed_area(second.embedding)
-    if abs(a1 - a2) > area_rel_tol * abs(a1):
-        return False
-    return bool(circular_match(first.profile, second.profile, profile_rel_tol))
+    return _orbit_match(first, second, area_rel_tol, profile_rel_tol)[0]
 
 
 def intertwiner(model: CircleForm, target: DecoratedLoop, shift: int, *,

@@ -277,6 +277,18 @@ def test_near_degenerate_zero_is_rejected_with_location():
     assert "6.28" in str(err.value)
 
 
+def test_identically_zero_density_is_rejected():
+    with pytest.raises(MorseViolation, match="^density is identically zero$"):
+        find_zeros(CircleForm.trig(0.0))
+
+
+def test_touching_zero_on_the_scan_grid_is_rejected():
+    # 1 - cos t touches zero at t = 0, a scan grid point, without changing sign
+    with pytest.raises(MorseViolation, match=r"^degenerate zero near t=0\.000000000: "
+                                             "no transversal crossing$"):
+        find_zeros(CircleForm.trig(1.0, cos=(-1.0,)))
+
+
 def test_morse_tolerance_is_adjustable():
     form = near_degenerate_form(flatness=1e-9)
     zs = find_zeros(form, morse_tol=1e-12)

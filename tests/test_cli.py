@@ -166,6 +166,21 @@ def test_flow_bad_step_and_rejection(capsys, tmp_path, circle_file):
     assert "local error estimate" in err
 
 
+def test_flow_collision_exit_5_writes_no_output(capsys, tmp_path):
+    # differential swirl around an off-center bump folds the coarse circle;
+    # the stride check finds the crossing mid-run
+    loop = DecoratedLoop(LoopEmbedding.circle(n=32), samples.standard_form("sin2t"))
+    loop_file = write_loop(tmp_path / "coarse.json", loop)
+    ham_file = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((1.0, 0.0), 0.25, 2.0))
+    out_json = tmp_path / "out.json"
+    code, out, err = run(capsys, ["flow", loop_file, ham_file, "-T", "2", "--dt", "0.002",
+                                  "-o", str(out_json)])
+    assert code == 5
+    assert out == ""
+    assert err == "error: evolved loop polyline self-intersects after 110 steps\n"
+    assert not out_json.exists()
+
+
 def test_flow_has_no_rel_tol_flag(capsys, tmp_path, circle_file):
     # flow compares no profiles, so a --rel-tol there would be accepted and ignored
     ham_file = write_ham(tmp_path / "ham.json",

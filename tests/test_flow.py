@@ -438,10 +438,22 @@ def test_collision_raises_validation_failed():
     loop = circle_loop(n=32)
     h = PlanarHamiltonian.single((1.0, 0.0), 0.25, 2.0)
     with pytest.raises(ValidationFailed, match=r"self-intersects after (\d+) steps") as err:
-        advect(loop, h, 2.0, 0.002, error_limit=1e9)
+        advect(loop, h, 2.0, 0.002)
     # found mid-run, at a multiple of the stride, long before the 1000th step
     done = int(err.value.args[0].rsplit(" ", 2)[1])
     assert done % _SIMPLE_STRIDE == 0 and done < 1000
+
+
+def test_collision_at_the_last_step_fails_the_evolved_loop_validation():
+    # the collision above, stopped at the step the stride check finds it: the
+    # stride check skips the last step, so the evolved loop's own validation
+    # must catch the crossing
+    loop = circle_loop(n=32)
+    h = PlanarHamiltonian.single((1.0, 0.0), 0.25, 2.0)
+    assert len(_step_schedule(0.22, 0.002)) == 110
+    with pytest.raises(ValidationFailed, match="^evolved loop failed validation after 110 steps: "
+                                               "loop polyline self-intersects$"):
+        advect(loop, h, 0.22, 0.002)
 
 
 def test_observer_sees_every_step():

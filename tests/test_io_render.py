@@ -67,6 +67,19 @@ def test_diffeo_round_trip():
     np.testing.assert_allclose(back(t), diffeo(t), atol=1e-14)
 
 
+@pytest.mark.parametrize("values, error, message", [
+    ([0.0, 1.0, 2.0, np.nan, 4.0, 5.0, 6.0, 6.2], SchemaError,
+     r"^diffeo\.samples: values must be finite$"),
+    ([0.0, 1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 6.2], ValueError, "strictly increasing"),
+    ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.3], ValueError, "full period"),
+])
+def test_diffeo_from_dict_rejects_a_map_that_is_not_a_circle_diffeomorphism(values, error,
+                                                                            message):
+    doc = {"schema": io.SCHEMA, "samples": values}
+    with pytest.raises(error, match=message):
+        io.diffeo_from_dict(doc)
+
+
 def test_report_to_dict_fields():
     loop = circle_loop()
     h = PlanarHamiltonian.single((0.2, 0.0), 0.8, 0.2)

@@ -224,15 +224,27 @@ def test_candidate_pairs_are_all_x_overlaps_in_bounded_blocks():
 def test_embedding_rejects_clockwise_without_auto_orient():
     with pytest.raises(OrientationError):
         LoopEmbedding(unit_circle_pts(clockwise=True))
+    with pytest.raises(OrientationError):
+        DecoratedLoop.build(unit_circle_pts(clockwise=True), samples.standard_form("sin2t"))
 
 
 def test_auto_orient_reverses_samples():
     pts = unit_circle_pts(64, clockwise=True)
-    emb = LoopEmbedding(pts, auto_orient=True)
-    assert emb.auto_reversed
+    form = samples.standard_form("mixed")
+    loop = DecoratedLoop.build(pts, form, auto_orient=True)
     n = pts.shape[0]
-    assert np.array_equal(emb.samples, pts[(-np.arange(n)) % n])
-    assert enclosed_area(emb) > 0.0
+    assert np.array_equal(loop.embedding.samples, pts[(-np.arange(n)) % n])
+    assert enclosed_area(loop.embedding) > 0.0
+    # the density is pulled back with the samples: beta(t) dt -> -beta(2 pi - t) dt
+    t = uniform_grid(64)
+    np.testing.assert_allclose(loop.decoration(t), -form(TWO_PI - t), rtol=0.0, atol=1e-14)
+    # a counter clockwise curve and its density are kept as they are
+    kept = DecoratedLoop.build(loop.embedding.samples, form, auto_orient=True)
+    assert np.array_equal(kept.embedding.samples, loop.embedding.samples)
+    assert kept.decoration is form
+    # a malformed array reaches the embedding's own shape check
+    with pytest.raises(ValueError, match="N >= 16"):
+        DecoratedLoop.build(np.zeros((32, 3)), form, auto_orient=True)
 
 
 def test_embedding_rejects_non_immersion():
@@ -375,18 +387,21 @@ def test_reversed_decoration_flips_total():
     assert prof.total == pytest.approx(0.2 * np.pi, abs=1e-12)
 
 
-def test_reversal_rebuild_negates_momentum():
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+def test_reversal_rebuild_negates_momentum(kind):
     rng = np.random.default_rng(8)
     curve = StarCurve(rng)
     n = 256
     grid = np.linspace(0.0, TWO_PI, n, endpoint=False)
     pts = curve(grid)
     form = samples.standard_form("mixed")
+    if kind == "samples":
+        form = CircleForm.from_samples(form(grid))
     loop = DecoratedLoop(LoopEmbedding(pts), form)
     # clockwise traversal of the same point set, index 0 kept in place
     cw = pts[(-np.arange(n)) % n]
     flipped = DecoratedLoop.build(cw, form, auto_orient=True)
-    assert flipped.embedding.auto_reversed
+    assert flipped.decoration.kind == kind
     np.testing.assert_array_equal(flipped.embedding.samples, pts)
     h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
     # circulation along the clockwise traversal, same rule and grid

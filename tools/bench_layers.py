@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import inspect
 import io
 import json
 import os
@@ -136,7 +135,7 @@ def measure(root):
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
     from vortexloop.loops import (DecoratedLoop, LoopEmbedding, _polyline_is_simple,
                                   _spline_area, enclosed_area)
-    from vortexloop.quadrature import periodic_spline, uniform_grid
+    from vortexloop.quadrature import uniform_grid
 
     out = {}
     rng = np.random.default_rng(SEED)
@@ -170,11 +169,7 @@ def measure(root):
     advect(loop, h, 100 * FLOW_DT, FLOW_DT, observer=lambda i, t, p: snapshots.append((i, t, p)))
     out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
     stack = np.stack([pts for _, _, pts in snapshots])
-    if "spline" in inspect.signature(_spline_area).parameters:  # a tree that integrates a spline
-        out["spline_area.n256x101"] = _per_call(
-            lambda: _spline_area(periodic_spline(stack.transpose(1, 0, 2))))
-    else:
-        out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
+    out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
     pts = loop.embedding.samples
     out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
 
