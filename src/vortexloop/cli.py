@@ -17,13 +17,7 @@ import sys
 import numpy as np
 
 from . import io, render, verify
-from .circle_forms import (
-    DEFAULT_MORSE_TOL,
-    DEFAULT_PROFILE_REL_TOL,
-    _shift_deviations,
-    find_zeros,
-    partial_vorticities,
-)
+from .circle_forms import DEFAULT_MORSE_TOL, DEFAULT_PROFILE_REL_TOL
 from .errors import (
     AlternationViolation,
     MorseViolation,
@@ -35,15 +29,11 @@ from .errors import (
     ValidationFailed,
     VortexLoopError,
 )
-from .loops import (
-    DEFAULT_AREA_REL_TOL,
-    _orbit_match,
-    intertwiner,
-    orbit_invariants,
-    pushforward_form,
-)
-# not called here: benchmark/trace.py wraps these three on this module by name
-from .loops import circular_match, enclosed_area, symmetry_step
+from .loops import (DEFAULT_AREA_REL_TOL, _intertwining_residual, _orbit_match, intertwiner,
+                    orbit_invariants)
+# not called here: benchmark/trace.py wraps these six on this module by name
+from .loops import (circular_match, enclosed_area, find_zeros, partial_vorticities,
+                    pushforward_form, symmetry_step)
 from .flow import _step_schedule, advect
 
 _EPILOG = ("Angles are in radians, areas in squared length units, "
@@ -100,7 +90,7 @@ def cmd_invariants(args) -> int:
     _emit({
         "schema": io.SCHEMA,
         "area": inv.area,
-        "omegas": [float(w) for w in inv.omegas],
+        "omegas": inv.omegas.tolist(),
         "total": float(inv.total),
         "k": inv.k,
         "ell": inv.step,
@@ -126,18 +116,12 @@ def cmd_intertwine(args) -> int:
     model = io.loop_from_dict(io.load(args.model), auto_orient=args.auto_orient)
     target = io.loop_from_dict(io.load(args.target), auto_orient=args.auto_orient)
     psi = intertwiner(model.decoration, target, args.shift, rel_tol=args.rel_tol)
-
-    # end-to-end verification: push the model density through the map and
-    # compare partial vorticities against the target's at the best alignment
-    pushed = pushforward_form(psi, model.decoration)
-    prof = partial_vorticities(pushed, find_zeros(pushed))
-    residual = float(min(_shift_deviations(prof.omegas, target.profile.omegas)))
-
+    residual = _intertwining_residual(model.decoration, target.decoration, psi)
     doc = {"schema": io.SCHEMA, "shift": args.shift % model.profile.k, "residual": residual}
     if args.output:
         io.dump(io.diffeo_to_dict(psi), args.output)
     else:
-        doc["samples"] = [float(v) for v in psi.samples]
+        doc["samples"] = psi.samples.tolist()
     _emit(doc)
     return 0
 

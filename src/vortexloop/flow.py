@@ -386,17 +386,17 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
 
 
 def equivariance_residual(loop: DecoratedLoop, h_flow, h_test, duration: float,
-                          dt: float, scheme: str = "rk4") -> float:
+                          dt: float) -> float:
     """Discrepancy between the two routes through the momentum identity.
 
-    Route one advects the loop with the fixed-step integrator and pairs the
+    Route one advects the loop with the fixed-step RK4 integrator and pairs the
     result against the test Hamiltonian; route two advects the evaluation
     points with an independent high-order adaptive integrator.  The two agree
     exactly in the continuum, so the residual isolates integrator error.
     """
     from scipy.integrate import solve_ivp
 
-    report = advect(loop, h_flow, duration, dt, scheme)
+    report = advect(loop, h_flow, duration, dt)
     route_a = momentum_map_eval(report.loop.embedding, h_test, loop.decoration)
 
     pts0 = loop.embedding.samples

@@ -72,8 +72,8 @@ def _check_schema(doc, where):
 def form_to_dict(form: CircleForm) -> dict:
     if form.kind == "trig":
         a0, cos, sin = form.trig_coefficients
-        return {"kind": "trig", "coeffs": {"a0": a0, "cos": list(cos), "sin": list(sin)}}
-    return {"kind": "samples", "values": [float(v) for v in form.sample_values]}
+        return {"kind": "trig", "coeffs": {"a0": a0, "cos": cos.tolist(), "sin": sin.tolist()}}
+    return {"kind": "samples", "values": form.sample_values.tolist()}
 
 
 def form_from_dict(doc, where: str = "beta") -> CircleForm:
@@ -97,7 +97,7 @@ def form_from_dict(doc, where: str = "beta") -> CircleForm:
 def loop_to_dict(loop: DecoratedLoop) -> dict:
     return {
         "schema": SCHEMA,
-        "samples": [[float(x), float(y)] for x, y in loop.embedding.samples],
+        "samples": loop.embedding.samples.tolist(),
         "beta": form_to_dict(loop.decoration),
     }
 
@@ -140,7 +140,7 @@ def hamiltonian_from_dict(doc) -> PlanarHamiltonian:
 
 
 def diffeo_to_dict(diffeo: CircleDiffeo) -> dict:
-    return {"schema": SCHEMA, "samples": [float(v) for v in diffeo.samples]}
+    return {"schema": SCHEMA, "samples": diffeo.samples.tolist()}
 
 
 def diffeo_from_dict(doc) -> CircleDiffeo:

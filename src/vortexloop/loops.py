@@ -28,6 +28,9 @@ from .errors import MorseViolation, OrientationError, ValidationFailed
 from .quadrature import uniform_grid
 
 DEFAULT_AREA_REL_TOL = 1e-6
+# ``_spline_area`` rounds to within about eps * sum |z_j|^2 of the samples z_j (at most
+# 1.1 eps on collinear curves of 16-16384 points), so an area within 16 eps of it has no sign
+_AREA_ROUNDING = 16.0 * np.finfo(float).eps
 # a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
 _SIMPLE_BLOCK = 128
 
@@ -41,12 +44,6 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def _perp(u: np.ndarray) -> np.ndarray:
     """The quarter turn (x, y) -> (y, -x) of the last axis."""
     return u[..., ::-1] * _QUARTER_TURN
-
-
-def _shoelace(samples: FloatArray) -> float:
-    x = samples[:, 0]
-    y = samples[:, 1]
-    return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
 def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):
@@ -113,27 +110,29 @@ def _polyline_is_simple(samples: FloatArray) -> bool:
 class LoopEmbedding:
     """Closed plane curve through N uniform parameter samples.
 
-    Both coordinates are interpolated by one periodic cubic spline.
-    Construction validates that the sample polyline is simple, the
-    parametrization is an immersion at the samples, and the orientation is
-    positive (counter clockwise); a negatively oriented input is rejected
-    (``DecoratedLoop.build`` reverses one together with its decoration).
+    Both coordinates are interpolated by one periodic cubic spline, whose
+    area (``_spline_area``) is computed once.  Construction validates that
+    the area is not zero to rounding and is positive (counter clockwise; a
+    clockwise input is rejected, ``DecoratedLoop.build`` reverses one with
+    its decoration), the sample polyline is simple and the parametrization
+    is an immersion at the samples.
     """
 
     def __init__(self, samples):
-        pts = np.asarray(samples, dtype=float)
+        pts = np.array(samples, dtype=float, order="C")
         if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] < 16:
             raise ValueError("need an (N, 2) array with N >= 16")
         if not np.all(np.isfinite(pts)):
             raise ValueError("loop samples must be finite")
-        area2 = _shoelace(pts)
-        if area2 == 0.0:
+        self._area = area = _spline_area(pts)
+        if abs(area) <= _AREA_ROUNDING * float(np.sum(np.square(pts))):
             raise ValidationFailed("loop encloses zero signed area")
-        if area2 < 0.0:
-            raise OrientationError("loop is negatively oriented; pass auto_orient to reverse it")
+        if area < 0.0:
+            raise OrientationError("loop is negatively oriented; reverse it with --auto-orient "
+                                   "or DecoratedLoop.build(auto_orient=True)")
         if not _polyline_is_simple(pts):
             raise ValidationFailed("loop polyline self-intersects")
-        self._samples = pts.copy()
+        self._samples = pts
         self._spline = quadrature.periodic_spline(pts)
         d = self._spline._coeffs[1]  # the nodal slopes: the derivative at the knots
         speed = np.hypot(d[:, 0], d[:, 1])
@@ -213,8 +212,8 @@ def _spline_area(samples):
 
 
 def enclosed_area(embedding: LoopEmbedding) -> float:
-    """Signed area enclosed by the loop, exact on its spline."""
-    return _spline_area(embedding._samples)
+    """Signed area enclosed by the loop, exact on its spline; the embedding computed it."""
+    return embedding._area
 
 
 def _check_zero_images(embedding: LoopEmbedding, zs: ZeroSet) -> None:
@@ -250,14 +249,19 @@ class DecoratedLoop:
     @classmethod
     def build(cls, samples, decoration: CircleForm, *, auto_orient: bool = False,
               morse_tol: float = DEFAULT_MORSE_TOL) -> "DecoratedLoop":
-        """Build from raw samples.  With ``auto_orient`` a clockwise curve is
-        reversed (``t -> 2*pi - t``, sample 0 kept) together with its
-        decoration (``reversed_decoration``); without it it is rejected."""
-        pts = np.asarray(samples, dtype=float)
-        if auto_orient and pts.ndim == 2 and pts.shape[1] == 2 and _shoelace(pts) < 0.0:
-            pts = pts[(-np.arange(pts.shape[0])) % pts.shape[0]]
+        """Build from raw samples.  A clockwise curve, which ``LoopEmbedding``
+        rejects with OrientationError, is with ``auto_orient`` reversed
+        (``t -> 2*pi - t``, sample 0 kept) together with its decoration
+        (``reversed_decoration``); without it the error is raised."""
+        try:
+            embedding = LoopEmbedding(samples)
+        except OrientationError:
+            if not auto_orient:
+                raise
+            pts = np.asarray(samples, dtype=float)
+            embedding = LoopEmbedding(pts[(-np.arange(pts.shape[0])) % pts.shape[0]])
             decoration = reversed_decoration(decoration)
-        return cls(LoopEmbedding(pts), decoration, morse_tol=morse_tol)
+        return cls(embedding, decoration, morse_tol=morse_tol)
 
     def _with_embedding(self, embedding: LoopEmbedding) -> "DecoratedLoop":
         """The same decoration on another embedding.  The zero set and the
@@ -352,6 +356,15 @@ def intertwiner(model: CircleForm, target: DecoratedLoop, shift: int, *,
         grid_size = 4 * max(target.embedding.size, model.node_count)
     return _transport(model, model_zeros, model_prof, target.decoration, target.zero_set,
                       target.profile, shift, rel_tol, grid_size)
+
+
+def _intertwining_residual(model: CircleForm, target: CircleForm, psi: CircleDiffeo) -> float:
+    """Peak-to-peak of ``target.antiderivative(psi(t)) - model.antiderivative(t)``
+    at the midpoints of ``psi``'s grid cells, in vorticity units.  ``psi`` pushes
+    the model density onto the target's exactly when that difference is
+    constant; the midpoints lie between the nodes the transport solved at."""
+    t = psi.grid + np.pi / psi.size
+    return float(np.ptp(target.antiderivative(psi(t)) - model.antiderivative(t)))
 
 
 def pushforward_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -> CircleForm:

@@ -15,6 +15,7 @@ from vortexloop.circle_forms import (
     DEFAULT_MORSE_TOL,
     DEFAULT_PROFILE_REL_TOL,
     TWO_PI,
+    CircleDiffeo,
     CircleForm,
 )
 from vortexloop.cli import build_parser, main
@@ -68,20 +69,21 @@ def test_invariants_output(capsys, circle_file):
 
 
 def test_invariants_orientation_handling(capsys, tmp_path):
-    n = 256
-    s = np.linspace(0.0, TWO_PI, n, endpoint=False)
-    cw = np.column_stack([np.cos(-s), np.sin(-s)])
-    doc = {"schema": io.SCHEMA,
-           "samples": [[float(x), float(y)] for x, y in cw],
-           "beta": io.form_to_dict(samples.standard_form("sin2t"))}
-    path = tmp_path / "cw.json"
-    io.dump(doc, path)
-    code, _, err = run(capsys, ["invariants", str(path)])
-    assert code == 2
-    assert "oriented" in err
-    code, out, _ = run(capsys, ["invariants", str(path), "--auto-orient"])
-    assert code == 0
-    assert json.loads(out)["area"] == pytest.approx(np.pi, rel=1e-8)
+    for n in (64, 256):
+        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        cw = np.column_stack([np.cos(-s), np.sin(-s)])
+        doc = {"schema": io.SCHEMA,
+               "samples": [[float(x), float(y)] for x, y in cw],
+               "beta": io.form_to_dict(samples.standard_form("sin2t"))}
+        path = tmp_path / "cw.json"
+        io.dump(doc, path)
+        code, _, err = run(capsys, ["invariants", str(path)])
+        assert code == 2
+        # the message names the flag that reverses the loop
+        assert "negatively oriented" in err and "--auto-orient" in err
+        code, out, _ = run(capsys, ["invariants", str(path), "--auto-orient"])
+        assert code == 0
+        assert json.loads(out)["area"] == pytest.approx(np.pi, rel=1e-8 if n == 256 else 1e-6)
 
 
 def test_equiv_verdicts(capsys, tmp_path, circle_file):
@@ -101,18 +103,19 @@ def test_equiv_verdicts(capsys, tmp_path, circle_file):
     assert json.loads(out)["equivalent"] is False
 
 
-def test_intertwine_shift_and_mismatch(capsys, tmp_path, circle_file):
+def test_intertwine_shift_and_mismatch(capsys, tmp_path, circle_file, monkeypatch):
+    # the target is the model pulled back through the rotation by pi / 2
     flipped = CircleForm.from_function(lambda t: -np.sin(2.0 * t))
     target = DecoratedLoop(LoopEmbedding.circle(), flipped)
     target_file = write_loop(tmp_path / "target.json", target)
 
     out_file = tmp_path / "psi.json"
-    code, out, _ = run(capsys, ["intertwine", circle_file, target_file,
-                                "--shift", "1", "-o", str(out_file)])
+    argv = ["intertwine", circle_file, target_file, "--shift", "1", "-o", str(out_file)]
+    code, out, _ = run(capsys, argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["shift"] == 1
-    assert doc["residual"] < 1e-8
+    assert doc["residual"] <= 1e-10  # max|omega| is 1
     psi = io.diffeo_from_dict(io.load(out_file))
     # model segment 0 starts at 0; target segment 1 starts at pi/2
     assert psi(0.0) == pytest.approx(np.pi / 2, abs=1e-9)
@@ -124,6 +127,20 @@ def test_intertwine_shift_and_mismatch(capsys, tmp_path, circle_file):
     code, out, _ = run(capsys, ["intertwine", circle_file, circle_file])
     assert code == 0
     assert "samples" in json.loads(out)
+
+    # the pushforward through any map has the model's profile, so only the
+    # defining relation F_target(psi(t)) - F_model(t) = const tells a map
+    # rotated by 1e-6 from the true one
+    true_intertwiner = cli.intertwiner
+
+    def rotated(*args, **kwargs):
+        psi = true_intertwiner(*args, **kwargs)
+        return CircleDiffeo.rotation(1e-6, psi.size).compose(psi)
+
+    monkeypatch.setattr(cli, "intertwiner", rotated)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["residual"] > 1e-8
 
 
 def test_flow_run_and_artifacts(capsys, tmp_path, circle_file):

@@ -64,10 +64,21 @@ def test_embedding_rejects_bad_shapes():
 
 
 def test_embedding_rejects_zero_area():
-    s = np.linspace(0.0, TWO_PI, 64, endpoint=False)
-    line = np.column_stack([np.cos(s), np.zeros(64)])
-    with pytest.raises(ValidationFailed):
-        LoopEmbedding(line)
+    # the spline area of these curves is a rounding residue of either sign
+    # (-5.1e-15 for the flat 256-point line), which must not be read as an
+    # orientation, with auto_orient or without it
+    form = samples.standard_form("sin2t")
+    for n in (64, 256, 4096):
+        s = np.linspace(0.0, TWO_PI, n, endpoint=False)
+        flat = np.column_stack([np.cos(s), np.zeros(n)])
+        slanted = np.column_stack([np.cos(s), 0.3 * np.cos(s)]) + np.array([2.0, -1.0])
+        point = np.full((n, 2), 0.7)
+        for curve in (flat, slanted, point):
+            with pytest.raises(ValidationFailed, match="zero signed area"):
+                LoopEmbedding(curve)
+            for auto_orient in (False, True):
+                with pytest.raises(ValidationFailed, match="zero signed area"):
+                    DecoratedLoop.build(curve, form, auto_orient=auto_orient)
 
 
 def test_embedding_rejects_self_intersection():
@@ -295,6 +306,10 @@ def test_enclosed_area_is_exact_on_the_spline():
 
     want = sum(oracle_integral(integrand, knots[i], knots[i + 1]) for i in range(n))
     assert enclosed_area(emb) == pytest.approx(want, rel=1e-13)
+    # the area the embedding stored is the spline area of its samples, bit for
+    # bit, whatever the memory layout of the input
+    assert enclosed_area(emb) == loops._spline_area(emb.samples)
+    assert enclosed_area(LoopEmbedding(np.asfortranarray(emb.samples))) == enclosed_area(emb)
 
 
 @pytest.mark.parametrize("n, count", [(16, 20), (256, 20), (2048, 20), (100, 7)])
@@ -521,6 +536,9 @@ def test_intertwiner_recovers_reparametrization():
     prof = partial_vorticities(pushed, find_zeros(pushed))
     scale = np.max(np.abs(loop.profile.omegas))
     np.testing.assert_allclose(prof.omegas, loop.profile.omegas, atol=1e-8 * scale)
+    # the defining relation: target antiderivative through psi minus the
+    # model's is constant (2.9e-11 of max|omega| here)
+    assert loops._intertwining_residual(model, target_form, psi) <= 1e-10 * scale
 
 
 def test_analytic_inverse_raises_when_newton_does_not_converge():

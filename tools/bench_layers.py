@@ -17,7 +17,8 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
   per-step simplicity checks count and the set-up and final checks do not;
 - ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256, and
   ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
-- ``enclosed_area`` per call on one loop at n in {256, 1024, 2048};
+- ``loops._spline_area`` per call on one loop's samples at n in {256, 1024, 2048}:
+  the area that ``LoopEmbedding`` computes once and ``enclosed_area`` returns;
 - ``loops._polyline_is_simple`` at n = 256 (one simplicity check);
 - ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
   100, and on a fresh sampled form of 256, 1024 and 2048 values;
@@ -133,8 +134,7 @@ def measure(root):
     from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, find_zeros,
                                          partial_vorticities)
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
-    from vortexloop.loops import (DecoratedLoop, LoopEmbedding, _polyline_is_simple,
-                                  _spline_area, enclosed_area)
+    from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple, _spline_area
     from vortexloop.quadrature import uniform_grid
 
     out = {}
@@ -176,8 +176,8 @@ def measure(root):
     # a generator of their own, so the inputs of the other kernels do not move
     area_rng = np.random.default_rng(SEED)
     for n in AREA_SIZES:
-        emb = samples.random_decorated_loop(area_rng, n=n).embedding
-        out[f"enclosed_area.n{n}"] = _per_call(lambda: enclosed_area(emb))
+        pts = samples.random_decorated_loop(area_rng, n=n).embedding.samples
+        out[f"enclosed_area.n{n}"] = _per_call(lambda: _spline_area(pts))
 
     # a fresh form per call, so its sampling grid and scales are computed each time
     for degree in ZERO_DEGREES:
