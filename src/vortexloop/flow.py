@@ -28,11 +28,6 @@ _CUTOFF_START = 5.0
 # the exponent -rho^2/2 at rho = _CUTOFF_START; an exponent below it means rho > _CUTOFF_START
 _CUTOFF_EXPONENT = -0.5 * _CUTOFF_START**2
 _MIDPOINT_ITERATIONS = 60
-# step sizes of a step-doubling pair, relative to the step: the full step and the first half
-_FULL_AND_HALF = np.array([1.0, 0.5]).reshape(2, 1, 1)
-# the start of each row of a pipelined call from the stacked [full, first half] step i:
-# step i's second half step, then step i + 1's full and first half step
-_PIPELINED_START = np.array([1, 0, 0])
 # accepted steps between two simplicity checks of the evolving polyline
 _SIMPLE_STRIDE = 10
 
@@ -175,20 +170,16 @@ def hamiltonian_vector_field(h, points) -> np.ndarray:
     return field
 
 
-def _rk4_step(points: FloatArray, dt, h, start=None) -> FloatArray:
-    """One classical RK4 step of the (M, 2) ``points``; an array ``dt`` of
-    shape (R, 1, 1) takes R steps at once, sharing k1 and batching stages 2-4.
+def _rk4_step(points: FloatArray, k1: FloatArray, dt: float, h) -> tuple[FloatArray, FloatArray]:
+    """One classical RK4 step of the (M, 2) ``points`` from their field ``k1``.
 
-    With ``start``, an index array of length R, ``points`` stacks S distinct
-    starts (shape (S, M, 2)) and row r starts from ``points[start[r]]``: k1 is
-    evaluated once on the S starts and stages 2-4 on the R rows.  The stages
-    are combined in place, each operation on the operands of
+    Returns the end point and e = (dt / 6) k4: with k5 the field at the end,
+    e - (dt / 6) k5 is the difference of the step from its embedded
+    third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6).  The stages are
+    combined in place, each operation on the operands of
     ``points + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` in their order, so every
-    bit is that formula's, row by row.
+    bit is that formula's; ``k1`` is left as it is.
     """
-    k1 = hamiltonian_vector_field(h, points)
-    if start is not None:
-        points, k1 = points[start], k1[start]
     half_dt = 0.5 * dt
     stage = half_dt * k1
     np.add(points, stage, out=stage)
@@ -206,53 +197,50 @@ def _rk4_step(points: FloatArray, dt, h, start=None) -> FloatArray:
     np.add(k2, k4, out=k2)
     np.multiply(dt / 6.0, k2, out=k2)
     np.add(points, k2, out=k2)
-    return k2
+    return k2, np.multiply(dt / 6.0, k4, out=k4)
 
 
-def _midpoint_step(points: FloatArray, dt, h, start=None) -> FloatArray:
-    """Implicit midpoint step of the (M, 2) ``points``, solved by fixed-point iteration.
+def _midpoint_step(points: FloatArray, k1: FloatArray, dt: float,
+                   h) -> tuple[FloatArray, FloatArray]:
+    """Implicit midpoint step of the (M, 2) ``points`` from their field ``k1``,
+    solved by fixed-point iteration from the explicit Euler guess.
 
-    An array ``dt`` of shape (R, 1, 1) solves R steps at once, and ``start``
-    picks each row's start from S stacked ones as in ``_rk4_step``.  The rows
-    share one field call at their starts for the explicit first guess; each
-    iteration evaluates the field once on the rows still iterating, and each
-    row stops on its own test, as its separate solve would.  Raises
-    StepRejected when a row has not converged after ``_MIDPOINT_ITERATIONS``
-    updates, quoting the last update of the first such row.  As in
-    ``_rk4_step``, the in-place operations keep the operands of the update
-    formula in their order.
+    Each iteration evaluates the field once; the solve stops when an update
+    is at most 1e-14 max(1, max|z|) for the iterate z, and raises
+    StepRejected with the last update when it has not stopped after
+    ``_MIDPOINT_ITERATIONS`` iterations.
+    Returns the end point y1 and e = (2 y1 - z1 - y0 - (dt / 2) k1) / 3,
+    where z1, the first iterate, is the explicit midpoint step: with k5 the
+    field at the end, e - (dt / 6) k5 is a third of the differences of y1
+    from the explicit midpoint and from the trapezoid step, the leading
+    term of the local error.  As in ``_rk4_step``, the in-place operations
+    keep the operands of the update formula in their order.
     """
-    k1 = hamiltonian_vector_field(h, points)
-    if start is not None:
-        points, k1 = points[start], k1[start]
-    first = dt * k1
-    np.add(points, first, out=first)
-    rows = first.reshape(-1, *first.shape[-2:])  # a view: solved rows land in ``first``
-    base = np.broadcast_to(points, rows.shape)
-    row_dt = np.reshape(dt, (-1, 1, 1))
-    active = np.arange(rows.shape[0])
-    z = rows
+    z = dt * k1
+    np.add(points, z, out=z)
+    z1 = None
     for _ in range(_MIDPOINT_ITERATIONS):
         # z_next = points + dt * X(0.5 (points + z)); the stop test then reuses mid
-        mid = base + z
+        mid = points + z
         np.multiply(0.5, mid, out=mid)
         z_next = hamiltonian_vector_field(h, mid)
-        np.multiply(row_dt, z_next, out=z_next)
-        np.add(base, z_next, out=z_next)
-        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=mid), out=mid), axis=(1, 2))
-        size = np.maximum.reduce(np.abs(z, out=mid), axis=(1, 2))
-        done = update <= 1e-14 * np.maximum(1.0, size)
-        if not done.any():
-            z = z_next
-            continue
-        rows[active[done]] = z_next[done]
-        if done.all():
-            return first
-        keep = ~done
-        active, z, row_dt, base = active[keep], z_next[keep], row_dt[keep], base[keep]
+        np.multiply(dt, z_next, out=z_next)
+        np.add(points, z_next, out=z_next)
+        if z1 is None:
+            z1 = z_next
+        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=mid), out=mid), axis=None)
+        size = np.maximum.reduce(np.abs(z, out=mid), axis=None)
+        if update <= 1e-14 * max(size, 1.0):
+            e = np.multiply(2.0, z_next)
+            np.subtract(e, z1, out=e)
+            np.subtract(e, points, out=e)
+            np.subtract(e, np.multiply(0.5 * dt, k1, out=mid), out=e)
+            np.divide(e, 3.0, out=e)
+            return z_next, e
+        z = z_next
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
-        f"iterations; last update {update[~done][0]:.3e}")
+        f"iterations; last update {update:.3e}")
 
 
 _STEPPERS = {"rk4": _rk4_step, "implicit-midpoint": _midpoint_step}
@@ -294,44 +282,16 @@ def _step_schedule(duration: float, dt: float) -> list[float]:
     return steps
 
 
-def _doubled_steps(stepper, pts, steps, h):
-    """Yield each step's full step and the end of its two half steps, in step order.
-
-    The second half step of step i does not feed the trajectory, so it runs
-    in one 3-row stepper call with the full and the first half step of step
-    i + 1, which both start from step i's full step (``_PIPELINED_START``).
-    A 2-row call starts step 0 and a 1-row call ends the last step.
-    When a pipelined call raises, step i is finished alone and yielded before
-    the failure is raised again, so a failed row of step i + 1 does not raise
-    before step i is accepted.  A stacked call's rows are their separate calls
-    bit for bit, so the failure is the one step i + 1 alone would raise.
-    """
-    if not steps:
-        return
-    pair = stepper(pts, steps[0] * _FULL_AND_HALF, h)
-    for step_dt, next_dt in zip(steps, steps[1:]):
-        dts = np.array([0.5 * step_dt, next_dt, 0.5 * next_dt]).reshape(3, 1, 1)
-        try:
-            rows = stepper(pair, dts, h, _PIPELINED_START)
-        except StepRejected:
-            yield pair[0], stepper(pair[1], 0.5 * step_dt, h)
-            raise
-        yield pair[0], rows[0]
-        pair = rows[1:]
-    yield pair[0], stepper(pair[1], 0.5 * steps[-1], h)
-
-
 def advect(loop: DecoratedLoop, h, duration: float, dt: float,
            scheme: str = "rk4", *, observer=None) -> FlowReport:
     """Advect a decorated loop by the Hamiltonian flow of ``h``.
 
-    Every step carries a step-doubling local error estimate; a step whose
-    estimate exceeds ``_ERROR_LIMIT`` (1e-3) or is not finite raises StepRejected.
-    The steps are pipelined (``_doubled_steps``): step i's second half step
-    runs in one stepper call with step i + 1's full and first half step, so
-    an RK4 step makes 4 field calls.  A step is accepted
-    only once its second half step is done, and a failure of step i + 1 is
-    raised only after step i has been accepted, checked and observed.
+    Each step is taken once, by the scheme's stepper, and carries an embedded
+    "first same as last" error estimate max|e - (dt / 6) k5|: k5 is the field
+    at the step's end, which the next step starts from, and e is the
+    stepper's (``_rk4_step``, ``_midpoint_step``).  A step is accepted only
+    once k5 is known: an estimate above ``_ERROR_LIMIT`` (1e-3) or not finite
+    (a NaN field at the end of the last step too) raises StepRejected.
     The evolving sample polyline is checked for self-intersection every
     ``_SIMPLE_STRIDE`` accepted steps and, through the evolved loop's own
     validation, after the last one; a failed check raises ValidationFailed
@@ -357,14 +317,18 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     elapsed = 0.0
     if observer is not None:
         observer(0, 0.0, pts.copy())
-    for i, (full, half) in enumerate(_doubled_steps(stepper, pts, steps, h)):
-        est = float(np.max(np.abs(full - half)))
-        max_est = max(max_est, est)
+    k = hamiltonian_vector_field(h, pts)
+    for i, step_dt in enumerate(steps):
+        end, e = stepper(pts, k, step_dt, h)
+        k = hamiltonian_vector_field(h, end)
+        np.subtract(e, np.multiply(step_dt / 6.0, k), out=e)
+        est = float(np.maximum.reduce(np.abs(e, out=e), axis=None))
         if not est <= _ERROR_LIMIT:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")
-        pts = full
-        elapsed += steps[i]
+        max_est = max(max_est, est)
+        pts = end
+        elapsed += step_dt
         done = i + 1
         if done % _SIMPLE_STRIDE == 0 and done < len(steps) and not _polyline_is_simple(pts):
             raise ValidationFailed(f"evolved loop polyline self-intersects after {done} steps")

@@ -199,56 +199,54 @@ class DenseBumpField:
 
 def reference_rk4_step(points, dt, field):
     """One RK4 step in real arithmetic, every stage a fresh array: the package's
-    step as it stood before its stages were combined in place.  An array ``dt``
-    of shape (R, 1, 1) takes R steps at once."""
+    step as it stood before its stages were combined in place.  Returns the end
+    and (dt / 6) k4, the part of the embedded third-order estimate that is not
+    the field at the end."""
     k1 = field(points)
     k2 = field(points + 0.5 * dt * k1)
     k3 = field(points + 0.5 * dt * k2)
     k4 = field(points + dt * k3)
-    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (dt / 6.0) * k4
 
 
 def reference_midpoint_step(points, dt, field, iterations=60):
-    """One implicit midpoint step by fixed-point iteration, in real arithmetic;
-    the rows of an array ``dt`` of shape (R, 1, 1) stop one by one, each on
-    its own test."""
-    first = points + dt * field(points)
-    rows = first.reshape((-1,) + points.shape)
-    row_dt = np.reshape(dt, (-1,) + (1,) * points.ndim)
-    active = np.arange(rows.shape[0])
-    axes = tuple(range(1, rows.ndim))
+    """One implicit midpoint step by fixed-point iteration from the Euler guess,
+    in real arithmetic.  Returns the end y1 and (2 y1 - z1 - y0 - (dt / 2) k1) / 3,
+    with z1 the first iterate (the explicit midpoint step) and k1 the field at
+    the start: the part of the estimate that is not the field at the end."""
+    k1 = field(points)
+    z = points + dt * k1
+    explicit = None
     for _ in range(iterations):
-        z = rows[active]
-        z_next = points + row_dt[active] * field(0.5 * (points + z))
-        update = np.max(np.abs(z_next - z), axis=axes)
-        done = update <= 1e-14 * np.maximum(1.0, np.max(np.abs(z), axis=axes))
-        rows[active] = z_next
-        active = active[~done]
-        if active.size == 0:
-            return first
+        z_next = points + dt * field(0.5 * (points + z))
+        if explicit is None:
+            explicit = z_next
+        update = np.max(np.abs(z_next - z))
+        if update <= 1e-14 * np.maximum(1.0, np.max(np.abs(z))):
+            return z_next, (2.0 * z_next - explicit - points - 0.5 * dt * k1) / 3.0
+        z = z_next
     raise StepRejected(f"implicit midpoint solve did not converge in {iterations} "
-                       f"iterations; last update {update[~done][0]:.3e}")
+                       f"iterations; last update {update:.3e}")
 
 
 def reference_advect(points, field, steps, stepper, snapshots=None):
-    """The step loop of advect, one step after the other: each step is the full
-    step and the first half step as one stacked call, then the second half
-    step; a step whose estimate exceeds advect's default limit 1e-3 or is not
-    finite raises StepRejected.  Appends the points after every step (the
-    start first) to ``snapshots``, so a caller sees those before a failure
-    too, and returns them with the largest step-doubling estimate."""
+    """The step loop of advect, one step after the other: the estimate of a
+    step is max|e - (dt / 6) X(y1)|, from the stepper's e and the field at the
+    step's end y1, and a step whose estimate exceeds advect's default limit
+    1e-3 or is not finite raises StepRejected.  Appends the points after every
+    step (the start first) to ``snapshots``, so a caller sees those before a
+    failure too, and returns them with the largest estimate."""
     error_limit = 1e-3
     snapshots = [] if snapshots is None else snapshots
     snapshots.append(points.copy())
     max_est = 0.0
     for i, dt in enumerate(steps):
-        full, half = stepper(points, dt * np.array([1.0, 0.5]).reshape(2, 1, 1), field)
-        half = stepper(half, 0.5 * dt, field)
-        est = float(np.max(np.abs(full - half)))
+        end, e = stepper(points, dt, field)
+        est = float(np.max(np.abs(e - (dt / 6.0) * field(end))))
         if not est <= error_limit:
             raise StepRejected(f"step {i}: local error estimate {est:.3e} exceeds {error_limit:g}")
         max_est = max(max_est, est)
-        points = full
+        points = end
         snapshots.append(points.copy())
     return snapshots, max_est
 

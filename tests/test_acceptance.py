@@ -10,7 +10,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from vortexloop import io, samples
+from vortexloop import io, loops, samples
 from vortexloop.circle_forms import (
     TWO_PI,
     CircleForm,
@@ -98,6 +98,7 @@ def test_criterion_2_constructive_intertwiner():
         probe = np.linspace(0.0, TWO_PI, 4097)
         worst_sup = 0.0
         worst_prof = 0.0
+        worst_relation = 0.0
         for _ in range(100):
             model = samples.random_morse_form(rng)
             gamma = samples.random_monotone_diffeo(rng)
@@ -113,9 +114,16 @@ def test_criterion_2_constructive_intertwiner():
                             float(np.max(circ_gap(psi(probe),
                                                   gamma.inverse_eval(probe)))))
 
+            scale = float(np.max(np.abs(loop.profile.omegas)))
+            # the defining relation: target antiderivative through psi minus
+            # the model's is constant
+            worst_relation = max(worst_relation,
+                                 loops._intertwining_residual(model, target_form, psi) / scale)
+
+            # partial vorticities do not change under any orientation-preserving
+            # map, so this checks pushforward_form, not psi
             pushed = pushforward_form(psi, model)
             pushed_prof = partial_vorticities(pushed, find_zeros(pushed))
-            scale = float(np.max(np.abs(loop.profile.omegas)))
             dev = np.max(np.abs(pushed_prof.omegas - loop.profile.omegas))
             shifted_model = np.roll(model_prof.omegas, shift)
             dev = max(dev, np.max(np.abs(shifted_model - loop.profile.omegas)))
@@ -123,6 +131,7 @@ def test_criterion_2_constructive_intertwiner():
 
         assert worst_sup < 1e-8
         assert worst_prof < 1e-8
+        assert worst_relation <= 1e-10
 
 
 def test_criterion_3_nondegeneracy_contrast():

@@ -7,8 +7,6 @@ from vortexloop import loops, samples
 from vortexloop.circle_forms import TWO_PI
 from vortexloop.errors import MorseViolation, StepRejected, ValidationFailed, VortexLoopError
 from vortexloop.flow import (
-    _FULL_AND_HALF,
-    _PIPELINED_START,
     _SIMPLE_STRIDE,
     PlanarBump,
     PlanarHamiltonian,
@@ -471,7 +469,7 @@ def test_observer_sees_every_step():
     assert report.steps == 3
 
 
-# ---------------------------------------------------------------- stacked step pair
+# ---------------------------------------------------------------- one step at a time
 
 
 class _CountingHamiltonian(PlanarHamiltonian):
@@ -495,73 +493,23 @@ def _random_case(seed=34, n=256):
     return loop, _CountingHamiltonian(h.bumps)
 
 
-@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
-def test_stacked_rk4_step_is_the_full_and_first_half_step(dt):
-    loop, h = _random_case()
-    pts = loop.embedding.samples
-    full, half = _rk4_step(pts, dt * _FULL_AND_HALF, h)
-    assert h.calls == 4 and h.points == 7 * pts.shape[0]
-    np.testing.assert_array_equal(full, _rk4_step(pts, dt, h))
-    np.testing.assert_array_equal(half, _rk4_step(pts, 0.5 * dt, h))
-
-
-@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
-def test_stacked_midpoint_rows_are_the_separate_solves(dt):
-    # at 1e-3 both rows take 3 iterations; at 1e-2 and 0.1 the full step takes
-    # one more than the half step, so the half row stops first
-    loop, h = _random_case()
-    pts = loop.embedding.samples
-    full, half = _midpoint_step(pts, dt * _FULL_AND_HALF, h)
-    stacked_calls = h.calls
-    np.testing.assert_array_equal(full, _midpoint_step(pts, dt, h))
-    full_calls = h.calls - stacked_calls
-    np.testing.assert_array_equal(half, _midpoint_step(pts, 0.5 * dt, h))
-    half_calls = h.calls - stacked_calls - full_calls
-    assert stacked_calls == max(full_calls, half_calls)
-    assert (full_calls > half_calls) == (dt > 1e-3)
-
-
-@pytest.mark.parametrize("dt", [1e-3, 1e-2, 0.1])
-@pytest.mark.parametrize("stepper", [_rk4_step, _midpoint_step])
-def test_pipelined_rows_are_the_separate_steps(stepper, dt):
-    # from step i's full and first half step: its second half step, then step
-    # i + 1's full and first half step, both from step i's full step
-    loop, h = _random_case()
-    full, half = pair = stepper(loop.embedding.samples, dt * _FULL_AND_HALF, h)
-    h.calls = h.points = 0
-    rows = stepper(pair, np.array([0.5 * dt, dt, 0.5 * dt]).reshape(3, 1, 1), h, _PIPELINED_START)
-    calls, points = h.calls, h.points
-    iterations = []
-    for got, (start, step) in zip(rows, [(half, 0.5 * dt), (full, dt), (full, 0.5 * dt)],
-                                  strict=True):
-        h.calls = 0
-        assert_same_bits(got, stepper(start, step, h))
-        iterations.append(h.calls - 1)
-    n = full.shape[0]
-    # the field once on the 2 starts, then on the rows still stepping
-    assert calls == 1 + max(iterations) and points == (2 + sum(iterations)) * n
-    if stepper is _rk4_step:
-        assert iterations == [3, 3, 3]
-
-
-def _nested_step_doubling(pts, h, steps, stepper):
-    """Step doubling by three separate stepper calls per step: the reference."""
+def _separate_steps(pts, h, steps, stepper):
+    """Each step by its own stepper call from the field at its start: the reference."""
     for dt in steps:
-        full = stepper(pts, dt, h)
-        half = stepper(stepper(pts, 0.5 * dt, h), 0.5 * dt, h)
-        assert np.max(np.abs(full - half)) <= 1e-3
-        pts = full
+        pts, _ = stepper(pts, hamiltonian_vector_field(h, pts), dt, h)
     return pts
 
 
 @pytest.mark.parametrize("scheme, stepper", [("rk4", _rk4_step),
                                              ("implicit-midpoint", _midpoint_step)])
 def test_advect_matches_nested_step_doubling_with_a_partial_step(scheme, stepper):
+    # each step is taken once, so advect is its separate stepper calls
     loop, h = _random_case(n=128)
     report = advect(loop, h, 0.025, 0.01, scheme)  # steps 0.01, 0.01 and a partial 0.005
     assert report.steps == 3
-    want = _nested_step_doubling(loop.embedding.samples, h, [0.01, 0.01, 0.025 - 0.02], stepper)
-    np.testing.assert_array_equal(report.loop.embedding.samples, want)
+    want = _separate_steps(loop.embedding.samples, h, [0.01, 0.01, 0.025 - 0.02], stepper)
+    assert_same_bits(report.loop.embedding.samples, want)
+    assert 0.0 < report.max_local_error <= 1e-3
 
 
 def test_rk4_advection_makes_four_field_calls_per_step():
@@ -569,42 +517,32 @@ def test_rk4_advection_makes_four_field_calls_per_step():
     report = advect(loop, h, 0.05, 1e-3)
     n = loop.embedding.size
     assert report.steps == 50
-    # 4 calls a step and 4 more: the 2-row call that starts step 0 and the
-    # 1-row call that ends the last step make 4 each
-    assert h.calls == 4 * report.steps + 4
-    # per step, k1 on 2 starts and stages 2-4 on 3 rows
-    assert h.points == (2 + 3 * 3) * n * report.steps
+    # k1 at the start, then per step stages 2-4 and the field at the step's
+    # end, which is the next step's k1; every call on the n samples
+    assert h.calls == 4 * report.steps + 1 == 201
+    assert h.points == (4 * report.steps + 1) * n == 51456
 
 
-@pytest.mark.parametrize("dt, calls", [(1e-3, 24), (1e-2, 29)])
+@pytest.mark.parametrize("dt, calls", [(1e-3, 21), (1e-2, 26)])
 def test_midpoint_advection_field_calls_per_step(dt, calls):
     loop, h = _random_case(n=128)
     seen = []
     advect(loop, h, 5 * dt, dt, "implicit-midpoint",
            observer=lambda i, t, pts: seen.append(pts))
-    advect_calls = h.calls
+    advect_calls, advect_points = h.calls, h.points
 
-    def iterations(pts, step):
-        h.calls = 0
-        end = _midpoint_step(pts, step, h)
-        return h.calls - 1, end
-
-    # the iterations of each step's full, first half and second half step, each solved alone
-    full, first, second = [], [], []
+    # the iterations of each step, solved alone from the field at its start
+    iterations = []
     for pts in seen[:-1]:
-        full.append(iterations(pts, dt)[0])
-        count, half = iterations(pts, 0.5 * dt)
-        first.append(count)
-        second.append(iterations(half, 0.5 * dt)[0])
-    # a call is one field call at its starts and one per iteration of its
-    # slowest row: step 0's full and first half step, then each step's second
-    # half step with the next step's two, then the last second half step
-    want = 1 + max(full[0], first[0])
-    want += sum(1 + max(second[i], full[i + 1], first[i + 1]) for i in range(len(seen) - 2))
-    want += 1 + second[-1]
-    # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2 the
-    # full step takes 4
+        k1 = hamiltonian_vector_field(h, pts)
+        h.calls = 0
+        _midpoint_step(pts, k1, dt, h)
+        iterations.append(h.calls)
+    # the field at the start, then each step's iterations and the field at its end
+    want = 1 + sum(count + 1 for count in iterations)
+    # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2, 4
     assert advect_calls == want == calls
+    assert advect_points == calls * loop.embedding.size
 
 
 class _NanOnPoints(PlanarHamiltonian):
@@ -625,11 +563,13 @@ class _NanOnPoints(PlanarHamiltonian):
                                              ("implicit-midpoint", reference_midpoint_step)])
 @pytest.mark.parametrize("nan_step", [0, 2, 4, 5])
 def test_a_failed_step_raises_after_the_steps_before_it(scheme, stepper, nan_step):
-    # the field is NaN at the points reached after ``nan_step`` steps, so the
-    # full and first half step of that step fail (the estimate of an RK4 step,
-    # the solve of a midpoint step), while the step before it, which runs in
-    # the same call, passes and must be observed first.  Step 4 is the partial
-    # last step; the points after it start no step, so nan_step 5 fails nothing
+    # the field is NaN at the points reached after ``nan_step`` steps.  A step
+    # is accepted only once the field at its end is known, so a NaN there
+    # rejects the step before (its estimate is NaN), after the steps before
+    # that one were accepted and observed.  Step 4 is the partial last step,
+    # so nan_step 5 rejects it by the field at its end.  At nan_step 0 the
+    # start's field is NaN: the estimate of the first RK4 step is NaN, and
+    # the first midpoint solve does not converge
     loop, h = _random_case(n=128)
     steps = _step_schedule(0.0045, 1e-3)
     assert len(steps) == 5
@@ -653,12 +593,70 @@ def test_a_failed_step_raises_after_the_steps_before_it(scheme, stepper, nan_ste
     want, want_error = outcome(lambda seen: reference_advect(
         loop.embedding.samples, vector_field(nan), steps, stepper, seen))
     assert got_error == want_error
-    assert [i for i, _ in got] == list(range(len(want))) == list(range(nan_step + 1))
+    assert [i for i, _ in got] == list(range(len(want))) == list(range(max(nan_step, 1)))
     for (_, pts), ref in zip(got, want, strict=True):
         assert_same_bits(pts, ref)
-    if nan_step < len(steps):
-        reason = "estimate nan" if scheme == "rk4" else "did not converge"
-        assert got_error[0] is StepRejected and reason in got_error[1]
+    assert got_error[0] is StepRejected
+    if scheme == "implicit-midpoint" and nan_step == 0:
+        assert "did not converge" in got_error[1]
+    else:
+        assert got_error[1].startswith(f"step {max(nan_step - 1, 0)}: local error estimate nan")
+
+
+# ---------------------------------------------------------------- error estimates
+
+
+def _smooth_case():
+    loop = DecoratedLoop(LoopEmbedding.circle(n=64), samples.standard_form("sin2t"))
+    bumps = [PlanarBump((0.6, 0.2), 0.7, 1.0)]
+    return loop, PlanarHamiltonian(bumps), DenseBumpField(bumps).vector_field
+
+
+def _true_end(pts, field, dt, substeps=256):
+    """The flow over ``dt`` by RK4 substeps, far below the error of one step."""
+    for _ in range(substeps):
+        pts, _ = reference_rk4_step(pts, dt / substeps, field)
+    return pts
+
+
+def test_midpoint_estimate_tends_to_the_true_local_error():
+    # a third of the differences from the explicit midpoint and from the
+    # trapezoid step is the leading error term; step doubling reads about 0.75
+    loop, h, field = _smooth_case()
+    start = loop.embedding.samples
+    ratios = []
+    for dt in [0.04, 0.02, 0.01, 0.005]:
+        report = advect(loop, h, dt, dt, "implicit-midpoint")
+        true = np.max(np.abs(report.loop.embedding.samples - _true_end(start, field, dt)))
+        ratios.append(report.max_local_error / true)
+    gaps = np.abs(np.array(ratios) - 1.0)
+    assert np.all(np.diff(gaps) < 0.0)
+    assert 0.9 <= ratios[-1] <= 1.1
+
+
+def test_rk4_estimate_is_third_order():
+    # (dt / 6)(k4 - k5) is the difference from the embedded third-order
+    # solution, O(dt^4): halving dt divides it by about 16 (step doubling's
+    # difference of two fifth-order steps would divide by 32)
+    loop, h, _ = _smooth_case()
+    ests = [advect(loop, h, dt, dt).max_local_error for dt in [0.04, 0.02, 0.01, 0.005]]
+    for coarse, fine in zip(ests, ests[1:]):
+        assert 15.0 <= coarse / fine <= 17.0
+
+
+def test_midpoint_step_whose_solve_converges_but_whose_estimate_exceeds_is_rejected():
+    loop = DecoratedLoop(LoopEmbedding.circle(n=32), samples.standard_form("sin2t"))
+    bumps = [PlanarBump((0.6, 0.2), 0.7, 3.0)]
+    start = loop.embedding.samples
+    field = DenseBumpField(bumps).vector_field
+    end, e = reference_midpoint_step(start, 0.1, field)  # converges
+    est = np.max(np.abs(e - (0.1 / 6.0) * field(end)))
+    assert est > 1e-3
+    seen = []
+    with pytest.raises(StepRejected, match=f"^step 0: local error estimate {est:.3e} exceeds 0.001$"):
+        advect(loop, PlanarHamiltonian(bumps), 1.0, 0.1, "implicit-midpoint",
+               observer=lambda i, t, pts: seen.append(i))
+    assert seen == [0]
 
 
 # ---------------------------------------------------------------- against real-arithmetic steps

@@ -532,6 +532,8 @@ def test_intertwiner_recovers_reparametrization():
     diff = np.mod(psi(t) - gamma.inverse_eval(t) + np.pi, TWO_PI) - np.pi
     assert np.max(np.abs(diff)) < 1e-8
 
+    # partial vorticities do not change under any orientation-preserving map,
+    # so this checks pushforward_form, not psi
     pushed = pushforward_form(psi, model)
     prof = partial_vorticities(pushed, find_zeros(pushed))
     scale = np.max(np.abs(loop.profile.omegas))

@@ -12,7 +12,7 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``PlanarHamiltonian.gradient`` and ``__call__`` per call at n = 256 and
   B = 2 on points within 5 sigma of both bumps, in the 5-6 sigma band of one,
   beyond 6 sigma of both, and a third of each (``BUMP_REGIONS``);
-- one step-doubled step of ``advect`` (rk4 and implicit midpoint) at
+- one step of ``advect`` with its error estimate (rk4 and implicit midpoint) at
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
 - ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256, and
