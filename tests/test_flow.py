@@ -607,7 +607,7 @@ def test_a_failed_step_raises_after_the_steps_before_it(scheme, stepper, nan_ste
 
 
 def _smooth_case():
-    loop = DecoratedLoop(LoopEmbedding.circle(n=64), samples.standard_form("sin2t"))
+    loop = circle_loop(n=64)
     bumps = [PlanarBump((0.6, 0.2), 0.7, 1.0)]
     return loop, PlanarHamiltonian(bumps), DenseBumpField(bumps).vector_field
 
@@ -645,7 +645,7 @@ def test_rk4_estimate_is_third_order():
 
 
 def test_midpoint_step_whose_solve_converges_but_whose_estimate_exceeds_is_rejected():
-    loop = DecoratedLoop(LoopEmbedding.circle(n=32), samples.standard_form("sin2t"))
+    loop = circle_loop(n=32)
     bumps = [PlanarBump((0.6, 0.2), 0.7, 3.0)]
     start = loop.embedding.samples
     field = DenseBumpField(bumps).vector_field
