@@ -34,6 +34,8 @@ DEFAULT_PROFILE_REL_TOL = 1e-9
 _TRIG_NODE_COUNT = 1024
 # panels of the antiderivative table that brackets each target in ``_invert_batch``
 _INVERT_PANELS = 256
+# point count from which ``_power_sum`` runs Horner's rule instead of a power matrix
+_HORNER_MIN_POINTS = 256
 
 
 def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0) -> FloatArray:
@@ -133,18 +135,42 @@ def _scalar_out(t, out):
     return float(out) if np.ndim(t) == 0 else out
 
 
-def _power_sum(coeffs, t, minus_one=False) -> FloatArray:
+def _power_sum(coeffs, t, tails=None) -> FloatArray:
     """``Re sum_j coeffs[j-1] z**j`` with ``z = e^{it}``, for ``t`` of any shape.
 
-    The powers of ``z`` are a cumulative product along the degree axis, so
-    only one complex exponential is taken per point.  No coefficients give
-    an empty product and a zero sum.  ``minus_one`` takes ``z**j - 1`` in
-    place of ``z**j`` term by term, so the sum is exactly zero at ``t = 0``
-    and small near it without cancellation against its value there.
+    With ``tails``, the tail sums ``d_k = sum_{j>k} coeffs[j-1]`` for
+    ``k = 0 .. m-1``, each ``z**j`` is taken as ``z**j - 1``: the sum is
+    exactly zero at ``t = 0`` and has no cancellation against its value
+    there.  No coefficients give a zero sum.
+
+    From ``_HORNER_MIN_POINTS`` points on, the sum is Horner's rule in ``z``:
+    one complex exponential per point, then one in-place multiply and add per
+    degree on arrays of the shape of ``t``, with no power matrix.  Its
+    rounding error is a small multiple of eps sum_j j |coeffs_j|.  With
+    ``tails`` it runs on ``(z - 1) sum_k d_k z**k``, which equals
+    ``sum_j c_j (z**j - 1)`` because ``z**j - 1 = (z - 1)(1 + z + ... +
+    z**(j-1))``, and takes ``z - 1`` as ``-2 sin^2(t/2) + i sin t``: its
+    error then shrinks with ``|z - 1|`` near every whole turn.  Below that
+    count a numpy call per degree costs more than the arithmetic, so the
+    powers of ``z`` are one cumulative product along a degree axis,
+    ``z**j - 1`` is taken term by term, and one matrix-vector product sums
+    them.
     """
-    z = np.exp(1j * t)[..., None]
-    powers = np.cumprod(np.broadcast_to(z, z.shape[:-1] + coeffs.shape), axis=-1)
-    return ((powers - 1.0 if minus_one else powers) @ coeffs).real
+    z = np.exp(1j * t)
+    if coeffs.size == 0 or t.size < _HORNER_MIN_POINTS:
+        powers = np.cumprod(np.broadcast_to(z[..., None], z.shape + coeffs.shape), axis=-1)
+        return ((powers if tails is None else powers - 1.0) @ coeffs).real
+    terms = coeffs if tails is None else tails
+    acc = np.full(t.shape, terms[-1])
+    for c in terms[-2::-1]:
+        acc *= z
+        acc += c
+    if tails is None:
+        acc *= z
+        return acc.real
+    # Re((z - 1) acc), with Re(z - 1) = cos t - 1 = -2 sin^2(t/2) free of cancellation
+    sin_half = np.sin(0.5 * t)
+    return -2.0 * sin_half * sin_half * acc.real - z.imag * acc.imag
 
 
 class CircleForm:
@@ -186,6 +212,8 @@ class CircleForm:
             self._coeffs.imag = -np.pad(b, (0, m - b.size))
             ij = 1j * np.arange(1, m + 1)
             self._dcoeffs, self._icoeffs = ij * self._coeffs, self._coeffs / ij
+            # tail sums d_k = sum_{j>k} icoeffs_j of the antiderivative's Horner form
+            self._itails = np.cumsum(self._icoeffs[::-1])[::-1]
         else:
             vals = np.asarray(values, dtype=float)
             if vals.ndim != 1 or vals.size < 8:
@@ -271,7 +299,7 @@ class CircleForm:
         intervals.
         """
         arr = np.asarray(t, dtype=float)
-        out = (self._a0 * arr + _power_sum(self._icoeffs, arr, minus_one=True)
+        out = (self._a0 * arr + _power_sum(self._icoeffs, arr, self._itails)
                if self._kind == "trig" else self._spline.antiderivative(arr))
         return _scalar_out(t, out)
 

@@ -160,8 +160,54 @@ def report_to_dict(report: FlowReport) -> dict:
     }
 
 
+# the values ``json`` writes without looking inside them
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _c_encoded(container, pad) -> str:
+    """``container`` by the C encoder, keys sorted, items parted by "," and line break ``pad``."""
+    return json.dumps(container, separators=("," + pad, ": "), sort_keys=True)
+
+
+def _layout(value, level) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` nested at depth ``level``.
+
+    Dicts with string keys and lists are laid out here.  One whose items are
+    all scalars, and a list of non-empty lists of scalars such as a loop's
+    [x, y] pairs, take one C-encoder call each, with the line break and
+    indent of their items as its item separator (``indent`` would force the
+    pure-Python encoder); any other is laid out item by item.  No encoded
+    scalar holds a raw line break or ends in ``]``, so ``"],"`` and a line
+    break there only part two inner lists.  Every other value goes to
+    ``json.dumps`` itself.
+    """
+    outer = "\n" + "  " * level
+    pad = outer + "  "
+    kind = type(value)
+    if (kind is list or (kind is dict and all(type(key) is str for key in value))) and value:
+        kinds = set(map(type, value.values() if kind is dict else value))
+        if kinds <= _SCALARS:
+            text = _c_encoded(value, pad)
+            return text[0] + pad + text[1:-1] + outer + text[-1]
+        if kind is dict:
+            return ("{" + ",".join(pad + json.encoder.encode_basestring_ascii(key) + ": "
+                                   + _layout(value[key], level + 1) for key in sorted(value))
+                    + outer + "}")
+        if (kinds == {list} and all(value)
+                and set(map(type, itertools.chain.from_iterable(value))) <= _SCALARS):
+            inner = pad + "  "
+            body = _c_encoded(value, inner)[2:-2]
+            body = body.replace("]," + inner + "[", pad + "]," + pad + "[" + inner)
+            return "[" + pad + "[" + inner + body + pad + "]" + outer + "]"
+        return "[" + ",".join(pad + _layout(item, level + 1) for item in value) + outer + "]"
+    if kind in _SCALARS:
+        return json.dumps(value)
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", outer)
+
+
 def dumps(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
+    return _layout(doc, 0) + "\n"
 
 
 def write_text(path, text: str) -> None:

@@ -4,9 +4,11 @@ from scipy.optimize import brentq
 
 from conftest import TWO_PI, brute_symmetry_step, oracle_zeros, oracle_integral, oracle_profile
 from vortexloop.circle_forms import (
+    _HORNER_MIN_POINTS,
     CircleDiffeo,
     _invert_batch,
     _newton_bracketed,
+    _power_sum,
     CircleForm,
     VorticityProfile,
     cumulative,
@@ -86,6 +88,42 @@ def test_trig_evaluation_matches_naive_fourier_sum(degree):
         out = method(float(t[0]))
         assert type(out) is float
         assert abs(out - expected[0]) < tol
+
+
+def long_double_power_sum(coeffs, t, minus_one):
+    """``Re sum_j coeffs[j-1] z**j`` (or ``z**j - 1``) with ``z = e^{it}``, in long double.
+
+    ``cos(jt) - 1`` is taken as ``-2 sin^2(jt/2)``, so the oracle itself has
+    no cancellation near a whole number of turns.
+    """
+    t = np.asarray(t, dtype=np.longdouble)
+    out = np.zeros_like(t)
+    for j, c in enumerate(coeffs, start=1):
+        real = -2.0 * np.sin(j * t / 2) ** 2 if minus_one else np.cos(j * t)
+        out += np.longdouble(c.real) * real - np.longdouble(c.imag) * np.sin(j * t)
+    return out
+
+
+@pytest.mark.parametrize("points", [12, _HORNER_MIN_POINTS - 1, _HORNER_MIN_POINTS, 4096])
+@pytest.mark.parametrize("degree", [1, 3, 25, 100])
+def test_power_sum_matches_long_double_oracle(degree, points):
+    rng = np.random.default_rng(1000 * degree + points)
+    form = CircleForm.trig(rng.normal(), rng.normal(size=degree), rng.normal(size=degree))
+    t = rng.uniform(-20.0, 20.0, points)
+    # 1e-9 either side of 0, of 2 pi, and of whole turns several periods away
+    t[:8] = TWO_PI * np.array([0, 0, 1, 1, 3, 3, -5, -5]) + np.array([1e-9, -1e-9] * 4)
+    eps = np.finfo(float).eps
+    j = np.arange(1, degree + 1)
+    for coeffs, tails in [(form._coeffs, None), (form._dcoeffs, None),
+                          (form._icoeffs, form._itails)]:
+        got = _power_sum(coeffs, t, tails)
+        err = np.abs(got - long_double_power_sum(coeffs, t, tails is not None)).astype(float)
+        bound = 8.0 * eps * np.sum(j * np.abs(coeffs))
+        if tails is not None and points >= _HORNER_MIN_POINTS:
+            # (z - 1) sum_k d_k z**k: the error shrinks with |z - 1| = 2 |sin(t/2)|,
+            # where Horner on z**j less sum_j c_j would keep an error of order eps
+            bound = bound * np.abs(2.0 * np.sin(t / 2))
+        assert np.all(err <= bound), float(np.max(err / bound))
 
 
 def test_derivative_matches_central_differences():

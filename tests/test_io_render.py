@@ -1,9 +1,11 @@
 """JSON round trips, schema enforcement, and string rendering."""
 
+import json
+
 import numpy as np
 import pytest
 
-from vortexloop import io, render, samples
+from vortexloop import cli, io, render, samples
 from vortexloop.circle_forms import TWO_PI, CircleDiffeo, CircleForm
 from vortexloop.errors import SchemaError
 from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
@@ -108,6 +110,60 @@ def test_dumps_deterministic_and_sorted():
     assert one == two
     assert one.endswith("\n")
     assert one.index('"alpha"') < one.index('"mid"') < one.index('"zeta"')
+
+
+def json_layout(doc):
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("doc", [
+    {"zeta": 1, "alpha": [1.5, 2.5], "mid": {"b": 2, "a": 1}},
+    {"samples": [[0.1, -2.0], [3, 4e-300], [5e-324, -0.0]], "empty": [], "none": {},
+     "nested": {"deeper": {"pairs": [[1.0, 2.0]], "mixed": [[], [1], [[2]], {"k": []}]}}},
+    {"flags": [True, False, None, 0, -7, 10 ** 30], "one": True, "nothing": None},
+    {"text": ["unicode \u00e9\u2603", 'quote " and \\', "line\nbreak", "]", "],\n  ["],
+     "\u00fc key": "value", "[": [["a]", "b"], ["c", "d]"]]},
+    {"nan": float("nan"), "inf": [float("inf"), -float("inf"), float("nan")],
+     "pairs": [[float("nan"), float("inf")]]},
+    [1.5, {"b": [], "a": [[0.5, 1.5]]}, [], "top-level list"],
+    [[1.0, 2.0], [3.0]],
+    3.25, -1, True, None, "top-level string", [], {},
+    # tuples and non-string keys take json's own path
+    {"tuple": (1, [2, 3])}, {1: "int key"},
+], ids=lambda doc: type(doc).__name__)
+def test_dumps_is_json_indent_2_sorted_byte_for_byte(doc):
+    assert io.dumps(doc) == json_layout(doc)
+
+
+def test_dumps_of_every_cli_document_is_json_indent_2_sorted(tmp_path, capsys, monkeypatch):
+    # every document the CLI writes passes through io.dumps: record each one
+    docs = []
+    dumps = io.dumps
+
+    def recorded(doc):
+        docs.append(doc)
+        return dumps(doc)
+
+    monkeypatch.setattr(io, "dumps", recorded)
+    model = tmp_path / "model.json"
+    io.dump(io.loop_to_dict(circle_loop(n=256)), model)
+    target = tmp_path / "target.json"
+    flipped = CircleForm.from_function(lambda t: -np.sin(2.0 * t))
+    io.dump(io.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(), flipped)), target)
+    ham = tmp_path / "ham.json"
+    io.dump(io.hamiltonian_to_dict(PlanarHamiltonian.single((0.2, -0.1), 0.8, 0.4)), ham)
+    assert cli.main(["intertwine", str(model), str(target), "--shift", "1"]) == 0
+    assert cli.main(["flow", str(model), str(ham), "-T", "0.05", "--dt", "0.01",
+                     "-o", str(tmp_path / "evolved.json")]) == 0
+    assert cli.main(["verify", "--suite", "all", "--seed", "0"]) == 0
+    capsys.readouterr()
+    emitted = docs[3:]
+    assert len(emitted[0]["samples"]) == 4096
+    assert len(emitted[1]["samples"]) == 256
+    assert [doc["schema"] for doc in emitted] == [io.SCHEMA] * 4
+    assert "suites" in emitted[3]
+    for doc in docs:
+        assert dumps(doc) == json_layout(doc)
 
 
 # ---------------------------------------------------------------- schema errors

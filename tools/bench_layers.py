@@ -27,7 +27,12 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``circle_forms._invert_batch`` per call on 4096 targets spread over every
   segment of a trig density of degree ``INVERT_DEGREE``, as in one transport;
 - ``CircleDiffeo.inverse`` per call on a 4096-node map with exact nodal slopes,
-  the size of the intertwiner's grid.
+  the size of the intertwiner's grid;
+- ``circle_forms._power_sum`` per call on the coefficients of a trig density
+  of degree 3, 25 and 100 at 120 and 4096 off-grid points (``POWER_SUM_POINTS``):
+  a Newton pass of ``find_zeros`` and one of the intertwiner's inversion;
+- ``io.dumps`` per call on an ``intertwine`` document of 4096 map samples and
+  on the ``flow -o`` document of a 256-point loop.
 
 The record holds machine details, the median and quartiles over the rounds of
 each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
@@ -66,6 +71,7 @@ AREA_SIZES = (256, 1024, 2048)
 INVERT_DEGREE = 40
 # targets of one inversion and nodes of one circle-map inverse
 INVERT_SIZE = 4096
+POWER_SUM_POINTS = (120, 4096)
 TRACE_KEYS = {
     "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
@@ -131,8 +137,8 @@ def measure(root):
 
     from vortexloop import cli, render, samples
     from vortexloop import io as vio
-    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, find_zeros,
-                                         partial_vorticities)
+    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, _power_sum,
+                                         find_zeros, partial_vorticities)
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
     from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple, _spline_area
     from vortexloop.quadrature import uniform_grid
@@ -215,6 +221,20 @@ def measure(root):
     grid = uniform_grid(INVERT_SIZE)
     gamma = CircleDiffeo(analytic(grid), analytic.derivative(grid))
     out[f"diffeo_inverse.n{INVERT_SIZE}"] = _per_call(gamma.inverse)
+
+    # a generator of their own, so these inputs do not depend on the draws above
+    sum_rng = np.random.default_rng(SEED)
+    for degree in ZERO_DEGREES:
+        coeffs = samples.random_morse_form(sum_rng, degree)._coeffs
+        for m in POWER_SUM_POINTS:
+            t = sum_rng.uniform(0.0, 2.0 * np.pi, m)
+            out[f"power_sum.deg{degree}.m{m}"] = _per_call(lambda: _power_sum(coeffs, t))
+    psi = samples.random_monotone_diffeo(sum_rng)
+    doc = {"schema": vio.SCHEMA, "shift": 1, "residual": 1e-12,
+           "samples": psi(uniform_grid(INVERT_SIZE)).tolist()}
+    out[f"dumps.samples{INVERT_SIZE}"] = _per_call(lambda: vio.dumps(doc))
+    loop_doc = vio.loop_to_dict(samples.random_decorated_loop(sum_rng, n=256))
+    out["dumps.loop256"] = _per_call(lambda: vio.dumps(loop_doc))
     return out
 
 
