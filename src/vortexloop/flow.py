@@ -17,6 +17,7 @@ from .errors import StepRejected, ValidationFailed, VortexLoopError
 from .loops import (
     DecoratedLoop,
     LoopEmbedding,
+    _perp,
     _polyline_is_simple,
     enclosed_area,
     orbit_invariants,
@@ -102,34 +103,20 @@ class PlanarHamiltonian:
         e *= self._exponent_scale
         # a NaN fails >=, so it takes the dense path below
         if e.size == 0 or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT:
-            return d, None, np.exp(e, out=e), None, None
+            return d, None, np.exp(e), None, None
         # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
         rho = np.sqrt(e * -2.0)
-        gauss = np.exp(e, out=e)
-        s = rho - _CUTOFF_START
-        np.minimum(np.maximum(s, 0.0, out=s), 1.0, out=s)
+        s = np.minimum(np.maximum(rho - _CUTOFF_START, 0.0), 1.0)
         s2 = s * s
-        slope = s * -30.0
-        slope += 60.0
-        slope *= s
-        slope -= 30.0
-        slope *= s2
-        blend = s * -6.0
-        blend += 15.0
-        blend *= s
-        blend -= 10.0
-        blend *= s2
-        blend *= s
-        blend += 1.0
-        return d, rho, gauss, blend, slope
+        blend = ((s * -6.0 + 15.0) * s - 10.0) * s2 * s + 1.0
+        slope = ((s * -30.0 + 60.0) * s - 30.0) * s2
+        return d, rho, np.exp(e), blend, slope
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
         _, _, gauss, blend, _ = self._terms(pts)
-        if blend is not None:
-            gauss *= blend
-        gauss *= self._amplitudes
-        return gauss.sum(axis=0).reshape(pts.shape[:-1])
+        weight = gauss if blend is None else gauss * blend
+        return (weight * self._amplitudes).sum(axis=0).reshape(pts.shape[:-1])
 
     def gradient(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -140,34 +127,21 @@ class PlanarHamiltonian:
             # complex product with the real weight, (x w - y 0) + i (x 0 + y w),
             # differs from the two real products at most in the sign of a zero
             # term; the sum over the bumps starts from +0 and ends the same.
-            gauss *= self._neg_amp_inv_sigma2
-            d *= gauss
+            d *= gauss * self._neg_amp_inv_sigma2
         else:
             # the slope is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
-            slope /= np.maximum(rho, _CUTOFF_START, out=rho)
-            slope -= blend
-            gauss *= slope
-            gauss *= self._amp_inv_sigma2
+            weight = gauss * (slope / np.maximum(rho, _CUTOFF_START) - blend) * self._amp_inv_sigma2
             # one part at a time: an infinite offset times the cross term's 0 is NaN
             re, im = d.real, d.imag
-            re *= gauss
-            im *= gauss
+            re *= weight
+            im *= weight
         return np.add.reduce(d).view(float).reshape(pts.shape)
 
 
 def hamiltonian_vector_field(h, points) -> np.ndarray:
-    """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``.
-
-    As x + iy this is -i times the gradient.  The parts are swapped and one
-    is multiplied by -1, not the whole by -i, whose cross terms 0 * x could
-    flip the sign of a zero: every bit is the product of the swapped gradient
-    with (1, -1).
-    """
-    grad = np.asarray(h.gradient(points), dtype=float)
-    field = np.empty_like(grad)
-    field[..., 0] = grad[..., 1]
-    np.multiply(grad[..., 0], -1.0, out=field[..., 1])
-    return field
+    """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``:
+    the quarter turn ``loops._perp`` of the gradient."""
+    return _perp(np.asarray(h.gradient(points), dtype=float))
 
 
 def _rk4_step(points: FloatArray, k1: FloatArray, dt: float, h) -> tuple[FloatArray, FloatArray]:
@@ -175,35 +149,19 @@ def _rk4_step(points: FloatArray, k1: FloatArray, dt: float, h) -> tuple[FloatAr
 
     Returns the end point and e = (dt / 6) k4: with k5 the field at the end,
     e - (dt / 6) k5 is the difference of the step from its embedded
-    third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6).  The stages are
-    combined in place, each operation on the operands of
-    ``points + (dt / 6) * (k1 + 2 k2 + 2 k3 + k4)`` in their order, so every
-    bit is that formula's; ``k1`` is left as it is.
+    third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6).
     """
-    half_dt = 0.5 * dt
-    stage = half_dt * k1
-    np.add(points, stage, out=stage)
-    k2 = hamiltonian_vector_field(h, stage)
-    np.multiply(half_dt, k2, out=stage)
-    np.add(points, stage, out=stage)
-    k3 = hamiltonian_vector_field(h, stage)
-    np.multiply(dt, k3, out=stage)
-    np.add(points, stage, out=stage)
-    k4 = hamiltonian_vector_field(h, stage)
-    np.multiply(2.0, k2, out=k2)
-    np.add(k1, k2, out=k2)
-    np.multiply(2.0, k3, out=k3)
-    np.add(k2, k3, out=k2)
-    np.add(k2, k4, out=k2)
-    np.multiply(dt / 6.0, k2, out=k2)
-    np.add(points, k2, out=k2)
-    return k2, np.multiply(dt / 6.0, k4, out=k4)
+    k2 = hamiltonian_vector_field(h, points + (0.5 * dt) * k1)
+    k3 = hamiltonian_vector_field(h, points + (0.5 * dt) * k2)
+    k4 = hamiltonian_vector_field(h, points + dt * k3)
+    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (dt / 6.0) * k4
 
 
 def _midpoint_step(points: FloatArray, k1: FloatArray, dt: float,
                    h) -> tuple[FloatArray, FloatArray]:
     """Implicit midpoint step of the (M, 2) ``points`` from their field ``k1``,
-    solved by fixed-point iteration from the explicit Euler guess.
+    solved by the fixed-point iteration z <- points + dt X((points + z) / 2)
+    from the explicit Euler guess points + dt k1.
 
     Each iteration evaluates the field once; the solve stops when an update
     is at most 1e-14 max(1, max|z|) for the iterate z, and raises
@@ -213,30 +171,17 @@ def _midpoint_step(points: FloatArray, k1: FloatArray, dt: float,
     where z1, the first iterate, is the explicit midpoint step: with k5 the
     field at the end, e - (dt / 6) k5 is a third of the differences of y1
     from the explicit midpoint and from the trapezoid step, the leading
-    term of the local error.  As in ``_rk4_step``, the in-place operations
-    keep the operands of the update formula in their order.
+    term of the local error.
     """
-    z = dt * k1
-    np.add(points, z, out=z)
+    z = points + dt * k1
     z1 = None
     for _ in range(_MIDPOINT_ITERATIONS):
-        # z_next = points + dt * X(0.5 (points + z)); the stop test then reuses mid
-        mid = points + z
-        np.multiply(0.5, mid, out=mid)
-        z_next = hamiltonian_vector_field(h, mid)
-        np.multiply(dt, z_next, out=z_next)
-        np.add(points, z_next, out=z_next)
+        z_next = points + dt * hamiltonian_vector_field(h, 0.5 * (points + z))
         if z1 is None:
             z1 = z_next
-        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=mid), out=mid), axis=None)
-        size = np.maximum.reduce(np.abs(z, out=mid), axis=None)
-        if update <= 1e-14 * max(size, 1.0):
-            e = np.multiply(2.0, z_next)
-            np.subtract(e, z1, out=e)
-            np.subtract(e, points, out=e)
-            np.subtract(e, np.multiply(0.5 * dt, k1, out=mid), out=e)
-            np.divide(e, 3.0, out=e)
-            return z_next, e
+        update = np.maximum.reduce(np.abs(z_next - z), axis=None)
+        if update <= 1e-14 * max(np.maximum.reduce(np.abs(z), axis=None), 1.0):
+            return z_next, (2.0 * z_next - z1 - points - 0.5 * dt * k1) / 3.0
         z = z_next
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
@@ -321,8 +266,7 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     for i, step_dt in enumerate(steps):
         end, e = stepper(pts, k, step_dt, h)
         k = hamiltonian_vector_field(h, end)
-        np.subtract(e, np.multiply(step_dt / 6.0, k), out=e)
-        est = float(np.maximum.reduce(np.abs(e, out=e), axis=None))
+        est = float(np.maximum.reduce(np.abs(e - (step_dt / 6.0) * k), axis=None))
         if not est <= _ERROR_LIMIT:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")

@@ -34,16 +34,22 @@ _AREA_ROUNDING = 16.0 * np.finfo(float).eps
 # a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
 _SIMPLE_BLOCK = 128
 
-_QUARTER_TURN = np.array([1.0, -1.0])
-
 
 def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
 def _perp(u: np.ndarray) -> np.ndarray:
-    """The quarter turn (x, y) -> (y, -x) of the last axis."""
-    return u[..., ::-1] * _QUARTER_TURN
+    """The quarter turn (x, y) -> (y, -x) of the last axis, as a float array.
+
+    As x + iy this is -i times ``u``.  The parts are swapped and the second is
+    multiplied by -1: not the whole by -i, whose cross terms 0 * x could flip
+    the sign of a zero, and not negated, which would flip the sign of a NaN.
+    """
+    out = np.empty(u.shape)
+    out[..., 0] = u[..., 1]
+    np.multiply(u[..., 0], -1.0, out=out[..., 1])
+    return out
 
 
 def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):

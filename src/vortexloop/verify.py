@@ -38,7 +38,9 @@ def _circle_dist(a, b) -> np.ndarray:
     return np.abs(np.mod(np.asarray(a) - np.asarray(b) + np.pi, TWO_PI) - np.pi)
 
 
-def _check(name: str, residual: float, tolerance: float, comparison: str = "<=") -> dict:
+def _check(name: str, residual: float, tolerance: float, comparison: str = "<=",
+           structural: bool = False) -> dict:
+    """One report record; a check that reads 0 by construction is marked ``structural``."""
     residual = float(residual)
     if comparison == "<=":
         passed = residual <= tolerance
@@ -46,13 +48,16 @@ def _check(name: str, residual: float, tolerance: float, comparison: str = "<=")
         passed = residual >= tolerance
     else:
         raise ValueError(f"unknown comparison {comparison!r}")
-    return {
+    record = {
         "name": name,
         "passed": bool(passed),
         "residual": residual,
         "tolerance": float(tolerance),
         "comparison": comparison,
     }
+    if structural:
+        record["structural"] = True
+    return record
 
 
 def _random_constrained_tangent(rng: np.random.Generator, emb: LoopEmbedding,
@@ -167,8 +172,9 @@ def symplectic_suite(seed: int) -> list[dict]:
     u = _random_constrained_tangent(rng, emb)
     v = _random_constrained_tangent(rng, emb)
     w = _random_constrained_tangent(rng, emb)
+    # the two-form's coefficients do not depend on the basepoint: a value minus itself
     checks.append(_check("omega_closedness_fd",
-                         closedness_residual(emb, u, v, w, form), 1e-5))
+                         closedness_residual(emb, u, v, w, form), 1e-5, structural=True))
     checks.append(_check("omega_exactness_fd",
                          exactness_residual(emb, u, v, form), 1e-5))
 
@@ -203,7 +209,9 @@ def flow_suite(seed: int) -> list[dict]:
     h = samples.random_hamiltonian(rng, samples.loop_bbox(rng_loop.embedding))
     report = advect(rng_loop, h, 0.25, 1e-3)
     checks.append(_check("generic_area_drift", report.area_drift, 1e-8))
-    checks.append(_check("generic_profile_drift_bitexact", report.profile_drift, 0.0))
+    # advect carries the input loop's profile over to the evolved loop
+    checks.append(_check("generic_profile_drift_bitexact", report.profile_drift, 0.0,
+                         structural=True))
     checks.append(_check("generic_hamiltonian_drift", report.hamiltonian_drift, 1e-8))
 
     p = rng.uniform(-1.0, 1.0, size=(5, 2))

@@ -198,10 +198,10 @@ class DenseBumpField:
 
 
 def reference_rk4_step(points, dt, field):
-    """One RK4 step in real arithmetic, every stage a fresh array: the package's
-    step as it stood before its stages were combined in place.  Returns the end
-    and (dt / 6) k4, the part of the embedded third-order estimate that is not
-    the field at the end."""
+    """One RK4 step in real arithmetic, every stage a fresh array, kept apart
+    from the package's ``flow._rk4_step``.  Returns the end and (dt / 6) k4,
+    the part of the embedded third-order estimate that is not the field at
+    the end."""
     k1 = field(points)
     k2 = field(points + 0.5 * dt * k1)
     k3 = field(points + 0.5 * dt * k2)

@@ -387,6 +387,16 @@ def test_verify_deterministic(capsys):
     assert all(c["passed"] for s in doc["suites"] for c in s["checks"])
 
 
+def test_verify_marks_exactly_the_two_structural_checks(capsys):
+    code, out, _ = run(capsys, ["verify", "--suite", "all", "--seed", "3"])
+    assert code == 0
+    checks = [c for s in json.loads(out)["suites"] for c in s["checks"]]
+    marked = {c["name"]: c for c in checks if "structural" in c}
+    assert sorted(marked) == ["generic_profile_drift_bitexact", "omega_closedness_fd"]
+    for c in marked.values():
+        assert c["structural"] is True and c["residual"] == 0.0
+
+
 def test_verify_seed_from_environment(capsys, monkeypatch):
     monkeypatch.setenv("VORTEXLOOP_SEED", "7")
     code, out, _ = run(capsys, ["verify", "--suite", "forms"])

@@ -30,8 +30,8 @@ from vortexloop.loops import (
     pushforward_form,
     reversed_decoration,
 )
-from vortexloop.quadrature import uniform_grid
-from vortexloop.symplectic import momentum_map_eval
+from vortexloop.quadrature import periodic_trapezoid, uniform_grid
+from vortexloop.symplectic import _constraint, momentum_map_eval
 
 from conftest import (
     StarCurve,
@@ -357,6 +357,45 @@ def test_frame_is_orthonormal():
     np.testing.assert_allclose(np.sum(tangent * normal, axis=-1), 0.0, atol=1e-12)
     np.testing.assert_allclose(normal[:, 0], -tangent[:, 1], atol=1e-14)
     np.testing.assert_allclose(normal[:, 1], tangent[:, 0], atol=1e-14)
+
+
+def _broadcast_perp(u):
+    """The quarter turn as one broadcast product of the swapped parts with (1, -1)."""
+    return u[..., ::-1] * np.array([1.0, -1.0])
+
+
+def test_quarter_turn_is_the_swap_times_one_minus_one_to_the_bit():
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 1.5, -2.25])
+    flat = np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2)
+    for u in (flat, flat[:32].reshape(2, 16, 2), np.asfortranarray(flat)):
+        kept = u.copy()
+        got = loops._perp(u)
+        want = _broadcast_perp(u)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert u.tobytes() == kept.tobytes()
+        # (y, -x): the sign of every zero and infinity flips in the second part
+        assert np.array_equal(got[..., 0], u[..., 1], equal_nan=True)
+        finite_or_inf = ~np.isnan(u[..., 0])
+        assert np.array_equal(np.signbit(got[..., 1])[finite_or_inf],
+                              ~np.signbit(u[..., 0])[finite_or_inf])
+
+
+def test_frame_and_area_constraint_keep_their_quarter_turn_bits():
+    rng = np.random.default_rng(25)
+    emb = samples.random_loop(rng, n=256)
+    s = rng.uniform(0.0, TWO_PI, 64)
+    tangent, normal = emb.frame(s)
+    d = emb.derivative(s)
+    want = d / np.linalg.norm(d, axis=-1, keepdims=True)
+    assert tangent.tobytes() == want.tobytes()
+    assert normal.tobytes() == (-_broadcast_perp(want)).tobytes()
+    vec = rng.normal(size=(256, 2))
+    raw, _, g, gg = _constraint(emb, vec)
+    want = _broadcast_perp(emb.derivative(emb.grid))
+    assert g.tobytes() == want.tobytes()
+    assert raw == periodic_trapezoid(np.sum(vec * want, axis=1))
+    assert gg == periodic_trapezoid(np.sum(want * want, axis=1))
 
 
 # ---------------------------------------------------------------- decoration

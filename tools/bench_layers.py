@@ -19,7 +19,10 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
   ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
 - ``loops._spline_area`` per call on one loop's samples at n in {256, 1024, 2048}:
   the area that ``LoopEmbedding`` computes once and ``enclosed_area`` returns;
-- ``loops._polyline_is_simple`` at n = 256 (one simplicity check);
+- ``loops._polyline_is_simple`` (one simplicity check) at n = 256 and, on
+  loops of their own, at n in ``SIMPLE_SIZES`` (1024, 4096);
+- ``symplectic.momentum_map_eval`` at n = 256: the bump values on the loop's
+  samples paired with its density, as ``advect`` calls it before and after;
 - ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
   100, and on a fresh sampled form of 256, 1024 and 2048 values;
 - one in-process ``cli.main(["invariants", ...])`` on a 256-point circle
@@ -68,6 +71,7 @@ REGION_BUMPS = (((-0.25, 0.0), 0.8, 0.2), ((0.25, 0.0), 1.0, -0.15))
 ZERO_DEGREES = (3, 25, 100)
 ZERO_SAMPLES = (256, 1024, 2048)
 AREA_SIZES = (256, 1024, 2048)
+SIMPLE_SIZES = (1024, 4096)
 INVERT_DEGREE = 40
 # targets of one inversion and nodes of one circle-map inverse
 INVERT_SIZE = 4096
@@ -142,6 +146,7 @@ def measure(root):
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
     from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple, _spline_area
     from vortexloop.quadrature import uniform_grid
+    from vortexloop.symplectic import momentum_map_eval
 
     out = {}
     rng = np.random.default_rng(SEED)
@@ -178,6 +183,13 @@ def measure(root):
     out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
     pts = loop.embedding.samples
     out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
+    out["momentum_map_eval.n256"] = _per_call(
+        lambda: momentum_map_eval(loop.embedding, h, loop.decoration))
+    # a generator of their own, so the inputs of the other kernels do not move
+    simple_rng = np.random.default_rng(SEED)
+    for n in SIMPLE_SIZES:
+        pts = samples.random_loop(simple_rng, n=n).samples
+        out[f"polyline_is_simple.n{n}"] = _per_call(lambda: _polyline_is_simple(pts))
 
     # a generator of their own, so the inputs of the other kernels do not move
     area_rng = np.random.default_rng(SEED)
