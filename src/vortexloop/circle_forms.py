@@ -38,7 +38,8 @@ _INVERT_PANELS = 256
 _HORNER_MIN_POINTS = 256
 
 
-def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0) -> FloatArray:
+def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0,
+                      bound=None) -> FloatArray:
     """Solve ``sign * f(t) == target`` entrywise inside brackets ``[lo, hi]``.
 
     ``sign * f - target`` must change from nonpositive to nonnegative across
@@ -55,9 +56,17 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0) ->
     at once.  A ``floor`` at the rounding level of ``f`` (``_rounding_floor``)
     ends an entry whose root lies where ``df`` is small, where rounding noise
     in the residual would otherwise stop Newton steps from halving and leave
-    the entry to bisect its whole bracket.  The iteration cap is twice what
-    bisection alone needs on the widest bracket; an entry still active there,
-    such as one where ``f`` is NaN, raises VortexLoopError.
+    the entry to bisect its whole bracket.  A ``bound`` K >= sup|sign * f''|
+    over the brackets also ends an entry, without evaluating ``f`` again, at
+    a Newton step ``delta`` to ``t`` that it takes once
+    ``K * delta**2 + |df * ulp(t)| <= floor``: the step zeroes the linear
+    part of the residual, so by Taylor's theorem the residual at its exact
+    end is at most ``K * delta**2 / 2``, rounding that end to the double
+    ``t`` adds at most ``|df| * ulp(t) / 2``, and the two take at most half
+    the floor, which leaves the other half for the rounding of ``f``.  The
+    iteration cap is twice what bisection alone needs on the widest bracket;
+    an entry still active there, such as one where ``f`` is NaN, raises
+    VortexLoopError.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -80,13 +89,16 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0) ->
         lo_a = np.where(resid < 0.0, ta, lo[active])
         hi_a = np.where(resid >= 0.0, ta, hi[active])
         with np.errstate(divide="ignore", invalid="ignore"):
-            newton = ta - resid / (sg * np.asarray(df(ta), dtype=float))
+            slope = sg * np.asarray(df(ta), dtype=float)
+            newton = ta - resid / slope
         take = ((newton >= lo_a) & (newton <= hi_a)
                 & (np.abs(newton - ta) <= 0.5 * step[active]))
         t_next = np.where(take, newton, 0.5 * (lo_a + hi_a))
         step_a = np.abs(t_next - ta)
         lo[active], hi[active], t[active], step[active] = lo_a, hi_a, t_next, step_a
         done = np.isfinite(resid) & ((hi_a - lo_a <= _BRACKET_WIDTH) | (step_a <= _BRACKET_WIDTH))
+        if bound is not None:
+            done |= take & (bound * step_a * step_a + np.abs(slope * np.spacing(t_next)) <= floor)
         active = active[~done]
     if active.size:
         j = int(active[0])
@@ -342,6 +354,17 @@ class CircleForm:
             n = self._sampling_grid()[0].size
             self._abs_max_deriv = float(np.max(np.abs(self._on_uniform_grid(n, 1))))
         return self._abs_max_deriv
+
+    def _derivative_bound(self) -> float:
+        """A proven upper bound on |density'| over the circle: sum_j j |c_j| for
+        a trig series, and for samples the largest over the spline's cells of
+        |m| + h (2 |c| + 3 h |d|), its slope ``m + 2 c x + 3 d x**2`` bounded
+        term by term on ``0 <= x <= h``."""
+        if self._kind == "trig":
+            return float(np.sum(np.abs(self._dcoeffs)))
+        _, m, c, d = np.abs(self._spline._coeffs)
+        h = TWO_PI / self._node_count
+        return float(np.max(m + h * (2.0 * c + 3.0 * h * d)))
 
     def __repr__(self) -> str:
         if self._kind == "trig":
@@ -669,10 +692,12 @@ def _invert_batch(form: CircleForm, starts: FloatArray, lengths: FloatArray,
     inverse cubic Hermite of its panel, or at the square-root form in a
     panel that ends at a zero of the density (``_inverse_hermite``).  One
     call of the safeguarded Newton kernel (``_newton_bracketed``) finishes
-    them all, each stopping once its residual is at the rounding floor of the
-    table, about two antiderivative evaluations per target; its bisection
-    fallback keeps convergence independent of the density staying away from
-    zero at the segment ends.
+    them all.  The antiderivative's second derivative is the density's
+    slope, so the kernel gets the proven bound ``_derivative_bound`` and ends
+    an entry, without evaluating there, at a Newton step whose Taylor
+    remainder and rounding to a double take at most half the rounding floor
+    of the table: about one antiderivative evaluation per target.  Its bisection fallback keeps convergence
+    independent of the density staying away from zero at the segment ends.
     """
     sgn = np.sign(omegas)
     w = np.abs(omegas)
@@ -694,7 +719,7 @@ def _invert_batch(form: CircleForm, starts: FloatArray, lengths: FloatArray,
                              slope[left], slope[left + 1])
     t = _newton_bracketed(form.antiderivative, form, targets + sgn[seg] * anti[seg, 0],
                           edge[left], edge[left + 1], sgn[seg], start=start,
-                          floor=_rounding_floor(anti))
+                          floor=_rounding_floor(anti), bound=form._derivative_bound())
     x = np.where(targets >= w[seg], lengths[seg], np.where(targets <= 0.0, 0.0, t - starts[seg]))
     return np.clip(x, 0.0, lengths[seg])
 

@@ -115,7 +115,7 @@ def cmd_equiv(args) -> int:
 def cmd_intertwine(args) -> int:
     model = io.loop_from_dict(io.load(args.model), auto_orient=args.auto_orient)
     target = io.loop_from_dict(io.load(args.target), auto_orient=args.auto_orient)
-    psi = intertwiner(model.decoration, target, args.shift, rel_tol=args.rel_tol)
+    psi = intertwiner(model, target, args.shift, rel_tol=args.rel_tol)
     residual = _intertwining_residual(model.decoration, target.decoration, psi)
     doc = {"schema": io.SCHEMA, "shift": args.shift % model.profile.k, "residual": residual}
     if args.output:

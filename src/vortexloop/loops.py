@@ -347,20 +347,20 @@ def orbit_equivalent(first: DecoratedLoop, second: DecoratedLoop, *,
     return _orbit_match(first, second, area_rel_tol, profile_rel_tol)[0]
 
 
-def intertwiner(model: CircleForm, target: DecoratedLoop, shift: int, *,
+def intertwiner(model: DecoratedLoop, target: DecoratedLoop, shift: int, *,
                 rel_tol: float = DEFAULT_PROFILE_REL_TOL,
                 grid_size: int | None = None) -> CircleDiffeo:
-    """Reparametrization pushing the model density onto the target decoration.
+    """Reparametrization pushing the model's decoration onto the target's.
 
     Segment ``i`` of the model is carried onto segment ``i + shift`` of the
-    target by matching cumulative integrals.  Raises ProfileMismatch unless
-    the vorticity profiles agree at the requested shift.
+    target by matching cumulative integrals, between the zeros both loops
+    found on construction.  Raises ProfileMismatch unless the vorticity
+    profiles agree at the requested shift.
     """
-    model_zeros = find_zeros(model)
-    model_prof = partial_vorticities(model, model_zeros)
+    form = model.decoration
     if grid_size is None:
-        grid_size = 4 * max(target.embedding.size, model.node_count)
-    return _transport(model, model_zeros, model_prof, target.decoration, target.zero_set,
+        grid_size = 4 * max(target.embedding.size, form.node_count)
+    return _transport(form, model.zero_set, model.profile, target.decoration, target.zero_set,
                       target.profile, shift, rel_tol, grid_size)
 
 

@@ -55,21 +55,6 @@ def symmetric_form_profile(b: float = 0.2) -> np.ndarray:
     return np.array([hi, lo, hi, lo])
 
 
-def near_degenerate_form(flatness: float = 1e-9) -> CircleForm:
-    """Morse-in-principle density whose zero at t = 0 is nearly degenerate.
-
-    The factor 1 - (1 - flatness) ((1 + cos t)/2)^8 crushes the derivative at
-    t = 0 down to 2 * flatness while leaving the other three zeros healthy,
-    so zero finding must reject it under the default Morse tolerance.
-    """
-
-    def fn(t):
-        window = ((1.0 + np.cos(t)) / 2.0) ** 8
-        return np.sin(2.0 * t) * (1.0 - (1.0 - flatness) * window)
-
-    return CircleForm.from_function(fn, degree=10)
-
-
 def random_morse_form(rng: np.random.Generator, max_degree: int = 3,
                       min_zeros: int = 2) -> CircleForm:
     """Random low-degree trig density with verified Morse zero structure."""
@@ -129,29 +114,6 @@ def loop_bbox(*loops):
     pts = np.vstack([lp.samples for lp in loops])
     return ((float(pts[:, 0].min() - 0.5), float(pts[:, 0].max() + 0.5)),
             (float(pts[:, 1].min() - 0.5), float(pts[:, 1].max() + 0.5)))
-
-
-def bump_dictionary(bbox, count: int = 50) -> list[PlanarHamiltonian]:
-    """Deterministic dictionary of single-bump test Hamiltonians over a box.
-
-    A near-square grid of narrow bumps plus broad bumps at the box center,
-    padded to exactly the requested count.
-    """
-    (xlo, xhi), (ylo, yhi) = bbox
-    side = int(np.floor(np.sqrt(count)))
-    xs = np.linspace(xlo, xhi, side)
-    ys = np.linspace(ylo, yhi, side)
-    pitch = max((xhi - xlo) / max(side - 1, 1), (yhi - ylo) / max(side - 1, 1))
-    out = []
-    for y in ys:
-        for x in xs:
-            out.append(PlanarHamiltonian.single((x, y), 0.75 * pitch, 1.0))
-    cx, cy = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)
-    scale = 1.0
-    while len(out) < count:
-        out.append(PlanarHamiltonian.single((cx, cy), scale * max(xhi - xlo, yhi - ylo), 1.0))
-        scale *= 0.5
-    return out[:count]
 
 
 class AnalyticDiffeo:

@@ -125,11 +125,12 @@ def forms_suite(seed: int) -> list[dict]:
     gamma = samples.random_monotone_diffeo(rng)
     beta = samples.random_morse_form(rng)
     target_form = samples.pullback_through(gamma, beta)
-    target = DecoratedLoop(LoopEmbedding.circle(1.0, n=128), target_form)
-    model_zeros = find_zeros(beta).zeros
-    images = np.mod(gamma.inverse_eval(model_zeros), TWO_PI)
+    circle = LoopEmbedding.circle(1.0, n=128)
+    target = DecoratedLoop(circle, target_form)
+    model = DecoratedLoop(circle, beta)
+    images = np.mod(gamma.inverse_eval(model.zero_set.zeros), TWO_PI)
     shift = int(np.argmin(np.abs(np.sort(images) - images[0])))
-    recon = intertwiner(beta, target, shift, grid_size=1024)
+    recon = intertwiner(model, target, shift, grid_size=1024)
     checks.append(_check("intertwiner_recovers_inverse",
                          np.max(_circle_dist(recon(recon.grid),
                                              gamma.inverse_eval(recon.grid))), 1e-8))

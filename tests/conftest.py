@@ -7,14 +7,18 @@ matching, an all-pairs crossing test for polyline simplicity, a loop over
 the bumps of a bump Hamiltonian for its value and gradient, the bump
 kernel in its dense form, which evaluates the blend at every pair, the
 RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
-and the spline area by a Gauss rule on every cell of the spline.
+and the spline area by a Gauss rule on every cell of the spline.  Two
+fixtures that only tests use live here too: a density with a nearly
+degenerate zero and a dictionary of single-bump Hamiltonians.
 """
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
+from vortexloop.circle_forms import CircleForm
 from vortexloop.errors import StepRejected
+from vortexloop.flow import PlanarHamiltonian
 from vortexloop.quadrature import periodic_spline
 
 TWO_PI = 2.0 * np.pi
@@ -327,3 +331,41 @@ def fd_gradient(h, p, step=1e-6):
         e[i] = step
         out[i] = (h((p + e)[None, :])[0] - h((p - e)[None, :])[0]) / (2 * step)
     return out
+
+
+def near_degenerate_form(flatness=1e-9):
+    """Morse-in-principle density whose zero at t = 0 is nearly degenerate.
+
+    The factor 1 - (1 - flatness) ((1 + cos t)/2)^8 crushes the derivative at
+    t = 0 down to 2 * flatness while leaving the other three zeros healthy,
+    so zero finding must reject it under the default Morse tolerance.
+    """
+
+    def fn(t):
+        window = ((1.0 + np.cos(t)) / 2.0) ** 8
+        return np.sin(2.0 * t) * (1.0 - (1.0 - flatness) * window)
+
+    return CircleForm.from_function(fn, degree=10)
+
+
+def bump_dictionary(bbox, count=50):
+    """Deterministic dictionary of single-bump test Hamiltonians over a box.
+
+    A near-square grid of narrow bumps plus broad bumps at the box center,
+    padded to exactly the requested count.
+    """
+    (xlo, xhi), (ylo, yhi) = bbox
+    side = int(np.floor(np.sqrt(count)))
+    xs = np.linspace(xlo, xhi, side)
+    ys = np.linspace(ylo, yhi, side)
+    pitch = max((xhi - xlo) / max(side - 1, 1), (yhi - ylo) / max(side - 1, 1))
+    out = []
+    for y in ys:
+        for x in xs:
+            out.append(PlanarHamiltonian.single((x, y), 0.75 * pitch, 1.0))
+    cx, cy = 0.5 * (xlo + xhi), 0.5 * (ylo + yhi)
+    scale = 1.0
+    while len(out) < count:
+        out.append(PlanarHamiltonian.single((cx, cy), scale * max(xhi - xlo, yhi - ylo), 1.0))
+        scale *= 0.5
+    return out[:count]

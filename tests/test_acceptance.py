@@ -45,7 +45,7 @@ from vortexloop.symplectic import (
 )
 from scipy.linalg import svdvals
 
-from conftest import StarCurve
+from conftest import StarCurve, bump_dictionary, near_degenerate_form
 
 
 def circ_gap(a, b):
@@ -105,11 +105,12 @@ def test_criterion_2_constructive_intertwiner():
             target_form = samples.pullback_through(gamma, model)
             loop = DecoratedLoop(emb, target_form)
 
-            model_prof = partial_vorticities(model, find_zeros(model))
-            z0 = np.mod(gamma.inverse_eval(find_zeros(model).zeros[0]), TWO_PI)
+            model_loop = DecoratedLoop(emb, model)
+            model_prof = model_loop.profile
+            z0 = np.mod(gamma.inverse_eval(model_loop.zero_set.zeros[0]), TWO_PI)
             shift = int(np.argmin(circ_gap(loop.zero_set.zeros, z0)))
 
-            psi = intertwiner(model, loop, shift)
+            psi = intertwiner(model_loop, loop, shift)
             worst_sup = max(worst_sup,
                             float(np.max(circ_gap(psi(probe),
                                                   gamma.inverse_eval(probe)))))
@@ -219,7 +220,7 @@ def test_criterion_6_momentum_injectivity():
             pts = curve(grid)
             first = DecoratedLoop(LoopEmbedding(pts), sin2t)
             second = DecoratedLoop(LoopEmbedding(np.roll(pts, -n // 2, axis=0)), sin2t)
-            dictionary = samples.bump_dictionary(
+            dictionary = bump_dictionary(
                 samples.loop_bbox(first.embedding, second.embedding), 50)
             worst_equiv = max(worst_equiv,
                               momentum_separation(first, second, dictionary))
@@ -233,7 +234,7 @@ def test_criterion_6_momentum_injectivity():
             curve = StarCurve(rng)
             first = DecoratedLoop(LoopEmbedding(curve(grid)), form)
             second = DecoratedLoop(LoopEmbedding(curve(warped)), form)
-            dictionary = samples.bump_dictionary(
+            dictionary = bump_dictionary(
                 samples.loop_bbox(first.embedding, second.embedding), 50)
             worst_equiv = max(worst_equiv,
                               momentum_separation(first, second, dictionary))
@@ -258,7 +259,7 @@ def test_criterion_6_momentum_injectivity():
             else:
                 turned = CircleForm.from_samples(sin2t(grid + 0.5))
                 second = DecoratedLoop(LoopEmbedding(pts), turned)
-            dictionary = samples.bump_dictionary(
+            dictionary = bump_dictionary(
                 samples.loop_bbox(first.embedding, second.embedding), 50)
             min_sep = min(min_sep, momentum_separation(first, second, dictionary))
         assert min_sep > 1e-4
@@ -315,7 +316,7 @@ def test_criterion_8_cli_determinism_and_contract(tmp_path, capsys):
         broken_file.write_text('{"schema": "vortexloop/1", "samples": [[0, ')
 
         degen = io.loop_to_dict(circle)
-        degen["beta"] = io.form_to_dict(samples.near_degenerate_form())
+        degen["beta"] = io.form_to_dict(near_degenerate_form())
         degen_file = tmp_path / "degenerate.json"
         io.dump(degen, degen_file)
 

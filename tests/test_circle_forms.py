@@ -2,13 +2,22 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import TWO_PI, brute_symmetry_step, oracle_zeros, oracle_integral, oracle_profile
+from conftest import (
+    TWO_PI,
+    brute_symmetry_step,
+    near_degenerate_form,
+    oracle_integral,
+    oracle_profile,
+    oracle_zeros,
+)
+from vortexloop import circle_forms
 from vortexloop.circle_forms import (
     _HORNER_MIN_POINTS,
     CircleDiffeo,
     _invert_batch,
     _newton_bracketed,
     _power_sum,
+    _rounding_floor,
     CircleForm,
     VorticityProfile,
     cumulative,
@@ -28,7 +37,6 @@ from vortexloop.errors import (
 )
 from vortexloop.quadrature import uniform_grid
 from vortexloop.samples import (
-    near_degenerate_form,
     random_monotone_diffeo,
     random_morse_form,
     standard_form,
@@ -460,6 +468,19 @@ def test_batched_inversion_stops_at_the_rounding_floor_where_the_density_is_smal
     assert np.all(np.abs(got - want) <= rounding / np.abs(form(starts[seg] + want)))
 
 
+def _images_of_a_reparametrized_grid(form, zs):
+    """4096 targets, the images of a monotone reparametrization of the grid
+    as in one transport: the segment lengths, and the targets' points,
+    segments and cumulative integrals."""
+    starts = zs.zeros
+    ext = np.append(starts, starts[0] + TWO_PI)
+    grid = uniform_grid(4096)
+    x = np.sort(np.mod(grid + 0.3 * np.sin(grid) + 0.1, TWO_PI))
+    x = np.where(x < starts[0], x + TWO_PI, x)
+    seg = np.clip(np.searchsorted(ext, x, side="right") - 1, 0, zs.k - 1)
+    return np.diff(ext), x, seg, form.antiderivative(x) - form.antiderivative(starts[seg])
+
+
 @pytest.mark.parametrize("seed", [1, 5, 7])
 def test_batched_inversion_evaluates_few_points_per_target(seed):
     # 4096 targets, the images of a monotone reparametrization of the grid,
@@ -470,18 +491,110 @@ def test_batched_inversion_evaluates_few_points_per_target(seed):
     zs = find_zeros(form)
     omegas = partial_vorticities(form, zs).omegas
     starts = zs.zeros
-    ext = np.append(starts, starts[0] + TWO_PI)
-    grid = uniform_grid(4096)
-    x = np.sort(np.mod(grid + 0.3 * np.sin(grid) + 0.1, TWO_PI))
-    x = np.where(x < starts[0], x + TWO_PI, x)
-    seg = np.clip(np.searchsorted(ext, x, side="right") - 1, 0, zs.k - 1)
-    s = form.antiderivative(x) - form.antiderivative(starts[seg])
+    lengths, x, seg, s = _images_of_a_reparametrized_grid(form, zs)
 
     points = _counting_antiderivative(form)
-    got = _invert_batch(form, starts, np.diff(ext), omegas, s, seg)
+    got = _invert_batch(form, starts, lengths, omegas, s, seg)
     assert sum(points) <= 2.6 * s.size
     assert len(points) - 1 <= 6
     assert np.max(np.abs(starts[seg] + got - x)) < 1e-10
+
+
+def _ended_by_the_bound(monkeypatch, form):
+    """Invert ``_images_of_a_reparametrized_grid`` and tell which entries the
+    kernel's bound ended.  The kernel runs once without its bound and once
+    with it: the bound only ends entries early, so an entry the bound ended
+    is one left at a point the second run never evaluated, unless the first
+    run, too, left it there unevaluated (by its bracket or step width)."""
+    runs = []
+    kernel = circle_forms._newton_bracketed
+
+    def traced(f, df, target, lo, hi, sign, bound=None, **kwargs):
+        for b in (None, bound):
+            seen = []
+            t = kernel(lambda u: (seen.append(u.copy()), f(u))[1], df, target, lo, hi, sign,
+                       bound=b, **kwargs)
+            runs.append((t, ~np.isin(t, np.concatenate(seen))))
+        runs.append((target, sign, kwargs["floor"]))
+        return t
+
+    zs = find_zeros(form)
+    starts = zs.zeros
+    omegas = partial_vorticities(form, zs).omegas
+    lengths, x, seg, s = _images_of_a_reparametrized_grid(form, zs)
+    monkeypatch.setattr(circle_forms, "_newton_bracketed", traced)
+    got = _invert_batch(form, starts, lengths, omegas, s, seg)
+    assert np.max(np.abs(starts[seg] + got - x)) < 1e-10
+    (t_plain, unevaluated_plain), (t, unevaluated), (target, sign, floor) = runs
+    by_bound = unevaluated & ~(unevaluated_plain & (t_plain == t))
+    return t, by_bound, target, sign, floor
+
+
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+@pytest.mark.parametrize("degree", [3, 25, 100])
+def test_entries_ended_by_the_bound_have_residuals_within_the_floor(monkeypatch, kind, degree):
+    # The bound ends an entry at a Newton step whose Taylor remainder and
+    # rounding to a double take at most half the floor together, so what is
+    # left of the residual there is the rounding of the antiderivative at the
+    # step's start.  A trig residual is taken in long double: the package's own
+    # antiderivative rounds by up to 0.84 of the floor at degree 100 (seed 0
+    # draws of this generator), so evaluated there it can pass the floor
+    # (1.02 of it seen) even where the long double residual does not.  A
+    # spline is defined by its double cells, so its residual is evaluated.
+    form = random_morse_form(np.random.default_rng(degree), degree)
+    if kind == "samples":
+        form = CircleForm.from_samples(form(uniform_grid(max(256, 8 * degree))))
+    t, by_bound, target, sign, floor = _ended_by_the_bound(monkeypatch, form)
+    assert np.sum(by_bound) >= 0.4 * t.size
+    if kind == "trig":
+        a0 = np.longdouble(form.trig_coefficients[0])
+        anti = a0 * t[by_bound] + long_double_power_sum(form._icoeffs, t[by_bound], True)
+    else:
+        anti = form.antiderivative(t[by_bound])
+    resid = (sign[by_bound] * anti - target[by_bound]).astype(float)
+    assert np.max(np.abs(resid)) <= floor
+
+
+def test_kernel_goes_on_past_a_newton_step_beyond_its_bound():
+    # F = sin^2 t is the antiderivative of sin 2t, which vanishes at 0.  From
+    # a start at 0.05 the first Newton step toward the root 1e-3 is about 0.024,
+    # so K delta^2 (K = 2) is far above the floor and the kernel evaluates F
+    # at the step's end; close to the root the steps shrink until the bound
+    # ends the entry.
+    form = standard_form("sin2t")
+    calls = []
+    f = lambda t: (calls.append(t.copy()), form.antiderivative(t))[1]
+    root = 1e-3
+    floor = _rounding_floor([1.0])
+    t = _newton_bracketed(f, form, np.sin(root) ** 2, [0.0], [0.1], start=[0.05],
+                          floor=floor, bound=form._derivative_bound())
+    assert form._derivative_bound() == 2.0
+    first_step = 0.05 - (np.sin(0.05) ** 2 - np.sin(root) ** 2) / np.sin(0.1)
+    assert abs(calls[1][0] - first_step) < 1e-15
+    assert 2.0 * (first_step - 0.05) ** 2 > floor
+    assert len(calls) >= 3
+    assert abs(np.sin(t[0]) ** 2 - np.sin(root) ** 2) <= floor
+    assert abs(t[0] - root) < 1e-12
+
+
+def test_bound_inversion_evaluates_about_one_point_per_target():
+    # A degree-25 density with 30 zeros: one call tabulates the 30 segments,
+    # then the kernel evaluates the antiderivative about once per target
+    # (1.26 times here; without the bound each target takes two or more).
+    # |density| reaches 9 here, so at many targets |density| * ulp(t) passes
+    # the floor and the rounding of a step's end to a double alone can leave
+    # a residual above half of it: the kernel evaluates those once more, and
+    # with Taylor's remainder alone the count would be 1.15.
+    form = random_morse_form(np.random.default_rng(25), 25)
+    zs = find_zeros(form)
+    starts = zs.zeros
+    omegas = partial_vorticities(form, zs).omegas
+    lengths, _, seg, s = _images_of_a_reparametrized_grid(form, zs)
+
+    points = _counting_antiderivative(form)
+    _invert_batch(form, starts, lengths, omegas, s, seg)
+    assert points[0] == zs.k * 257
+    assert sum(points[1:]) <= 1.3 * s.size
 
 
 # -- safeguarded Newton kernel ------------------------------------------------
@@ -578,6 +691,35 @@ def test_kernel_stops_at_once_on_a_residual_at_its_floor():
     assert _newton_bracketed(f, np.ones_like, 0.0, [0.0], [3.0], start=[start],
                              floor=1e-9)[0] == start
     assert calls == [1, 1, 1]
+
+
+def test_kernel_bound_ends_only_newton_steps():
+    # f = t - 1 has f'' = 0, so K = 0 bounds it.  From the lower end of a
+    # 1e-8 bracket whose root lies by its upper end, the first Newton step is
+    # longer than half the bracket and the kernel bisects instead: a
+    # bisection step zeroes no linear part, so the bound must not end it,
+    # though K * delta**2 is 0.
+    root = _newton_bracketed(lambda t: t - 1.0, np.ones_like, 0.0, [1.0 - 1e-8],
+                             [1.0 + 1e-10], start=[1.0 - 1e-8], floor=1e-15, bound=0.0)
+    assert root[0] == 1.0
+
+
+@pytest.mark.parametrize("slope", [40.0, 0.01])
+def test_kernel_bound_counts_the_rounding_of_the_step_end(slope):
+    # A line of slope 40 near t = 10.3: rounding the Newton point to a double
+    # alone can leave a residual of 40 * ulp(10.3) / 2 = 3.6e-14, above half
+    # the floor of 1e-14, so the kernel evaluates there though K = 0.  At
+    # slope 0.01 the bound ends the entry at its first Newton step.
+    calls = []
+    f = lambda t: (calls.append(t.copy()), slope * (t - 10.3))[1]
+    root = _newton_bracketed(f, lambda t: np.full_like(t, slope), 0.0, [10.0], [11.0],
+                             floor=1e-14, bound=0.0)
+    newton = 10.5 - slope * (10.5 - 10.3) / slope
+    assert abs(root[0] - 10.3) <= 1e-14
+    if slope == 40.0:
+        assert len(calls) >= 2 and calls[1][0] == newton
+    else:
+        assert len(calls) == 1 and root[0] == newton
 
 
 # -- stabilizers and transport ------------------------------------------------

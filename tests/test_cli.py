@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import vortexloop
-from vortexloop import cli, io, samples
+from vortexloop import cli, io, loops, samples
 from vortexloop.circle_forms import (
     DEFAULT_MORSE_TOL,
     DEFAULT_PROFILE_REL_TOL,
@@ -32,6 +32,8 @@ from vortexloop.errors import (
 )
 from vortexloop.flow import PlanarHamiltonian
 from vortexloop.loops import DEFAULT_AREA_REL_TOL, DecoratedLoop, LoopEmbedding
+
+from conftest import near_degenerate_form
 
 
 def write_loop(path, loop):
@@ -141,6 +143,32 @@ def test_intertwine_shift_and_mismatch(capsys, tmp_path, circle_file, monkeypatc
     code, out, _ = run(capsys, argv)
     assert code == 0
     assert json.loads(out)["residual"] > 1e-8
+
+
+def test_intertwine_finds_each_loops_zeros_once(capsys, tmp_path, circle_file, monkeypatch):
+    # loading a loop finds its zeros and profile; the intertwiner reuses the
+    # model's and the target's instead of searching either decoration again
+    flipped = CircleForm.from_function(lambda t: -np.sin(2.0 * t))
+    target_file = write_loop(tmp_path / "target.json",
+                             DecoratedLoop(LoopEmbedding.circle(), flipped))
+    calls = []
+
+    def counted(name):
+        true_fn = getattr(loops, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return true_fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("find_zeros", "partial_vorticities"):
+        monkeypatch.setattr(loops, name, counted(name))
+    for shift, want_code in (("1", 0), ("0", 4)):
+        calls.clear()
+        code, _, _ = run(capsys, ["intertwine", circle_file, target_file, "--shift", shift])
+        assert code == want_code
+        assert sorted(calls) == ["find_zeros"] * 2 + ["partial_vorticities"] * 2
 
 
 def test_flow_run_and_artifacts(capsys, tmp_path, circle_file):
@@ -342,7 +370,7 @@ def test_boolean_coefficient_exit_2(capsys, tmp_path):
 def test_degenerate_zero_exit_3(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)
-    doc["beta"] = io.form_to_dict(samples.near_degenerate_form())
+    doc["beta"] = io.form_to_dict(near_degenerate_form())
     path = tmp_path / "degenerate.json"
     io.dump(doc, path)
     code, _, err = run(capsys, ["invariants", str(path)])
@@ -364,7 +392,7 @@ def test_steep_sampled_density_invariants_exit_0(capsys, tmp_path):
 def test_morse_tol_flag_loosens_the_zero_check(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)
-    doc["beta"] = io.form_to_dict(samples.near_degenerate_form(1e-9))
+    doc["beta"] = io.form_to_dict(near_degenerate_form(1e-9))
     path = tmp_path / "flat.json"
     io.dump(doc, path)
     code, _, err = run(capsys, ["invariants", str(path)])

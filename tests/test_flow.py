@@ -25,6 +25,7 @@ from conftest import (
     brute_bump_gradient,
     brute_bump_value,
     fd_gradient,
+    near_degenerate_form,
     reference_advect,
     reference_midpoint_step,
     reference_rk4_step,
@@ -377,7 +378,7 @@ def test_advect_carries_the_zero_set_and_profile_over(monkeypatch):
 def test_advect_keeps_the_input_loops_morse_tolerance():
     # a near-flat zero passes only the looser tolerance the loop was built with;
     # the evolved loop keeps that zero set instead of searching at the default
-    flat = samples.near_degenerate_form(flatness=1e-9)
+    flat = near_degenerate_form(flatness=1e-9)
     with pytest.raises(MorseViolation):
         DecoratedLoop(LoopEmbedding.circle(), flat)
     loop = DecoratedLoop(LoopEmbedding.circle(), flat, morse_tol=1e-12)

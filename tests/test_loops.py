@@ -537,10 +537,10 @@ def test_intertwiner_identity_and_rotation():
     loop = DecoratedLoop(LoopEmbedding.circle(), sin2t)
     t = np.linspace(0.0, TWO_PI, 501)
 
-    ident = intertwiner(sin2t, loop, 0)
+    ident = intertwiner(loop, loop, 0)
     assert np.max(np.abs(ident(t) - t)) < 1e-10
 
-    half = intertwiner(sin2t, loop, 2)
+    half = intertwiner(loop, loop, 2)
     gap = np.mod(half(t) - (t + np.pi) + np.pi, TWO_PI) - np.pi
     assert np.max(np.abs(gap)) < 1e-10
 
@@ -549,9 +549,10 @@ def test_intertwiner_rejects_bad_shift_and_k():
     sin2t = samples.standard_form("sin2t")
     loop = DecoratedLoop(LoopEmbedding.circle(), sin2t)
     with pytest.raises(ProfileMismatch):
-        intertwiner(sin2t, loop, 1)
+        intertwiner(loop, loop, 1)
     with pytest.raises(ProfileMismatch):
-        intertwiner(samples.standard_form("sin3t"), loop, 0)
+        intertwiner(DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin3t")),
+                    loop, 0)
 
 
 def test_intertwiner_recovers_reparametrization():
@@ -561,12 +562,13 @@ def test_intertwiner_recovers_reparametrization():
     target_form = samples.pullback_through(gamma, model)
     loop = DecoratedLoop(LoopEmbedding.circle(), target_form)
 
-    model_zeros = find_zeros(model).zeros
+    model_loop = DecoratedLoop(LoopEmbedding.circle(), model)
+    model_zeros = model_loop.zero_set.zeros
     z0 = np.mod(gamma.inverse_eval(model_zeros[0]), TWO_PI)
     gaps = np.mod(loop.zero_set.zeros - z0 + np.pi, TWO_PI) - np.pi
     shift = int(np.argmin(np.abs(gaps)))
 
-    psi = intertwiner(model, loop, shift, grid_size=1024)
+    psi = intertwiner(model_loop, loop, shift, grid_size=1024)
     t = np.linspace(0.0, TWO_PI, 2001)
     diff = np.mod(psi(t) - gamma.inverse_eval(t) + np.pi, TWO_PI) - np.pi
     assert np.max(np.abs(diff)) < 1e-8

@@ -24,7 +24,7 @@ from vortexloop.symplectic import (
     tangent_decompose,
 )
 
-from conftest import StarCurve, oracle_integral
+from conftest import StarCurve, bump_dictionary, oracle_integral
 
 
 def star_embedding(seed, n=128):
@@ -246,7 +246,7 @@ def test_momentum_separation_zero_on_identical_loops():
     emb = star_embedding(14, n=256)
     loop = DecoratedLoop(emb, samples.standard_form("sin2t"))
     bbox = samples.loop_bbox(emb)
-    dictionary = samples.bump_dictionary(bbox, 9)
+    dictionary = bump_dictionary(bbox, 9)
     assert momentum_separation(loop, loop, dictionary) == 0.0
 
 
