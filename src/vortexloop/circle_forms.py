@@ -323,19 +323,26 @@ class CircleForm:
         """The density (``order=0``) or its derivative (``order=1``) at ``uniform_grid(n)``.
 
         On that grid ``e^{ijt}`` equals ``e^{i(j mod n)t}``, so a trig series
-        folds its coefficients into n bins by ``j mod n`` and takes one inverse
-        real FFT of their Hermitian half spectrum, exactly for any n and
-        degree.  A sampled form evaluates its spline there.  Off-grid points
-        go through ``_power_sum``.
+        writes its coefficients into n bins, folded by ``j mod n`` only when
+        they outnumber the bins, and takes one inverse real FFT of their
+        Hermitian half spectrum, exactly for any n and degree.  A sampled form
+        evaluates its spline there (``PeriodicCubic._on_uniform_grid``), cell
+        by cell where n allows.  Off-grid points go through ``_power_sum``.
         """
         if self._kind != "trig":
-            return self._spline(uniform_grid(n), order)
-        coeffs = np.concatenate(([self._a0], self._coeffs) if order == 0
-                                else ([0.0], self._dcoeffs))
-        bins = np.pad(coeffs, (0, -coeffs.size % n)).reshape(-1, n).sum(axis=0)
-        half = np.arange(n // 2 + 1)
+            return self._spline._on_uniform_grid(n, order)
+        coeffs = self._coeffs if order == 0 else self._dcoeffs
+        size = coeffs.size + 1
+        bins = np.zeros(size + -size % n, dtype=complex)
+        if order == 0:
+            bins[0] = self._a0
+        bins[1:size] = coeffs
+        if size > n:
+            bins = bins.reshape(-1, n).sum(axis=0)
+        half = n // 2 + 1
         # Re sum_m bins[m] e^{imt} has the Hermitian spectrum (bins[m] + conj(bins[-m])) / 2
-        spectrum = 0.5 * (bins[half] + np.conj(bins[-half % n]))
+        mirror = np.concatenate((bins[:1], bins[:-half:-1]))
+        spectrum = 0.5 * (bins[:half] + np.conj(mirror))
         return np.fft.irfft(spectrum, n, norm="forward")
 
     def _sampling_grid(self) -> tuple[FloatArray, FloatArray]:

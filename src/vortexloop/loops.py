@@ -84,8 +84,9 @@ def _polyline_is_simple(samples: FloatArray) -> bool:
     Only pairs whose bounding boxes meet can cross, so a sort-and-sweep over
     the boxes (``_x_overlap_pairs``, then a y-interval test) picks the
     candidates, and the orientation predicate decides each candidate in both
-    orders.  Segments that only touch, at a vertex, along a collinear
-    overlap or in a T-junction, do not cross properly.
+    orders; a block with no candidate left skips it.  Segments that only
+    touch, at a vertex, along a collinear overlap or in a T-junction, do not
+    cross properly.
     """
     n = samples.shape[0]
     a = samples
@@ -108,7 +109,7 @@ def _polyline_is_simple(samples: FloatArray) -> bool:
         keep = ((lo[i, 1] <= hi[j, 1]) & (lo[j, 1] <= hi[i, 1])
                 & (gap > 1) & (gap < n - 1))
         i, j = i[keep], j[keep]
-        if np.any(proper(i, j) | proper(j, i)):
+        if i.size and np.any(proper(i, j) | proper(j, i)):
             return False
     return True
 

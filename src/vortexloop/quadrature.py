@@ -10,6 +10,8 @@ slopes of the periodic cubic spline.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
@@ -50,24 +52,57 @@ class PeriodicCubic:
         c = (3.0 * secant - 2.0 * m - m_next) / h
         d = (m + m_next - 2.0 * secant) / (h * h)
         self._coeffs = np.stack([y, m, c, d])
+
+    @functools.cached_property
+    def _cumulative(self):
+        """Integral from 0 to each node and, last, to 2*pi; built on the first
+        ``antiderivative`` call, since most splines are never integrated."""
+        y, m, c, d = self._coeffs
+        h = TWO_PI / y.shape[0]
         cells = h * (y + h * (m / 2.0 + h * (c / 3.0 + h * d / 4.0)))
-        self._cumulative = np.concatenate([np.zeros_like(y[:1]), np.cumsum(cells, axis=0)])
+        return np.concatenate([np.zeros_like(y[:1]), np.cumsum(cells, axis=0)])
 
     def _locate(self, t):
         """Wrapped argument, cell index, cell coordinate and cell coefficients."""
         wrapped = np.mod(t, TWO_PI)
         j = np.searchsorted(self.knots, wrapped, side="right") - 1
-        x = (wrapped - self.knots[j]).reshape(j.shape + (1,) * (self._cumulative.ndim - 1))
+        x = (wrapped - self.knots[j]).reshape(j.shape + (1,) * (self._coeffs.ndim - 2))
         return wrapped, j, x, np.take(self._coeffs, j, axis=1)
 
-    def __call__(self, t, nu: int = 0):
-        """Value (``nu=0``) or first derivative (``nu=1``) at ``t``."""
-        _, _, x, (y, m, c, d) = self._locate(np.asarray(t, dtype=float))
+    @staticmethod
+    def _cubic(x, coeffs, nu):
+        """Value (``nu=0``) or first derivative (``nu=1``) of the cells ``coeffs`` at ``x``."""
+        y, m, c, d = coeffs
         if nu == 0:
             return y + x * (m + x * (c + x * d))
         if nu == 1:
             return m + x * (2.0 * c + 3.0 * x * d)
         raise ValueError(f"derivative order must be 0 or 1, got {nu}")
+
+    def __call__(self, t, nu: int = 0):
+        """Value (``nu=0``) or first derivative (``nu=1``) at ``t``."""
+        _, _, x, coeffs = self._locate(np.asarray(t, dtype=float))
+        return self._cubic(x, coeffs, nu)
+
+    def _on_uniform_grid(self, n: int, nu: int = 0):
+        """``self(uniform_grid(n), nu)``, bit for bit.
+
+        When n is the node count N times a power of two q, point ``j q + r``
+        of the grid lies in cell j, and point ``j q`` is knot j exactly:
+        scaling by a power of two is exact, so ``uniform_grid(n)[j q]`` and
+        ``knots[j]`` round alike.  Each cell is then evaluated at its row of
+        an (N, q) array of offsets from its knot, with no wrap, search or
+        gather.  Any other n goes through ``__call__``: there a grid point
+        can round to just below its knot, into the cell before.
+        """
+        nodes = self.knots.size
+        q, rest = divmod(n, nodes)
+        if rest or q & (q - 1):
+            return self(uniform_grid(n), nu)
+        x = uniform_grid(n).reshape(nodes, q) - self.knots[:, None]
+        x = x.reshape(x.shape + (1,) * (self._coeffs.ndim - 2))
+        out = self._cubic(x, self._coeffs[:, :, None], nu)
+        return out.reshape((n,) + out.shape[2:])
 
     def antiderivative(self, t):
         """Integral from 0 to ``t``, for any real ``t``."""

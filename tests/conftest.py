@@ -7,7 +7,9 @@ matching, an all-pairs crossing test for polyline simplicity, a loop over
 the bumps of a bump Hamiltonian for its value and gradient, the bump
 kernel in its dense form, which evaluates the blend at every pair, the
 RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
-and the spline area by a Gauss rule on every cell of the spline.  Two
+the spline area by a Gauss rule on every cell of the spline, and the trig
+grid evaluator in its plain form, which pads, folds and indexes the whole
+coefficient vector.  Two
 fixtures that only tests use live here too: a density with a nearly
 degenerate zero and a dictionary of single-bump Hamiltonians.
 """
@@ -70,6 +72,23 @@ def oracle_profile(f, zeros):
     """Partial vorticities by QUADPACK between consecutive oracle zeros."""
     ext = np.append(zeros, zeros[0] + TWO_PI)
     return np.array([oracle_integral(f, ext[i], ext[i + 1]) for i in range(len(zeros))])
+
+
+def reference_trig_grid(form, n, order=0):
+    """A trig form's density (``order=0``) or derivative (``order=1``) at
+    ``uniform_grid(n)``: the coefficients padded to a multiple of n, folded by
+    ``j mod n`` and mirrored by index arrays, then one inverse real FFT.
+    ``CircleForm._on_uniform_grid`` must give these bits."""
+    a0, cos_c, sin_c = form.trig_coefficients
+    c = np.zeros(max(cos_c.size, sin_c.size), dtype=complex)
+    c.real[:cos_c.size] = cos_c
+    c.imag[:sin_c.size] = -sin_c
+    coeffs = np.concatenate(([a0], c) if order == 0
+                            else ([0.0], 1j * np.arange(1, c.size + 1) * c))
+    bins = np.pad(coeffs, (0, -coeffs.size % n)).reshape(-1, n).sum(axis=0)
+    half = np.arange(n // 2 + 1)
+    spectrum = 0.5 * (bins[half] + np.conj(bins[-half % n]))
+    return np.fft.irfft(spectrum, n, norm="forward")
 
 
 def brute_polyline_is_simple(samples):

@@ -9,6 +9,7 @@ from conftest import (
     oracle_integral,
     oracle_profile,
     oracle_zeros,
+    reference_trig_grid,
 )
 from vortexloop import circle_forms
 from vortexloop.circle_forms import (
@@ -96,6 +97,21 @@ def test_trig_evaluation_matches_naive_fourier_sum(degree):
         out = method(float(t[0]))
         assert type(out) is float
         assert abs(out - expected[0]) < tol
+
+
+@pytest.mark.parametrize("degree", [0, 1, 3, 25, 100, 511, 512, 1024, 4095, 5000])
+def test_trig_grid_is_the_reference_evaluator_bit_for_bit(degree):
+    # the coefficients go into zero bins and fold only when they outnumber the
+    # bins; n below the degree aliases, and one of cos and sin may be shorter
+    rng = np.random.default_rng(degree)
+    for n_cos, n_sin in ((degree, degree), (degree, degree // 3), (degree // 2, degree)):
+        form = CircleForm.trig(rng.normal(), rng.normal(size=n_cos), rng.normal(size=n_sin))
+        for n in (1, 2, 3, 7, 64, 1000, 1024, 4096, 8 * degree + 3):
+            for order in (0, 1):
+                got = form._on_uniform_grid(n, order)
+                want = reference_trig_grid(form, n, order)
+                assert got.shape == want.shape == (n,)
+                assert got.tobytes() == want.tobytes(), (n_cos, n_sin, n, order)
 
 
 def long_double_power_sum(coeffs, t, minus_one):

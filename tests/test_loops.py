@@ -177,6 +177,21 @@ def test_simplicity_sweep_on_a_serpentine():
     assert not loops._polyline_is_simple(bad)
 
 
+def test_simplicity_sweep_skips_the_predicate_without_candidates(monkeypatch):
+    # on a smooth loop no two non-adjacent segments have meeting boxes, so no
+    # block keeps a candidate and the orientation predicate never runs
+    calls = []
+    cross = loops._cross
+    monkeypatch.setattr(loops, "_cross", lambda u, v: calls.append(u.shape) or cross(u, v))
+    pts = StarCurve(np.random.default_rng(7), harmonics=5, budget=0.6)(uniform_grid(256))
+    assert loops._polyline_is_simple(pts)
+    assert brute_polyline_is_simple(pts)
+    assert calls == []
+    # a block that keeps a pair still decides it: the bow tie's diagonals cross
+    assert not loops._polyline_is_simple(np.array([(0.0, 0.0), (1.0, 1.0), (1.0, 0.0), (0.0, 1.0)]))
+    assert calls
+
+
 def test_simplicity_sweep_skips_rounding_crossings_between_disjoint_boxes():
     # segments 0 and 3 lie on one line up to rounding, with disjoint boxes;
     # in floating point the orientation signs are noise and the all-pairs

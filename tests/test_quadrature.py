@@ -50,3 +50,45 @@ def test_periodic_spline_matches_scipy(n, shape):
     rhs = 3.0 * (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) / (TWO_PI / n)
     resid = np.roll(m, 1, axis=0) + 4.0 * m + np.roll(m, -1, axis=0) - rhs
     assert np.max(np.abs(resid)) <= 1e-14 * np.max(np.abs(rhs))
+
+
+@pytest.mark.parametrize("nodes", [8, 17, 100, 256, 1024, 2048])
+@pytest.mark.parametrize("shape", [(), (2,)])
+def test_grid_evaluation_is_the_call_bit_for_bit(nodes, shape):
+    # n of the nodes times a power of two is evaluated cell by cell, any other
+    # n (other multiples too, whose grid points can round into the cell
+    # before their knot) by the call; both give the call's bits
+    rng = np.random.default_rng(nodes + len(shape))
+    spline = periodic_spline(rng.normal(size=(nodes,) + shape))
+    for n in (nodes, 2 * nodes, 3 * nodes, 4 * nodes, 6 * nodes, 8 * nodes, nodes + 1,
+              3 * nodes // 2, 4096):
+        for nu in (0, 1):
+            got = spline._on_uniform_grid(n, nu)
+            want = spline(uniform_grid(n), nu)
+            assert got.shape == want.shape == (n,) + shape
+            assert got.tobytes() == want.tobytes(), (n, nu)
+    with pytest.raises(ValueError, match="derivative order"):
+        spline._on_uniform_grid(4 * nodes, 2)
+
+
+def test_antiderivative_table_is_built_on_first_use():
+    rng = np.random.default_rng(27)
+    for shape in ((256,), (256, 2)):
+        spline = periodic_spline(rng.normal(size=shape))
+        assert "_cumulative" not in vars(spline)
+        t = rng.uniform(-2.0 * TWO_PI, 3.0 * TWO_PI, 100)
+        assert spline.antiderivative(t).shape == t.shape + shape[1:]
+        # the same table built eagerly from the cell coefficients, bit for bit
+        y, m, c, d = spline._coeffs
+        h = TWO_PI / shape[0]
+        cells = h * (y + h * (m / 2.0 + h * (c / 3.0 + h * d / 4.0)))
+        eager = np.concatenate([np.zeros_like(y[:1]), np.cumsum(cells, axis=0)])
+        assert vars(spline)["_cumulative"].tobytes() == eager.tobytes()
+    # loop splines and circle maps are evaluated, never integrated
+    loop = LoopEmbedding.circle(n=256)
+    loop.eval(loop.grid + 0.1)
+    loop.derivative(loop.grid)
+    gamma = CircleDiffeo.from_function(lambda t: t + 0.2 * np.sin(t), 256)
+    inverse = gamma.inverse()
+    for spline in (loop._spline, gamma._displacement, inverse._displacement):
+        assert "_cumulative" not in vars(spline)

@@ -18,13 +18,18 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256, and
   ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
 - ``loops._spline_area`` per call on one loop's samples at n in {256, 1024, 2048}:
-  the area that ``LoopEmbedding`` computes once and ``enclosed_area`` returns;
+  the area that ``LoopEmbedding`` computes once and ``enclosed_area`` returns,
+  and ``LoopEmbedding`` itself on those samples: area, simplicity test,
+  spline and immersion check;
 - ``loops._polyline_is_simple`` (one simplicity check) at n = 256 and, on
   loops of their own, at n in ``SIMPLE_SIZES`` (1024, 4096);
 - ``symplectic.momentum_map_eval`` at n = 256: the bump values on the loop's
   samples paired with its density, as ``advect`` calls it before and after;
 - ``find_zeros`` on a fresh trig form (nothing cached) of degree 3, 25 and
   100, and on a fresh sampled form of 256, 1024 and 2048 values;
+- the sampling grid alone on such fresh forms: construction, then
+  ``max_abs`` and ``max_abs_derivative``, the density and its slope on the
+  grid that ``find_zeros`` scans;
 - one in-process ``cli.main(["invariants", ...])`` on a 256-point circle
   decorated by a degree-25 density;
 - ``circle_forms._invert_batch`` per call on 4096 targets spread over every
@@ -196,6 +201,7 @@ def measure(root):
     for n in AREA_SIZES:
         pts = samples.random_decorated_loop(area_rng, n=n).embedding.samples
         out[f"enclosed_area.n{n}"] = _per_call(lambda: _spline_area(pts))
+        out[f"loop_embedding.n{n}"] = _per_call(lambda: LoopEmbedding(pts))
 
     # a fresh form per call, so its sampling grid and scales are computed each time
     for degree in ZERO_DEGREES:
@@ -207,6 +213,21 @@ def measure(root):
         values = density(uniform_grid(n))
         out[f"find_zeros.samples{n}"] = _per_call(
             lambda: find_zeros(CircleForm.from_samples(values)))
+
+    def sampling_grid(form):
+        return form.max_abs(), form.max_abs_derivative()
+
+    # a generator of their own, so the inputs of the other kernels do not move
+    grid_rng = np.random.default_rng(SEED)
+    for degree in ZERO_DEGREES:
+        a0, cos, sin = samples.random_morse_form(grid_rng, degree).trig_coefficients
+        out[f"sampling_grid.deg{degree}"] = _per_call(
+            lambda: sampling_grid(CircleForm.trig(a0, cos, sin)))
+    density = samples.random_morse_form(grid_rng, 10)
+    for n in ZERO_SAMPLES:
+        values = density(uniform_grid(n))
+        out[f"sampling_grid.samples{n}"] = _per_call(
+            lambda: sampling_grid(CircleForm.from_samples(values)))
 
     with tempfile.TemporaryDirectory() as folder:
         path = os.path.join(folder, "loop.json")
