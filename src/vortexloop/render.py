@@ -18,20 +18,23 @@ _STYLE_AFTER = 'fill="none" stroke="#dc143c" stroke-width="2" stroke-dasharray="
 _BLOCK_POINTS = 4096
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".6g")
+def _fill(template: str, points, sep: str = "") -> str:
+    """``template``, which takes one (x, y) pair as two ``%.6g``, once per row of
+    the (M, 2) ``points``, joined by ``sep`` and formatted by one ``%``;
+    ``"%.6g" % x`` is ``format(x, ".6g")`` for every float, nan, inf and -0.0
+    included."""
+    pairs = np.asarray(points, dtype=float)
+    return sep.join([template] * len(pairs)) % tuple(pairs.ravel().tolist())
 
 
 def _polyline(points, style: str) -> str:
     closed = np.vstack([points, points[:1]])
-    coords = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in closed)
+    coords = _fill("%.6g,%.6g", closed, " ")
     return f'<polyline points="{coords}" {style} />'
 
 
 def _markers(points, color: str) -> str:
-    return "".join(
-        f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="4" fill="{color}" stroke="white" />'
-        for x, y in points)
+    return _fill(f'<circle cx="%.6g" cy="%.6g" r="4" fill="{color}" stroke="white" />', points)
 
 
 def svg_overlay(before: DecoratedLoop, after: DecoratedLoop) -> str:
@@ -80,10 +83,10 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
         block = np.stack([pts for _, _, pts in snapshots[lo:lo + per_block]])
         momenta.extend(_against(h(block), loop.decoration).tolist())
         areas.extend(_spline_area(block).tolist())
+    # the omega cells are the same in every row
+    profile = "".join("," + format(w, ".15g") for w in omegas)
     for (step, t, _), momentum, area in zip(snapshots, momenta, areas):
-        cells = [str(step), format(t, ".12g"), format(area, ".15g"), format(momentum, ".15g")]
-        cells.extend(format(w, ".15g") for w in omegas)
-        rows.append(",".join(cells))
+        rows.append("%d,%.12g,%.15g,%.15g" % (step, t, area, momentum) + profile)
     return "\n".join(rows) + "\n"
 
 

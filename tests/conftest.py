@@ -9,7 +9,8 @@ kernel in its dense form, which evaluates the blend at every pair, the
 RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
 the spline area by a Gauss rule on every cell of the spline, and the trig
 grid evaluator in its plain form, which pads, folds and indexes the whole
-coefficient vector.  Two
+coefficient vector, and the flow emitters' formatting one number at a time.
+Two
 fixtures that only tests use live here too: a density with a nearly
 degenerate zero and a dictionary of single-bump Hamiltonians.
 """
@@ -21,7 +22,10 @@ from scipy.optimize import brentq
 from vortexloop.circle_forms import CircleForm
 from vortexloop.errors import StepRejected
 from vortexloop.flow import PlanarHamiltonian
+from vortexloop.loops import _spline_area
 from vortexloop.quadrature import periodic_spline
+from vortexloop.render import _BLOCK_POINTS
+from vortexloop.symplectic import _against
 
 TWO_PI = 2.0 * np.pi
 _GAUSS3_NODES, _GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
@@ -272,6 +276,43 @@ def reference_advect(points, field, steps, stepper, snapshots=None):
         points = end
         snapshots.append(points.copy())
     return snapshots, max_est
+
+
+def _reference_fmt(x):
+    return format(float(x), ".6g")
+
+
+def reference_polyline(points, style):
+    """``render._polyline`` with one ``format`` per coordinate."""
+    closed = np.vstack([points, points[:1]])
+    coords = " ".join(f"{_reference_fmt(x)},{_reference_fmt(y)}" for x, y in closed)
+    return f'<polyline points="{coords}" {style} />'
+
+
+def reference_markers(points, color):
+    """``render._markers`` with one ``format`` per coordinate."""
+    return "".join(
+        f'<circle cx="{_reference_fmt(x)}" cy="{_reference_fmt(y)}" r="4" fill="{color}" '
+        'stroke="white" />'
+        for x, y in points)
+
+
+def reference_flow_csv(loop, h, snapshots):
+    """``render.flow_csv`` with every cell of every row formatted on its own."""
+    omegas = loop.profile.omegas
+    header = "step,t,area,momentum," + ",".join(f"omega_{i+1}" for i in range(omegas.size))
+    rows = [header]
+    momenta, areas = [], []
+    per_block = max(1, _BLOCK_POINTS // loop.embedding.size)
+    for lo in range(0, len(snapshots), per_block):
+        block = np.stack([pts for _, _, pts in snapshots[lo:lo + per_block]])
+        momenta.extend(_against(h(block), loop.decoration).tolist())
+        areas.extend(_spline_area(block).tolist())
+    for (step, t, _), momentum, area in zip(snapshots, momenta, areas):
+        cells = [str(step), format(t, ".12g"), format(area, ".15g"), format(momentum, ".15g")]
+        cells.extend(format(w, ".15g") for w in omegas)
+        rows.append(",".join(cells))
+    return "\n".join(rows) + "\n"
 
 
 def brute_circular_match(p, q, rel_tol=1e-9):

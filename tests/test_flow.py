@@ -19,6 +19,7 @@ from vortexloop.flow import (
     hamiltonian_vector_field,
 )
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, orbit_equivalent
+from vortexloop.quadrature import uniform_grid
 
 from conftest import (
     DenseBumpField,
@@ -602,6 +603,125 @@ def test_a_failed_step_raises_after_the_steps_before_it(scheme, stepper, nan_ste
         assert "did not converge" in got_error[1]
     else:
         assert got_error[1].startswith(f"step {max(nan_step - 1, 0)}: local error estimate nan")
+
+
+# ---------------------------------------------------------------- one cutoff decision per run
+
+
+@pytest.mark.parametrize("region", ["core", "band", "mixed"])
+@pytest.mark.parametrize("n_bumps", [1, 2, 3])
+def test_speed_bound_is_at_least_the_largest_gradient(region, n_bumps):
+    rng = np.random.default_rng(70 + n_bumps)
+    # signs alternate, and one more bump of amplitude 0 adds nothing to the bound
+    bumps = [PlanarBump(tuple(rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.3, 1.2),
+                        (-1.0) ** i * rng.uniform(0.1, 2.0)) for i in range(n_bumps)]
+    bumps.append(PlanarBump((0.2, -0.1), 0.4, 0.0))
+    h = PlanarHamiltonian(bumps)
+    core = np.vstack([_ring(rng, bumps, 0.0, 5.0, 4096), _ring(rng, bumps, 0.999, 1.001, 1024)]
+                     + [[b.center] for b in bumps])
+    band = _ring(rng, bumps, 5.0, 6.0, 4096)
+    pts = {"core": core, "band": band,
+           "mixed": np.vstack([core, band, _ring(rng, bumps, 6.0, 9.0, 1024)])}[region]
+    largest = np.max(np.hypot(*h.gradient(pts).T))
+    assert h._speed_bound == pytest.approx(sum(abs(b.amplitude) / b.sigma for b in bumps),
+                                           rel=1e-15)
+    assert largest <= h._speed_bound
+    if region != "band":
+        # one bump alone nearly reaches e^(-1/2) |A| / sigma at rho = 1
+        assert largest > 0.5 * max(abs(b.amplitude) / b.sigma for b in bumps) * np.exp(-0.5)
+
+
+@pytest.mark.parametrize("travel, certified", [
+    (0.9, True), (0.99, True), (1.0, False), (1.05, False)])
+def test_a_run_is_certified_only_within_five_sigma_less_its_travel(travel, certified):
+    # V = 0.25 / 0.5 = 0.5 and the points reach 1.5 of the centre, 5 sigma = 2.5
+    h = PlanarHamiltonian.single((1.0, -1.0), 0.5, -0.25)
+    angle = uniform_grid(64)
+    pts = np.array([1.0, -1.0]) + 1.5 * np.column_stack([np.cos(angle), np.sin(angle)])
+    steps = [2.0 * travel / 8] * 8
+    run = h._for_run(pts, steps)
+    assert (run is not h) == certified
+    assert run._inside_cutoff == certified and not h._inside_cutoff
+    assert run.bumps is h.bumps
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_a_run_that_could_reach_the_band_keeps_the_check(scheme):
+    # every point starts within 3.4 sigma, but T V = 0.5 * 1.5 could take it
+    # 2.5 sigma further; the bump turns the circle about its centre, so it
+    # stays inside
+    bumps = [PlanarBump((0.0, 0.0), 0.3, 0.45)]
+    h = PlanarHamiltonian(bumps)
+    loop = circle_loop(n=128)
+    start = loop.embedding.samples
+    steps = _step_schedule(0.5, 1e-2)
+    assert np.max(_rho(start, bumps)) < 5.0 and 5.0 < np.max(_rho(start, bumps)) + 0.5 * 1.5 / 0.3
+    assert h._for_run(start, steps) is h
+    assert h._for_run(start, steps[:10]) is not h
+    seen = []
+    report = advect(loop, h, 0.5, 1e-2, scheme, observer=lambda i, t, pts: seen.append(pts))
+    stepper = {"rk4": reference_rk4_step, "implicit-midpoint": reference_midpoint_step}[scheme]
+    want, max_est = reference_advect(start, DenseBumpField(bumps).vector_field, steps, stepper)
+    assert len(seen) == len(want) == 51
+    for got, ref in zip(seen, want, strict=True):
+        assert_same_bits(got, ref)
+    assert np.float64(report.max_local_error).tobytes() == np.float64(max_est).tobytes()
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_a_certified_run_is_the_checked_run_byte_for_byte(scheme, monkeypatch):
+    loop, counting = _random_case(seed=35)
+    h = PlanarHamiltonian(counting.bumps)
+    assert h._for_run(loop.embedding.samples, _step_schedule(0.05, 1e-3)) is not h
+
+    def run():
+        seen = []
+        report = advect(loop, h, 0.05, 1e-3, scheme, observer=lambda i, t, pts: seen.append(pts))
+        return seen, report
+
+    # every field call of the run still goes through PlanarHamiltonian.gradient,
+    # on a Hamiltonian that knows its points are within 5 sigma
+    gradient = PlanarHamiltonian.gradient
+    inside = []
+
+    def spy(self, points):
+        inside.append(self._inside_cutoff)
+        return gradient(self, points)
+
+    monkeypatch.setattr(PlanarHamiltonian, "gradient", spy)
+    fast, fast_report = run()
+    calls = len(inside)
+    assert calls > 2 * 50 and all(inside) and not h._inside_cutoff
+    monkeypatch.setattr(PlanarHamiltonian, "_for_run", lambda self, pts, steps: self)
+    inside.clear()
+    checked, checked_report = run()
+    assert len(inside) == calls and not any(inside)
+    assert len(fast) == len(checked) == 51
+    for got, want in zip(fast, checked, strict=True):
+        assert_same_bits(got, want)
+    for key in ("area_drift", "profile_drift", "hamiltonian_drift", "max_local_error"):
+        assert_same_bits(np.float64(getattr(fast_report, key)),
+                         np.float64(getattr(checked_report, key)))
+    assert fast_report.steps == checked_report.steps == 50
+
+
+def test_subclasses_keep_the_per_call_check(monkeypatch):
+    loop, h = _random_case()
+    start = loop.embedding.samples
+    # the same bumps as a plain Hamiltonian would be certified
+    assert PlanarHamiltonian(h.bumps)._for_run(start, _step_schedule(0.05, 1e-3))._inside_cutoff
+
+    def unreachable(self, pts, steps):
+        raise AssertionError("advect certified a subclass")
+
+    monkeypatch.setattr(PlanarHamiltonian, "_for_run", unreachable)
+    assert advect(loop, h, 0.05, 1e-3).steps == 50
+    assert h.calls == 201 and h.points == 201 * loop.embedding.size
+    nan = _NanOnPoints(h.bumps, start)
+    for scheme, message in (("rk4", "step 0: local error estimate nan"),
+                            ("implicit-midpoint", "implicit midpoint solve did not converge")):
+        with pytest.raises(StepRejected, match=message):
+            advect(loop, nan, 0.005, 1e-3, scheme)
 
 
 # ---------------------------------------------------------------- error estimates

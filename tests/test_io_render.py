@@ -12,6 +12,8 @@ from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, enclosed_area
 from vortexloop.symplectic import momentum_map_eval
 
+from conftest import reference_flow_csv, reference_markers, reference_polyline
+
 
 def circle_loop(n=64, form_name="sin2t"):
     return DecoratedLoop(LoopEmbedding.circle(n=n), samples.standard_form(form_name))
@@ -340,6 +342,55 @@ def test_flow_csv_rows_match_each_snapshot_across_blocks():
         assert int(cells[0]) == step
         assert cells[2] == format(enclosed_area(emb), ".15g")
         assert cells[3] == format(momentum_map_eval(emb, h, loop.decoration), ".15g")
+
+
+# numbers whose text a formatter could get wrong: a negative zero, a subnormal
+# neighbourhood, an overflow neighbourhood, nan and both infinities
+_AWKWARD = np.array([-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, np.nan, np.inf, -np.inf,
+                     123456.5, 0.1, -2.5e-7])
+
+
+def test_svg_pieces_equal_per_number_formatting():
+    rng = np.random.default_rng(8)
+    pts = np.column_stack([rng.permutation(np.tile(_AWKWARD, 3)),
+                           rng.permutation(np.tile(_AWKWARD, 3))])
+    pts = np.vstack([pts, rng.normal(scale=300.0, size=(64, 2))])
+    for probe in (pts, pts[:1], pts[:0]):
+        assert render._markers(probe, "#dc143c") == reference_markers(probe, "#dc143c")
+    for probe in (pts, pts[:1]):
+        assert render._polyline(probe, 'fill="none"') == reference_polyline(probe, 'fill="none"')
+
+
+def test_svg_overlay_equals_per_number_formatting(monkeypatch):
+    rng = np.random.default_rng(9)
+    before = samples.random_decorated_loop(rng, n=256)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(before.embedding))
+    after = advect(before, h, 0.1, 1e-3).loop
+    svg = render.svg_overlay(before, after)
+    monkeypatch.setattr(render, "_polyline", reference_polyline)
+    monkeypatch.setattr(render, "_markers", reference_markers)
+    assert svg == render.svg_overlay(before, after)
+
+
+def test_flow_csv_equals_per_number_formatting():
+    rng = np.random.default_rng(10)
+    loop = samples.random_decorated_loop(rng, n=128)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+    snapshots = []
+    advect(loop, h, 0.01, 1e-3, observer=lambda i, t, p: snapshots.append((i, t, p)))
+    pts = snapshots[-1][2]
+    # awkward times, and points whose area and momentum come out -0.0, tiny,
+    # huge or nan
+    snapshots += [(len(snapshots) + j, float(t), p) for j, (t, p) in enumerate(zip(
+        _AWKWARD,
+        [pts * 0.0 * -1.0, pts * 0.0, pts * 1e-152, pts * 1e-160, pts * 1e150, pts * 1e160,
+         np.where(np.arange(pts.size).reshape(pts.shape) == 7, np.nan, pts), pts, pts,
+         pts, pts, pts]))]
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        csv = render.flow_csv(loop, h, snapshots)
+        assert csv == reference_flow_csv(loop, h, snapshots)
+    cells = {cell for row in csv.splitlines()[1:] for cell in row.split(",")}
+    assert {"-0", "1e-300", "1e+300", "nan"} <= cells
 
 
 def test_snapshot_steps_keeps_ends():

@@ -15,7 +15,11 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - one step of ``advect`` with its error estimate (rk4 and implicit midpoint) at
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
-- ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256, and
+- one whole 100-step ``advect`` (rk4 and implicit midpoint) at n = 256 under
+  two bumps, as in a ``flow`` op, on a run that provably stays within 5 sigma
+  of both bumps;
+- ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256,
+  ``render.svg_overlay`` of that run's start and end, and
   ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
 - ``loops._spline_area`` per call on one loop's samples at n in {256, 1024, 2048}:
   the area that ``LoopEmbedding`` computes once and ``enclosed_area`` returns,
@@ -84,7 +88,7 @@ POWER_SUM_POINTS = (120, 4096)
 TRACE_KEYS = {
     "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
-             "render.flow_csv.s"),
+             "render.flow_csv.s", "render.svg_overlay.s"),
     "invariants": ("circle_forms.find_zeros.call_s.deg3", "circle_forms.find_zeros.call_s.deg25",
                    "circle_forms.find_zeros.call_s.deg100",
                    "circle_forms.find_zeros.call_s.samples", "circle_forms.find_zeros.evals_per_zero",
@@ -179,11 +183,21 @@ def measure(root):
             still = _per_call(lambda: advect(loop, h, 0.0, FLOW_DT, scheme), min_s=0.0)
             out[f"step.{scheme}.n{n}"] = (run - still) / k
 
+    # a generator of their own, so the inputs of the other kernels do not move
+    advect_rng = np.random.default_rng(SEED)
+    loop = samples.random_decorated_loop(advect_rng, n=256)
+    h = samples.random_hamiltonian(advect_rng, samples.loop_bbox(loop.embedding))
+    for scheme in ("rk4", "implicit-midpoint"):
+        out[f"advect.{scheme}.n256.b2"] = _per_call(
+            lambda: advect(loop, h, 100 * FLOW_DT, FLOW_DT, scheme))
+
     loop = samples.random_decorated_loop(rng, n=256)
     h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
     snapshots = []
-    advect(loop, h, 100 * FLOW_DT, FLOW_DT, observer=lambda i, t, p: snapshots.append((i, t, p)))
+    evolved = advect(loop, h, 100 * FLOW_DT, FLOW_DT,
+                     observer=lambda i, t, p: snapshots.append((i, t, p))).loop
     out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
+    out["svg_overlay.n256"] = _per_call(lambda: render.svg_overlay(loop, evolved))
     stack = np.stack([pts for _, _, pts in snapshots])
     out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
     pts = loop.embedding.samples
