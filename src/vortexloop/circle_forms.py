@@ -7,6 +7,7 @@ spline.  All angles are radians and the circle has period 2*pi.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,60 +193,46 @@ class CircleForm:
     ``a0 + sum_j (a_j cos(j t) + b_j sin(j t))`` and uniform samples joined by
     a periodic cubic spline.  ``node_count`` is the resolution of derived
     sample grids: 1024 for a trig series and the sample count for sampled
-    forms.
+    forms.  It is not called directly: build one with ``trig``,
+    ``from_samples`` or ``from_function``.
     """
-
-    def __init__(
-        self,
-        kind: str,
-        *,
-        a0: float = 0.0,
-        cos_coeffs: FloatArray | None = None,
-        sin_coeffs: FloatArray | None = None,
-        values: FloatArray | None = None,
-    ):
-        if kind not in ("trig", "samples"):
-            raise ValueError(f"unknown form kind {kind!r}")
-        self._kind = kind
-        self._coeffs = self._values = self._spline = None
-        self._sampling: tuple[FloatArray, FloatArray] | None = None
-        self._abs_max_deriv: float | None = None
-        if kind == "trig":
-            self._node_count = _TRIG_NODE_COUNT
-            self._a0 = float(a0)
-            a = np.atleast_1d(np.asarray(cos_coeffs if cos_coeffs is not None else [], dtype=float))
-            b = np.atleast_1d(np.asarray(sin_coeffs if sin_coeffs is not None else [], dtype=float))
-            if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(self._a0)):
-                raise ValueError("trig coefficients must be finite")
-            # c_j = a_j - i b_j gives a_j cos(jt) + b_j sin(jt) = Re c_j e^{ijt}; the
-            # parts are set apart so that ``trig_coefficients`` returns a_j, b_j exactly
-            m = max(a.size, b.size)
-            self._coeffs = np.pad(a, (0, m - a.size)).astype(complex)
-            self._coeffs.imag = -np.pad(b, (0, m - b.size))
-            ij = 1j * np.arange(1, m + 1)
-            self._dcoeffs, self._icoeffs = ij * self._coeffs, self._coeffs / ij
-            # tail sums d_k = sum_{j>k} icoeffs_j of the antiderivative's Horner form
-            self._itails = np.cumsum(self._icoeffs[::-1])[::-1]
-        else:
-            vals = np.asarray(values, dtype=float)
-            if vals.ndim != 1 or vals.size < 8:
-                raise ValueError("sampled form needs a 1-d array of at least 8 values")
-            if not np.all(np.isfinite(vals)):
-                raise ValueError("sample values must be finite")
-            self._values = vals.copy()
-            self._node_count = vals.size
-            self._spline = quadrature.periodic_spline(vals)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def trig(cls, a0: float = 0.0, cos=(), sin=()) -> "CircleForm":
-        return cls("trig", a0=a0, cos_coeffs=np.asarray(cos, dtype=float),
-                   sin_coeffs=np.asarray(sin, dtype=float))
+        """The series ``a0 + sum_j (cos[j-1] cos(j t) + sin[j-1] sin(j t))``;
+        the shorter coefficient list is padded with zeros."""
+        a = np.atleast_1d(np.asarray(cos, dtype=float))
+        b = np.atleast_1d(np.asarray(sin, dtype=float))
+        a0 = float(a0)
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b)) and np.isfinite(a0)):
+            raise ValueError("trig coefficients must be finite")
+        form = cls.__new__(cls)
+        form._kind, form._node_count, form._a0 = "trig", _TRIG_NODE_COUNT, a0
+        # c_j = a_j - i b_j gives a_j cos(jt) + b_j sin(jt) = Re c_j e^{ijt}; the
+        # parts are set apart so that ``trig_coefficients`` returns a_j, b_j exactly
+        m = max(a.size, b.size)
+        form._coeffs = np.pad(a, (0, m - a.size)).astype(complex)
+        form._coeffs.imag = -np.pad(b, (0, m - b.size))
+        ij = 1j * np.arange(1, m + 1)
+        form._dcoeffs, form._icoeffs = ij * form._coeffs, form._coeffs / ij
+        # tail sums d_k = sum_{j>k} icoeffs_j of the antiderivative's Horner form
+        form._itails = np.cumsum(form._icoeffs[::-1])[::-1]
+        return form
 
     @classmethod
     def from_samples(cls, values) -> "CircleForm":
-        return cls("samples", values=np.asarray(values, dtype=float))
+        """Uniform samples at ``uniform_grid(N)``, N >= 8, joined by a periodic cubic spline."""
+        vals = np.array(values, dtype=float)
+        if vals.ndim != 1 or vals.size < 8:
+            raise ValueError("sampled form needs a 1-d array of at least 8 values")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("sample values must be finite")
+        form = cls.__new__(cls)
+        form._kind, form._node_count, form._values = "samples", vals.size, vals
+        form._spline = quadrature.periodic_spline(vals)
+        return form
 
     @classmethod
     def from_function(cls, fn, degree: int | None = None) -> "CircleForm":
@@ -345,22 +332,24 @@ class CircleForm:
         spectrum = 0.5 * (bins[:half] + np.conj(mirror))
         return np.fft.irfft(spectrum, n, norm="forward")
 
+    @functools.cached_property
     def _sampling_grid(self) -> tuple[FloatArray, FloatArray]:
         """The density's one uniform grid, of max(4096, 8 * degree) points for a
         trig series and max(4096, 4 * node_count) for samples, and its values."""
-        if self._sampling is None:
-            n = max(4096, 8 * self.degree if self._kind == "trig" else 4 * self._node_count)
-            self._sampling = uniform_grid(n), self._on_uniform_grid(n)
-        return self._sampling
+        n = max(4096, 8 * self.degree if self._kind == "trig" else 4 * self._node_count)
+        return uniform_grid(n), self._on_uniform_grid(n)
+
+    @functools.cached_property
+    def _slope_max(self) -> float:
+        """max |density'| over the sampling grid."""
+        n = self._sampling_grid[0].size
+        return float(np.max(np.abs(self._on_uniform_grid(n, 1))))
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self._sampling_grid()[1])))
+        return float(np.max(np.abs(self._sampling_grid[1])))
 
     def max_abs_derivative(self) -> float:
-        if self._abs_max_deriv is None:
-            n = self._sampling_grid()[0].size
-            self._abs_max_deriv = float(np.max(np.abs(self._on_uniform_grid(n, 1))))
-        return self._abs_max_deriv
+        return self._slope_max
 
     def _derivative_bound(self) -> float:
         """A proven upper bound on |density'| over the circle: sum_j j |c_j| for
@@ -415,14 +404,18 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     is.  Raises MorseViolation when a zero's derivative is below
     ``morse_tol`` relative to the derivative scale or when zeros cannot be
     separated at the scan resolution, and OddZeroCount when an odd number of
-    crossings is found.  Two zeros closer together than one grid cell can
-    leave no sign change and are then missed.
+    crossings is found.  That check guards the solver: a closed scan of
+    finite values changes sign an even number of times, and each sign
+    change gives one zero, so a density with finite grid values reaches it
+    only when the product of two neighbouring values underflows to zero and
+    hides their sign change.  Two zeros closer together than one grid cell
+    can leave no sign change and are then missed.
     """
     scale = form.max_abs()
     if scale == 0.0:
         raise MorseViolation("density is identically zero")
 
-    grid, vals = form._sampling_grid()
+    grid, vals = form._sampling_grid
     scan_points = grid.size
     h = TWO_PI / scan_points
 
@@ -629,8 +622,8 @@ class CircleDiffeo:
         return self._derivs.copy()
 
     @classmethod
-    def identity(cls, size: int = 512) -> "CircleDiffeo":
-        return cls.rotation(0.0, size)
+    def identity(cls) -> "CircleDiffeo":
+        return cls.rotation(0.0)
 
     @classmethod
     def rotation(cls, offset: float, size: int = 512) -> "CircleDiffeo":
@@ -798,7 +791,6 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
 
 
 def stabilizer_generator(form: CircleForm, ell: int | None = None, *,
-                         rel_tol: float = DEFAULT_PROFILE_REL_TOL,
                          grid_size: int | None = None) -> CircleDiffeo:
     """Generator of the cyclic stabilizer of a Morse density.
 
@@ -806,20 +798,20 @@ def stabilizer_generator(form: CircleForm, ell: int | None = None, *,
     cumulative integrals.  Raises NoSymmetry when ``ell`` is the trivial
     shift ``k`` (by default, when the profile admits no other), ValueError
     when it is not an even divisor of ``k``, and ProfileMismatch when the
-    profile does not repeat with step ``ell`` within ``rel_tol``.
+    profile does not repeat with step ``ell`` within ``DEFAULT_PROFILE_REL_TOL``.
     """
     zs = find_zeros(form)
     prof = partial_vorticities(form, zs)
     k = prof.k
     if ell is None:
-        ell = symmetry_step(prof, rel_tol)
+        ell = symmetry_step(prof)
     if ell == k:
         raise NoSymmetry("the vorticity profile admits only the trivial symmetry")
     if ell <= 0 or ell % 2 != 0 or k % ell != 0:
         raise ValueError(f"symmetry step must be a proper even divisor of {k}, got {ell}")
     if grid_size is None:
         grid_size = 4 * max(form.node_count, 256)
-    return _transport(form, zs, prof, form, zs, prof, ell, rel_tol, grid_size)
+    return _transport(form, zs, prof, form, zs, prof, ell, DEFAULT_PROFILE_REL_TOL, grid_size)
 
 
 def pullback_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -> CircleForm:

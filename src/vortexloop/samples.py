@@ -30,28 +30,28 @@ def standard_form(name: str) -> CircleForm:
     raise ValueError(f"unknown standard form {name!r}")
 
 
-def symmetric_form(eps: float = 0.05, b: float = 0.2) -> CircleForm:
+def symmetric_form() -> CircleForm:
     """Morse density with exact two-step symmetry but no rigid symmetry.
 
-    beta(t) = (1 + b sin 2t + eps (3 sin t - 5 sin 3t)) sin 2t.  Zeros stay
-    at the sin 2t zeros, the profile is exactly (1 + b pi/4, -(1 - b pi/4),
-    1 + b pi/4, -(1 - b pi/4)), and for eps != 0
-    no rigid rotation preserves the density, so the stabilizer generator is a
+    beta(t) = (1 + 0.2 sin 2t + 0.05 (3 sin t - 5 sin 3t)) sin 2t.  The
+    amplitude stays within 0.2 + 8 * 0.05 < 1 of 1, so the zeros stay at the
+    sin 2t zeros, the profile is exactly (1 + 0.2 pi/4, -(1 - 0.2 pi/4),
+    1 + 0.2 pi/4, -(1 - 0.2 pi/4)) (``symmetric_form_profile``), and no rigid
+    rotation preserves the density, so the stabilizer generator is a
     genuinely nonlinear circle map.
     """
-    if abs(b) + 8.0 * abs(eps) >= 1.0:
-        raise ValueError("amplitude budget violated; zeros would move")
 
     def fn(t):
-        amp = 1.0 + b * np.sin(2.0 * t) + eps * (3.0 * np.sin(t) - 5.0 * np.sin(3.0 * t))
+        amp = 1.0 + 0.2 * np.sin(2.0 * t) + 0.05 * (3.0 * np.sin(t) - 5.0 * np.sin(3.0 * t))
         return amp * np.sin(2.0 * t)
 
     return CircleForm.from_function(fn, degree=5)
 
 
-def symmetric_form_profile(b: float = 0.2) -> np.ndarray:
-    hi = 1.0 + b * np.pi / 4.0
-    lo = -(1.0 - b * np.pi / 4.0)
+def symmetric_form_profile() -> np.ndarray:
+    """The exact partial vorticities of ``symmetric_form``."""
+    hi = 1.0 + 0.2 * np.pi / 4.0
+    lo = -(1.0 - 0.2 * np.pi / 4.0)
     return np.array([hi, lo, hi, lo])
 
 
@@ -183,10 +183,10 @@ def random_monotone_diffeo(rng: np.random.Generator) -> AnalyticDiffeo:
     return AnalyticDiffeo(rng.uniform(0.0, TWO_PI), cos, sin)
 
 
-def pullback_through(diffeo, form: CircleForm, degree: int | None = None) -> CircleForm:
+def pullback_through(diffeo, form: CircleForm) -> CircleForm:
     """Analytic pullback (form o diffeo) * diffeo' as a fresh trig density."""
 
     def fn(t):
         return form(diffeo(t)) * diffeo.derivative(t)
 
-    return CircleForm.from_function(fn, degree=degree)
+    return CircleForm.from_function(fn)

@@ -60,12 +60,12 @@ def _check(name: str, residual: float, tolerance: float, comparison: str = "<=",
     return record
 
 
-def _random_constrained_tangent(rng: np.random.Generator, emb: LoopEmbedding,
-                                degree: int = 4) -> TangentVector:
+def _random_constrained_tangent(rng: np.random.Generator, emb: LoopEmbedding) -> TangentVector:
+    """rho and lam from random harmonics 1 to 4, lam projected onto the area constraint."""
     grid = emb.grid
     rho = np.zeros(emb.size)
     lam = rng.uniform(-0.5, 0.5) * np.ones(emb.size)
-    for j in range(1, degree + 1):
+    for j in range(1, 5):
         rho += rng.uniform(-1.0, 1.0) * np.cos(j * grid) + rng.uniform(-1.0, 1.0) * np.sin(j * grid)
         lam += rng.uniform(-1.0, 1.0) * np.cos(j * grid) + rng.uniform(-1.0, 1.0) * np.sin(j * grid)
     return TangentVector.from_split(emb, rho, lam, project=True)
@@ -112,10 +112,10 @@ def forms_suite(seed: int) -> list[dict]:
             worst = max(worst, abs(t_back - t))
     checks.append(_check("cumulative_inversion_round_trip", worst, 1e-9))
 
-    sym = samples.symmetric_form(0.05, 0.2)
+    sym = samples.symmetric_form()
     prof = partial_vorticities(sym, find_zeros(sym))
     checks.append(_check("nonrigid_family_profile",
-                         np.max(np.abs(prof.omegas - samples.symmetric_form_profile(0.2))),
+                         np.max(np.abs(prof.omegas - samples.symmetric_form_profile())),
                          1e-10))
     psi = stabilizer_generator(sym)
     twice = psi.compose(psi)

@@ -227,7 +227,7 @@ def test_criterion_6_momentum_injectivity():
 
         # equivalent pairs, non-rigid stabilizer of an asymmetric-looking
         # density with a hidden half-turn symmetry
-        form = samples.symmetric_form(0.05, 0.2)
+        form = samples.symmetric_form()
         psi = stabilizer_generator(form, grid_size=1024)
         warped = np.mod(psi(grid), TWO_PI)
         for _ in range(25):

@@ -21,6 +21,7 @@ from vortexloop.circle_forms import (
     _rounding_floor,
     CircleForm,
     VorticityProfile,
+    ZeroSet,
     cumulative,
     find_zeros,
     invert_cumulative,
@@ -33,6 +34,7 @@ from vortexloop.errors import (
     AlternationViolation,
     MorseViolation,
     NoSymmetry,
+    OutOfRange,
     ProfileMismatch,
     VortexLoopError,
 )
@@ -62,7 +64,7 @@ def test_trig_evaluation_matches_naive_fourier_sum(degree):
     a0 = rng.normal()
     cos_c = rng.normal(size=n_cos)
     sin_c = rng.normal(size=n_sin)
-    form = CircleForm("trig", a0=a0, cos_coeffs=cos_c, sin_coeffs=sin_c)
+    form = CircleForm.trig(a0, cos_c, sin_c)
     assert form.degree == degree
 
     def naive(t):
@@ -165,7 +167,7 @@ def test_antiderivative_differences_match_quadpack():
 
 
 def test_antiderivative_period_increment_is_total_vorticity():
-    form = CircleForm("trig", a0=0.7, cos_coeffs=[0.2], sin_coeffs=[0.0, 1.0])
+    form = CircleForm.trig(0.7, cos=[0.2], sin=[0.0, 1.0])
     t = np.linspace(-5.0, 5.0, 11)
     inc = form.antiderivative(t + TWO_PI) - form.antiderivative(t)
     assert np.max(np.abs(inc - 0.7 * TWO_PI)) < 1e-12
@@ -203,6 +205,25 @@ def test_from_function_reproduces_callable():
     form = CircleForm.from_function(fn, degree=4)
     t = np.linspace(0.0, TWO_PI, 101)
     assert np.max(np.abs(form(t) - fn(t))) < 1e-12
+
+
+def test_each_constructor_validates_its_own_kind():
+    with pytest.raises(TypeError):
+        CircleForm("trig", a0=1.0)
+    for bad in [dict(a0=np.nan), dict(cos=[1.0, np.inf]), dict(sin=[0.0, -np.inf])]:
+        with pytest.raises(ValueError, match="^trig coefficients must be finite$"):
+            CircleForm.trig(**bad)
+    with pytest.raises(ValueError, match="at least 8 values"):
+        CircleForm.from_samples(np.ones(7))
+    with pytest.raises(ValueError, match="^sample values must be finite$"):
+        CircleForm.from_samples(np.append(np.ones(7), np.nan))
+    sampled = CircleForm.from_samples(np.ones(8))
+    with pytest.raises(ValueError, match="trig-series forms only"):
+        sampled.degree
+    with pytest.raises(ValueError, match="^not a trig-series form$"):
+        sampled.trig_coefficients
+    with pytest.raises(ValueError, match="^not a sampled form$"):
+        CircleForm.trig(1.0).sample_values
 
 
 # -- zeros and profiles -------------------------------------------------------
@@ -283,6 +304,14 @@ def test_period_check_catches_a_drifting_antiderivative(monkeypatch, kind):
         partial_vorticities(form, find_zeros(form))
 
 
+def test_partial_vorticities_reject_a_bad_zero_set():
+    form = CircleForm.trig(1.0, sin=(0.0, 0.5))  # positive everywhere
+    with pytest.raises(MorseViolation, match="at least two zeros"):
+        partial_vorticities(form, ZeroSet(np.array([1.0]), np.array([1.0])))
+    with pytest.raises(AlternationViolation, match="do not alternate in sign"):
+        partial_vorticities(form, ZeroSet(np.array([1.0, 4.0]), np.array([1.0, -1.0])))
+
+
 def test_close_zero_pair_is_never_reported_as_two():
     # f = delta - u + u^2 with u = 1 - cos(t - c) has zeros near c +- pi/2 and a
     # pair at c +- sqrt(2 delta) = c +- 1e-3, inside one cell of a 1024-point scan
@@ -333,6 +362,24 @@ def test_grid_evaluator_leaves_zeros_bit_identical(monkeypatch, degree):
     assert np.array_equal(fast.derivatives, reference.derivatives)
 
 
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+def test_a_density_evaluates_each_grid_once(monkeypatch, kind):
+    # the values for the scan and max_abs, the slopes for max_abs_derivative
+    form = standard_form("mixed")
+    if kind == "samples":
+        form = CircleForm.from_samples(form(uniform_grid(1024)))
+    orders = []
+    on_grid = CircleForm._on_uniform_grid
+    monkeypatch.setattr(CircleForm, "_on_uniform_grid",
+                        lambda self, n, order=0: (orders.append(order), on_grid(self, n, order))[1])
+    first = find_zeros(form)
+    again = find_zeros(form)
+    form.max_abs()
+    form.max_abs_derivative()
+    assert sorted(orders) == [0, 1]
+    assert np.array_equal(first.zeros, again.zeros)
+
+
 def test_near_degenerate_zero_is_rejected_with_location():
     with pytest.raises(MorseViolation) as err:
         find_zeros(near_degenerate_form())
@@ -369,9 +416,9 @@ def test_symmetry_steps_of_fixtures():
 
 
 def test_symmetric_family_profile_and_step():
-    form = symmetric_form(eps=0.05, b=0.2)
+    form = symmetric_form()
     prof = partial_vorticities(form, find_zeros(form))
-    assert np.max(np.abs(prof.omegas - symmetric_form_profile(0.2))) < 1e-12
+    assert np.max(np.abs(prof.omegas - symmetric_form_profile())) < 1e-12
     assert symmetry_step(prof) == 2
 
 
@@ -411,6 +458,16 @@ def test_cumulative_inversion_round_trip():
                 t = invert_cumulative(form, (a, b), frac * omega)
                 assert a - 1e-12 <= t <= b + 1e-12
                 assert abs(cumulative(form, a, t) - frac * omega) < 1e-11
+    # spans beyond one period, reversed or flat segments and unreachable targets
+    form = standard_form("sin2t")
+    with pytest.raises(ValueError, match="t must lie in"):
+        cumulative(form, 0.0, TWO_PI + 1e-6)
+    with pytest.raises(ValueError, match="segment must be increasing"):
+        invert_cumulative(form, (1.0, 0.5), 0.1)
+    with pytest.raises(OutOfRange, match="zero vorticity"):
+        invert_cumulative(form, (0.0, np.pi), 0.1)
+    with pytest.raises(OutOfRange, match="outside the reachable range"):
+        invert_cumulative(form, (0.0, np.pi / 2), 1.5)
 
 
 @pytest.mark.parametrize("kind", ["trig", "samples"])
@@ -755,7 +812,7 @@ def test_sin3t_stabilizer_has_order_three():
 
 
 def test_nonrigid_stabilizer_squares_to_identity():
-    form = symmetric_form(eps=0.05, b=0.2)
+    form = symmetric_form()
     psi = stabilizer_generator(form)
     t = np.linspace(0.0, TWO_PI, 1001)
     # genuinely non-rigid: far from every rigid rotation
@@ -767,7 +824,7 @@ def test_nonrigid_stabilizer_squares_to_identity():
 
 def test_stabilizer_satisfies_transport_relation():
     # beta(psi(t)) psi'(t) = beta(t) defines the stabilizer
-    form = symmetric_form(eps=0.05, b=0.2)
+    form = symmetric_form()
     psi = stabilizer_generator(form)
     t = np.linspace(0.0, TWO_PI, 777)
     lhs = form(np.mod(psi(t), TWO_PI)) * psi.derivative(t)
@@ -787,7 +844,7 @@ def test_stabilizer_with_explicit_step():
         stabilizer_generator(mixed, 3)
     with pytest.raises(NoSymmetry):
         stabilizer_generator(mixed, 4)
-    form = symmetric_form(eps=0.05, b=0.2)
+    form = symmetric_form()
     np.testing.assert_array_equal(stabilizer_generator(form, 2).samples,
                                   stabilizer_generator(form).samples)
 
@@ -805,7 +862,7 @@ def test_identity_and_rotation_are_exact():
 
 
 def test_inverse_round_trip():
-    psi = stabilizer_generator(symmetric_form(eps=0.05, b=0.2))
+    psi = stabilizer_generator(symmetric_form())
     inv = psi.inverse()
     t = np.linspace(0.0, TWO_PI, 513)
     assert np.max(circle_dist(psi(inv(t)), t)) < 1e-11
@@ -860,6 +917,17 @@ def test_diffeo_rejects_nonmonotone_samples():
     bad = np.array([0.0, 1.0, 0.5, 2.0])
     with pytest.raises(Exception):
         CircleDiffeo(bad)
+    # the four samples above are rejected for their count; eight reach the order check
+    grid = uniform_grid(8)
+    with pytest.raises(ValueError, match="must be strictly increasing"):
+        CircleDiffeo(grid[[0, 2, 1, 3, 4, 5, 6, 7]])
+    with pytest.raises(ValueError, match="^diffeomorphism samples must be finite$"):
+        CircleDiffeo(np.append(grid[:-1], np.nan))
+    with pytest.raises(ValueError, match="must match the samples in shape"):
+        CircleDiffeo(grid, np.ones(7))
+    for slopes in (np.zeros(8), -np.ones(8)):
+        with pytest.raises(ValueError, match="finite and positive"):
+            CircleDiffeo(grid, slopes)
 
 
 def test_winding_is_respected():
@@ -880,7 +948,7 @@ def test_pullback_through_rotation_shifts_density():
 
 
 def test_pullback_preserves_total_vorticity():
-    form = CircleForm("trig", a0=0.3, sin_coeffs=[0.0, 1.0])
+    form = CircleForm.trig(0.3, sin=[0.0, 1.0])
     psi = CircleDiffeo.rotation(1.1)
     pulled = pullback_form(psi, form)
     got = pulled.integrate(0.0, TWO_PI)

@@ -241,6 +241,8 @@ def test_trig_coeffs_must_be_an_object():
 def test_hamiltonian_from_dict_errors():
     with pytest.raises(SchemaError, match="expected a list"):
         io.hamiltonian_from_dict({"bumps": "none"})
+    with pytest.raises(SchemaError, match=r"^hamiltonian\.bumps\[0\]: expected an object, got int"):
+        io.hamiltonian_from_dict({"bumps": [3]})
     with pytest.raises(SchemaError, match=r"bumps\[0\]\.sigma"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [0.0, 0.0], "sigma": -1.0, "amplitude": 1.0}]})

@@ -444,7 +444,7 @@ def test_decoration_on_another_embedding_keeps_zeros_and_checks_their_images():
 
 
 def test_reversed_decoration_flips_total():
-    form = CircleForm("trig", a0=0.1, sin_coeffs=np.array([0.0, 1.0]))
+    form = CircleForm.trig(0.1, sin=np.array([0.0, 1.0]))
     rev = reversed_decoration(form)
     t = np.linspace(0.0, TWO_PI, 257)
     np.testing.assert_allclose(rev(t), -form(TWO_PI - t), atol=1e-12)

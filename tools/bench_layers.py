@@ -37,7 +37,10 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - one in-process ``cli.main(["invariants", ...])`` on a 256-point circle
   decorated by a degree-25 density;
 - ``circle_forms._invert_batch`` per call on 4096 targets spread over every
-  segment of a trig density of degree ``INVERT_DEGREE``, as in one transport;
+  segment of a trig density of degree ``INVERT_DEGREE`` (42 zeros), and on
+  4096 targets rising along the 2 segments of a degree-25 density: the median
+  zero count and degree of the ``intertwine`` targets at seeds 1-3, and the
+  order in which ``_transport`` passes the targets of a grid;
 - ``CircleDiffeo.inverse`` per call on a 4096-node map with exact nodal slopes,
   the size of the intertwiner's grid;
 - ``circle_forms._power_sum`` per call on the coefficients of a trig density
@@ -254,20 +257,38 @@ def measure(root):
 
         out["cli_invariants.n256"] = _per_call(invariants)
 
+    def invert_batch(form, rng, rising=False):
+        """``_invert_batch`` on ``INVERT_SIZE`` targets over every segment of
+        ``form``, in random order within a segment or, if ``rising``, rising."""
+        zs = find_zeros(form)
+        omegas = partial_vorticities(form, zs).omegas
+        ext = np.append(zs.zeros, zs.zeros[0] + 2.0 * np.pi)
+        seg = np.sort(rng.integers(zs.k, size=INVERT_SIZE))
+        u = rng.uniform(0.0, 1.0, INVERT_SIZE)
+        if rising:
+            u = np.sort(seg + u) - seg
+        s = u * omegas[seg]
+        return lambda: _invert_batch(form, zs.zeros, np.diff(ext), omegas, s, seg)
+
     # a generator of their own, so these inputs do not depend on the draws above
     invert_rng = np.random.default_rng(SEED)
     form = samples.random_morse_form(invert_rng, INVERT_DEGREE)
-    zs = find_zeros(form)
-    omegas = partial_vorticities(form, zs).omegas
-    ext = np.append(zs.zeros, zs.zeros[0] + 2.0 * np.pi)
-    seg = np.sort(invert_rng.integers(zs.k, size=INVERT_SIZE))
-    s = invert_rng.uniform(0.0, 1.0, INVERT_SIZE) * omegas[seg]
-    out[f"invert_batch.deg{INVERT_DEGREE}"] = _per_call(
-        lambda: _invert_batch(form, zs.zeros, np.diff(ext), omegas, s, seg))
+    out[f"invert_batch.deg{INVERT_DEGREE}"] = _per_call(invert_batch(form, invert_rng))
     analytic = samples.random_monotone_diffeo(invert_rng)
     grid = uniform_grid(INVERT_SIZE)
     gamma = CircleDiffeo(analytic(grid), analytic.derivative(grid))
     out[f"diffeo_inverse.n{INVERT_SIZE}"] = _per_call(gamma.inverse)
+    # a generator of its own: sin(t - phi) (1 + q), q of degree 24 with
+    # sum |coefficients| 0.8, has degree 25 and exactly 2 zeros
+    k2_rng = np.random.default_rng(SEED)
+    phi = k2_rng.uniform(0.0, np.pi)
+    q = k2_rng.standard_normal((2, 24))
+    q *= 0.8 / np.sum(np.abs(q))
+    j = np.arange(1, 25)
+    form = CircleForm.from_function(
+        lambda t: np.sin(t - phi) * (1.0 + np.cos(np.outer(t, j)) @ q[0]
+                                     + np.sin(np.outer(t, j)) @ q[1]), degree=25)
+    out["invert_batch.deg25.k2"] = _per_call(invert_batch(form, k2_rng, rising=True))
 
     # a generator of their own, so these inputs do not depend on the draws above
     sum_rng = np.random.default_rng(SEED)
