@@ -23,7 +23,7 @@ from .errors import (
     ProfileMismatch,
     VortexLoopError,
 )
-from .quadrature import TWO_PI, uniform_grid
+from .quadrature import TWO_PI, _cyclic_shift, uniform_grid
 
 FloatArray = NDArray[np.float64]
 
@@ -171,7 +171,7 @@ def _power_sum(coeffs, t, tails=None) -> FloatArray:
     """
     z = np.exp(1j * t)
     if coeffs.size == 0 or t.size < _HORNER_MIN_POINTS:
-        powers = np.cumprod(np.broadcast_to(z[..., None], z.shape + coeffs.shape), axis=-1)
+        powers = np.cumprod(np.repeat(z[..., None], coeffs.size, axis=-1), axis=-1)
         return ((powers if tails is None else powers - 1.0) @ coeffs).real
     terms = coeffs if tails is None else tails
     acc = np.full(t.shape, terms[-1])
@@ -401,17 +401,21 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     value and derivative scales.  Each scan cell with a sign change is solved
     by the safeguarded Newton kernel (``_newton_bracketed``) to a bracket or
     step of 1e-13, and a zero that lands exactly on the grid is taken as it
-    is.  Raises MorseViolation when a zero's derivative is below
-    ``morse_tol`` relative to the derivative scale or when zeros cannot be
+    is.  A sign change is read from the sign bits of two nonzero neighbours,
+    never from their product, which underflows to zero when both are tiny,
+    as on a density of scale 1e-155.  Raises MorseViolation when a grid
+    value is not finite (the density overflows), when a zero's derivative is
+    below ``morse_tol`` relative to the derivative scale or when zeros cannot be
     separated at the scan resolution, and OddZeroCount when an odd number of
     crossings is found.  That check guards the solver: a closed scan of
     finite values changes sign an even number of times, and each sign
-    change gives one zero, so a density with finite grid values reaches it
-    only when the product of two neighbouring values underflows to zero and
-    hides their sign change.  Two zeros closer together than one grid cell
-    can leave no sign change and are then missed.
+    change gives one zero, so no density reaches it unless the solver
+    loses a zero.  Two zeros closer together than one grid cell can leave
+    no sign change and are then missed.
     """
     scale = form.max_abs()
+    if not scale < np.inf:  # an infinite or NaN grid value
+        raise MorseViolation("density overflows: its values on the sampling grid are not finite")
     if scale == 0.0:
         raise MorseViolation("density is identically zero")
 
@@ -419,14 +423,18 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     scan_points = grid.size
     h = TWO_PI / scan_points
 
+    negative = np.signbit(vals)
+    flips = negative != _cyclic_shift(negative, -1)
     on_grid = np.nonzero(vals == 0.0)[0]
     for j in on_grid:
         left = vals[(j - 1) % scan_points]
         right = vals[(j + 1) % scan_points]
-        if left == 0.0 or right == 0.0 or left * right > 0.0:
+        if left == 0.0 or right == 0.0 or np.signbit(left) == np.signbit(right):
             raise MorseViolation(
                 f"degenerate zero near t={grid[j]:.9f}: no transversal crossing")
-    starts = np.concatenate([np.nonzero(vals * np.roll(vals, -1) < 0.0)[0], on_grid])
+        # the cells on either side change sign through this zero, taken on the grid
+        flips[j] = flips[j - 1] = False
+    starts = np.concatenate([np.nonzero(flips)[0], on_grid])
     if starts.size == 0:
         return ZeroSet(np.empty(0), np.empty(0))
     # a zero on the grid gets a zero-width bracket; a crossing rises when the
@@ -462,7 +470,7 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     if roots.size % 2 != 0:
         raise OddZeroCount(f"found {roots.size} zeros; transversal crossings come in pairs")
     signs = np.sign(derivs)
-    if roots.size and np.any(signs * np.roll(signs, -1) >= 0.0):
+    if roots.size and np.any(signs * _cyclic_shift(signs, -1) >= 0.0):
         raise MorseViolation("derivative signs at consecutive zeros do not alternate")
 
     return ZeroSet(roots, derivs)
@@ -488,7 +496,7 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet) -> VorticityProfile:
     if np.any(omegas == 0.0):
         raise AlternationViolation("a partial vorticity vanishes")
     signs = np.sign(omegas)
-    if np.any(signs * np.roll(signs, -1) >= 0.0):
+    if np.any(signs * _cyclic_shift(signs, -1) >= 0.0):
         raise AlternationViolation("partial vorticities do not alternate in sign")
 
     total = float(np.sum(omegas))
@@ -594,7 +602,7 @@ class CircleDiffeo:
         self._samples = vals
         if derivatives is None:
             secant = np.diff(vals, append=vals[0] + TWO_PI) * (vals.size / TWO_PI)
-            before = np.roll(secant, 1)
+            before = _cyclic_shift(secant, 1)
             d = 2.0 * before * secant / (before + secant)
         else:
             d = np.array(derivatives, dtype=float)
@@ -748,9 +756,9 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
     src_omegas, dst_omegas = src_prof.omegas, dst_prof.omegas
     dst_zs = dst_zeros.zeros
     src_ext = np.append(src_zeros.zeros, src_zeros.zeros[0] + TWO_PI)
-    dst_len = np.mod(np.roll(dst_zs, -1) - dst_zs, TWO_PI)
+    dst_len = np.mod(_cyclic_shift(dst_zs, -1) - dst_zs, TWO_PI)
     # unwrapped target boundaries aligned with the shifted segments
-    bounds = np.cumsum(np.append(dst_zs[shift], np.roll(dst_len, -shift)))
+    bounds = np.cumsum(np.append(dst_zs[shift], _cyclic_shift(dst_len, -shift)))
 
     # grid points before the first source zero are carried one period on
     s_grid = uniform_grid(grid_size)

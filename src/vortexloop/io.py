@@ -43,24 +43,36 @@ def _finite_number(value, where):
 def _float_list(value, where, pairs=False):
     """A JSON list of finite numbers, or with ``pairs`` a list of [x, y] pairs, as floats.
 
-    Anything else, booleans and integers beyond the float range included,
-    raises SchemaError naming ``where``.
+    The structure and the element types are checked on one flat list, which
+    numpy then converts in one call with no shape to discover.  Anything else,
+    booleans, strings and integers beyond the float range included, raises
+    SchemaError naming ``where``.
     """
     expected = "a list of [x, y] pairs" if pairs else "a flat list of numbers"
+    if type(value) is not list:
+        raise SchemaError(f"{where}: expected {expected}")
+    flat = value
+    if pairs:
+        if set(map(type, value)) != {list} or set(map(len, value)) != {2}:
+            raise SchemaError(f"{where}: expected {expected}")
+        flat = list(itertools.chain.from_iterable(value))
+    # numpy reads true and false as 1 and 0, and parses numeric strings
+    kinds = set(map(type, flat))
+    if bool in kinds:
+        raise SchemaError(f"{where}: expected {expected}, got a boolean")
+    if str in kinds:
+        raise SchemaError(f"{where}: expected {expected}, got a string")
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.array(flat, dtype=float)
     except (TypeError, ValueError) as exc:
         raise SchemaError(f"{where}: expected {expected}") from exc
     except OverflowError as exc:
         raise SchemaError(f"{where}: values must be finite") from exc
-    if arr.ndim != (2 if pairs else 1) or (pairs and arr.shape[1] != 2):
+    if arr.ndim != 1:
         raise SchemaError(f"{where}: expected {expected}")
-    # numpy reads true and false as 1 and 0
-    if bool in set(map(type, itertools.chain.from_iterable(value) if pairs else value)):
-        raise SchemaError(f"{where}: expected {expected}, got a boolean")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: values must be finite")
-    return arr
+    return arr.reshape(-1, 2) if pairs else arr
 
 
 def _check_schema(doc, where):

@@ -25,7 +25,7 @@ from .circle_forms import (
     symmetry_step,
 )
 from .errors import MorseViolation, OrientationError, ValidationFailed
-from .quadrature import uniform_grid
+from .quadrature import _cyclic_shift, uniform_grid
 
 DEFAULT_AREA_REL_TOL = 1e-6
 # ``_spline_area`` rounds to within about eps * sum |z_j|^2 of the samples z_j (at most
@@ -90,7 +90,7 @@ def _polyline_is_simple(samples: FloatArray) -> bool:
     """
     n = samples.shape[0]
     a = samples
-    b = np.roll(samples, -1, axis=0)
+    b = _cyclic_shift(samples, -1)
     d = b - a
     lo = np.minimum(a, b)
     hi = np.maximum(a, b)
@@ -227,7 +227,8 @@ def _check_zero_images(embedding: LoopEmbedding, zs: ZeroSet) -> None:
     """Raise ValidationFailed when two zeros land within 1e-9 of the curve's
     diameter of each other on the curve."""
     pts = embedding.eval(zs.zeros)
-    diam = float(np.max(np.ptp(embedding.samples, axis=0)))
+    samples = embedding._samples
+    diam = max(float(np.ptp(samples[:, 0])), float(np.ptp(samples[:, 1])))
     diff = pts[:, None, :] - pts[None, :, :]
     dist = np.hypot(diff[..., 0], diff[..., 1])
     np.fill_diagonal(dist, np.inf)

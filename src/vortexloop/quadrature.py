@@ -23,6 +23,14 @@ def uniform_grid(n: int) -> np.ndarray:
     return np.arange(n) * (TWO_PI / n)
 
 
+def _cyclic_shift(a: np.ndarray, shift: int) -> np.ndarray:
+    """Rows of the non-empty ``a`` moved ``shift`` places along axis 0, wrapping
+    round: row i of the result is row ``(i - shift) mod N`` of ``a``.  Bit for
+    bit numpy's ``roll`` along axis 0, as two slices joined in one call."""
+    cut = -shift % a.shape[0]
+    return np.concatenate((a[cut:], a[:cut]))
+
+
 def periodic_trapezoid(values: np.ndarray):
     """Trapezoidal rule for one period of a uniformly sampled periodic function
     along the last axis: a float for 1-d input, one integral per stacked row."""
@@ -47,8 +55,8 @@ class PeriodicCubic:
         m = np.asarray(slopes, dtype=float)
         h = TWO_PI / y.shape[0]
         self.knots = uniform_grid(y.shape[0])
-        secant = (np.roll(y, -1, axis=0) - y) / h
-        m_next = np.roll(m, -1, axis=0)
+        secant = (_cyclic_shift(y, -1) - y) / h
+        m_next = _cyclic_shift(m, -1)
         c = (3.0 * secant - 2.0 * m - m_next) / h
         d = (m + m_next - 2.0 * secant) / (h * h)
         self._coeffs = np.stack([y, m, c, d])
@@ -122,7 +130,7 @@ def periodic_spline(values) -> PeriodicCubic:
     """
     y = np.asarray(values, dtype=float)
     n = y.shape[0]
-    rhs = (np.roll(y, -1, axis=0) - np.roll(y, 1, axis=0)) * (3.0 * n / TWO_PI)
+    rhs = (_cyclic_shift(y, -1) - _cyclic_shift(y, 1)) * (3.0 * n / TWO_PI)
     eig = 4.0 + 2.0 * np.cos(np.arange(n // 2 + 1) * (TWO_PI / n))
     eig = eig.reshape((-1,) + (1,) * (y.ndim - 1))
     return PeriodicCubic(y, np.fft.irfft(np.fft.rfft(rhs, axis=0) / eig, n=n, axis=0))

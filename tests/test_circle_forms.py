@@ -392,10 +392,37 @@ def test_identically_zero_density_is_rejected():
 
 
 def test_touching_zero_on_the_scan_grid_is_rejected():
-    # 1 - cos t touches zero at t = 0, a scan grid point, without changing sign
-    with pytest.raises(MorseViolation, match=r"^degenerate zero near t=0\.000000000: "
-                                             "no transversal crossing$"):
-        find_zeros(CircleForm.trig(1.0, cos=(-1.0,)))
+    # 1 - cos t touches zero at t = 0, a scan grid point, without changing sign;
+    # at 1e-160 the product of its two neighbours underflows to zero
+    for amplitude in (1.0, 1e-160):
+        with pytest.raises(MorseViolation, match=r"^degenerate zero near t=0\.000000000: "
+                                                 "no transversal crossing$"):
+            find_zeros(CircleForm.trig(amplitude, cos=(-amplitude,)))
+
+
+@pytest.mark.parametrize("amplitude", [1.0, 1e-155, 1e-160])
+def test_sign_changes_survive_an_underflowing_product(amplitude):
+    # amplitude (cos(t - 1.3) - cos(t0 - 1.3)) vanishes at t0, a scan grid point
+    # where it rounds to about amplitude * 1e-17, and at 2.6 - t0; the products
+    # of neighbouring grid values underflow to zero at both small amplitudes
+    t0 = 100 * TWO_PI / 4096
+    form = CircleForm.trig(-amplitude * np.cos(t0 - 1.3), cos=(amplitude * np.cos(1.3),),
+                           sin=(amplitude * np.sin(1.3),))
+    zs = find_zeros(form)
+    assert zs.k == 2
+    np.testing.assert_allclose(zs.zeros, [t0, 2.6 - t0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("a0, cos, sin", [
+    pytest.param(1e308, (1e308,), (), id="infinite"),
+    pytest.param(1e308, (-1e308, 1e308), (1e308,) * 3, id="nan-and-infinite"),
+])
+def test_overflowing_density_is_rejected(a0, cos, sin):
+    # finite coefficients whose grid values are not finite: no zero count can be read
+    with np.errstate(over="ignore", invalid="ignore"):
+        form = CircleForm.trig(a0, cos, sin)
+        with pytest.raises(MorseViolation, match="^density overflows: "):
+            find_zeros(form)
 
 
 def test_morse_tolerance_is_adjustable():

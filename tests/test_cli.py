@@ -367,6 +367,30 @@ def test_boolean_coefficient_exit_2(capsys, tmp_path):
     assert "loop.beta.coeffs.a0: must be a finite number" in err
 
 
+def test_string_numbers_exit_2(capsys, tmp_path):
+    # numpy parses numeric strings, but a JSON string is not a number
+    doc = io.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t")))
+    doc["beta"]["coeffs"]["cos"] = ["0.0"]
+    path = tmp_path / "loop.json"
+    io.dump(doc, path)
+    code, _, err = run(capsys, ["invariants", str(path)])
+    assert code == 2
+    assert "loop.beta.coeffs.cos: expected a flat list of numbers, got a string" in err
+
+
+def test_overflowing_density_exit_3(capsys, tmp_path):
+    # every coefficient a finite JSON number, every grid value infinite
+    doc = io.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t")))
+    doc["beta"] = {"kind": "trig", "coeffs": {"a0": 1e308, "cos": [1e308], "sin": []}}
+    path = tmp_path / "loop.json"
+    io.dump(doc, path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run(capsys, ["invariants", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: density overflows: ")
+
+
 def test_degenerate_zero_exit_3(capsys, tmp_path):
     loop = DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t"))
     doc = io.loop_to_dict(loop)

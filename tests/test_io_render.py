@@ -76,6 +76,8 @@ def test_diffeo_round_trip():
      r"^diffeo\.samples: values must be finite$"),
     ([0.0, 1.0, 2.0, 3.0, 3.0, 5.0, 6.0, 6.2], ValueError, "strictly increasing"),
     ([0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 6.3], ValueError, "full period"),
+    ([0.0, 1.0, 2.0, "3.0", 4.0, 5.0, 6.0, 6.2], SchemaError,
+     r"^diffeo\.samples: expected a flat list of numbers, got a string$"),
 ])
 def test_diffeo_from_dict_rejects_a_map_that_is_not_a_circle_diffeomorphism(values, error,
                                                                             message):
@@ -205,6 +207,10 @@ def test_loop_from_dict_errors():
     bad[3][0] = True
     with pytest.raises(SchemaError, match=r"loop\.samples: .*boolean"):
         io.loop_from_dict({**good, "samples": bad})
+    # numpy parses numeric strings, but a JSON string is not a number
+    bad[3][0] = "1.5"
+    with pytest.raises(SchemaError, match=r"loop\.samples: .*string"):
+        io.loop_from_dict({**good, "samples": bad})
 
     with pytest.raises(SchemaError, match="missing required field 'beta'"):
         io.loop_from_dict({"schema": io.SCHEMA, "samples": good["samples"]})
@@ -229,6 +235,13 @@ def test_form_from_dict_errors():
         io.form_from_dict({"kind": "trig", "coeffs": {"a0": True}})
     with pytest.raises(SchemaError, match=r"coeffs\.cos: .*boolean"):
         io.form_from_dict({"kind": "trig", "coeffs": {"cos": [0.5, True]}})
+    # nor are numeric strings
+    with pytest.raises(SchemaError, match=r"^beta\.coeffs\.cos: .*string$"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"cos": [0.5, "1.5"]}})
+    with pytest.raises(SchemaError, match=r"^beta\.coeffs\.sin: .*string$"):
+        io.form_from_dict({"kind": "trig", "coeffs": {"sin": [" 7 "]}})
+    with pytest.raises(SchemaError, match=r"^beta\.values: .*string$"):
+        io.form_from_dict({"kind": "samples", "values": [1.0, -1.0] * 3 + ["1.0", -1.0]})
 
 
 def test_trig_coeffs_must_be_an_object():
@@ -264,6 +277,9 @@ def test_hamiltonian_from_dict_errors():
     with pytest.raises(SchemaError, match=r"bumps\[0\]\.center: .*boolean"):
         io.hamiltonian_from_dict(
             {"bumps": [{"center": [0.0, True], "sigma": 1.0, "amplitude": 1.0}]})
+    with pytest.raises(SchemaError, match=r"bumps\[0\]\.center: .*string"):
+        io.hamiltonian_from_dict(
+            {"bumps": [{"center": ["0.5", 0.0], "sigma": 1.0, "amplitude": 1.0}]})
 
 
 @pytest.mark.parametrize("field, text", [

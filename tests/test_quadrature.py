@@ -5,7 +5,7 @@ from scipy.interpolate import CubicSpline
 from conftest import TWO_PI
 from vortexloop.circle_forms import CircleDiffeo
 from vortexloop.loops import LoopEmbedding
-from vortexloop.quadrature import PeriodicCubic, periodic_spline, uniform_grid
+from vortexloop.quadrature import PeriodicCubic, _cyclic_shift, periodic_spline, uniform_grid
 
 
 @pytest.mark.parametrize("n", [8, 16, 192, 256, 1000, 1024, 4096, 16384])
@@ -13,6 +13,18 @@ def test_uniform_grid_is_the_linspace_grid_bit_for_bit(n):
     grid = uniform_grid(n)
     assert np.array_equal(grid, np.linspace(0.0, TWO_PI, n, endpoint=False))
     assert np.array_equal(np.append(grid, TWO_PI), np.linspace(0.0, TWO_PI, n + 1))
+
+
+@pytest.mark.parametrize("shape", [(7,), (256,), (5, 2), (256, 2)])
+@pytest.mark.parametrize("shift", [-1, 0, 1, -3, 261])
+def test_cyclic_shift_is_numpy_roll_byte_for_byte(shape, shift):
+    a = np.random.default_rng(shape[0]).standard_normal(shape)
+    got = _cyclic_shift(a, shift)
+    want = np.roll(a, shift, axis=0)
+    assert got.shape == want.shape
+    assert got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [16, 256, 1000])

@@ -47,7 +47,11 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
   of degree 3, 25 and 100 at 120 and 4096 off-grid points (``POWER_SUM_POINTS``):
   a Newton pass of ``find_zeros`` and one of the intertwiner's inversion;
 - ``io.dumps`` per call on an ``intertwine`` document of 4096 map samples and
-  on the ``flow -o`` document of a 256-point loop.
+  on the ``flow -o`` document of a 256-point loop;
+- ``io._float_list`` per call on the ``json``-decoded [x, y] pairs of a loop
+  at n in ``LOAD_SIZES`` (256, 1024, 2048), and ``io.loop_from_dict`` per call
+  on ``json``-decoded loop documents, as the CLI loads them: n = 256 and 2048
+  decorated by a degree-25 density, and n = 2048 by 2048 density samples.
 
 The record holds machine details, the median and quartiles over the rounds of
 each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
@@ -88,6 +92,7 @@ INVERT_DEGREE = 40
 # targets of one inversion and nodes of one circle-map inverse
 INVERT_SIZE = 4096
 POWER_SUM_POINTS = (120, 4096)
+LOAD_SIZES = (256, 1024, 2048)
 TRACE_KEYS = {
     "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
@@ -303,6 +308,24 @@ def measure(root):
     out[f"dumps.samples{INVERT_SIZE}"] = _per_call(lambda: vio.dumps(doc))
     loop_doc = vio.loop_to_dict(samples.random_decorated_loop(sum_rng, n=256))
     out["dumps.loop256"] = _per_call(lambda: vio.dumps(loop_doc))
+
+    # a generator of their own, so these inputs do not depend on the draws above
+    load_rng = np.random.default_rng(SEED)
+
+    def decoded(doc):
+        return json.loads(json.dumps(doc))
+
+    for n in LOAD_SIZES:
+        pairs = decoded(samples.random_loop(load_rng, n=n).samples.tolist())
+        out[f"float_list.pairs{n}"] = _per_call(
+            lambda: vio._float_list(pairs, "loop.samples", pairs=True))
+    for n, form in ((256, "deg25"), (2048, "deg25"), (2048, "samples")):
+        decoration = samples.random_morse_form(load_rng, 25 if form == "deg25" else 10)
+        if form == "samples":
+            decoration = CircleForm.from_samples(decoration(uniform_grid(n)))
+        loop = DecoratedLoop(samples.random_loop(load_rng, n=n), decoration)
+        doc = decoded(vio.loop_to_dict(loop))
+        out[f"load_loop.n{n}.{form}"] = _per_call(lambda: vio.loop_from_dict(doc))
     return out
 
 
