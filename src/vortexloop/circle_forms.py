@@ -213,12 +213,16 @@ class CircleForm:
         # c_j = a_j - i b_j gives a_j cos(jt) + b_j sin(jt) = Re c_j e^{ijt}; the
         # parts are set apart so that ``trig_coefficients`` returns a_j, b_j exactly
         m = max(a.size, b.size)
-        form._coeffs = np.pad(a, (0, m - a.size)).astype(complex)
-        form._coeffs.imag = -np.pad(b, (0, m - b.size))
+        form._coeffs = np.concatenate((a, np.zeros(m - a.size))).astype(complex)
+        form._coeffs.imag = -np.concatenate((b, np.zeros(m - b.size)))
         ij = 1j * np.arange(1, m + 1)
-        form._dcoeffs, form._icoeffs = ij * form._coeffs, form._coeffs / ij
-        # tail sums d_k = sum_{j>k} icoeffs_j of the antiderivative's Horner form
-        form._itails = np.cumsum(form._icoeffs[::-1])[::-1]
+        with np.errstate(over="ignore", invalid="ignore"):  # rejected right below
+            form._dcoeffs, form._icoeffs = ij * form._coeffs, form._coeffs / ij
+            # tail sums d_k = sum_{j>k} icoeffs_j of the antiderivative's Horner form
+            form._itails = np.cumsum(form._icoeffs[::-1])[::-1]
+        if not (np.isfinite(form._dcoeffs).all() and np.isfinite(form._itails).all()):
+            raise MorseViolation("density overflows: its derivative or antiderivative "
+                                 "coefficients are not finite")
         return form
 
     @classmethod
@@ -413,7 +417,8 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     loses a zero.  Two zeros closer together than one grid cell can leave
     no sign change and are then missed.
     """
-    scale = form.max_abs()
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected right below
+        scale = form.max_abs()
     if not scale < np.inf:  # an infinite or NaN grid value
         raise MorseViolation("density overflows: its values on the sampling grid are not finite")
     if scale == 0.0:
@@ -509,23 +514,23 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet) -> VorticityProfile:
     return VorticityProfile(omegas, total)
 
 
-def _shift_deviations(p: FloatArray, q: FloatArray) -> FloatArray:
-    """``max_i |p_i - q_(i+j)|`` for every cyclic shift ``j`` of two equal-length profiles."""
-    k = p.size
-    if q.size != k:
-        raise ValueError(f"profiles of lengths {k} and {q.size} cannot be compared")
-    idx = (np.arange(k)[None, :] + np.arange(k)[:, None]) % k
-    return np.max(np.abs(p[None, :] - q[idx]), axis=1)
+def _matching_shifts(p: FloatArray, q: FloatArray, shifts, rel_tol: float):
+    """Yield, in order, each cyclic shift j in the integer array ``shifts`` with
+    ``|p_i - q_(i+j)|`` at most ``rel_tol`` max|p| for all i, for two profiles of one length.
+    A shift whose first pair ``|p_0 - q_j|`` misses is dropped before the O(k)
+    comparison of all pairs; that pair is one of them, so no verdict changes."""
+    if shifts.size:
+        tol = rel_tol * float(np.max(np.abs(p)))
+        for j in shifts[np.abs(p[0] - q[shifts]) <= tol]:
+            if np.max(np.abs(p - _cyclic_shift(q, -j))) <= tol:
+                yield int(j)
 
 
 def circular_match(p, q, rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> list[int]:
     """All cyclic shifts j with ``p_i == q_(i+j)`` within ``rel_tol`` of max|p|."""
     p = np.asarray(p.omegas if isinstance(p, VorticityProfile) else p, dtype=float)
     q = np.asarray(q.omegas if isinstance(q, VorticityProfile) else q, dtype=float)
-    if p.size != q.size or p.size == 0:
-        return []
-    tol = rel_tol * float(np.max(np.abs(p)))
-    return [int(j) for j in np.nonzero(_shift_deviations(p, q) <= tol)[0]]
+    return list(_matching_shifts(p, q, np.arange(p.size), rel_tol)) if p.size == q.size else []
 
 
 def symmetry_step(profile: VorticityProfile, rel_tol: float = DEFAULT_PROFILE_REL_TOL) -> int:
@@ -533,10 +538,11 @@ def symmetry_step(profile: VorticityProfile, rel_tol: float = DEFAULT_PROFILE_RE
 
     Falls back to ``k`` itself (the trivial symmetry) when no proper shift
     matches within ``rel_tol``  relative to the largest partial vorticity.
+    Only the even proper divisors of ``k`` are compared, smallest first.
     """
-    k = profile.k
-    return next((ell for ell in circular_match(profile, profile, rel_tol)
-                 if ell > 0 and ell % 2 == 0 and k % ell == 0), k)
+    k, p = profile.k, np.asarray(profile.omegas, dtype=float)
+    ells = np.arange(2, k, 2)
+    return next(_matching_shifts(p, p, ells[k % ells == 0], rel_tol), k)
 
 
 def cumulative(form: CircleForm, t_start: float, t: float) -> float:
@@ -751,9 +757,9 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
         raise ProfileMismatch(
             f"source has {k} partial vorticities but the target has {dst_prof.k}")
     shift = shift % k
-    if shift not in circular_match(src_prof, dst_prof, rel_tol):
-        raise ProfileMismatch(f"profiles do not match at shift {shift} within {rel_tol:g}")
     src_omegas, dst_omegas = src_prof.omegas, dst_prof.omegas
+    if next(_matching_shifts(src_omegas, dst_omegas, np.array([shift]), rel_tol), None) is None:
+        raise ProfileMismatch(f"profiles do not match at shift {shift} within {rel_tol:g}")
     dst_zs = dst_zeros.zeros
     src_ext = np.append(src_zeros.zeros, src_zeros.zeros[0] + TWO_PI)
     dst_len = np.mod(_cyclic_shift(dst_zs, -1) - dst_zs, TWO_PI)

@@ -31,7 +31,7 @@ DEFAULT_AREA_REL_TOL = 1e-6
 # ``_spline_area`` rounds to within about eps * sum |z_j|^2 of the samples z_j (at most
 # 1.1 eps on collinear curves of 16-16384 points), so an area within 16 eps of it has no sign
 _AREA_ROUNDING = 16.0 * np.finfo(float).eps
-# a block of candidate pairs in ``_polyline_is_simple`` holds at most this many per segment
+# a block of candidate pairs of ``_x_overlap_pairs`` holds at most this many per box
 _SIMPLE_BLOCK = 128
 
 
@@ -53,13 +53,13 @@ def _perp(u: np.ndarray) -> np.ndarray:
 
 
 def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):
-    """Yield blocks ``(i, j)`` of the segment pairs whose x-intervals meet.
+    """Yield blocks ``(i, j)`` of the box pairs whose x-intervals meet.
 
-    ``lo`` and ``hi`` are the corners of the segment bounding boxes.  With
-    the segments sorted by left edge, the later segments whose x-intervals
-    meet that of the segment at position ``p`` are the run of positions after
-    ``p`` whose left edge is at most its right edge, so every meeting pair
-    appears exactly once.  A block holds whole runs and at most
+    ``lo`` and ``hi`` are the corners of the boxes (of segments, or of points
+    widened by a margin).  With the boxes sorted by left edge, the later boxes
+    whose x-intervals meet that of the box at position ``p`` are the run of
+    positions after ``p`` whose left edge is at most its right edge, so every
+    meeting pair appears exactly once.  A block holds whole runs and at most
     ``_SIMPLE_BLOCK * n`` pairs.
     """
     n = lo.shape[0]
@@ -224,16 +224,15 @@ def enclosed_area(embedding: LoopEmbedding) -> float:
 
 
 def _check_zero_images(embedding: LoopEmbedding, zs: ZeroSet) -> None:
-    """Raise ValidationFailed when two zeros land within 1e-9 of the curve's
-    diameter of each other on the curve."""
+    """Raise ValidationFailed when two zeros land within s = 1e-9 of the curve's diameter
+    of each other on the curve.  Rounding is monotone, so the sweep ``_x_overlap_pairs`` on
+    x-intervals widened by s yields every such pair, and only those are measured."""
     pts = embedding.eval(zs.zeros)
     samples = embedding._samples
-    diam = max(float(np.ptp(samples[:, 0])), float(np.ptp(samples[:, 1])))
-    diff = pts[:, None, :] - pts[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    np.fill_diagonal(dist, np.inf)
-    if np.min(dist) <= 1e-9 * diam:
-        raise ValidationFailed("two zero images coincide on the curve")
+    sep = 1e-9 * max(float(np.ptp(samples[:, 0])), float(np.ptp(samples[:, 1])))
+    for i, j in _x_overlap_pairs(pts - sep, pts + sep):
+        if i.size and np.min(np.hypot(*(pts[i] - pts[j]).T)) <= sep:
+            raise ValidationFailed("two zero images coincide on the curve")
 
 
 class DecoratedLoop:

@@ -3,7 +3,8 @@
 Everything here recomputes expected values by routes independent of the
 package internals: dense scanning plus brentq for zeros, QUADPACK for
 integrals, analytic derivatives for areas, plain loops for cyclic
-matching, an all-pairs crossing test for polyline simplicity, a loop over
+matching, an all-pairs distance table for the zero-image check, an
+all-pairs crossing test for polyline simplicity, a loop over
 the bumps of a bump Hamiltonian for its value and gradient, the bump
 kernel in its dense form, which evaluates the blend at every pair, the
 RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
@@ -326,6 +327,18 @@ def brute_circular_match(p, q, rel_tol=1e-9):
         if all(abs(p[i] - q[(i + j) % p.size]) <= tol for i in range(p.size)):
             hits.append(j)
     return hits
+
+
+def brute_zero_images_coincide(embedding, zs):
+    """The zero-image check as an all-pairs distance table: whether two zeros
+    land within 1e-9 of the curve's diameter of each other on the curve."""
+    pts = embedding.eval(zs.zeros)
+    samples = embedding._samples
+    diam = max(float(np.ptp(samples[:, 0])), float(np.ptp(samples[:, 1])))
+    diff = pts[:, None, :] - pts[None, :, :]
+    dist = np.hypot(diff[..., 0], diff[..., 1])
+    np.fill_diagonal(dist, np.inf)
+    return bool(np.min(dist) <= 1e-9 * diam)
 
 
 def brute_symmetry_step(omegas, rel_tol=1e-9):

@@ -38,6 +38,7 @@ from vortexloop.errors import (
     ProfileMismatch,
     VortexLoopError,
 )
+from vortexloop.io import form_to_dict
 from vortexloop.quadrature import uniform_grid
 from vortexloop.samples import (
     random_monotone_diffeo,
@@ -114,6 +115,25 @@ def test_trig_grid_is_the_reference_evaluator_bit_for_bit(degree):
                 want = reference_trig_grid(form, n, order)
                 assert got.shape == want.shape == (n,)
                 assert got.tobytes() == want.tobytes(), (n_cos, n_sin, n, order)
+
+
+@pytest.mark.parametrize("n_cos, n_sin", [(5, 2), (2, 5), (3, 0), (0, 3)])
+def test_trig_padding_keeps_the_sign_of_zero(n_cos, n_sin):
+    # the shorter list is padded with +0.0 and the imaginary parts -b_j with -0.0, as
+    # np.pad builds them; trig_coefficients and form_to_dict expose both signs
+    a = np.array([1.5, 0.0, -0.0, -2.0, 0.25])[:n_cos]
+    b = np.array([-0.0, 0.5, 0.0, 3.0, -1.0])[:n_sin]
+    form = CircleForm.trig(0.5, a, b)
+    m = max(n_cos, n_sin)
+    want = np.pad(a, (0, m - a.size)).astype(complex)
+    want.imag = -np.pad(b, (0, m - b.size))
+    assert form._coeffs.tobytes() == want.tobytes()
+    _, cos, sin = form.trig_coefficients
+    assert cos.tobytes() == want.real.tobytes()
+    assert sin.tobytes() == (-want.imag).tobytes()
+    doc = form_to_dict(form)["coeffs"]
+    assert np.signbit(doc["cos"]).tolist() == np.signbit(want.real).tolist()
+    assert np.signbit(doc["sin"]).tolist() == np.signbit(-want.imag).tolist()
 
 
 def long_double_power_sum(coeffs, t, minus_one):
@@ -416,13 +436,17 @@ def test_sign_changes_survive_an_underflowing_product(amplitude):
 @pytest.mark.parametrize("a0, cos, sin", [
     pytest.param(1e308, (1e308,), (), id="infinite"),
     pytest.param(1e308, (-1e308, 1e308), (1e308,) * 3, id="nan-and-infinite"),
+    pytest.param(0.0, (0.0, 1e308), (), id="derivative"),
+    pytest.param(0.0, (1.7e308, 0.8e308), (), id="antiderivative-tail"),
 ])
 def test_overflowing_density_is_rejected(a0, cos, sin):
-    # finite coefficients whose grid values are not finite: no zero count can be read
-    with np.errstate(over="ignore", invalid="ignore"):
-        form = CircleForm.trig(a0, cos, sin)
-        with pytest.raises(MorseViolation, match="^density overflows: "):
-            find_zeros(form)
+    # finite coefficients whose grid values, derivative coefficients j c_j or
+    # antiderivative tail sums are not finite (the last two are rejected on
+    # construction): no zero count can be read, and no numpy warning is raised.
+    # The values 1e308 cos 2t are finite, and that density was accepted with NaN
+    # derivatives at its zeros.
+    with pytest.raises(MorseViolation, match="^density overflows: "):
+        find_zeros(CircleForm.trig(a0, cos, sin))
 
 
 def test_morse_tolerance_is_adjustable():
@@ -440,6 +464,35 @@ def test_symmetry_steps_of_fixtures():
         form = standard_form(name)
         prof = partial_vorticities(form, find_zeros(form))
         assert symmetry_step(prof) == want
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-6])
+def test_symmetry_step_near_misses_match_brute_oracle(rel_tol, factor):
+    # a planted step l, then one entry moved by factor * tol: either the first pair
+    # (omega_0, omega_l) of the planted step, which the screen reads, or any other
+    rng = np.random.default_rng([int(-np.log10(rel_tol)), int(2 * factor)])
+    for trial in range(120):
+        k = int(rng.choice([4, 6, 8, 12, 16, 24]))
+        tile = int(rng.choice([d for d in range(2, k, 2) if k % d == 0]))
+        omegas = np.tile(rng.uniform(0.5, 2.0, tile) * (-1.0) ** np.arange(tile), k // tile)
+        tol = rel_tol * np.max(np.abs(omegas))
+        i = tile if trial % 2 else int(rng.integers(k))
+        omegas[i] += factor * tol * rng.choice([-1.0, 1.0])
+        got = symmetry_step(VorticityProfile(omegas, float(np.sum(omegas))), rel_tol)
+        assert got == brute_symmetry_step(omegas, rel_tol)
+
+
+@pytest.mark.parametrize("k", [4, 12, 24, 60])
+def test_symmetry_step_of_a_constant_alternating_profile_with_one_entry_off(k):
+    # every even divisor passes the screen (omega_0 == omega_l) and then fails on the
+    # one entry moved by 2 tol, so the trivial step k is the answer
+    omegas = 1.25 * (-1.0) ** np.arange(k)
+    assert symmetry_step(VorticityProfile(omegas, 0.0)) == 2
+    omegas[k - 1] -= 2.0 * 1e-9 * 1.25
+    assert symmetry_step(VorticityProfile(omegas, float(np.sum(omegas)))) == k
+    if k <= 24:
+        assert brute_symmetry_step(omegas) == k
 
 
 def test_symmetric_family_profile_and_step():

@@ -384,11 +384,25 @@ def test_overflowing_density_exit_3(capsys, tmp_path):
     doc["beta"] = {"kind": "trig", "coeffs": {"a0": 1e308, "cos": [1e308], "sin": []}}
     path = tmp_path / "loop.json"
     io.dump(doc, path)
-    with np.errstate(over="ignore", invalid="ignore"):
-        code, out, err = run(capsys, ["invariants", str(path)])
+    code, out, err = run(capsys, ["invariants", str(path)])
     assert code == 3
     assert out == ""
-    assert err.startswith("error: density overflows: ")
+    assert err == "error: density overflows: its values on the sampling grid are not finite\n"
+
+
+def test_overflowing_derivative_exit_3(capsys, tmp_path):
+    # finite coefficients whose derivative coefficients j c_j and grid values overflow:
+    # one error line and no numpy warning
+    doc = io.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(), samples.standard_form("sin2t")))
+    doc["beta"] = {"kind": "trig",
+                   "coeffs": {"a0": 1e308, "cos": [-1e308, 1e308], "sin": [1e308] * 3}}
+    path = tmp_path / "loop.json"
+    io.dump(doc, path)
+    code, out, err = run(capsys, ["invariants", str(path)])
+    assert code == 3
+    assert out == ""
+    assert err == ("error: density overflows: its derivative or antiderivative "
+                   "coefficients are not finite\n")
 
 
 def test_degenerate_zero_exit_3(capsys, tmp_path):

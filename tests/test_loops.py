@@ -1,5 +1,6 @@
 """Loop embeddings, invariants, and intertwiners."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,8 +10,12 @@ from vortexloop import loops, samples
 from vortexloop.circle_forms import (
     TWO_PI,
     CircleForm,
+    VorticityProfile,
+    ZeroSet,
+    _transport,
     find_zeros,
     partial_vorticities,
+    symmetry_step,
 )
 from vortexloop.errors import (
     MorseViolation,
@@ -37,6 +42,7 @@ from conftest import (
     StarCurve,
     brute_circular_match,
     brute_polyline_is_simple,
+    brute_zero_images_coincide,
     oracle_integral,
     reference_gauss_area,
 )
@@ -443,6 +449,94 @@ def test_decoration_on_another_embedding_keeps_zeros_and_checks_their_images():
         loop._with_embedding(pinched)
 
 
+class _PlantedImages:
+    """An embedding stand-in for the zero-image check: the zeros 0, 1, ..., k - 1
+    land on the given points, and the curve's samples set its diameter."""
+
+    def __init__(self, samples, images):
+        self._samples = samples
+        self._images = images
+
+    def eval(self, t):
+        return self._images[np.asarray(t, dtype=int)]
+
+
+def _zero_images_flagged(embedding, zs):
+    try:
+        loops._check_zero_images(embedding, zs)
+    except ValidationFailed:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("centre", [0.0, 1e8])
+def test_zero_image_sweep_matches_all_pairs_oracle(centre):
+    # points on a curve of diameter about 2, so s = 1e-9 diam is about 2e-9, plus
+    # planted pairs f * s apart in a random direction, f in {0.5, 1, 2}, or one ulp
+    # apart in y at the same x; at centre 1e8 one ulp is 1.5e-8, so s is below it
+    # and the planted pairs round onto a grid of ulps
+    rng = np.random.default_rng(int(centre) % 1000 + 31)
+    verdicts = set()
+    for trial in range(120):
+        curve = StarCurve(rng)
+        samples_ = curve(uniform_grid(256)) + centre
+        s = 1e-9 * max(np.ptp(samples_[:, 0]), np.ptp(samples_[:, 1]))
+        k = int(rng.integers(2, 40))
+        images = curve(rng.uniform(0.0, TWO_PI, k)) + centre
+        for _ in range(int(rng.integers(1, 4))):
+            base = images[rng.integers(images.shape[0])]
+            if trial % 4 == 3:
+                planted = np.array([base[0], np.nextafter(base[1], np.inf)])
+            else:
+                factor = (0.5, 1.0, 2.0)[trial % 4]
+                angle = rng.uniform(0.0, TWO_PI)
+                planted = base + factor * s * np.array([np.cos(angle), np.sin(angle)])
+            images = np.vstack([images, planted])
+        images = rng.permutation(images)
+        embedding = _PlantedImages(samples_, images)
+        zs = ZeroSet(np.arange(images.shape[0], dtype=float), np.ones(images.shape[0]))
+        want = brute_zero_images_coincide(embedding, zs)
+        assert _zero_images_flagged(embedding, zs) == want
+        verdicts.add(want)
+    assert verdicts == {False, True}
+
+
+def test_profile_and_zero_image_questions_stay_small_at_k4000():
+    # none of the four builds a k x k table (128 MB each at k = 4000): the symmetry step on a
+    # profile whose every even divisor passes the screen, the equiv shifts with half
+    # the shifts passing it, the intertwiner's shift check at a near-miss shift, and
+    # the zero images of 4000 zeros on a circle
+    k = 4000
+    alternating = 1.25 * (-1.0) ** np.arange(k)
+    p = alternating.copy()
+    p[k - 1] -= 2.0 * 1e-9 * 1.25
+    near = VorticityProfile(p, float(np.sum(p)))
+    circle = LoopEmbedding.circle()
+    zs = ZeroSet(uniform_grid(k), np.ones(k))
+
+    def transport():
+        with pytest.raises(ProfileMismatch, match="do not match at shift 2"):
+            _transport(None, None, near, None, None, near, 2, 1e-9, 64)
+
+    questions = {
+        "symmetry_step": lambda: symmetry_step(near),
+        "circular_match": lambda: circular_match(alternating, p),
+        "_transport": transport,
+        "_check_zero_images": lambda: loops._check_zero_images(circle, zs),
+    }
+    answers = {}
+    for name, ask in questions.items():
+        tracemalloc.start()
+        try:
+            answers[name] = ask()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20, (name, peak)
+    assert answers == {"symmetry_step": k, "circular_match": [], "_transport": None,
+                       "_check_zero_images": None}
+
+
 def test_reversed_decoration_flips_total():
     form = CircleForm.trig(0.1, sin=np.array([0.0, 1.0]))
     rev = reversed_decoration(form)
@@ -513,6 +607,50 @@ def test_circular_match_against_brute_force():
             assert circular_match(p, noisy) == brute_circular_match(p, noisy)
             assert circular_match(p, noisy, rel_tol=1.0) == \
                 brute_circular_match(p, noisy, rel_tol=1.0)
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("rel_tol", [1e-9, 1e-6])
+def test_circular_match_near_misses_match_brute_force(rel_tol, factor):
+    # q is p shifted, and p repeats a block, so several shifts match; then one entry
+    # of q moves by factor * tol: the first pair (p_0, q_j) of the planted shift j,
+    # which the screen reads, or any other
+    rng = np.random.default_rng([int(-np.log10(rel_tol)), int(2 * factor)])
+    for trial in range(150):
+        k = int(rng.choice([2, 6, 12, 24, 60]))
+        tile = int(rng.choice([d for d in range(2, k + 1, 2) if k % d == 0]))
+        p = np.tile(rng.uniform(0.5, 2.0, tile) * (-1.0) ** np.arange(tile), k // tile)
+        shift = int(rng.integers(k))
+        q = np.roll(p, shift)
+        tol = rel_tol * np.max(np.abs(p))
+        i = shift if trial % 2 else int(rng.integers(k))
+        q[i] += factor * tol * rng.choice([-1.0, 1.0])
+        assert circular_match(p, q, rel_tol) == brute_circular_match(p, q, rel_tol)
+
+
+@pytest.mark.parametrize("k", [4, 12, 60])
+def test_circular_match_of_a_constant_alternating_profile_with_one_entry_off(k):
+    # half the shifts pass the screen (p_0 == q_j) and all of them fail on the one
+    # entry of q moved by 2 tol
+    p = 1.25 * (-1.0) ** np.arange(k)
+    assert circular_match(p, p) == list(range(0, k, 2)) == brute_circular_match(p, p)
+    q = p.copy()
+    q[k // 2 + 1] += 2.0 * 1e-9 * 1.25
+    assert circular_match(p, q) == [] == brute_circular_match(p, q)
+
+
+def test_profile_tolerance_is_inclusive_at_the_screened_pair():
+    # rel_tol 2^-30 of max|p| = 2 is tol = 2^-29 exactly, and 1 + 2^-29 is a double, so the
+    # first pair of shift 0, and of the step 2 of q, differs by exactly tol and matches
+    rel_tol = 2.0 ** -30
+    p = np.tile([1.0, -2.0], 3)
+    q = p.copy()
+    q[0] += 2.0 ** -29
+    assert circular_match(p, q, rel_tol) == [0, 2, 4] == brute_circular_match(p, q, rel_tol)
+    assert symmetry_step(VorticityProfile(q, 0.0), rel_tol) == 2
+    q[0] = np.nextafter(q[0], 2.0)
+    assert circular_match(p, q, rel_tol) == [] == brute_circular_match(p, q, rel_tol)
+    assert symmetry_step(VorticityProfile(q, 0.0), rel_tol) == 6
 
 
 def test_circular_match_symmetric_profile():

@@ -51,7 +51,13 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``io._float_list`` per call on the ``json``-decoded [x, y] pairs of a loop
   at n in ``LOAD_SIZES`` (256, 1024, 2048), and ``io.loop_from_dict`` per call
   on ``json``-decoded loop documents, as the CLI loads them: n = 256 and 2048
-  decorated by a degree-25 density, and n = 2048 by 2048 density samples.
+  decorated by a degree-25 density, and n = 2048 by 2048 density samples;
+- ``circle_forms.symmetry_step`` per call on a random alternating profile with
+  no symmetry, and ``circle_forms.circular_match`` per call on such a profile
+  against a cyclic shift of itself (one matching shift), at k in
+  ``PROFILE_SIZES`` (60, 1000, 4000) partial vorticities;
+- ``loops._check_zero_images`` per call on k zeros drawn at random on a
+  256-point loop, at k in ``ZERO_IMAGE_SIZES`` (6, 60, 1000).
 
 The record holds machine details, the median and quartiles over the rounds of
 each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
@@ -93,6 +99,8 @@ INVERT_DEGREE = 40
 INVERT_SIZE = 4096
 POWER_SUM_POINTS = (120, 4096)
 LOAD_SIZES = (256, 1024, 2048)
+PROFILE_SIZES = (60, 1000, 4000)
+ZERO_IMAGE_SIZES = (6, 60, 1000)
 TRACE_KEYS = {
     "flow": ("flow.field_calls_per_step", "flow.field_points_per_step", "flow.steps",
              "flow.step_rejected", "flow.gradient.s", "flow.advect.self_s",
@@ -158,10 +166,12 @@ def measure(root):
 
     from vortexloop import cli, render, samples
     from vortexloop import io as vio
-    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, _invert_batch, _power_sum,
-                                         find_zeros, partial_vorticities)
+    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, VorticityProfile, ZeroSet,
+                                         _invert_batch, _power_sum, circular_match, find_zeros,
+                                         partial_vorticities, symmetry_step)
     from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
-    from vortexloop.loops import DecoratedLoop, LoopEmbedding, _polyline_is_simple, _spline_area
+    from vortexloop.loops import (DecoratedLoop, LoopEmbedding, _check_zero_images,
+                                  _polyline_is_simple, _spline_area)
     from vortexloop.quadrature import uniform_grid
     from vortexloop.symplectic import momentum_map_eval
 
@@ -326,6 +336,23 @@ def measure(root):
         loop = DecoratedLoop(samples.random_loop(load_rng, n=n), decoration)
         doc = decoded(vio.loop_to_dict(loop))
         out[f"load_loop.n{n}.{form}"] = _per_call(lambda: vio.loop_from_dict(doc))
+
+    # generators of their own, so these inputs do not depend on the draws above
+    step_rng, match_rng = np.random.default_rng(SEED), np.random.default_rng(SEED)
+    for k in PROFILE_SIZES:
+        omegas = step_rng.uniform(0.5, 2.0, k) * (-1.0) ** np.arange(k)
+        profile = VorticityProfile(omegas, float(np.sum(omegas)))
+        out[f"symmetry_step.k{k}"] = _per_call(lambda: symmetry_step(profile))
+        p = match_rng.uniform(0.5, 2.0, k) * (-1.0) ** np.arange(k)
+        q = np.roll(p, int(match_rng.integers(k)))
+        out[f"circular_match.k{k}"] = _per_call(lambda: circular_match(p, q))
+
+    # a generator of their own, so these inputs do not depend on the draws above
+    image_rng = np.random.default_rng(SEED)
+    loop = samples.random_loop(image_rng, n=256)
+    for k in ZERO_IMAGE_SIZES:
+        zs = ZeroSet(np.sort(image_rng.uniform(0.0, 2.0 * np.pi, k)), np.ones(k))
+        out[f"zero_images.k{k}"] = _per_call(lambda: _check_zero_images(loop, zs))
     return out
 
 
