@@ -484,19 +484,24 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
 def partial_vorticities(form: CircleForm, zeros: ZeroSet) -> VorticityProfile:
     """Integrate the density over each inter-zero segment between its ``zeros``.
 
-    Raises AlternationViolation when the signed segment integrals fail to
-    alternate strictly or vanish, or when their sum is off the exact period
-    integral (2 pi a0, or the trapezoid sum of the samples, which a periodic
-    cubic spline integrates to exactly) by over 1e-10 of max(max|omega|, 1).
-    That catches a broken antiderivative, not a missed zero: the sum
-    telescopes over any zero set.
+    Raises MorseViolation when a segment integral or their sum is not finite
+    (the antiderivative overflows), and AlternationViolation when the signed
+    segment integrals fail to alternate strictly or vanish, or when their sum
+    is off the exact period integral (2 pi a0, or the trapezoid sum of the
+    samples, which a periodic cubic spline integrates to exactly) by over
+    1e-10 of max(max|omega|, 1).  That catches a broken antiderivative, not a
+    missed zero: the sum telescopes over any zero set.
     """
     k = zeros.k
     if k < 2:
         raise MorseViolation("partial vorticities need at least two zeros")
     zs = zeros.zeros
     ext = np.append(zs, zs[0] + TWO_PI)
-    omegas = np.diff(form.antiderivative(ext))
+    with np.errstate(over="ignore", invalid="ignore"):  # rejected right below
+        omegas = np.diff(form.antiderivative(ext))
+        total = float(np.sum(omegas))
+    if not (np.isfinite(omegas).all() and np.isfinite(total)):
+        raise MorseViolation("density overflows: its partial vorticities are not finite")
 
     if np.any(omegas == 0.0):
         raise AlternationViolation("a partial vorticity vanishes")
@@ -504,7 +509,6 @@ def partial_vorticities(form: CircleForm, zeros: ZeroSet) -> VorticityProfile:
     if np.any(signs * _cyclic_shift(signs, -1) >= 0.0):
         raise AlternationViolation("partial vorticities do not alternate in sign")
 
-    total = float(np.sum(omegas))
     full = (TWO_PI * form._a0 if form.kind == "trig"
             else quadrature.periodic_trapezoid(form._values))
     if abs(total - full) > 1e-10 * max(float(np.max(np.abs(omegas))), 1.0):

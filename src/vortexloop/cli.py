@@ -118,11 +118,16 @@ def cmd_intertwine(args) -> int:
     psi = intertwiner(model, target, args.shift, rel_tol=args.rel_tol)
     residual = _intertwining_residual(model.decoration, target.decoration, psi)
     doc = {"schema": io.SCHEMA, "shift": args.shift % model.profile.k, "residual": residual}
+    # every document is encoded before one is written, so a number that is
+    # not finite leaves no file written
     if args.output:
-        io.dump(io.diffeo_to_dict(psi), args.output)
+        written = io.dumps(io.diffeo_to_dict(psi))
     else:
         doc["samples"] = psi.samples.tolist()
-    _emit(doc)
+    text = io.dumps(doc)
+    if args.output:
+        io.write_text(args.output, written)
+    sys.stdout.write(text)
     return 0
 
 
@@ -150,13 +155,17 @@ def cmd_flow(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 5
 
+    # every document is encoded before one is written, so a number that is
+    # not finite leaves no file written
+    written = io.dumps(io.loop_to_dict(report.loop)) if args.output else None
+    text = io.dumps(io.report_to_dict(report))
     if args.output:
-        io.dump(io.loop_to_dict(report.loop), args.output)
+        io.write_text(args.output, written)
     if args.emit_csv:
         io.write_text(args.emit_csv, render.flow_csv(loop, h, snapshots))
     if args.emit_svg:
         io.write_text(args.emit_svg, render.svg_overlay(loop, report.loop))
-    _emit(io.report_to_dict(report))
+    sys.stdout.write(text)
     return 0
 
 

@@ -27,7 +27,7 @@ class AlternationViolation(VortexLoopError):
 
 class OutOfRange(VortexLoopError):
     """A requested cumulative value lies outside the reachable range of the
-    segment."""
+    segment, or an output number is not finite, which JSON cannot write."""
 
 
 class NoSymmetry(VortexLoopError):

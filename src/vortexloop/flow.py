@@ -20,6 +20,7 @@ from .loops import (
     LoopEmbedding,
     _perp,
     _polyline_is_simple,
+    _turned,
     enclosed_area,
     orbit_invariants,
 )
@@ -30,6 +31,10 @@ _CUTOFF_START = 5.0
 # the exponent -rho^2/2 at rho = _CUTOFF_START; an exponent below it means rho > _CUTOFF_START
 _CUTOFF_EXPONENT = -0.5 * _CUTOFF_START**2
 _MIDPOINT_ITERATIONS = 60
+# the largest dt L a run may take, L = sum |A| / sigma^2 >= sup |DX_h|: RK4's
+# stability interval on the imaginary axis, where the linearised field has
+# its eigenvalues near a bump's centre
+_STEP_LIMIT = 2.0 * np.sqrt(2.0)
 # accepted steps between two simplicity checks of the evolving polyline
 _SIMPLE_STRIDE = 10
 
@@ -68,6 +73,9 @@ class PlanarHamiltonian:
     # whether every point this instance is given is known to lie within 5
     # sigma of every bump, so that ``_terms`` need not look; see ``_for_run``
     _inside_cutoff = False
+    # a bound on every coordinate of every point this instance is given, at
+    # least 1; see ``_for_run``
+    _coordinate_bound = np.inf
 
     def __init__(self, bumps):
         self._bumps = tuple(bumps)
@@ -87,6 +95,15 @@ class PlanarHamiltonian:
         # <= 1, rho <= 6) and 0 beyond; the slack up to 1 covers the rounding
         # of the computed field
         self._speed_bound = float(np.sum(np.abs(self._amplitudes[:, 0]) / sigmas[:, 0]))
+        # L = sum |A| / sigma^2 >= sup |DX_h|, the norm of the Hessian of h.  In
+        # units of |A| / sigma^2 a bump's Hessian has the eigenvalues
+        # (rho^2 - 1) exp(-rho^2 / 2) and -exp(-rho^2 / 2), at most 1 in size
+        # within 5 sigma.  In the 5-6 sigma band, with g = exp(-rho^2 / 2) <=
+        # e^(-12.5) and the blend b (|b| <= 1, |b'| <= 1.875, |b''| <= 10 / sqrt 3
+        # in rho), they are (gb)'' = (rho^2 - 1) g b - 2 rho g b' + g b'' and
+        # (gb)' / rho, at most e^(-12.5) (35 + 22.5 + 5.8) and e^(-12.5) 7.9 / 5,
+        # both below 2.4e-4; beyond it they are 0
+        self._jacobian_bound = float(np.sum(np.abs(self._amplitudes[:, 0]) * inv_sigma2[:, 0]))
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -142,7 +159,8 @@ class PlanarHamiltonian:
             # complex product with the real weight, (x w - y 0) + i (x 0 + y w),
             # differs from the two real products at most in the sign of a zero
             # term; the sum over the bumps starts from +0 and ends the same.
-            d *= gauss * self._neg_amp_inv_sigma2
+            gauss *= self._neg_amp_inv_sigma2
+            d *= gauss
         else:
             # the slope is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
             weight = gauss * (slope / np.maximum(rho, _CUTOFF_START) - blend) * self._amp_inv_sigma2
@@ -166,15 +184,26 @@ class PlanarHamiltonian:
         the relative 1e-9 covers the rounding of this test and of the exponent
         the per-call check compares.  That check would then take the Gaussian
         path at every call of the run, so the run's bits are the same.
+
+        The copy evaluates only (M, 2) points.  It holds the exponent scale and
+        -A / sigma^2 as (B, M) arrays, so that ``_terms`` and ``gradient``
+        multiply arrays of one shape, and the largest coordinate plus T V plus
+        that rounding, with the same relative slack and at least 1, as its
+        ``_coordinate_bound``.
         """
         travel = sum(steps) * self._speed_bound
-        rounding = 2.0 * (len(steps) + 1) * np.finfo(float).eps * (np.abs(pts).max() + travel)
+        largest = np.abs(pts).max() + travel
+        rounding = 2.0 * (len(steps) + 1) * np.finfo(float).eps * largest
         reach = np.abs(_complex_points(pts) - self._zc).max(axis=1) + (travel + rounding)
         # a NaN fails <=, so it keeps the check
         if not np.all(reach <= self._cutoff_radius * (1.0 - 1e-9)):
             return self
         run = copy.copy(self)
         run._inside_cutoff = True
+        m = len(pts)
+        run._exponent_scale = np.repeat(self._exponent_scale, m, axis=1)
+        run._neg_amp_inv_sigma2 = np.repeat(self._neg_amp_inv_sigma2, m, axis=1)
+        run._coordinate_bound = max((largest + rounding) * (1.0 + 1e-9), 1.0)
         return run
 
 
@@ -184,44 +213,57 @@ def hamiltonian_vector_field(h, points) -> np.ndarray:
     return _perp(np.asarray(h.gradient(points), dtype=float))
 
 
-def _rk4_step(points: FloatArray, k1: FloatArray, dt: float, h) -> tuple[FloatArray, FloatArray]:
-    """One classical RK4 step of the (M, 2) ``points`` from their field ``k1``.
+def _rk4_step(points: FloatArray, g1: FloatArray, dt: float, h) -> tuple[FloatArray, FloatArray]:
+    """One classical RK4 step of the (M, 2) ``points`` from their gradient ``g1``.
 
-    Returns the end point and e = (dt / 6) k4: with k5 the field at the end,
-    e - (dt / 6) k5 is the difference of the step from its embedded
-    third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6).
+    The step is carried on gradients: stage j's field is the quarter turn of
+    its gradient gj, so each stage point is the turned update ``loops._turned``
+    of the start, and the weighted sum of the four gradients is turned once at
+    the end.  Negation and the quarter turn commute exactly with scaling and
+    addition, so every bit is that of the same step on the fields.
+    Returns the end point and e = (dt / 6) g4: with g5 the gradient at the
+    end, max|e - (dt / 6) g5| is max|(dt / 6)(k4 - k5)|, the difference of the
+    step from its embedded third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6),
+    since a quarter turn keeps every |component|.
     """
-    k2 = hamiltonian_vector_field(h, points + (0.5 * dt) * k1)
-    k3 = hamiltonian_vector_field(h, points + (0.5 * dt) * k2)
-    k4 = hamiltonian_vector_field(h, points + dt * k3)
-    return points + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), (dt / 6.0) * k4
+    g2 = h.gradient(_turned(points, 0.5 * dt, g1))
+    g3 = h.gradient(_turned(points, 0.5 * dt, g2))
+    g4 = h.gradient(_turned(points, dt, g3))
+    return _turned(points, dt / 6.0, g1 + 2.0 * g2 + 2.0 * g3 + g4), (dt / 6.0) * g4
 
 
-def _midpoint_step(points: FloatArray, k1: FloatArray, dt: float,
+def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
                    h) -> tuple[FloatArray, FloatArray]:
-    """Implicit midpoint step of the (M, 2) ``points`` from their field ``k1``,
-    solved by the fixed-point iteration z <- points + dt X((points + z) / 2)
-    from the explicit Euler guess points + dt k1.
+    """Implicit midpoint step of the (M, 2) ``points`` from their gradient
+    ``g1``, solved by the fixed-point iteration z <- points + dt X((points + z) / 2)
+    from the explicit Euler guess points + dt k1, every iterate a turned update.
 
-    Each iteration evaluates the field once; the solve stops when an update
+    Each iteration evaluates the gradient once; the solve stops when an update
     is at most 1e-14 max(1, max|z|) for the iterate z, and raises
     StepRejected with the last update when it has not stopped after
-    ``_MIDPOINT_ITERATIONS`` iterations.
-    Returns the end point y1 and e = (2 y1 - z1 - y0 - (dt / 2) k1) / 3,
-    where z1, the first iterate, is the explicit midpoint step: with k5 the
-    field at the end, e - (dt / 6) k5 is a third of the differences of y1
-    from the explicit midpoint and from the trapezoid step, the leading
-    term of the local error.
+    ``_MIDPOINT_ITERATIONS`` iterations.  max|z| is taken only when it can
+    decide: a finite update comes from a finite iterate, so one of at most
+    1e-14 stops, and one above 1e-14 ``h._coordinate_bound`` (a bound on
+    max(1, max|z|) where known, else infinite) does not.
+    Returns the end point y1 and e, the inverse quarter turn of
+    (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1, the first iterate, is the
+    explicit midpoint step: with g5 the gradient at the end, max|e - (dt / 6) g5|
+    is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|, a third of the
+    differences of y1 from the explicit midpoint and from the trapezoid
+    step, the leading term of the local error.
     """
-    z = points + dt * k1
+    bound = 1e-14 * getattr(h, "_coordinate_bound", np.inf)
+    z = _turned(points, dt, g1)
     z1 = None
     for _ in range(_MIDPOINT_ITERATIONS):
-        z_next = points + dt * hamiltonian_vector_field(h, 0.5 * (points + z))
+        z_next = _turned(points, dt, h.gradient(0.5 * (points + z)))
         if z1 is None:
             z1 = z_next
         update = np.maximum.reduce(np.abs(z_next - z), axis=None)
-        if update <= 1e-14 * max(np.maximum.reduce(np.abs(z), axis=None), 1.0):
-            return z_next, (2.0 * z_next - z1 - points - 0.5 * dt * k1) / 3.0
+        if update <= 1e-14 or (update <= bound and update <= 1e-14 * max(
+                np.maximum.reduce(np.abs(z), axis=None), 1.0)):
+            e = _turned(2.0 * z_next - z1 - points, -0.5 * dt, g1) / 3.0
+            return z_next, -_perp(e)
         z = z_next
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
@@ -271,11 +313,16 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
            scheme: str = "rk4", *, observer=None) -> FlowReport:
     """Advect a decorated loop by the Hamiltonian flow of ``h``.
 
+    For a ``PlanarHamiltonian``, a run whose longest step dt has dt L above
+    ``_STEP_LIMIT`` (2 sqrt 2), for L = sum |A| / sigma^2 >= sup |DX_h|, raises
+    StepRejected before its first step: its first stage can carry points past
+    the bumps, where the field and so the estimate below read 0.
     Each step is taken once, by the scheme's stepper, and carries an embedded
-    "first same as last" error estimate max|e - (dt / 6) k5|: k5 is the field
-    at the step's end, which the next step starts from, and e is the
-    stepper's (``_rk4_step``, ``_midpoint_step``).  A step is accepted only
-    once k5 is known: an estimate above ``_ERROR_LIMIT`` (1e-3) or not finite
+    "first same as last" error estimate max|e - (dt / 6) g5|: g5 is the
+    gradient at the step's end, which the next step starts from, and e is the
+    stepper's (``_rk4_step``, ``_midpoint_step``).  The steps are carried on
+    gradients, whose quarter turns are the fields.  A step is accepted only
+    once g5 is known: an estimate above ``_ERROR_LIMIT`` (1e-3) or not finite
     (a NaN field at the end of the last step too) raises StepRejected.
     The evolving sample polyline is checked for self-intersection every
     ``_SIMPLE_STRIDE`` accepted steps and, through the evolved loop's own
@@ -299,17 +346,24 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     pts = emb.samples
     max_est = 0.0
     steps = _step_schedule(duration, dt)
+    if isinstance(h, PlanarHamiltonian) and steps:
+        bound = h._jacobian_bound
+        if not max(steps) * bound <= _STEP_LIMIT:
+            raise StepRejected(
+                f"step condition: dt L = {max(steps) * bound:.3e} exceeds {_STEP_LIMIT:.4f}, "
+                f"where L = sum |A| / sigma^2 = {bound:.3e} bounds the field's Jacobian; "
+                f"take dt <= {_STEP_LIMIT / bound:.3e}")
     # decided once: a run that stays within 5 sigma of every bump skips the
     # per-call cutoff check; a subclass, which may change the field, keeps it
     h_run = h._for_run(pts, steps) if type(h) is PlanarHamiltonian else h
     elapsed = 0.0
     if observer is not None:
         observer(0, 0.0, pts.copy())
-    k = hamiltonian_vector_field(h_run, pts)
+    g = h_run.gradient(pts)
     for i, step_dt in enumerate(steps):
-        end, e = stepper(pts, k, step_dt, h_run)
-        k = hamiltonian_vector_field(h_run, end)
-        est = float(np.maximum.reduce(np.abs(e - (step_dt / 6.0) * k), axis=None))
+        end, e = stepper(pts, g, step_dt, h_run)
+        g = h_run.gradient(end)
+        est = float(np.maximum.reduce(np.abs(e - (step_dt / 6.0) * g), axis=None))
         if not est <= _ERROR_LIMIT:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from .circle_forms import DEFAULT_MORSE_TOL, CircleDiffeo, CircleForm
-from .errors import SchemaError
+from .errors import OutOfRange, SchemaError
 from .flow import FlowReport, PlanarBump, PlanarHamiltonian
 from .loops import DecoratedLoop
 
@@ -178,7 +178,7 @@ _SCALARS = frozenset((str, int, float, bool, type(None)))
 
 def _c_encoded(container, pad) -> str:
     """``container`` by the C encoder, keys sorted, items parted by "," and line break ``pad``."""
-    return json.dumps(container, separators=("," + pad, ": "), sort_keys=True)
+    return json.dumps(container, separators=("," + pad, ": "), sort_keys=True, allow_nan=False)
 
 
 def _layout(value, level) -> str:
@@ -213,13 +213,39 @@ def _layout(value, level) -> str:
             return "[" + pad + "[" + inner + body + pad + "]" + outer + "]"
         return "[" + ",".join(pad + _layout(item, level + 1) for item in value) + outer + "]"
     if kind in _SCALARS:
-        return json.dumps(value)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", outer)
+        return json.dumps(value, allow_nan=False)
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False).replace("\n", outer)
+
+
+def _non_finite(value, where):
+    """The path from ``where`` to the first NaN or infinity in ``value``, keys
+    sorted, with that number; None when there is none."""
+    if isinstance(value, float):
+        return None if np.isfinite(value) else (where, value)
+    if isinstance(value, dict):
+        items = ((f"{where}.{key}" if where else str(key), value[key]) for key in sorted(value))
+    elif isinstance(value, (list, tuple)):
+        items = ((f"{where}[{i}]", item) for i, item in enumerate(value))
+    else:
+        return None
+    return next(filter(None, (_non_finite(item, path) for path, item in items)), None)
 
 
 def dumps(doc) -> str:
-    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte."""
-    return _layout(doc, 0) + "\n"
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\\n"``, byte for byte.
+
+    JSON has no NaN or infinity, so a document holding one raises OutOfRange
+    naming its key, as ``json.dumps(allow_nan=False)`` refuses it.
+    """
+    try:
+        return _layout(doc, 0) + "\n"
+    except ValueError as exc:
+        found = _non_finite(doc, "")
+        if found is None:
+            raise
+        where, number = found
+        raise OutOfRange(f"output {where or 'document'}: {float(number)!r} is not a finite number"
+                         ) from exc
 
 
 def write_text(path, text: str) -> None:

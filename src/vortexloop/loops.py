@@ -52,6 +52,21 @@ def _perp(u: np.ndarray) -> np.ndarray:
     return out
 
 
+def _turned(p: np.ndarray, c: float, g: np.ndarray) -> np.ndarray:
+    """``p + c * _perp(g)`` bit for bit, with no quarter-turned copy of ``g``.
+
+    ``g`` is scaled, and its scaled second part is added to the first column
+    of ``p`` and its scaled first part subtracted from the second.  Negation
+    commutes exactly with scaling and addition, so p_y - c g_x is
+    p_y + c (-g_x) to the bit, down to the sign of a zero.
+    """
+    s = c * g
+    out = np.empty(np.shape(p))
+    np.add(p[..., 0], s[..., 1], out[..., 0])
+    np.subtract(p[..., 1], s[..., 0], out[..., 1])
+    return out
+
+
 def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):
     """Yield blocks ``(i, j)`` of the box pairs whose x-intervals meet.
 
@@ -213,8 +228,11 @@ def _spline_area(samples):
     """
     z = np.ascontiguousarray(samples, dtype=float).view(complex)[..., 0]
     spectrum = np.fft.fft(z, axis=-1)
-    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
-    areas = np.sum(power * _area_weights(z.shape[-1]), axis=-1)
+    # an area beyond the double range comes out infinite or NaN, which no
+    # output prints: ``io.dumps`` refuses both
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+        areas = np.sum(power * _area_weights(z.shape[-1]), axis=-1)
     return float(areas) if areas.ndim == 0 else areas
 
 

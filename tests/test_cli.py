@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,11 +205,83 @@ def test_flow_bad_step_and_rejection(capsys, tmp_path, circle_file):
     assert code == 2
     assert "--dt" in err
 
+    # dt L = 0.1 * 1.8 / 0.3^2 = 2 passes the step condition; the estimate rejects
+    steep = write_ham(tmp_path / "steep.json",
+                      PlanarHamiltonian.single((0.5, 0.0), 0.3, 1.8))
+    code, _, err = run(capsys, ["flow", circle_file, steep, "-T", "1.0", "--dt", "0.1"])
+    assert code == 5
+    assert "local error estimate" in err
+
+    # dt L = 44 fails it before the first step
     strong = write_ham(tmp_path / "strong.json",
                        PlanarHamiltonian.single((0.5, 0.0), 0.3, 40.0))
     code, _, err = run(capsys, ["flow", circle_file, strong, "-T", "1.0", "--dt", "0.1"])
     assert code == 5
-    assert "local error estimate" in err
+    assert err.startswith("error: step condition: dt L = 4.444e+01 exceeds 2.8284")
+
+
+def three_lobed_samples(n=256):
+    """The samples of r = 1 + 0.2 cos 3t."""
+    t = TWO_PI * np.arange(n) / n
+    r = 1.0 + 0.2 * np.cos(3.0 * t)
+    return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+
+def write_loop_doc(path, samples_xy, coeffs):
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"schema": io.SCHEMA, "samples": samples_xy.tolist(),
+                   "beta": {"kind": "trig", "coeffs": coeffs}}, fh)
+    return str(path)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+@pytest.mark.parametrize("amplitude", [5e4, 1e5])
+def test_flow_a_step_the_field_can_hide_from_exit_5(capsys, tmp_path, amplitude, scheme):
+    # one bump at (0.3, 0.1), sigma = 0.5, dt = 1e-3: dt L = 200 and 400.  The
+    # first RK4 stage carries every point past 6 sigma, where the field is 0,
+    # and such runs were accepted with an area drift of 327 and 1.3e3
+    loop_file = write_loop_doc(tmp_path / "loop.json", three_lobed_samples(),
+                               {"a0": 0.1, "cos": [0.0, 1.0], "sin": [0.3]})
+    ham = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((0.3, 0.1), 0.5, amplitude))
+    out_json = tmp_path / "out.json"
+    code, out, err = run(capsys, ["flow", loop_file, ham, "-T", "0.01", "--dt", "1e-3",
+                                  "--scheme", scheme, "-o", str(out_json)])
+    assert code == 5 and out == ""
+    assert err.startswith(f"error: step condition: dt L = {amplitude * 4e-3:.3e} exceeds 2.8284")
+    assert not out_json.exists()
+
+
+def test_invariants_overflowing_profile_exit_3(capsys, tmp_path):
+    # finite coefficients, derivative coefficients and grid values, but the
+    # antiderivative's a0 t overflows near t = 2 pi: the profile is not finite
+    path = write_loop_doc(tmp_path / "loop.json", three_lobed_samples(),
+                          {"a0": 5e307, "cos": [9e307]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["invariants", str(path)])
+    assert code == 3 and out == ""
+    assert err == "error: density overflows: its partial vorticities are not finite\n"
+
+
+def test_non_finite_answer_exit_2_naming_its_key(capsys, tmp_path):
+    # a curve scaled by 1e152 encloses an area beyond the double range; JSON
+    # has no Infinity, so the answer is an error, not "area": Infinity
+    big = write_loop_doc(tmp_path / "big.json", 1e152 * three_lobed_samples(),
+                         {"a0": 0.1, "cos": [0.0, 1.0], "sin": [0.3]})
+    code, out, err = run(capsys, ["invariants", big])
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if line.startswith("error")] == [
+        "error: output area: inf is not a finite number"]
+    # flow encodes every document before writing any: its area drift is
+    # inf / inf, and none of its files is written
+    ham = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((0.0, 0.0), 1.0, 0.1))
+    outputs = [tmp_path / name for name in ("out.json", "out.csv", "out.svg")]
+    code, out, err = run(capsys, ["flow", big, ham, "-T", "0.01", "--dt", "1e-3",
+                                  "-o", str(outputs[0]), "--emit-csv", str(outputs[1]),
+                                  "--emit-svg", str(outputs[2])])
+    assert code == 2 and out == ""
+    assert err.endswith("error: output area_drift: nan is not a finite number\n")
+    assert not any(path.exists() for path in outputs)
 
 
 def test_flow_collision_exit_5_writes_no_output(capsys, tmp_path):

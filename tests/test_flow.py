@@ -422,8 +422,11 @@ def test_non_finite_step_estimate_is_rejected():
 
 
 def test_midpoint_solve_that_does_not_converge_is_rejected():
+    # a bump centred on the curve, where the field turns at the rate
+    # A / sigma^2 = L: dt L = 2 passes the step condition, but the iteration's
+    # contraction factor there is dt L / 2 = 1
     loop = circle_loop(n=32)
-    h = PlanarHamiltonian.single((0.5, 0.0), 0.3, 40.0)
+    h = PlanarHamiltonian.single((1.0, 0.0), 0.3, 1.8)
     with pytest.raises(StepRejected, match="did not converge"):
         advect(loop, h, 1.0, 0.1, scheme="implicit-midpoint")
 
@@ -496,9 +499,9 @@ def _random_case(seed=34, n=256):
 
 
 def _separate_steps(pts, h, steps, stepper):
-    """Each step by its own stepper call from the field at its start: the reference."""
+    """Each step by its own stepper call from the gradient at its start: the reference."""
     for dt in steps:
-        pts, _ = stepper(pts, hamiltonian_vector_field(h, pts), dt, h)
+        pts, _ = stepper(pts, h.gradient(pts), dt, h)
     return pts
 
 
@@ -536,9 +539,9 @@ def test_midpoint_advection_field_calls_per_step(dt, calls):
     # the iterations of each step, solved alone from the field at its start
     iterations = []
     for pts in seen[:-1]:
-        k1 = hamiltonian_vector_field(h, pts)
+        g1 = h.gradient(pts)
         h.calls = 0
-        _midpoint_step(pts, k1, dt, h)
+        _midpoint_step(pts, g1, dt, h)
         iterations.append(h.calls)
     # the field at the start, then each step's iterations and the field at its end
     want = 1 + sum(count + 1 for count in iterations)
@@ -868,6 +871,130 @@ def test_observer_gets_copies_that_do_not_steer_the_run():
     for a in range(len(clean)):
         for b in range(a):
             assert not np.shares_memory(clean[a], clean[b])
+
+
+# ---------------------------------------------------------------- step condition and the exact turn
+
+
+def _hessian_norms(h, pts, step):
+    """|Hess h| at each point, by central differences of the gradient."""
+    cols = [(h.gradient(pts + e) - h.gradient(pts - e)) / (2.0 * step)
+            for e in (np.array([step, 0.0]), np.array([0.0, step]))]
+    a, b, d = cols[0][:, 0], 0.5 * (cols[0][:, 1] + cols[1][:, 0]), cols[1][:, 1]
+    return np.abs(0.5 * (a + d)) + np.hypot(0.5 * (a - d), b)
+
+
+@pytest.mark.parametrize("region", ["core", "band", "mixed"])
+@pytest.mark.parametrize("n_bumps", [1, 2, 3])
+def test_jacobian_bound_is_at_least_the_largest_jacobian(region, n_bumps):
+    rng = np.random.default_rng(80 + n_bumps)
+    bumps = [PlanarBump(tuple(rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.3, 1.2),
+                        (-1.0) ** i * rng.uniform(0.1, 2.0)) for i in range(n_bumps)]
+    bumps.append(PlanarBump((0.2, -0.1), 0.4, 0.0))
+    h = PlanarHamiltonian(bumps)
+    # rho near sqrt 3 too, where the radial eigenvalue (rho^2 - 1) exp(-rho^2 / 2) peaks
+    core = np.vstack([_ring(rng, bumps, 0.0, 5.0, 4096), _ring(rng, bumps, 1.7, 1.8, 1024)]
+                     + [[b.center] for b in bumps])
+    band = _ring(rng, bumps, 5.0, 6.0, 4096)
+    pts = {"core": core, "band": band,
+           "mixed": np.vstack([core, band, _ring(rng, bumps, 6.0, 9.0, 1024)])}[region]
+    largest = np.max(_hessian_norms(h, pts, 1e-6))
+    bound = sum(abs(b.amplitude) / b.sigma**2 for b in bumps)
+    assert h._jacobian_bound == pytest.approx(bound, rel=1e-15)
+    assert largest <= h._jacobian_bound * (1.0 + 1e-6)
+    if region != "band":
+        # at a bump's centre its Hessian is -A / sigma^2 times the identity
+        assert largest > 0.5 * max(abs(b.amplitude) / b.sigma**2 for b in bumps)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_step_condition_rejects_dt_l_above_two_root_two(scheme):
+    # L = 300 / 0.5^2 + 100 / 0.25^2 = 2800, from two bumps far from the
+    # loop: its points never move, and only dt L decides
+    bumps = [PlanarBump((10.0, 0.0), 0.5, 300.0), PlanarBump((10.0, 3.0), 0.25, -100.0)]
+    h = PlanarHamiltonian(bumps)
+    assert h._jacobian_bound == 2800.0
+    loop = circle_loop(n=64)
+    # dt L = 2.8, with a partial last step
+    report = advect(loop, h, 0.0105, 1e-3, scheme)
+    assert report.steps == 11 and report.max_local_error == 0.0
+    assert_same_bits(report.loop.embedding.samples, loop.embedding.samples)
+    seen = []
+    with pytest.raises(StepRejected, match=r"^step condition: dt L = 2\.856e\+00 exceeds 2\.8284,"):
+        advect(loop, h, 0.0105, 1.02e-3, scheme, observer=lambda *args: seen.append(args))
+    assert seen == []
+    # the longest step counts, not the partial last one
+    with pytest.raises(StepRejected, match="step condition"):
+        advect(loop, h, 1.5e-3, 1.02e-3, scheme)
+
+
+def _exact_turn(pts, center, sigma, amplitude, duration):
+    """The flow of one bump A exp(-r^2 / 2 sigma^2) at points within 5 sigma of
+    its centre: each turns about the centre by (A / sigma^2) exp(-r^2 / 2 sigma^2) T."""
+    d = pts - center
+    angle = amplitude / sigma**2 * np.exp(-0.5 * np.sum(d * d, axis=1) / sigma**2) * duration
+    cos, sin = np.cos(angle), np.sin(angle)
+    return center + np.column_stack([cos * d[:, 0] - sin * d[:, 1], sin * d[:, 0] + cos * d[:, 1]])
+
+
+def _turn_error(report, center, sigma, amplitude, duration, start):
+    want = _exact_turn(start, np.asarray(center), sigma, amplitude, duration)
+    return float(np.max(np.hypot(*(report.loop.embedding.samples - want).T)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("scheme, order", [("rk4", 4), ("implicit-midpoint", 2)])
+def test_one_bump_runs_turn_every_point_by_the_exact_angle(seed, scheme, order):
+    rng = np.random.default_rng(90 + seed)
+    loop = samples.random_decorated_loop(rng, n=256)
+    start = loop.embedding.samples
+    center = tuple(rng.uniform(start.min(axis=0), start.max(axis=0)))
+    sigma = np.max(np.hypot(*(start - center).T)) / 4.0 * rng.uniform(1.0, 1.5)
+    dt = 1e-3
+    amplitude = rng.uniform(0.2, 0.5) * rng.choice([-1.0, 1.0]) * sigma**2 / dt
+    h = PlanarHamiltonian.single(center, sigma, amplitude)
+    # the sign of the turn is that of the field: X = (A / sigma^2) e^(-r^2 / 2 sigma^2) (-dy, dx)
+    d = start - center
+    rate = amplitude / sigma**2 * np.exp(-0.5 * np.sum(d * d, axis=1) / sigma**2)
+    np.testing.assert_allclose(hamiltonian_vector_field(h, start),
+                               rate[:, None] * np.column_stack([-d[:, 1], d[:, 0]]),
+                               rtol=1e-12, atol=1e-15 * np.max(np.abs(rate)))
+    errors = [_turn_error(advect(loop, h, 0.02, step, scheme), center, sigma, amplitude, 0.02,
+                          start) for step in (dt, dt / 2.0)]
+    # accepted, and off the exact turn by the scheme's global error, which
+    # halving dt divides by about 2^order
+    assert 0.0 < errors[1] < errors[0] < {4: 1e-3, 2: 5e-2}[order]
+    assert 0.8 * 2**order <= errors[0] / errors[1] <= 1.2 * 2**order
+
+
+def test_the_exact_turn_tells_the_rejected_run_from_the_accepted_one():
+    # r = 1 + 0.2 cos 3t under one bump at (0.3, 0.1), sigma = 0.5, T = 0.01, dt = 1e-3
+    t = uniform_grid(256)
+    r = 1.0 + 0.2 * np.cos(3.0 * t)
+    loop = DecoratedLoop(LoopEmbedding(np.column_stack([r * np.cos(t), r * np.sin(t)])),
+                         samples.standard_form("sin2t"))
+    start = loop.embedding.samples
+    center, sigma = (0.3, 0.1), 0.5
+    # A = 100, dt L = 0.4: accepted by both schemes, and close to the exact turn
+    h = PlanarHamiltonian.single(center, sigma, 100.0)
+    rk4 = _turn_error(advect(loop, h, 0.01, 1e-3), center, sigma, 100.0, 0.01, start)
+    midpoint = _turn_error(advect(loop, h, 0.01, 1e-3, "implicit-midpoint"),
+                           center, sigma, 100.0, 0.01, start)
+    assert rk4 < 1e-4 and midpoint < 1e-2
+    # A = 5e4, dt L = 200: the first RK4 stage carries every point past 6 sigma,
+    # so the estimate reads small and the real-arithmetic steps accept the run,
+    # off the exact turn by orders of magnitude more; advect now rejects it
+    bumps = [PlanarBump(center, sigma, 5e4)]
+    steps = _step_schedule(0.01, 1e-3)
+    ref, max_est = reference_advect(start, DenseBumpField(bumps).vector_field, steps,
+                                    reference_rk4_step)
+    wrong = np.max(np.hypot(*(ref[-1] - _exact_turn(start, np.asarray(center), sigma, 5e4,
+                                                     0.01)).T))
+    assert max_est <= 1e-3 and wrong > 1.0
+    assert wrong > 1e5 * rk4 and wrong > 1e2 * midpoint
+    for scheme in ("rk4", "implicit-midpoint"):
+        with pytest.raises(StepRejected, match=r"^step condition: dt L = 2\.000e\+02"):
+            advect(loop, PlanarHamiltonian(bumps), 0.01, 1e-3, scheme)
 
 
 # ---------------------------------------------------------------- two routes

@@ -1,13 +1,14 @@
 """JSON round trips, schema enforcement, and string rendering."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
 from vortexloop import cli, io, render, samples
 from vortexloop.circle_forms import TWO_PI, CircleDiffeo, CircleForm
-from vortexloop.errors import SchemaError
+from vortexloop.errors import OutOfRange, SchemaError
 from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
 from vortexloop.loops import DecoratedLoop, LoopEmbedding, enclosed_area
 from vortexloop.symplectic import momentum_map_eval
@@ -127,8 +128,9 @@ def json_layout(doc):
     {"flags": [True, False, None, 0, -7, 10 ** 30], "one": True, "nothing": None},
     {"text": ["unicode \u00e9\u2603", 'quote " and \\', "line\nbreak", "]", "],\n  ["],
      "\u00fc key": "value", "[": [["a]", "b"], ["c", "d]"]]},
-    {"nan": float("nan"), "inf": [float("inf"), -float("inf"), float("nan")],
-     "pairs": [[float("nan"), float("inf")]]},
+    # the ends of the finite range; NaN and infinity are refused, see below
+    {"tiny": [5e-324, -5e-324, 2.2250738585072014e-308], "huge": -1.7976931348623157e308,
+     "pairs": [[1.7976931348623157e308, -0.0]]},
     [1.5, {"b": [], "a": [[0.5, 1.5]]}, [], "top-level list"],
     [[1.0, 2.0], [3.0]],
     3.25, -1, True, None, "top-level string", [], {},
@@ -137,6 +139,25 @@ def json_layout(doc):
 ], ids=lambda doc: type(doc).__name__)
 def test_dumps_is_json_indent_2_sorted_byte_for_byte(doc):
     assert io.dumps(doc) == json_layout(doc)
+
+
+@pytest.mark.parametrize("doc, where, number", [
+    ({"nan": float("nan"), "inf": [float("inf"), -float("inf"), float("nan")],
+      "pairs": [[float("nan"), float("inf")]]}, "inf[0]", "inf"),
+    ({"b": {"a": 1.0, "c": [[0.5, -np.inf]]}, "a": 2.0}, "b.c[0][1]", "-inf"),
+    ({"area": np.float64(np.inf)}, "area", "inf"),
+    ([1.0, {"x": np.nan}], "[1].x", "nan"),
+    (float("nan"), "document", "nan"),
+], ids=["c-encoder", "nested", "numpy", "list", "scalar"])
+def test_dumps_refuses_nan_and_infinity_naming_the_key(doc, where, number, tmp_path):
+    # JSON has no NaN or infinity; json.dumps would write the non-JSON tokens
+    message = rf"^output {re.escape(where)}: {number} is not a finite number$"
+    with pytest.raises(OutOfRange, match=message):
+        io.dumps(doc)
+    path = tmp_path / "out.json"
+    with pytest.raises(OutOfRange):
+        io.dump(doc, path)
+    assert not path.exists()
 
 
 def test_dumps_of_every_cli_document_is_json_indent_2_sorted(tmp_path, capsys, monkeypatch):

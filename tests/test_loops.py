@@ -402,6 +402,27 @@ def test_quarter_turn_is_the_swap_times_one_minus_one_to_the_bit():
                               ~np.signbit(u[..., 0])[finite_or_inf])
 
 
+@pytest.mark.parametrize("c", [5e-4, -1.0 / 6.0, 0.0, -0.0, 3.0])
+def test_turned_update_is_the_update_by_the_quarter_turn_to_the_bit(c):
+    # every pair of special parts for the point and the vector, and their order
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.25, 5e-324])
+    pairs = np.stack(np.meshgrid(special, special), axis=-1).reshape(-1, 2)
+    p = np.repeat(pairs, len(pairs), axis=0)
+    g = np.tile(pairs, (len(pairs), 1))
+    for point, vector in ((p, g), (p[:96].reshape(2, 48, 2), g[:96].reshape(2, 48, 2))):
+        kept = point.copy(), vector.copy()
+        # inf - inf and 0 * inf are NaN
+        with np.errstate(invalid="ignore"):
+            got = loops._turned(point, c, vector)
+            want = point + c * _broadcast_perp(vector)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        # the sign and payload of a NaN are not specified; every other bit is
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        assert point.tobytes() == kept[0].tobytes() and vector.tobytes() == kept[1].tobytes()
+
+
 def test_frame_and_area_constraint_keep_their_quarter_turn_bits():
     rng = np.random.default_rng(25)
     emb = samples.random_loop(rng, n=256)

@@ -16,8 +16,8 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
 - one whole 100-step ``advect`` (rk4 and implicit midpoint) at n = 256 under
-  two bumps, as in a ``flow`` op, on a run that provably stays within 5 sigma
-  of both bumps;
+  one, two and three bumps, as in a ``flow`` op, on runs that provably stay
+  within 5 sigma of every bump;
 - ``render.flow_csv`` on the 101 snapshots of a 100-step run at n = 256,
   ``render.svg_overlay`` of that run's start and end, and
   ``loops._spline_area`` on those snapshots stacked, as ``flow_csv`` calls it;
@@ -59,6 +59,12 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``loops._check_zero_images`` per call on k zeros drawn at random on a
   256-point loop, at k in ``ZERO_IMAGE_SIZES`` (6, 60, 1000).
 
+The ``step.*`` and ``advect.*`` kernels are timed once more, in one process
+that imports both trees under module sets of their own, in ``BATCHES``
+batches that alternate which tree goes first; their records come from there,
+with the quartiles of the batch pairs' change-over-parent ratio, since
+separate processes shift whole kernels by tens of percent.
+
 The record holds machine details, the median and quartiles over the rounds of
 each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
 ``benchmark/run.py --workload W --seed 1 --seconds 1 --trace 1`` for each
@@ -70,6 +76,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
+import importlib
 import io
 import json
 import os
@@ -85,6 +93,9 @@ FLOW_DT = 1e-3
 # (n, steps per timed run) of the step kernels
 STEP_SIZES = ((256, 50), (4096, 10))
 ROUNDS = 7
+# alternated batches of the flow kernels in one process, and the least seconds of one
+BATCHES = 21
+BATCH_S = 0.05
 TRACE_RUNS = 3
 # where the points of the region timings lie, relative to the bumps
 BUMP_REGIONS = ("inside5", "band", "beyond6", "mixed")
@@ -159,6 +170,52 @@ def _bump_region_points(rng, region, n):
                                       _bump_region_points(rng, "beyond6", n - 2 * third)]))
 
 
+def _gradient_cases(rng, samples, PlanarBump, PlanarHamiltonian):
+    """(name, h, points) of the ``gradient.n*.b*`` kernels, drawn from ``rng``."""
+    cases = []
+    for n in (256, 512, 4096):
+        loop = samples.random_decorated_loop(rng, n=n)
+        pts = loop.embedding.samples
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        for b in (1, 2, 3):
+            h = PlanarHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2),
+                                              rng.uniform(0.1, 0.3)) for _ in range(b)])
+            cases.append((f"gradient.n{n}.b{b}", h, pts))
+    return cases
+
+
+def _flow_kernels(rng, samples, PlanarHamiltonian, advect):
+    """The ``step.*`` and ``advect.*`` kernels of one tree as {name: (run,
+    still, steps)}: the seconds of ``run``, less those of ``still`` when it is
+    given, over ``steps``, are the kernel's.  The step inputs are drawn from
+    ``rng``, the whole runs' from generators of their own."""
+    import numpy as np
+
+    kernels = {}
+    for n, k in STEP_SIZES:
+        loop = samples.random_decorated_loop(rng, n=n)
+        h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+        for scheme in ("rk4", "implicit-midpoint"):
+            kernels[f"step.{scheme}.n{n}"] = (
+                functools.partial(advect, loop, h, k * FLOW_DT, FLOW_DT, scheme),
+                functools.partial(advect, loop, h, 0.0, FLOW_DT, scheme), k)
+
+    # a generator of their own, so the inputs of the other kernels do not move
+    advect_rng = np.random.default_rng(SEED)
+    loop = samples.random_decorated_loop(advect_rng, n=256)
+    bbox = samples.loop_bbox(loop.embedding)
+    two = samples.random_hamiltonian(advect_rng, bbox).bumps
+    # the first of those two bumps, and one more drawn after them
+    third = samples.random_hamiltonian(advect_rng, bbox).bumps[0]
+    hams = {1: PlanarHamiltonian(two[:1]), 2: PlanarHamiltonian(two),
+            3: PlanarHamiltonian(two + (third,))}
+    for b, h in hams.items():
+        for scheme in ("rk4", "implicit-midpoint"):
+            kernels[f"advect.{scheme}.n256.b{b}"] = (
+                functools.partial(advect, loop, h, 100 * FLOW_DT, FLOW_DT, scheme), None, 1)
+    return kernels
+
+
 def measure(root):
     """Time every kernel once with the package under ``root/src``; return {name: seconds}."""
     sys.path.insert(0, os.path.join(root, "src"))
@@ -177,14 +234,8 @@ def measure(root):
 
     out = {}
     rng = np.random.default_rng(SEED)
-    for n in (256, 512, 4096):
-        loop = samples.random_decorated_loop(rng, n=n)
-        pts = loop.embedding.samples
-        lo, hi = pts.min(axis=0), pts.max(axis=0)
-        for b in (1, 2, 3):
-            h = PlanarHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2),
-                                              rng.uniform(0.1, 0.3)) for _ in range(b)])
-            out[f"gradient.n{n}.b{b}"] = _per_call(lambda: h.gradient(pts))
+    for name, h, pts in _gradient_cases(rng, samples, PlanarBump, PlanarHamiltonian):
+        out[name] = _per_call(lambda: h.gradient(pts))
     # a generator of their own, so the inputs of the other kernels do not move
     region_rng = np.random.default_rng(SEED)
     h = PlanarHamiltonian([PlanarBump(*bump) for bump in REGION_BUMPS])
@@ -193,21 +244,12 @@ def measure(root):
         out[f"gradient.{region}.n256.b2"] = _per_call(lambda: h.gradient(pts))
         out[f"value.{region}.n256.b2"] = _per_call(lambda: h(pts))
 
-    for n, k in STEP_SIZES:
-        loop = samples.random_decorated_loop(rng, n=n)
-        h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
-        for scheme in ("rk4", "implicit-midpoint"):
-            run = _per_call(lambda: advect(loop, h, k * FLOW_DT, FLOW_DT, scheme), min_s=0.0)
-            still = _per_call(lambda: advect(loop, h, 0.0, FLOW_DT, scheme), min_s=0.0)
-            out[f"step.{scheme}.n{n}"] = (run - still) / k
-
-    # a generator of their own, so the inputs of the other kernels do not move
-    advect_rng = np.random.default_rng(SEED)
-    loop = samples.random_decorated_loop(advect_rng, n=256)
-    h = samples.random_hamiltonian(advect_rng, samples.loop_bbox(loop.embedding))
-    for scheme in ("rk4", "implicit-midpoint"):
-        out[f"advect.{scheme}.n256.b2"] = _per_call(
-            lambda: advect(loop, h, 100 * FLOW_DT, FLOW_DT, scheme))
+    for name, (run, still, steps) in _flow_kernels(rng, samples, PlanarHamiltonian,
+                                                   advect).items():
+        # a step is short next to its run's set-up, so a step kernel takes the
+        # best of three single runs, less the best of three runs of no step
+        min_s = 0.0 if still else 0.05
+        out[name] = (_per_call(run, min_s) - (_per_call(still, min_s) if still else 0.0)) / steps
 
     loop = samples.random_decorated_loop(rng, n=256)
     h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
@@ -356,6 +398,68 @@ def measure(root):
     return out
 
 
+def _load_tree(root):
+    """``vortexloop.flow`` and ``vortexloop.samples`` imported from ``root/src``
+    under a module set of their own: the returned modules keep their package
+    alive, and ``sys.modules`` is left without it, so the next tree imports
+    afresh.  The package imports nothing of its own inside a function."""
+    def own():
+        return [name for name in sys.modules if name.split(".")[0] == "vortexloop"]
+
+    for name in own():
+        del sys.modules[name]
+    sys.path.insert(0, os.path.join(root, "src"))
+    try:
+        return (importlib.import_module("vortexloop.flow"),
+                importlib.import_module("vortexloop.samples"))
+    finally:
+        sys.path.pop(0)
+        for name in own():
+            del sys.modules[name]
+
+
+def one_process(trees):
+    """The ``step.*`` and ``advect.*`` kernels of both trees, timed in this
+    process in ``BATCHES`` alternated batches: {name: {side: [seconds]}}.
+
+    Each tree builds its kernels from the same draws.  A batch times one
+    kernel in both trees, in an order that alternates from batch to batch, and
+    calls it as often as the parent's first call says fills ``BATCH_S``."""
+    import numpy as np
+
+    kernels = {}
+    for side, root in trees.items():
+        flow, samples = _load_tree(root)
+        rng = np.random.default_rng(SEED)
+        # the draws ``measure`` makes before the flow kernels
+        _gradient_cases(rng, samples, flow.PlanarBump, flow.PlanarHamiltonian)
+        kernels[side] = _flow_kernels(rng, samples, flow.PlanarHamiltonian, flow.advect)
+
+    def timed(fn, number):
+        t0 = time.perf_counter()
+        for _ in range(number):
+            fn()
+        return time.perf_counter() - t0
+
+    def batch(kernel, number):
+        run, still, steps = kernel
+        return (timed(run, number) - (timed(still, number) if still else 0.0)) / (number * steps)
+
+    times = {name: {side: [] for side in trees} for name in kernels["parent"]}
+    numbers = {}
+    for name, kernel in kernels["parent"].items():
+        for side in trees:
+            kernels[side][name][0]()  # warm
+        t0 = time.perf_counter()
+        kernel[0]()
+        numbers[name] = max(1, int(BATCH_S / (time.perf_counter() - t0)))
+    for b in range(BATCHES):
+        for name in times:
+            for side in (("parent", "change") if b % 2 == 0 else ("change", "parent")):
+                times[name][side].append(batch(kernels[side][name], numbers[name]))
+    return times
+
+
 def _child_env():
     env = dict(os.environ)
     env.pop("PYTHONPATH", None)
@@ -366,6 +470,13 @@ def _child_env():
 
 def _measure_in_child(root):
     cmd = [sys.executable, os.path.abspath(__file__), "--measure", root]
+    done = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def _one_process_in_child(trees):
+    cmd = [sys.executable, os.path.abspath(__file__), "--one-process", trees["parent"],
+           trees["change"]]
     done = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
@@ -404,9 +515,13 @@ def main(argv=None):
     p.add_argument("--change", default=os.getcwd(), help="root of the changed checkout")
     p.add_argument("--out", help="JSON file to write")
     p.add_argument("--measure", help=argparse.SUPPRESS)
+    p.add_argument("--one-process", nargs=2, metavar=("PARENT", "CHANGE"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.measure:
         print(json.dumps(measure(args.measure)))
+        return 0
+    if args.one_process:
+        print(json.dumps(one_process(dict(zip(("parent", "change"), args.one_process)))))
         return 0
     if not (args.parent and args.out):
         p.error("--parent and --out are required")
@@ -422,6 +537,15 @@ def main(argv=None):
         both = {side: _summary([run[name] for run in runs[side]]) for side in trees}
         both["unit"] = "s"
         both["change_over_parent"] = both["change"]["median"] / both["parent"]["median"]
+        kernels[name] = both
+    # the flow kernels from both trees in one process, in place of the
+    # processes' records, which shift whole kernels between processes
+    for name, times in _one_process_in_child(trees).items():
+        both = {side: _summary(times[side]) for side in trees}
+        both["unit"] = "s"
+        both["method"] = f"one process, {BATCHES} alternated batches"
+        both["pair_ratio"] = _summary([c / p for c, p in zip(times["change"], times["parent"])])
+        both["change_over_parent"] = both["pair_ratio"]["median"]
         kernels[name] = both
     # a kernel moved when every quartile of the change clears the parent's
     moved = sorted(name for name, k in kernels.items()
