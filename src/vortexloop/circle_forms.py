@@ -402,13 +402,15 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     Sign changes are detected on the form's one uniform sampling grid, of
     max(4096, 8 * degree) points for a trig series and
     max(4096, 4 * node_count) for a sampled form; the same grid gives the
-    value and derivative scales.  Each scan cell with a sign change is solved
-    by the safeguarded Newton kernel (``_newton_bracketed``) to a bracket or
-    step of 1e-13, and a zero that lands exactly on the grid is taken as it
-    is.  A sign change is read from the sign bits of two nonzero neighbours,
-    never from their product, which underflows to zero when both are tiny,
-    as on a density of scale 1e-155.  Raises MorseViolation when a grid
-    value is not finite (the density overflows), when a zero's derivative is
+    value scale and, only when a zero's slope is below ``morse_tol`` of twice
+    the proven bound ``_derivative_bound``, the derivative scale.  Each scan
+    cell with a sign change is solved by the safeguarded Newton kernel
+    (``_newton_bracketed``) to a bracket or step of 1e-13, and a zero that
+    lands exactly on the grid is taken as it is.  A sign change is read from
+    the sign bits of two nonzero neighbours, never from their product, which
+    underflows to zero when both are tiny, as on a density of scale 1e-155.
+    Raises MorseViolation when a grid value is not finite (the density
+    overflows), when a zero's derivative is
     below ``morse_tol`` relative to the derivative scale or when zeros cannot be
     separated at the scan resolution, and OddZeroCount when an odd number of
     crossings is found.  That check guards the solver: a closed scan of
@@ -464,13 +466,17 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
         raise MorseViolation(f"zero refinement stalled near t={roots[j]:.9f}")
 
     derivs = np.asarray(form.derivative(roots), dtype=float)
-    dscale = form.max_abs_derivative()
-    small = np.abs(derivs) < morse_tol * dscale
-    if np.any(small):
-        j = int(np.nonzero(small)[0][0])
-        raise MorseViolation(
-            f"near-degenerate zero at t={roots[j]:.9f}: "
-            f"|derivative| = {abs(derivs[j]):.3e} is below {morse_tol:.1e} of scale {dscale:.3e}")
+    # the grid's max|f'| lies below twice the proven bound ``_derivative_bound``,
+    # rounding included, so zeros that all clear morse_tol of twice the bound
+    # clear it of the grid's too: only otherwise is the grid of slopes built
+    if not np.all(np.abs(derivs) >= morse_tol * 2.0 * form._derivative_bound()):
+        dscale = form.max_abs_derivative()
+        small = np.abs(derivs) < morse_tol * dscale
+        if np.any(small):
+            j = int(np.nonzero(small)[0][0])
+            raise MorseViolation(
+                f"near-degenerate zero at t={roots[j]:.9f}: |derivative| = "
+                f"{abs(derivs[j]):.3e} is below {morse_tol:.1e} of scale {dscale:.3e}")
 
     if roots.size % 2 != 0:
         raise OddZeroCount(f"found {roots.size} zeros; transversal crossings come in pairs")

@@ -24,13 +24,15 @@ from .circle_forms import (
     pullback_form,
     symmetry_step,
 )
-from .errors import MorseViolation, OrientationError, ValidationFailed
+from .errors import MorseViolation, OrientationError, OutOfRange, ValidationFailed
 from .quadrature import _cyclic_shift, uniform_grid
 
 DEFAULT_AREA_REL_TOL = 1e-6
 # ``_spline_area`` rounds to within about eps * sum |z_j|^2 of the samples z_j (at most
 # 1.1 eps on collinear curves of 16-16384 points), so an area within 16 eps of it has no sign
 _AREA_ROUNDING = 16.0 * np.finfo(float).eps
+# the least loop area that is a normal double; a smaller one is refused
+_NORMAL_MIN = np.finfo(float).tiny
 # a block of candidate pairs of ``_x_overlap_pairs`` holds at most this many per box
 _SIMPLE_BLOCK = 128
 
@@ -146,12 +148,19 @@ class LoopEmbedding:
             raise ValueError("need an (N, 2) array with N >= 16")
         if not np.all(np.isfinite(pts)):
             raise ValueError("loop samples must be finite")
-        self._area = area = _spline_area(pts)
-        if abs(area) <= _AREA_ROUNDING * float(np.sum(np.square(pts))):
+        # the zero-area and orientation tests on the curve scaled into [-1, 1]:
+        # both sides of the first scale alike, and so neither overflows
+        area, e, unit = _unit_area(pts)
+        if abs(area) <= _AREA_ROUNDING * float(np.sum(np.square(unit))):
             raise ValidationFailed("loop encloses zero signed area")
         if area < 0.0:
             raise OrientationError("loop is negatively oriented; reverse it with --auto-orient "
                                    "or DecoratedLoop.build(auto_orient=True)")
+        with np.errstate(over="ignore", under="ignore"):  # rejected right below
+            self._area = float(np.ldexp(area, 2 * e))
+        if not _NORMAL_MIN <= self._area < np.inf:
+            raise OutOfRange(f"loop area {float(area)!r} * 4**{int(e)} is outside the range of "
+                             "normal doubles")
         if not _polyline_is_simple(pts):
             raise ValidationFailed("loop polyline self-intersects")
         self._samples = pts
@@ -212,6 +221,25 @@ def _area_weights(n: int) -> FloatArray:
     return weights
 
 
+def _unit_area(samples):
+    """``(a, e, unit)``: ``unit``, the samples times 2**-e, with e the binary
+    exponent of max|sample| (per curve when stacked), so that every |sample|
+    of it is below 1, and ``a``, the spline area of ``unit`` (``_spline_area``).
+
+    The samples enclose the area a * 4**e.  A power-of-two scaling rounds
+    nothing, so on ordinary samples ``a`` is that area times 4**-e bit for bit,
+    and the squares of the spectrum can neither overflow nor fall below the
+    normal range, whatever the scale of the curve (Blue's scaled norm).
+    """
+    pts = np.asarray(samples, dtype=float)
+    e = np.frexp(np.abs(pts.reshape(*pts.shape[:-2], -1)).max(axis=-1))[1]
+    unit = np.ldexp(pts, -e[..., None, None])
+    z = np.ascontiguousarray(unit).view(complex)[..., 0]
+    spectrum = np.fft.fft(z, axis=-1)
+    power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
+    return np.sum(power * _area_weights(z.shape[-1]), axis=-1), e, unit
+
+
 def _spline_area(samples):
     """Signed area ``integral((x y' - y x') / 2)`` inside the periodic cubic
     spline (``quadrature.periodic_spline``) through closed 2-d samples.
@@ -222,17 +250,16 @@ def _spline_area(samples):
     circulant operator on the samples (eigenvalues ``4 + 2 cos theta``).  With
     ``Z = fft(x + iy)`` the area is ``sum_k |Z_k|^2 w(theta_k)``, exact on the
     spline, with no spline evaluated.  ``w(0) = 0``, so a translation, which
-    moves only ``Z_0``, leaves it unchanged.  Stacked curves (shape
-    (..., N, 2)) give their areas as an array, each row summed on its own, so
+    moves only ``Z_0``, leaves it unchanged.  It is taken on the samples
+    scaled by a power of two (``_unit_area``) and scaled back, so an area
+    beyond the double range comes out infinite, and one below it subnormal or
+    zero, which ``LoopEmbedding`` refuses.  Stacked curves (shape (..., N, 2))
+    give their areas as an array, each row scaled and summed on its own, so
     equal to the area of that curve alone bit for bit.
     """
-    z = np.ascontiguousarray(samples, dtype=float).view(complex)[..., 0]
-    spectrum = np.fft.fft(z, axis=-1)
-    # an area beyond the double range comes out infinite or NaN, which no
-    # output prints: ``io.dumps`` refuses both
-    with np.errstate(over="ignore", invalid="ignore"):
-        power = spectrum.real * spectrum.real + spectrum.imag * spectrum.imag
-        areas = np.sum(power * _area_weights(z.shape[-1]), axis=-1)
+    a, e, _ = _unit_area(samples)
+    with np.errstate(over="ignore", under="ignore"):
+        areas = np.ldexp(a, 2 * e)
     return float(areas) if areas.ndim == 0 else areas
 
 

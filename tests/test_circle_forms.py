@@ -400,10 +400,43 @@ def test_a_density_evaluates_each_grid_once(monkeypatch, kind):
     assert np.array_equal(first.zeros, again.zeros)
 
 
+@pytest.mark.parametrize("kind", ["trig", "samples"])
+def test_zeros_of_a_morse_density_build_no_grid_of_slopes(monkeypatch, kind):
+    # every zero's slope clears morse_tol of twice the proven bound on |f'|,
+    # so find_zeros evaluates only the values on the density's grid
+    def build():
+        form = standard_form("mixed")
+        return form if kind == "trig" else CircleForm.from_samples(form(uniform_grid(1024)))
+
+    orders = []
+    on_grid = CircleForm._on_uniform_grid
+    monkeypatch.setattr(CircleForm, "_on_uniform_grid",
+                        lambda self, n, order=0: (orders.append(order), on_grid(self, n, order))[1])
+    form = build()
+    zs = find_zeros(form)
+    assert orders == [0]
+    # a tolerance that the bound's test flags and the grid's passes: the
+    # slopes' grid is built and the same zeros stand
+    slope = float(np.min(np.abs(zs.derivatives)))
+    bound, dscale = 2.0 * form._derivative_bound(), form.max_abs_derivative()
+    assert dscale < bound
+    orders.clear()
+    again = find_zeros(build(), morse_tol=slope / np.sqrt(bound * dscale))
+    assert orders == [0, 1]
+    assert np.array_equal(again.zeros, zs.zeros)
+
+
 def test_near_degenerate_zero_is_rejected_with_location():
-    with pytest.raises(MorseViolation) as err:
-        find_zeros(near_degenerate_form())
-    assert "6.28" in str(err.value)
+    # the message names the zero, its slope and the grid's max|f'|, built
+    # only once the bound on |f'| flags the zero
+    trig = near_degenerate_form()
+    for form, t, slope in ((trig, "6.283185290", "2.000e-09"),
+                           (CircleForm.from_samples(trig(uniform_grid(1024))), "6.283185303",
+                            "8.143e-09")):
+        with pytest.raises(MorseViolation) as err:
+            find_zeros(form)
+        assert str(err.value) == (f"near-degenerate zero at t={t}: |derivative| = {slope} is "
+                                  "below 1.0e-08 of scale 2.000e+00")
 
 
 def test_identically_zero_density_is_rejected():

@@ -1,6 +1,7 @@
 """Command-line surface: JSON output and the exit-code contract."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -25,6 +26,7 @@ from vortexloop.errors import (
     MorseViolation,
     NoSymmetry,
     OddZeroCount,
+    OutOfRange,
     ProfileMismatch,
     SchemaError,
     StepRejected,
@@ -264,24 +266,84 @@ def test_invariants_overflowing_profile_exit_3(capsys, tmp_path):
 
 
 def test_non_finite_answer_exit_2_naming_its_key(capsys, tmp_path):
-    # a curve scaled by 1e152 encloses an area beyond the double range; JSON
-    # has no Infinity, so the answer is an error, not "area": Infinity
-    big = write_loop_doc(tmp_path / "big.json", 1e152 * three_lobed_samples(),
-                         {"a0": 0.1, "cos": [0.0, 1.0], "sin": [0.3]})
-    code, out, err = run(capsys, ["invariants", big])
-    assert code == 2 and out == ""
-    assert [line for line in err.splitlines() if line.startswith("error")] == [
-        "error: output area: inf is not a finite number"]
-    # flow encodes every document before writing any: its area drift is
-    # inf / inf, and none of its files is written
-    ham = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((0.0, 0.0), 1.0, 0.1))
+    # a bump of amplitude 1e300 on a density of scale 1e10: each momentum
+    # overflows, so the Hamiltonian drift is inf / inf; JSON has no NaN, so
+    # the answer is an error that names the key, and flow encodes every
+    # document before writing any, so none of its files is written
+    loop_file = write_loop_doc(tmp_path / "loop.json", three_lobed_samples(),
+                               {"a0": 1e9, "cos": [0.0, 1e10], "sin": [3e9]})
+    ham = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((0.0, 0.0), 1e150, 1e300))
     outputs = [tmp_path / name for name in ("out.json", "out.csv", "out.svg")]
-    code, out, err = run(capsys, ["flow", big, ham, "-T", "0.01", "--dt", "1e-3",
-                                  "-o", str(outputs[0]), "--emit-csv", str(outputs[1]),
-                                  "--emit-svg", str(outputs[2])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code, out, err = run(capsys, ["flow", loop_file, ham, "-T", "0.01", "--dt", "1e-3",
+                                      "-o", str(outputs[0]), "--emit-csv", str(outputs[1]),
+                                      "--emit-svg", str(outputs[2])])
     assert code == 2 and out == ""
-    assert err.endswith("error: output area_drift: nan is not a finite number\n")
+    assert err.endswith("error: output hamiltonian_drift: nan is not a finite number\n")
     assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("scale, want", [
+    (1e152, 3.20442447200687e+304),
+    (1e155, "error: loop area 0.6962969847874243 * 4**516 is outside the range of normal doubles"),
+    (1e-160, "error: loop area 1.5834539396662097 * 4**-531 is outside the range of normal "
+             "doubles"),
+    (1e-200, "error: loop area 1.877518744422499 * 4**-664 is outside the range of normal "
+             "doubles"),
+])
+def test_loop_area_in_range_or_exit_2_naming_it(capsys, tmp_path, scale, want):
+    # the area is taken on the curve scaled by a power of two into [-1, 1]:
+    # at 1e152 the area 3.2e304 is a double and is printed; beyond the normal
+    # doubles the command exits 2 with one line naming the area, not with an
+    # infinite, subnormal or zero area, and no RuntimeWarning
+    path = write_loop_doc(tmp_path / "loop.json", scale * three_lobed_samples(),
+                          {"a0": 0.1, "cos": [0.0, 1.0], "sin": [0.3]})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["invariants", path])
+    if isinstance(want, float):
+        assert (code, err) == (0, "")
+        assert json.loads(out)["area"] == want
+    else:
+        assert (code, out, err) == (2, "", want + "\n")
+
+
+def test_loop_area_is_exact_under_power_of_two_scaling(capsys, tmp_path):
+    # metamorphic: the curve times 2**k, k = -600 .. 600, encloses exactly
+    # 4**k times the area, or, where that is no normal double, its embedding
+    # raises OutOfRange and invariants exits 2 naming the area; the command
+    # runs at every 25th k and on both sides of each end of the range
+    base = three_lobed_samples()
+    area = loops.enclosed_area(LoopEmbedding(base))
+
+    def scaled(k):
+        try:
+            value = math.ldexp(area, 2 * k)
+        except OverflowError:
+            return None
+        return value if value >= sys.float_info.min else None
+
+    ks = range(-600, 601)
+    edges = {j for k in ks if (scaled(k) is None) != (scaled(k + 1) is None) for j in (k, k + 1)}
+    assert len(edges) == 4
+    coeffs = {"a0": 0.1, "cos": [0.0, 1.0], "sin": [0.3]}
+    for k in ks:
+        pts = np.ldexp(base, k)
+        if scaled(k) is None:
+            with pytest.raises(OutOfRange, match="^loop area "):
+                LoopEmbedding(pts)
+        else:
+            assert loops.enclosed_area(LoopEmbedding(pts)) == scaled(k)
+        if k % 25 == 0 or k in edges:
+            code, out, err = run(capsys, ["invariants", write_loop_doc(tmp_path / "loop.json",
+                                                                       pts, coeffs)])
+            if scaled(k) is None:
+                assert (code, out) == (2, "")
+                assert err.startswith("error: loop area ") and err.count("\n") == 1
+            else:
+                assert (code, err) == (0, "")
+                assert json.loads(out)["area"] == scaled(k)
 
 
 def test_flow_collision_exit_5_writes_no_output(capsys, tmp_path):

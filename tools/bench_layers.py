@@ -3,9 +3,11 @@
     python3 tools/bench_layers.py --parent PARENT_ROOT --out BENCH_<n>.json
 
 ``PARENT_ROOT`` and ``--change`` (default: the current directory) are roots of
-source checkouts.  Each of ``ROUNDS`` rounds measures both trees, alternating
-which goes first, each in a fresh process that imports ``vortexloop`` from that
-tree's ``src`` and from nowhere else.  A round times, single threaded:
+source checkouts.  One single-threaded process imports ``vortexloop`` from
+each tree's ``src`` under a module set of its own, builds each tree's kernels
+from the same seeded draws, and times each kernel in ``BATCHES`` batches in a
+row, each of which calls it in both trees, alternating which goes first.  The
+kernels are:
 
 - ``PlanarHamiltonian.gradient`` per call at n in {256, 512, 4096} points and
   B in {1, 2, 3} bumps;
@@ -59,17 +61,19 @@ tree's ``src`` and from nowhere else.  A round times, single threaded:
 - ``loops._check_zero_images`` per call on k zeros drawn at random on a
   256-point loop, at k in ``ZERO_IMAGE_SIZES`` (6, 60, 1000).
 
-The ``step.*`` and ``advect.*`` kernels are timed once more, in one process
-that imports both trees under module sets of their own, in ``BATCHES``
-batches that alternate which tree goes first; their records come from there,
-with the quartiles of the batch pairs' change-over-parent ratio, since
-separate processes shift whole kernels by tens of percent.
-
-The record holds machine details, the median and quartiles over the rounds of
-each kernel in both trees, and the layer metrics ``TRACE_KEYS`` of
+The record holds machine details; for each kernel, the median and quartiles
+over the batches in both trees and of the batch pairs' change-over-parent
+ratio; the kernels that moved, those whose pairs favour one tree in at least
+19 of 21 batches and whose medians differ by more than the parent's
+interquartile range; and the layer metrics ``TRACE_KEYS`` of
 ``benchmark/run.py --workload W --seed 1 --seconds 1 --trace 1`` for each
 workload W, run ``TRACE_RUNS`` times in each tree, alternating: the counters
 repeat exactly, the times are medians.
+
+    python3 tools/bench_layers.py --measure ROOT
+
+times the tree at ``ROOT`` alone through the same batches, best of three, and
+prints {kernel: seconds}.
 """
 
 from __future__ import annotations
@@ -87,13 +91,13 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
 
 SEED = 12
 FLOW_DT = 1e-3
 # (n, steps per timed run) of the step kernels
 STEP_SIZES = ((256, 50), (4096, 10))
-ROUNDS = 7
-# alternated batches of the flow kernels in one process, and the least seconds of one
+# alternated batches of the kernels in one process, and the least seconds of one
 BATCHES = 21
 BATCH_S = 0.05
 TRACE_RUNS = 3
@@ -126,27 +130,6 @@ TRACE_KEYS = {
 }
 
 
-def _per_call(fn, min_s=0.05):
-    """Seconds per call: the best of three batches of at least ``min_s`` each."""
-    fn()
-    number = 1
-    while True:
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        elapsed = time.perf_counter() - t0
-        if elapsed >= min_s:
-            break
-        number *= 4
-    best = elapsed
-    for _ in range(2):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        best = min(best, time.perf_counter() - t0)
-    return best / number
-
-
 def _bump_region_points(rng, region, n):
     """n points within 5 sigma of both bumps of ``REGION_BUMPS``, in the 5-6
     sigma band of the first, beyond 6 sigma of both, or a third of each."""
@@ -170,9 +153,39 @@ def _bump_region_points(rng, region, n):
                                       _bump_region_points(rng, "beyond6", n - 2 * third)]))
 
 
-def _gradient_cases(rng, samples, PlanarBump, PlanarHamiltonian):
-    """(name, h, points) of the ``gradient.n*.b*`` kernels, drawn from ``rng``."""
-    cases = []
+def _fresh(use, build, *args):
+    """``use`` on an object built anew, so nothing of it is cached."""
+    return use(build(*args))
+
+
+def _sampling_grid(form):
+    """The density and its slope on the grid that ``find_zeros`` scans."""
+    return form.max_abs(), form.max_abs_derivative()
+
+
+def _quiet(main, argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        main(argv)
+
+
+def _kernels(vl, folder):
+    """Every kernel of the tree whose modules are ``vl``, as {name: (run,
+    still, steps)}: the seconds of ``run``, less those of ``still`` when it is
+    given, over ``steps``, are the kernel's.  The inputs are drawn from seeded
+    generators in a fixed order and bound as each kernel is built; the
+    ``cli_invariants`` kernel reads a loop written into ``folder``."""
+    import numpy as np
+
+    cf, loops, samples, vio = vl.circle_forms, vl.loops, vl.samples, vl.io
+    PlanarBump, PlanarHamiltonian, advect = (vl.flow.PlanarBump, vl.flow.PlanarHamiltonian,
+                                             vl.flow.advect)
+    uniform_grid = vl.quadrature.uniform_grid
+    kernels = {}
+
+    def add(name, fn, *args, **kwargs):
+        kernels[name] = (functools.partial(fn, *args, **kwargs), None, 1)
+
+    rng = np.random.default_rng(SEED)
     for n in (256, 512, 4096):
         loop = samples.random_decorated_loop(rng, n=n)
         pts = loop.embedding.samples
@@ -180,18 +193,16 @@ def _gradient_cases(rng, samples, PlanarBump, PlanarHamiltonian):
         for b in (1, 2, 3):
             h = PlanarHamiltonian([PlanarBump(tuple(rng.uniform(lo, hi)), rng.uniform(0.6, 1.2),
                                               rng.uniform(0.1, 0.3)) for _ in range(b)])
-            cases.append((f"gradient.n{n}.b{b}", h, pts))
-    return cases
+            add(f"gradient.n{n}.b{b}", h.gradient, pts)
+    # a generator of their own, so the inputs of the other kernels do not move
+    region_rng = np.random.default_rng(SEED)
+    h = PlanarHamiltonian([PlanarBump(*bump) for bump in REGION_BUMPS])
+    for region in BUMP_REGIONS:
+        pts = _bump_region_points(region_rng, region, 256)
+        add(f"gradient.{region}.n256.b2", h.gradient, pts)
+        add(f"value.{region}.n256.b2", h, pts)
 
-
-def _flow_kernels(rng, samples, PlanarHamiltonian, advect):
-    """The ``step.*`` and ``advect.*`` kernels of one tree as {name: (run,
-    still, steps)}: the seconds of ``run``, less those of ``still`` when it is
-    given, over ``steps``, are the kernel's.  The step inputs are drawn from
-    ``rng``, the whole runs' from generators of their own."""
-    import numpy as np
-
-    kernels = {}
+    # one step: a run of k steps less a run of none, over k
     for n, k in STEP_SIZES:
         loop = samples.random_decorated_loop(rng, n=n)
         h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
@@ -199,7 +210,6 @@ def _flow_kernels(rng, samples, PlanarHamiltonian, advect):
             kernels[f"step.{scheme}.n{n}"] = (
                 functools.partial(advect, loop, h, k * FLOW_DT, FLOW_DT, scheme),
                 functools.partial(advect, loop, h, 0.0, FLOW_DT, scheme), k)
-
     # a generator of their own, so the inputs of the other kernels do not move
     advect_rng = np.random.default_rng(SEED)
     loop = samples.random_decorated_loop(advect_rng, n=256)
@@ -211,130 +221,77 @@ def _flow_kernels(rng, samples, PlanarHamiltonian, advect):
             3: PlanarHamiltonian(two + (third,))}
     for b, h in hams.items():
         for scheme in ("rk4", "implicit-midpoint"):
-            kernels[f"advect.{scheme}.n256.b{b}"] = (
-                functools.partial(advect, loop, h, 100 * FLOW_DT, FLOW_DT, scheme), None, 1)
-    return kernels
-
-
-def measure(root):
-    """Time every kernel once with the package under ``root/src``; return {name: seconds}."""
-    sys.path.insert(0, os.path.join(root, "src"))
-    import numpy as np
-
-    from vortexloop import cli, render, samples
-    from vortexloop import io as vio
-    from vortexloop.circle_forms import (CircleDiffeo, CircleForm, VorticityProfile, ZeroSet,
-                                         _invert_batch, _power_sum, circular_match, find_zeros,
-                                         partial_vorticities, symmetry_step)
-    from vortexloop.flow import PlanarBump, PlanarHamiltonian, advect
-    from vortexloop.loops import (DecoratedLoop, LoopEmbedding, _check_zero_images,
-                                  _polyline_is_simple, _spline_area)
-    from vortexloop.quadrature import uniform_grid
-    from vortexloop.symplectic import momentum_map_eval
-
-    out = {}
-    rng = np.random.default_rng(SEED)
-    for name, h, pts in _gradient_cases(rng, samples, PlanarBump, PlanarHamiltonian):
-        out[name] = _per_call(lambda: h.gradient(pts))
-    # a generator of their own, so the inputs of the other kernels do not move
-    region_rng = np.random.default_rng(SEED)
-    h = PlanarHamiltonian([PlanarBump(*bump) for bump in REGION_BUMPS])
-    for region in BUMP_REGIONS:
-        pts = _bump_region_points(region_rng, region, 256)
-        out[f"gradient.{region}.n256.b2"] = _per_call(lambda: h.gradient(pts))
-        out[f"value.{region}.n256.b2"] = _per_call(lambda: h(pts))
-
-    for name, (run, still, steps) in _flow_kernels(rng, samples, PlanarHamiltonian,
-                                                   advect).items():
-        # a step is short next to its run's set-up, so a step kernel takes the
-        # best of three single runs, less the best of three runs of no step
-        min_s = 0.0 if still else 0.05
-        out[name] = (_per_call(run, min_s) - (_per_call(still, min_s) if still else 0.0)) / steps
+            add(f"advect.{scheme}.n256.b{b}", advect, loop, h, 100 * FLOW_DT, FLOW_DT, scheme)
 
     loop = samples.random_decorated_loop(rng, n=256)
     h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
     snapshots = []
     evolved = advect(loop, h, 100 * FLOW_DT, FLOW_DT,
                      observer=lambda i, t, p: snapshots.append((i, t, p))).loop
-    out["flow_csv.n256"] = _per_call(lambda: render.flow_csv(loop, h, snapshots))
-    out["svg_overlay.n256"] = _per_call(lambda: render.svg_overlay(loop, evolved))
-    stack = np.stack([pts for _, _, pts in snapshots])
-    out["spline_area.n256x101"] = _per_call(lambda: _spline_area(stack))
-    pts = loop.embedding.samples
-    out["polyline_is_simple.n256"] = _per_call(lambda: _polyline_is_simple(pts))
-    out["momentum_map_eval.n256"] = _per_call(
-        lambda: momentum_map_eval(loop.embedding, h, loop.decoration))
+    add("flow_csv.n256", vl.render.flow_csv, loop, h, snapshots)
+    add("svg_overlay.n256", vl.render.svg_overlay, loop, evolved)
+    add("spline_area.n256x101", loops._spline_area, np.stack([pts for _, _, pts in snapshots]))
+    add("polyline_is_simple.n256", loops._polyline_is_simple, loop.embedding.samples)
+    add("momentum_map_eval.n256", vl.symplectic.momentum_map_eval, loop.embedding, h,
+        loop.decoration)
     # a generator of their own, so the inputs of the other kernels do not move
     simple_rng = np.random.default_rng(SEED)
     for n in SIMPLE_SIZES:
-        pts = samples.random_loop(simple_rng, n=n).samples
-        out[f"polyline_is_simple.n{n}"] = _per_call(lambda: _polyline_is_simple(pts))
+        add(f"polyline_is_simple.n{n}", loops._polyline_is_simple,
+            samples.random_loop(simple_rng, n=n).samples)
 
     # a generator of their own, so the inputs of the other kernels do not move
     area_rng = np.random.default_rng(SEED)
     for n in AREA_SIZES:
         pts = samples.random_decorated_loop(area_rng, n=n).embedding.samples
-        out[f"enclosed_area.n{n}"] = _per_call(lambda: _spline_area(pts))
-        out[f"loop_embedding.n{n}"] = _per_call(lambda: LoopEmbedding(pts))
+        add(f"enclosed_area.n{n}", loops._spline_area, pts)
+        add(f"loop_embedding.n{n}", loops.LoopEmbedding, pts)
 
     # a fresh form per call, so its sampling grid and scales are computed each time
     for degree in ZERO_DEGREES:
         a0, cos, sin = samples.random_morse_form(rng, degree).trig_coefficients
-        out[f"find_zeros.deg{degree}"] = _per_call(
-            lambda: find_zeros(CircleForm.trig(a0, cos, sin)))
+        add(f"find_zeros.deg{degree}", _fresh, cf.find_zeros, cf.CircleForm.trig, a0, cos, sin)
     density = samples.random_morse_form(rng, 10)
     for n in ZERO_SAMPLES:
-        values = density(uniform_grid(n))
-        out[f"find_zeros.samples{n}"] = _per_call(
-            lambda: find_zeros(CircleForm.from_samples(values)))
-
-    def sampling_grid(form):
-        return form.max_abs(), form.max_abs_derivative()
-
+        add(f"find_zeros.samples{n}", _fresh, cf.find_zeros, cf.CircleForm.from_samples,
+            density(uniform_grid(n)))
     # a generator of their own, so the inputs of the other kernels do not move
     grid_rng = np.random.default_rng(SEED)
     for degree in ZERO_DEGREES:
         a0, cos, sin = samples.random_morse_form(grid_rng, degree).trig_coefficients
-        out[f"sampling_grid.deg{degree}"] = _per_call(
-            lambda: sampling_grid(CircleForm.trig(a0, cos, sin)))
+        add(f"sampling_grid.deg{degree}", _fresh, _sampling_grid, cf.CircleForm.trig, a0, cos, sin)
     density = samples.random_morse_form(grid_rng, 10)
     for n in ZERO_SAMPLES:
-        values = density(uniform_grid(n))
-        out[f"sampling_grid.samples{n}"] = _per_call(
-            lambda: sampling_grid(CircleForm.from_samples(values)))
+        add(f"sampling_grid.samples{n}", _fresh, _sampling_grid, cf.CircleForm.from_samples,
+            density(uniform_grid(n)))
 
-    with tempfile.TemporaryDirectory() as folder:
-        path = os.path.join(folder, "loop.json")
-        decoration = samples.random_morse_form(rng, 25)
-        vio.dump(vio.loop_to_dict(DecoratedLoop(LoopEmbedding.circle(n=256), decoration)), path)
-
-        def invariants():
-            with contextlib.redirect_stdout(io.StringIO()):
-                cli.main(["invariants", path])
-
-        out["cli_invariants.n256"] = _per_call(invariants)
+    path = os.path.join(folder, "loop.json")
+    decoration = samples.random_morse_form(rng, 25)
+    vio.dump(vio.loop_to_dict(loops.DecoratedLoop(loops.LoopEmbedding.circle(n=256), decoration)),
+             path)
+    add("cli_invariants.n256", _quiet, vl.cli.main, ["invariants", path])
 
     def invert_batch(form, rng, rising=False):
-        """``_invert_batch`` on ``INVERT_SIZE`` targets over every segment of
-        ``form``, in random order within a segment or, if ``rising``, rising."""
-        zs = find_zeros(form)
-        omegas = partial_vorticities(form, zs).omegas
+        """``_invert_batch`` and its arguments for ``INVERT_SIZE`` targets over
+        every segment of ``form``, in random order within a segment or, if
+        ``rising``, rising."""
+        zs = cf.find_zeros(form)
+        omegas = cf.partial_vorticities(form, zs).omegas
         ext = np.append(zs.zeros, zs.zeros[0] + 2.0 * np.pi)
         seg = np.sort(rng.integers(zs.k, size=INVERT_SIZE))
         u = rng.uniform(0.0, 1.0, INVERT_SIZE)
         if rising:
             u = np.sort(seg + u) - seg
-        s = u * omegas[seg]
-        return lambda: _invert_batch(form, zs.zeros, np.diff(ext), omegas, s, seg)
+        return (cf._invert_batch, form, zs.zeros, np.diff(ext), omegas, u * omegas[seg], seg)
 
     # a generator of their own, so these inputs do not depend on the draws above
     invert_rng = np.random.default_rng(SEED)
     form = samples.random_morse_form(invert_rng, INVERT_DEGREE)
-    out[f"invert_batch.deg{INVERT_DEGREE}"] = _per_call(invert_batch(form, invert_rng))
+    add(f"invert_batch.deg{INVERT_DEGREE}", *invert_batch(form, invert_rng))
     analytic = samples.random_monotone_diffeo(invert_rng)
     grid = uniform_grid(INVERT_SIZE)
-    gamma = CircleDiffeo(analytic(grid), analytic.derivative(grid))
-    out[f"diffeo_inverse.n{INVERT_SIZE}"] = _per_call(gamma.inverse)
+    add(f"diffeo_inverse.n{INVERT_SIZE}",
+        cf.CircleDiffeo(analytic(grid), analytic.derivative(grid)).inverse)
     # a generator of its own: sin(t - phi) (1 + q), q of degree 24 with
     # sum |coefficients| 0.8, has degree 25 and exactly 2 zeros
     k2_rng = np.random.default_rng(SEED)
@@ -342,24 +299,23 @@ def measure(root):
     q = k2_rng.standard_normal((2, 24))
     q *= 0.8 / np.sum(np.abs(q))
     j = np.arange(1, 25)
-    form = CircleForm.from_function(
+    form = cf.CircleForm.from_function(
         lambda t: np.sin(t - phi) * (1.0 + np.cos(np.outer(t, j)) @ q[0]
                                      + np.sin(np.outer(t, j)) @ q[1]), degree=25)
-    out["invert_batch.deg25.k2"] = _per_call(invert_batch(form, k2_rng, rising=True))
+    add("invert_batch.deg25.k2", *invert_batch(form, k2_rng, rising=True))
 
     # a generator of their own, so these inputs do not depend on the draws above
     sum_rng = np.random.default_rng(SEED)
     for degree in ZERO_DEGREES:
         coeffs = samples.random_morse_form(sum_rng, degree)._coeffs
         for m in POWER_SUM_POINTS:
-            t = sum_rng.uniform(0.0, 2.0 * np.pi, m)
-            out[f"power_sum.deg{degree}.m{m}"] = _per_call(lambda: _power_sum(coeffs, t))
+            add(f"power_sum.deg{degree}.m{m}", cf._power_sum, coeffs,
+                sum_rng.uniform(0.0, 2.0 * np.pi, m))
     psi = samples.random_monotone_diffeo(sum_rng)
-    doc = {"schema": vio.SCHEMA, "shift": 1, "residual": 1e-12,
-           "samples": psi(uniform_grid(INVERT_SIZE)).tolist()}
-    out[f"dumps.samples{INVERT_SIZE}"] = _per_call(lambda: vio.dumps(doc))
-    loop_doc = vio.loop_to_dict(samples.random_decorated_loop(sum_rng, n=256))
-    out["dumps.loop256"] = _per_call(lambda: vio.dumps(loop_doc))
+    add(f"dumps.samples{INVERT_SIZE}", vio.dumps,
+        {"schema": vio.SCHEMA, "shift": 1, "residual": 1e-12,
+         "samples": psi(uniform_grid(INVERT_SIZE)).tolist()})
+    add("dumps.loop256", vio.dumps, vio.loop_to_dict(samples.random_decorated_loop(sum_rng, n=256)))
 
     # a generator of their own, so these inputs do not depend on the draws above
     load_rng = np.random.default_rng(SEED)
@@ -368,39 +324,37 @@ def measure(root):
         return json.loads(json.dumps(doc))
 
     for n in LOAD_SIZES:
-        pairs = decoded(samples.random_loop(load_rng, n=n).samples.tolist())
-        out[f"float_list.pairs{n}"] = _per_call(
-            lambda: vio._float_list(pairs, "loop.samples", pairs=True))
+        add(f"float_list.pairs{n}", vio._float_list,
+            decoded(samples.random_loop(load_rng, n=n).samples.tolist()), "loop.samples",
+            pairs=True)
     for n, form in ((256, "deg25"), (2048, "deg25"), (2048, "samples")):
         decoration = samples.random_morse_form(load_rng, 25 if form == "deg25" else 10)
         if form == "samples":
-            decoration = CircleForm.from_samples(decoration(uniform_grid(n)))
-        loop = DecoratedLoop(samples.random_loop(load_rng, n=n), decoration)
-        doc = decoded(vio.loop_to_dict(loop))
-        out[f"load_loop.n{n}.{form}"] = _per_call(lambda: vio.loop_from_dict(doc))
+            decoration = cf.CircleForm.from_samples(decoration(uniform_grid(n)))
+        loop = loops.DecoratedLoop(samples.random_loop(load_rng, n=n), decoration)
+        add(f"load_loop.n{n}.{form}", vio.loop_from_dict, decoded(vio.loop_to_dict(loop)))
 
     # generators of their own, so these inputs do not depend on the draws above
     step_rng, match_rng = np.random.default_rng(SEED), np.random.default_rng(SEED)
     for k in PROFILE_SIZES:
         omegas = step_rng.uniform(0.5, 2.0, k) * (-1.0) ** np.arange(k)
-        profile = VorticityProfile(omegas, float(np.sum(omegas)))
-        out[f"symmetry_step.k{k}"] = _per_call(lambda: symmetry_step(profile))
+        add(f"symmetry_step.k{k}", cf.symmetry_step,
+            cf.VorticityProfile(omegas, float(np.sum(omegas))))
         p = match_rng.uniform(0.5, 2.0, k) * (-1.0) ** np.arange(k)
-        q = np.roll(p, int(match_rng.integers(k)))
-        out[f"circular_match.k{k}"] = _per_call(lambda: circular_match(p, q))
+        add(f"circular_match.k{k}", cf.circular_match, p, np.roll(p, int(match_rng.integers(k))))
 
     # a generator of their own, so these inputs do not depend on the draws above
     image_rng = np.random.default_rng(SEED)
     loop = samples.random_loop(image_rng, n=256)
     for k in ZERO_IMAGE_SIZES:
-        zs = ZeroSet(np.sort(image_rng.uniform(0.0, 2.0 * np.pi, k)), np.ones(k))
-        out[f"zero_images.k{k}"] = _per_call(lambda: _check_zero_images(loop, zs))
-    return out
+        add(f"zero_images.k{k}", loops._check_zero_images, loop,
+            cf.ZeroSet(np.sort(image_rng.uniform(0.0, 2.0 * np.pi, k)), np.ones(k)))
+    return kernels
 
 
 def _load_tree(root):
-    """``vortexloop.flow`` and ``vortexloop.samples`` imported from ``root/src``
-    under a module set of their own: the returned modules keep their package
+    """The modules of ``vortexloop`` imported from ``root/src`` under a
+    module set of their own, as a namespace: the modules keep their package
     alive, and ``sys.modules`` is left without it, so the next tree imports
     afresh.  The package imports nothing of its own inside a function."""
     def own():
@@ -410,53 +364,50 @@ def _load_tree(root):
         del sys.modules[name]
     sys.path.insert(0, os.path.join(root, "src"))
     try:
-        return (importlib.import_module("vortexloop.flow"),
-                importlib.import_module("vortexloop.samples"))
+        return types.SimpleNamespace(**{
+            name: importlib.import_module(f"vortexloop.{name}")
+            for name in ("circle_forms", "cli", "flow", "io", "loops", "quadrature", "render",
+                         "samples", "symplectic")})
     finally:
         sys.path.pop(0)
         for name in own():
             del sys.modules[name]
 
 
-def one_process(trees):
-    """The ``step.*`` and ``advect.*`` kernels of both trees, timed in this
-    process in ``BATCHES`` alternated batches: {name: {side: [seconds]}}.
+def _timed(fn, number):
+    t0 = time.perf_counter()
+    for _ in range(number):
+        fn()
+    return time.perf_counter() - t0
 
-    Each tree builds its kernels from the same draws.  A batch times one
-    kernel in both trees, in an order that alternates from batch to batch, and
-    calls it as often as the parent's first call says fills ``BATCH_S``."""
-    import numpy as np
 
-    kernels = {}
-    for side, root in trees.items():
-        flow, samples = _load_tree(root)
-        rng = np.random.default_rng(SEED)
-        # the draws ``measure`` makes before the flow kernels
-        _gradient_cases(rng, samples, flow.PlanarBump, flow.PlanarHamiltonian)
-        kernels[side] = _flow_kernels(rng, samples, flow.PlanarHamiltonian, flow.advect)
+def one_process(trees, batches=BATCHES):
+    """Every kernel of the trees {side: root}, timed in this process in
+    ``batches`` batches: {name: {side: [seconds]}}.
 
-    def timed(fn, number):
-        t0 = time.perf_counter()
-        for _ in range(number):
-            fn()
-        return time.perf_counter() - t0
-
-    def batch(kernel, number):
-        run, still, steps = kernel
-        return (timed(run, number) - (timed(still, number) if still else 0.0)) / (number * steps)
-
-    times = {name: {side: [] for side in trees} for name in kernels["parent"]}
-    numbers = {}
-    for name, kernel in kernels["parent"].items():
-        for side in trees:
-            kernels[side][name][0]()  # warm
-        t0 = time.perf_counter()
-        kernel[0]()
-        numbers[name] = max(1, int(BATCH_S / (time.perf_counter() - t0)))
-    for b in range(BATCHES):
-        for name in times:
-            for side in (("parent", "change") if b % 2 == 0 else ("change", "parent")):
-                times[name][side].append(batch(kernels[side][name], numbers[name]))
+    Each tree builds its kernels from the same draws.  A kernel's batches run
+    one after another, and each times the kernel in every tree, in an order of
+    the trees that alternates from batch to batch, calling it as often as the
+    first tree's first call says fills ``BATCH_S``: the trees of a batch pair
+    meet the same state of the machine."""
+    sides = list(trees)
+    times = {}
+    with contextlib.ExitStack() as stack:
+        kernels = {side: _kernels(_load_tree(root),
+                                  stack.enter_context(tempfile.TemporaryDirectory()))
+                   for side, root in trees.items()}
+        for name in kernels[sides[0]]:
+            for side in sides:  # warm
+                for fn in kernels[side][name][:2]:
+                    if fn:
+                        fn()
+            number = max(1, int(BATCH_S / _timed(kernels[sides[0]][name][0], 1)))
+            times[name] = {side: [] for side in sides}
+            for b in range(batches):
+                for side in (sides if b % 2 == 0 else sides[::-1]):
+                    run, still, steps = kernels[side][name]
+                    spent = _timed(run, number) - (_timed(still, number) if still else 0.0)
+                    times[name][side].append(spent / (number * steps))
     return times
 
 
@@ -466,12 +417,6 @@ def _child_env():
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         env[var] = "1"
     return env
-
-
-def _measure_in_child(root):
-    cmd = [sys.executable, os.path.abspath(__file__), "--measure", root]
-    done = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, check=True)
-    return json.loads(done.stdout.splitlines()[-1])
 
 
 def _one_process_in_child(trees):
@@ -518,7 +463,8 @@ def main(argv=None):
     p.add_argument("--one-process", nargs=2, metavar=("PARENT", "CHANGE"), help=argparse.SUPPRESS)
     args = p.parse_args(argv)
     if args.measure:
-        print(json.dumps(measure(args.measure)))
+        times = one_process({"tree": args.measure}, batches=3)
+        print(json.dumps({name: min(runs["tree"]) for name, runs in times.items()}))
         return 0
     if args.one_process:
         print(json.dumps(one_process(dict(zip(("parent", "change"), args.one_process)))))
@@ -527,29 +473,20 @@ def main(argv=None):
         p.error("--parent and --out are required")
 
     trees = {"parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change)}
-    runs = {side: [] for side in trees}
-    for r in range(ROUNDS):
-        order = ("parent", "change") if r % 2 == 0 else ("change", "parent")
-        for side in order:
-            runs[side].append(_measure_in_child(trees[side]))
-    kernels = {}
-    for name in runs["parent"][0]:
-        both = {side: _summary([run[name] for run in runs[side]]) for side in trees}
-        both["unit"] = "s"
-        both["change_over_parent"] = both["change"]["median"] / both["parent"]["median"]
-        kernels[name] = both
-    # the flow kernels from both trees in one process, in place of the
-    # processes' records, which shift whole kernels between processes
+    kernels, moved = {}, {}
     for name, times in _one_process_in_child(trees).items():
         both = {side: _summary(times[side]) for side in trees}
         both["unit"] = "s"
-        both["method"] = f"one process, {BATCHES} alternated batches"
-        both["pair_ratio"] = _summary([c / p for c, p in zip(times["change"], times["parent"])])
+        pairs = list(zip(times["change"], times["parent"]))
+        both["pair_ratio"] = _summary([c / p for c, p in pairs])
         both["change_over_parent"] = both["pair_ratio"]["median"]
         kernels[name] = both
-    # a kernel moved when every quartile of the change clears the parent's
-    moved = sorted(name for name, k in kernels.items()
-                   if k["change"]["q3"] < k["parent"]["q1"] or k["change"]["q1"] > k["parent"]["q3"])
+        # moved: at least 19 of the 21 pairs favour one tree, and the medians
+        # differ by more than the parent's interquartile range
+        favoured = max(sum(c < p for c, p in pairs), sum(c > p for c, p in pairs))
+        shift = abs(both["change"]["median"] - both["parent"]["median"])
+        if favoured >= BATCHES - 2 and shift > both["parent"]["iqr"]:
+            moved[name] = both["change_over_parent"]
     traced = {workload: {side: [] for side in trees} for workload in TRACE_KEYS}
     for r in range(TRACE_RUNS):
         for side in (("parent", "change") if r % 2 == 0 else ("change", "parent")):
@@ -557,9 +494,9 @@ def main(argv=None):
                 runs_of[side].append(_traced_layers(trees[side], workload))
     record = {
         "machine": _machine(),
-        "rounds": ROUNDS,
+        "batches": BATCHES,
         "kernels": kernels,
-        "moved": {name: kernels[name]["change_over_parent"] for name in moved},
+        "moved": moved,
         **{f"trace_{workload}_seed1": {
             key: {side: statistics.median(run[key] for run in runs_of[side]) for side in trees}
             for key in TRACE_KEYS[workload]} for workload, runs_of in traced.items()},
