@@ -155,14 +155,15 @@ def cmd_flow(args) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 5
 
-    # every document is encoded before one is written, so a number that is
-    # not finite leaves no file written
+    # every document is made before one is written, so a number that is not
+    # finite leaves no file written
     written = io.dumps(io.loop_to_dict(report.loop)) if args.output else None
     text = io.dumps(io.report_to_dict(report))
+    csv = render.flow_csv(loop, h, snapshots) if args.emit_csv else None
     if args.output:
         io.write_text(args.output, written)
     if args.emit_csv:
-        io.write_text(args.emit_csv, render.flow_csv(loop, h, snapshots))
+        io.write_text(args.emit_csv, csv)
     if args.emit_svg:
         io.write_text(args.emit_svg, render.svg_overlay(loop, report.loop))
     sys.stdout.write(text)

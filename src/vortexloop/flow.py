@@ -55,11 +55,22 @@ class PlanarBump:
 
 
 def _complex_points(pts) -> np.ndarray:
-    """The M points of ``pts`` (shape (..., 2)) as x + iy, shape (M,); a view
-    of ``pts`` unless its pairs are not contiguous or not evenly spaced."""
+    """The M points of ``pts`` (shape (..., 2)) as x + iy, shape (M, 1); a
+    view of ``pts`` unless its pairs are not contiguous or not evenly spaced."""
     if pts.strides[-1] != pts.itemsize:
         pts = np.ascontiguousarray(pts)
-    return pts.view(complex).reshape(-1)
+    return (pts if pts.ndim == 2 else pts.reshape(-1, 2)).view(complex)
+
+
+def _term_arrays(b: int, m: int):
+    """The arrays the bump kernel writes into for B bumps and M points, with
+    the views it reads them through: the (B, M, 1) complex offsets and their
+    (B, M, 2) parts, the squared parts and their x and y halves, and the
+    (B, M, 1) exponents."""
+    offsets = np.empty((b, m, 1), dtype=complex)
+    squares = np.empty((b, m, 2))
+    halves = squares.view(complex)
+    return offsets, offsets.view(float), squares, halves.real, halves.imag, np.empty((b, m, 1))
 
 
 class PlanarHamiltonian:
@@ -76,25 +87,30 @@ class PlanarHamiltonian:
     # a bound on every coordinate of every point this instance is given, at
     # least 1; see ``_for_run``
     _coordinate_bound = np.inf
+    # the ``_term_arrays`` that ``_terms`` writes into: None, so that each call
+    # makes its own, except on a copy from ``_for_run``
+    _arrays = None
 
     def __init__(self, bumps):
         self._bumps = tuple(bumps)
-        # bump axis first: centres x + iy of shape (B, 1), the others (B, 1)
+        # bump axis first and the point axis second: centres x + iy of shape
+        # (B, 1, 1), the others (B, 1, 1)
         centers = np.array([b.center for b in self._bumps], dtype=float).reshape(-1, 2)
         self._zc = _complex_points(centers)[:, None]
-        sigmas = np.array([b.sigma for b in self._bumps], dtype=float)[:, None]
-        self._amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)[:, None]
+        sigmas = np.array([b.sigma for b in self._bumps], dtype=float)
+        amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)
+        self._amplitudes = amplitudes[:, None, None]
         inv_sigma2 = 1.0 / sigmas**2
-        self._exponent_scale = -0.5 * inv_sigma2
-        self._amp_inv_sigma2 = self._amplitudes * inv_sigma2
+        self._exponent_scale = (-0.5 * inv_sigma2)[:, None, None]
+        self._amp_inv_sigma2 = self._amplitudes * inv_sigma2[:, None, None]
         self._neg_amp_inv_sigma2 = -self._amp_inv_sigma2
-        self._cutoff_radius = _CUTOFF_START * sigmas[:, 0]
+        self._cutoff_radius = _CUTOFF_START * sigmas
         # V = sum |A| / sigma >= sup |grad h|.  In units of |A| / sigma a bump's
         # gradient is rho exp(-rho^2 / 2) <= e^(-1/2) within 5 sigma, at most
         # e^(-12.5) (1.875 + 6) in the 5-6 sigma band (|slope| <= 1.875, blend
         # <= 1, rho <= 6) and 0 beyond; the slack up to 1 covers the rounding
         # of the computed field
-        self._speed_bound = float(np.sum(np.abs(self._amplitudes[:, 0]) / sigmas[:, 0]))
+        self._speed_bound = float(np.sum(np.abs(amplitudes) / sigmas))
         # L = sum |A| / sigma^2 >= sup |DX_h|, the norm of the Hessian of h.  In
         # units of |A| / sigma^2 a bump's Hessian has the eigenvalues
         # (rho^2 - 1) exp(-rho^2 / 2) and -exp(-rho^2 / 2), at most 1 in size
@@ -103,7 +119,7 @@ class PlanarHamiltonian:
         # in rho), they are (gb)'' = (rho^2 - 1) g b - 2 rho g b' + g b'' and
         # (gb)' / rho, at most e^(-12.5) (35 + 22.5 + 5.8) and e^(-12.5) 7.9 / 5,
         # both below 2.4e-4; beyond it they are 0
-        self._jacobian_bound = float(np.sum(np.abs(self._amplitudes[:, 0]) * inv_sigma2[:, 0]))
+        self._jacobian_bound = float(np.sum(np.abs(amplitudes) * inv_sigma2))
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -117,32 +133,37 @@ class PlanarHamiltonian:
         """Offsets, rho = r/sigma, unit Gaussian exp(-rho^2/2), blend and its slope in rho.
 
         The M points of ``pts`` (shape (..., 2)) and the B bumps give complex
-        offsets (x - cx) + i(y - cy) of shape (B, M) and the other four of
-        shape (B, M).  With
+        offsets (x - cx) + i(y - cy) of shape (B, M, 1) and the other four of
+        shape (B, M, 1), so that a sum over the bumps of the offsets is the
+        (M, 1) complex view of (M, 2) points.  With
         s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5 and its
         slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
         and s = 1.  When no point lies past 5 sigma of any bump, s is 0
         everywhere, so the blend is exactly 1 and the slope exactly 0: rho,
         blend and slope are then returned as None and not computed.  An
         instance from ``_for_run`` knows that of every point it is given and
-        does not look.
+        does not look.  Such an instance also has ``_term_arrays`` of its own,
+        which every call writes into.
         """
-        d = _complex_points(pts) - self._zc
-        # the parts squared, (x - cx)^2 + i (y - cy)^2
-        sq = np.square(d.view(float)).view(complex)
-        e = sq.real + sq.imag
+        zp = _complex_points(pts)
+        offsets, parts, squares, x2, y2, e = (
+            self._arrays or _term_arrays(len(self._bumps), len(zp)))
+        d = np.subtract(zp, self._zc, out=offsets)
+        # (x - cx)^2 + (y - cy)^2
+        np.square(parts, out=squares)
+        np.add(x2, y2, out=e)
         e *= self._exponent_scale
         # a NaN fails >=, so it takes the dense path below
         if (self._inside_cutoff or e.size == 0
                 or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT):
-            return d, None, np.exp(e), None, None
+            return d, None, np.exp(e, out=e), None, None
         # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
         rho = np.sqrt(e * -2.0)
         s = np.minimum(np.maximum(rho - _CUTOFF_START, 0.0), 1.0)
         s2 = s * s
         blend = ((s * -6.0 + 15.0) * s - 10.0) * s2 * s + 1.0
         slope = ((s * -30.0 + 60.0) * s - 30.0) * s2
-        return d, rho, np.exp(e), blend, slope
+        return d, rho, np.exp(e, out=e), blend, slope
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -150,7 +171,11 @@ class PlanarHamiltonian:
         weight = gauss if blend is None else gauss * blend
         return (weight * self._amplitudes).sum(axis=0).reshape(pts.shape[:-1])
 
-    def gradient(self, points) -> np.ndarray:
+    def gradient(self, points, out=None) -> np.ndarray:
+        """The gradient at ``points`` (shape (..., 2)), of their shape.  For
+        (M, 2) points, ``out``, when given, is a float array of shape (M, 2)
+        whose pairs are contiguous: the gradient is written into it, with the
+        same bits, and ``out`` is returned."""
         pts = np.asarray(points, dtype=float)
         d, rho, gauss, blend, slope = self._terms(pts)
         # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2, summed over the bumps
@@ -168,7 +193,13 @@ class PlanarHamiltonian:
             re, im = d.real, d.imag
             re *= weight
             im *= weight
-        return np.add.reduce(d).view(float).reshape(pts.shape)
+        if out is None:
+            return np.add.reduce(d).view(float).reshape(pts.shape)
+        if out.dtype != float:
+            raise ValueError("out must be a float array")
+        # its (M, 1) complex view is the sum's shape; a view of another shape fails
+        np.add.reduce(d, out=out.view(complex))
+        return out
 
     def _for_run(self, pts, steps) -> "PlanarHamiltonian":
         """This Hamiltonian for an ``advect`` run from the (M, 2) ``pts`` over
@@ -186,15 +217,16 @@ class PlanarHamiltonian:
         path at every call of the run, so the run's bits are the same.
 
         The copy evaluates only (M, 2) points.  It holds the exponent scale and
-        -A / sigma^2 as (B, M) arrays, so that ``_terms`` and ``gradient``
-        multiply arrays of one shape, and the largest coordinate plus T V plus
-        that rounding, with the same relative slack and at least 1, as its
-        ``_coordinate_bound``.
+        -A / sigma^2 as (B, M, 1) arrays, so that ``_terms`` and ``gradient``
+        multiply arrays of one shape; the ``_term_arrays`` that ``_terms``
+        writes into, so that a call allocates none of them; and the largest
+        coordinate plus T V plus that rounding, with the same relative slack and
+        at least 1, as its ``_coordinate_bound``.
         """
         travel = sum(steps) * self._speed_bound
         largest = np.abs(pts).max() + travel
         rounding = 2.0 * (len(steps) + 1) * np.finfo(float).eps * largest
-        reach = np.abs(_complex_points(pts) - self._zc).max(axis=1) + (travel + rounding)
+        reach = np.abs(_complex_points(pts) - self._zc).max(axis=(1, 2)) + (travel + rounding)
         # a NaN fails <=, so it keeps the check
         if not np.all(reach <= self._cutoff_radius * (1.0 - 1e-9)):
             return self
@@ -203,6 +235,7 @@ class PlanarHamiltonian:
         m = len(pts)
         run._exponent_scale = np.repeat(self._exponent_scale, m, axis=1)
         run._neg_amp_inv_sigma2 = np.repeat(self._neg_amp_inv_sigma2, m, axis=1)
+        run._arrays = _term_arrays(len(self._bumps), m)
         run._coordinate_bound = max((largest + rounding) * (1.0 + 1e-9), 1.0)
         return run
 
@@ -213,7 +246,40 @@ def hamiltonian_vector_field(h, points) -> np.ndarray:
     return _perp(np.asarray(h.gradient(points), dtype=float))
 
 
-def _rk4_step(points: FloatArray, g1: FloatArray, dt: float, h) -> tuple[FloatArray, FloatArray]:
+class _Work:
+    """The field and the (M, 2) arrays of one ``advect`` run, allocated once.
+
+    ``field(points, out)`` writes the gradient of ``h`` at the (M, 2)
+    ``points`` into ``out`` and returns it: a ``PlanarHamiltonian`` writes it
+    there itself, through ``gradient(points, out)``; any other ``h`` with a
+    ``gradient(points)`` is called as it is, and its result copied.
+    ``coordinate_bound`` is ``h._coordinate_bound`` where ``h`` has one, else
+    infinite.  ``grads`` holds five gradient slots: a step starts from the
+    first, RK4 writes its stages 2-4 into the next three (the implicit
+    midpoint its iterates' gradients into the second), and the field at the
+    step's end goes into the last, which ``advect`` then moves to the front as
+    the next step's start.  ``stage`` holds a stage point or a scaled
+    gradient, ``total`` a sum or a difference, ``estimate`` a step's e and
+    ``end`` its end; the implicit midpoint keeps its first iterate in
+    ``first`` and alternates the later ones between ``iterate`` and ``end``.
+    """
+
+    def __init__(self, h, shape):
+        if type(h) is PlanarHamiltonian:
+            self.field = h.gradient
+        else:
+            def field(points, out):
+                np.copyto(out, h.gradient(points))
+                return out
+            self.field = field
+        self.coordinate_bound = getattr(h, "_coordinate_bound", np.inf)
+        self.grads = [np.empty(shape) for _ in range(5)]
+        self.stage, self.total, self.estimate, self.end, self.first, self.iterate = (
+            np.empty(shape) for _ in range(6))
+
+
+def _rk4_step(points: FloatArray, g1: FloatArray, dt: float,
+              work: _Work) -> tuple[FloatArray, FloatArray]:
     """One classical RK4 step of the (M, 2) ``points`` from their gradient ``g1``.
 
     The step is carried on gradients: stage j's field is the quarter turn of
@@ -221,19 +287,29 @@ def _rk4_step(points: FloatArray, g1: FloatArray, dt: float, h) -> tuple[FloatAr
     of the start, and the weighted sum of the four gradients is turned once at
     the end.  Negation and the quarter turn commute exactly with scaling and
     addition, so every bit is that of the same step on the fields.
-    Returns the end point and e = (dt / 6) g4: with g5 the gradient at the
-    end, max|e - (dt / 6) g5| is max|(dt / 6)(k4 - k5)|, the difference of the
-    step from its embedded third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6),
-    since a quarter turn keeps every |component|.
+    Every array is one of ``work``'s, and ``g1`` none of its slots 2-4.
+    Returns the end point and e = (dt / 6) g4, in ``work.end`` and
+    ``work.estimate``: with g5 the gradient at the end, max|e - (dt / 6) g5| is
+    max|(dt / 6)(k4 - k5)|, the difference of the step from its embedded
+    third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6), since a quarter turn
+    keeps every |component|.
     """
-    g2 = h.gradient(_turned(points, 0.5 * dt, g1))
-    g3 = h.gradient(_turned(points, 0.5 * dt, g2))
-    g4 = h.gradient(_turned(points, dt, g3))
-    return _turned(points, dt / 6.0, g1 + 2.0 * g2 + 2.0 * g3 + g4), (dt / 6.0) * g4
+    field, stage, total = work.field, work.stage, work.total
+    g2, g3, g4 = work.grads[1:4]
+    # ``total`` holds each stage's scaled gradient until it holds the sum
+    field(_turned(points, 0.5 * dt, g1, stage, total), g2)
+    field(_turned(points, 0.5 * dt, g2, stage, total), g3)
+    field(_turned(points, dt, g3, stage, total), g4)
+    # g1 + 2 g2 + 2 g3 + g4, added left to right; 2 g3 in the spent stage point
+    np.add(g1, np.multiply(g2, 2.0, out=total), out=total)
+    np.add(total, np.multiply(g3, 2.0, out=stage), out=total)
+    np.add(total, g4, out=total)
+    return (_turned(points, dt / 6.0, total, work.end, stage),
+            np.multiply(g4, dt / 6.0, out=work.estimate))
 
 
 def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
-                   h) -> tuple[FloatArray, FloatArray]:
+                   work: _Work) -> tuple[FloatArray, FloatArray]:
     """Implicit midpoint step of the (M, 2) ``points`` from their gradient
     ``g1``, solved by the fixed-point iteration z <- points + dt X((points + z) / 2)
     from the explicit Euler guess points + dt k1, every iterate a turned update.
@@ -243,27 +319,39 @@ def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
     StepRejected with the last update when it has not stopped after
     ``_MIDPOINT_ITERATIONS`` iterations.  max|z| is taken only when it can
     decide: a finite update comes from a finite iterate, so one of at most
-    1e-14 stops, and one above 1e-14 ``h._coordinate_bound`` (a bound on
+    1e-14 stops, and one above 1e-14 ``work.coordinate_bound`` (a bound on
     max(1, max|z|) where known, else infinite) does not.
-    Returns the end point y1 and e, the inverse quarter turn of
-    (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1, the first iterate, is the
-    explicit midpoint step: with g5 the gradient at the end, max|e - (dt / 6) g5|
-    is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|, a third of the
-    differences of y1 from the explicit midpoint and from the trapezoid
-    step, the leading term of the local error.
+    Every array is one of ``work``'s, and ``g1`` not its second slot.
+    Returns the end point y1 and e, in ``work.end`` and ``work.estimate``: e is
+    the inverse quarter turn of (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1,
+    the first iterate, is the explicit midpoint step.  With g5 the gradient at
+    the end, max|e - (dt / 6) g5| is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|,
+    a third of the differences of y1 from the explicit midpoint and from the
+    trapezoid step, the leading term of the local error.
     """
-    bound = 1e-14 * getattr(h, "_coordinate_bound", np.inf)
-    z = _turned(points, dt, g1)
+    field, stage, gradient = work.field, work.stage, work.grads[1]
+    bound = 1e-14 * work.coordinate_bound
+    # ``stage`` holds each turned update's scaled gradient, and spent values
+    z = _turned(points, dt, g1, work.end, stage)
     z1 = None
-    for _ in range(_MIDPOINT_ITERATIONS):
-        z_next = _turned(points, dt, h.gradient(0.5 * (points + z)))
+    for i in range(_MIDPOINT_ITERATIONS):
+        # the next iterate goes into ``first``, then into ``end`` (the Euler
+        # guess is spent by then) and ``iterate`` by turns
+        np.multiply(np.add(points, z, out=stage), 0.5, out=stage)
+        target = work.first if z1 is None else (work.iterate, work.end)[i % 2]
+        z_next = _turned(points, dt, field(stage, gradient), target, stage)
         if z1 is None:
             z1 = z_next
-        update = np.maximum.reduce(np.abs(z_next - z), axis=None)
+        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=stage), out=stage),
+                                   axis=None)
         if update <= 1e-14 or (update <= bound and update <= 1e-14 * max(
-                np.maximum.reduce(np.abs(z), axis=None), 1.0)):
-            e = _turned(2.0 * z_next - z1 - points, -0.5 * dt, g1) / 3.0
-            return z_next, -_perp(e)
+                np.maximum.reduce(np.abs(z, out=stage), axis=None), 1.0)):
+            u = np.subtract(np.multiply(z_next, 2.0, out=work.total), z1, out=work.total)
+            e = _turned(np.subtract(u, points, out=u), -0.5 * dt, g1, stage, work.estimate)
+            _perp(np.divide(e, 3.0, out=e), work.estimate)
+            if z_next is not work.end:
+                np.copyto(work.end, z_next)
+            return work.end, np.negative(work.estimate, out=work.estimate)
         z = z_next
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
@@ -321,7 +409,10 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     "first same as last" error estimate max|e - (dt / 6) g5|: g5 is the
     gradient at the step's end, which the next step starts from, and e is the
     stepper's (``_rk4_step``, ``_midpoint_step``).  The steps are carried on
-    gradients, whose quarter turns are the fields.  A step is accepted only
+    gradients, whose quarter turns are the fields.  Every field evaluation and
+    stage update writes into the run's arrays, ``_Work``, allocated once; a
+    ``PlanarHamiltonian`` writes its gradient there itself, and the gradient
+    of any other ``h`` is copied there.  A step is accepted only
     once g5 is known: an estimate above ``_ERROR_LIMIT`` (1e-3) or not finite
     (a NaN field at the end of the last step too) raises StepRejected.
     The evolving sample polyline is checked for self-intersection every
@@ -356,19 +447,25 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     # decided once: a run that stays within 5 sigma of every bump skips the
     # per-call cutoff check; a subclass, which may change the field, keeps it
     h_run = h._for_run(pts, steps) if type(h) is PlanarHamiltonian else h
+    # ``pts`` is the run's own copy of the samples, and its start array
+    work = _Work(h_run, pts.shape)
     elapsed = 0.0
     if observer is not None:
         observer(0, 0.0, pts.copy())
-    g = h_run.gradient(pts)
+    g = work.field(pts, work.grads[0])
     for i, step_dt in enumerate(steps):
-        end, e = stepper(pts, g, step_dt, h_run)
-        g = h_run.gradient(end)
-        est = float(np.maximum.reduce(np.abs(e - (step_dt / 6.0) * g), axis=None))
+        end, e = stepper(pts, g, step_dt, work)
+        g = work.field(end, work.grads[4])
+        # max|e - (dt / 6) g5|
+        gap = np.subtract(e, np.multiply(g, step_dt / 6.0, out=work.total), out=work.total)
+        est = float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
         if not est <= _ERROR_LIMIT:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")
         max_est = max(max_est, est)
-        pts = end
+        # the field at the end starts the next step, and the start's array is free
+        work.grads.insert(0, work.grads.pop())
+        pts, work.end = end, pts
         elapsed += step_dt
         done = i + 1
         if done % _SIMPLE_STRIDE == 0 and done < len(steps) and not _polyline_is_simple(pts):

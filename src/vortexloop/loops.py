@@ -41,29 +41,35 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _perp(u: np.ndarray) -> np.ndarray:
-    """The quarter turn (x, y) -> (y, -x) of the last axis, as a float array.
+def _perp(u: np.ndarray, out=None) -> np.ndarray:
+    """The quarter turn (x, y) -> (y, -x) of the last axis, as a float array,
+    written into ``out`` when it is given (an array of ``u``'s shape that does
+    not share memory with it).
 
     As x + iy this is -i times ``u``.  The parts are swapped and the second is
     multiplied by -1: not the whole by -i, whose cross terms 0 * x could flip
     the sign of a zero, and not negated, which would flip the sign of a NaN.
     """
-    out = np.empty(u.shape)
+    if out is None:
+        out = np.empty(u.shape)
     out[..., 0] = u[..., 1]
     np.multiply(u[..., 0], -1.0, out=out[..., 1])
     return out
 
 
-def _turned(p: np.ndarray, c: float, g: np.ndarray) -> np.ndarray:
-    """``p + c * _perp(g)`` bit for bit, with no quarter-turned copy of ``g``.
+def _turned(p: np.ndarray, c: float, g: np.ndarray, out: np.ndarray,
+            scaled: np.ndarray) -> np.ndarray:
+    """``p + c * _perp(g)`` bit for bit, with no quarter-turned copy of ``g``,
+    written into ``out`` and returned.
 
-    ``g`` is scaled, and its scaled second part is added to the first column
-    of ``p`` and its scaled first part subtracted from the second.  Negation
-    commutes exactly with scaling and addition, so p_y - c g_x is
-    p_y + c (-g_x) to the bit, down to the sign of a zero.
+    ``g`` is scaled into ``scaled``, and its scaled second part is added to
+    the first column of ``p`` and its scaled first part subtracted from the
+    second.  Negation commutes exactly with scaling and addition, so
+    p_y - c g_x is p_y + c (-g_x) to the bit, down to the sign of a zero.
+    ``out`` and ``scaled`` are float arrays of ``p``'s shape; neither shares
+    memory with the other or with ``p`` or ``g``.
     """
-    s = c * g
-    out = np.empty(np.shape(p))
+    s = np.multiply(g, c, out=scaled)
     np.add(p[..., 0], s[..., 1], out[..., 0])
     np.subtract(p[..., 1], s[..., 0], out[..., 1])
     return out

@@ -81,7 +81,7 @@ def flow_csv(loop: DecoratedLoop, h, snapshots) -> str:
     per_block = max(1, _BLOCK_POINTS // loop.embedding.size)  # advect keeps the n points
     for lo in range(0, len(snapshots), per_block):
         block = np.stack([pts for _, _, pts in snapshots[lo:lo + per_block]])
-        momenta.extend(_against(h(block), loop.decoration).tolist())
+        momenta.extend(_against(h(block), loop.decoration, "momentum").tolist())
         areas.extend(_spline_area(block).tolist())
     # the omega cells are the same in every row
     profile = "".join("," + format(w, ".15g") for w in omegas)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circle_forms import CircleForm, FloatArray
-from .errors import ConstraintViolation
+from .errors import ConstraintViolation, OutOfRange
 from .loops import DecoratedLoop, LoopEmbedding, _cross, _perp
 from .quadrature import TWO_PI, periodic_trapezoid, uniform_grid
 
@@ -29,11 +29,19 @@ def _as_vectors(u, n: int) -> FloatArray:
     return vec
 
 
-def _against(values, form: CircleForm):
+def _against(values, form: CircleForm, name: str = "integral against the density"):
     """Periodic trapezoid of ``values * form`` on the uniform grid of the last
-    axis of ``values``; stacked rows give one integral per row."""
+    axis of ``values``; stacked rows give one integral per row.  Raises
+    OutOfRange naming ``name`` when an integral is not finite, as when the
+    products overflow, and numpy warns of nothing on the way."""
     values = np.asarray(values, dtype=float)
-    return periodic_trapezoid(values * form._on_uniform_grid(values.shape[-1]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        integral = periodic_trapezoid(values * form._on_uniform_grid(values.shape[-1]))
+    finite = np.isfinite(integral)
+    if not finite.all():
+        bad = float(np.extract(~finite, integral)[0])
+        raise OutOfRange(f"{name}: {bad!r} is not a finite number")
+    return integral
 
 
 def _constraint(embedding: LoopEmbedding, vec: FloatArray, limit: float = np.inf):
@@ -187,8 +195,9 @@ def primitive_one_form_eval(embedding: LoopEmbedding, u, form: CircleForm) -> fl
 
 
 def momentum_map_eval(embedding: LoopEmbedding, h, form: CircleForm) -> float:
-    """Momentum pairing ``integral((h o f) * form)`` against a test Hamiltonian."""
-    return _against(h(embedding.samples), form)
+    """Momentum pairing ``integral((h o f) * form)`` against a test Hamiltonian;
+    raises OutOfRange when it is not finite."""
+    return _against(h(embedding.samples), form, "momentum")
 
 
 def momentum_separation(first: DecoratedLoop, second: DecoratedLoop, dictionary) -> float:

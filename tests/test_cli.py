@@ -266,21 +266,19 @@ def test_invariants_overflowing_profile_exit_3(capsys, tmp_path):
 
 
 def test_non_finite_answer_exit_2_naming_its_key(capsys, tmp_path):
-    # a bump of amplitude 1e300 on a density of scale 1e10: each momentum
-    # overflows, so the Hamiltonian drift is inf / inf; JSON has no NaN, so
-    # the answer is an error that names the key, and flow encodes every
-    # document before writing any, so none of its files is written
+    # a bump of amplitude 1e300 on a density of scale 1e10: the momentum
+    # overflows, so the answer is one error line that names it, with no
+    # numpy warning, raised before advecting, so none of the files is written
     loop_file = write_loop_doc(tmp_path / "loop.json", three_lobed_samples(),
                                {"a0": 1e9, "cos": [0.0, 1e10], "sin": [3e9]})
     ham = write_ham(tmp_path / "ham.json", PlanarHamiltonian.single((0.0, 0.0), 1e150, 1e300))
     outputs = [tmp_path / name for name in ("out.json", "out.csv", "out.svg")]
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error")
         code, out, err = run(capsys, ["flow", loop_file, ham, "-T", "0.01", "--dt", "1e-3",
                                       "-o", str(outputs[0]), "--emit-csv", str(outputs[1]),
                                       "--emit-svg", str(outputs[2])])
-    assert code == 2 and out == ""
-    assert err.endswith("error: output hamiltonian_drift: nan is not a finite number\n")
+    assert (code, out, err) == (2, "", "error: momentum: nan is not a finite number\n")
     assert not any(path.exists() for path in outputs)
 
 

@@ -10,6 +10,7 @@ from vortexloop.flow import (
     _SIMPLE_STRIDE,
     PlanarBump,
     PlanarHamiltonian,
+    _Work,
     _complex_points,
     _midpoint_step,
     _rk4_step,
@@ -501,7 +502,7 @@ def _random_case(seed=34, n=256):
 def _separate_steps(pts, h, steps, stepper):
     """Each step by its own stepper call from the gradient at its start: the reference."""
     for dt in steps:
-        pts, _ = stepper(pts, h.gradient(pts), dt, h)
+        pts, _ = stepper(pts, h.gradient(pts), dt, _Work(h, pts.shape))
     return pts
 
 
@@ -541,7 +542,7 @@ def test_midpoint_advection_field_calls_per_step(dt, calls):
     for pts in seen[:-1]:
         g1 = h.gradient(pts)
         h.calls = 0
-        _midpoint_step(pts, g1, dt, h)
+        _midpoint_step(pts, g1, dt, _Work(h, pts.shape))
         iterations.append(h.calls)
     # the field at the start, then each step's iterations and the field at its end
     want = 1 + sum(count + 1 for count in iterations)
@@ -687,9 +688,9 @@ def test_a_certified_run_is_the_checked_run_byte_for_byte(scheme, monkeypatch):
     gradient = PlanarHamiltonian.gradient
     inside = []
 
-    def spy(self, points):
+    def spy(self, points, out=None):
         inside.append(self._inside_cutoff)
-        return gradient(self, points)
+        return gradient(self, points, out)
 
     monkeypatch.setattr(PlanarHamiltonian, "gradient", spy)
     fast, fast_report = run()
@@ -725,6 +726,79 @@ def test_subclasses_keep_the_per_call_check(monkeypatch):
                             ("implicit-midpoint", "implicit midpoint solve did not converge")):
         with pytest.raises(StepRejected, match=message):
             advect(loop, nan, 0.005, 1e-3, scheme)
+
+
+# ---------------------------------------------------------------- the run's arrays
+
+
+@pytest.mark.parametrize("region", ["core", "band", "far", "mixed"])
+def test_gradient_into_out_is_the_fresh_gradient_bit_for_bit(region):
+    # within 5 sigma of both bumps, in the 5-6 sigma band of one, beyond 6
+    # sigma of both, and all three; on a plain instance and on a run copy,
+    # which writes its terms into arrays of its own
+    rng = np.random.default_rng(60 + len(region))
+    bumps = [PlanarBump(tuple(rng.uniform(-0.5, 0.5, 2)), rng.uniform(0.5, 1.2),
+                        rng.uniform(-2.0, 2.0)) for _ in range(2)]
+    h = PlanarHamiltonian(bumps)
+    pts = _region_points(rng, bumps, region)
+    core = np.vstack([_region_points(rng, bumps, "core") for _ in range(3)])[:len(pts)]
+    # certified for core points of the same count, the run copy skips the
+    # blend at every point it is given, with out or without
+    run = h._for_run(core, [])
+    assert run is not h and run._inside_cutoff
+    for field in (h, run):
+        want = field.gradient(pts)
+        buf = np.full(pts.shape, np.nan)
+        assert field.gradient(pts, out=buf) is buf
+        assert_same_bits(buf, want)
+        # a second call into the same array, after one at other points
+        field.gradient(core, out=buf)
+        assert_same_bits(field.gradient(pts, out=buf), want)
+        assert_same_bits(field.gradient(core), field.gradient(core, np.empty(core.shape)))
+    if region == "core":
+        assert_same_bits(run.gradient(pts, out=np.empty(pts.shape)), h.gradient(pts))
+    with pytest.raises(ValueError):
+        h.gradient(pts, out=np.empty(pts.shape, dtype=np.float32))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_a_run_writes_every_field_into_five_arrays(scheme, monkeypatch):
+    loop, counting = _random_case(seed=35)
+    h = PlanarHamiltonian(counting.bumps)
+    gradient = PlanarHamiltonian.gradient
+    results = []
+
+    # every result is kept, so a fresh array could not reuse the memory of an earlier one
+    def spy(self, points, out=None):
+        results.append(gradient(self, points, out))
+        return results[-1]
+
+    monkeypatch.setattr(PlanarHamiltonian, "gradient", spy)
+    assert advect(loop, h, 0.1, 1e-3, scheme).steps == 100
+    assert len(results) >= 4 * 100 + 1
+    assert len({r.__array_interface__["data"][0] for r in results}) <= 5
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_a_large_run_is_the_real_arithmetic_steps_bit_for_bit(scheme):
+    # n = 4096, where the (B, M) complex offsets reach 128 kB; three steps and a partial last one
+    rng = np.random.default_rng(36)
+    loop = samples.random_decorated_loop(rng, n=4096)
+    h = samples.random_hamiltonian(rng, samples.loop_bbox(loop.embedding))
+    start = loop.embedding.samples
+    steps = _step_schedule(0.0035, 1e-3)
+    assert len(steps) == 4 and steps[-1] < 1e-3
+    assert h._for_run(start, steps) is not h
+    seen = []
+    report = advect(loop, h, 0.0035, 1e-3, scheme, observer=lambda i, t, pts: seen.append(pts))
+    stepper = {"rk4": reference_rk4_step, "implicit-midpoint": reference_midpoint_step}[scheme]
+    want, max_est = reference_advect(start, DenseBumpField(h.bumps).vector_field, steps, stepper)
+    assert len(seen) == len(want) == 5
+    for got, ref in zip(seen, want, strict=True):
+        assert_same_bits(got, ref)
+    assert_same_bits(report.loop.embedding.samples, want[-1])
+    assert np.float64(report.max_local_error).tobytes() == np.float64(max_est).tobytes()
+    assert 0.0 < max_est
 
 
 # ---------------------------------------------------------------- error estimates

@@ -2,6 +2,7 @@
 
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -365,6 +366,20 @@ def test_flow_csv_momentum_is_the_momentum_map_at_every_snapshot():
         assert row.split(",")[3] == format(want, ".15g")
 
 
+def test_flow_csv_momentum_that_overflows_is_an_error_naming_it():
+    # the bump is far from the first snapshot and under the second, where
+    # its values near 1e308 times the density overflow the period sum
+    loop = circle_loop()
+    h = PlanarHamiltonian.single((10.0, 10.0), 1.0, 1.5e308)
+    pts = loop.embedding.samples
+    snapshots = [(0, 0.0, pts), (1, 0.1, pts * 0.1 + 10.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert render.flow_csv(loop, h, snapshots[:1]).count("\n") == 2
+        with pytest.raises(OutOfRange, match=r"^momentum: inf is not a finite number$"):
+            render.flow_csv(loop, h, snapshots)
+
+
 def test_flow_csv_rows_match_each_snapshot_across_blocks():
     # a block holds two snapshots of this size, so six snapshots take three;
     # every row is what the single-snapshot routines give, bit for bit
@@ -418,18 +433,22 @@ def test_flow_csv_equals_per_number_formatting():
     snapshots = []
     advect(loop, h, 0.01, 1e-3, observer=lambda i, t, p: snapshots.append((i, t, p)))
     pts = snapshots[-1][2]
-    # awkward times, and points whose area and momentum come out -0.0, tiny,
-    # huge or nan
+    # awkward times, and points whose area and momentum come out -0.0, tiny or
+    # huge, and whose area comes out infinite or nan
     snapshots += [(len(snapshots) + j, float(t), p) for j, (t, p) in enumerate(zip(
         _AWKWARD,
         [pts * 0.0 * -1.0, pts * 0.0, pts * 1e-152, pts * 1e-160, pts * 1e150, pts * 1e160,
-         np.where(np.arange(pts.size).reshape(pts.shape) == 7, np.nan, pts), pts, pts,
-         pts, pts, pts]))]
+         pts, pts, pts, pts, pts, pts]))]
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         csv = render.flow_csv(loop, h, snapshots)
         assert csv == reference_flow_csv(loop, h, snapshots)
     cells = {cell for row in csv.splitlines()[1:] for cell in row.split(",")}
     assert {"-0", "1e-300", "1e+300", "nan"} <= cells
+    # a momentum that is nan is an error, not a cell
+    nan = np.where(np.arange(pts.size).reshape(pts.shape) == 7, np.nan, pts)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        with pytest.raises(OutOfRange, match="^momentum: nan is not a finite number$"):
+            render.flow_csv(loop, h, snapshots + [(len(snapshots), 1.0, nan)])
 
 
 def test_snapshot_steps_keeps_ends():

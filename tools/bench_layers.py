@@ -3,7 +3,8 @@
     python3 tools/bench_layers.py --parent PARENT_ROOT --out BENCH_<n>.json
 
 ``PARENT_ROOT`` and ``--change`` (default: the current directory) are roots of
-source checkouts.  One single-threaded process imports ``vortexloop`` from
+source checkouts.  One single-threaded process, with glibc's allocator
+thresholds fixed in its environment (``MALLOC_ENV``), imports ``vortexloop`` from
 each tree's ``src`` under a module set of its own, builds each tree's kernels
 from the same seeded draws, and times each kernel in ``BATCHES`` batches in a
 row, each of which calls it in both trees, alternating which goes first.  The
@@ -61,11 +62,11 @@ kernels are:
 - ``loops._check_zero_images`` per call on k zeros drawn at random on a
   256-point loop, at k in ``ZERO_IMAGE_SIZES`` (6, 60, 1000).
 
-The record holds machine details; for each kernel, the median and quartiles
-over the batches in both trees and of the batch pairs' change-over-parent
-ratio; the kernels that moved, those whose pairs favour one tree in at least
-19 of 21 batches and whose medians differ by more than the parent's
-interquartile range; and the layer metrics ``TRACE_KEYS`` of
+The record holds machine details and that environment; for each kernel, the
+median and quartiles over the batches in both trees and of the batch pairs'
+change-over-parent ratio; the kernels that moved, those whose pairs favour
+one tree in at least 19 of 21 batches and whose medians differ by more than
+the parent's interquartile range; and the layer metrics ``TRACE_KEYS`` of
 ``benchmark/run.py --workload W --seed 1 --seconds 1 --trace 1`` for each
 workload W, run ``TRACE_RUNS`` times in each tree, alternating: the counters
 repeat exactly, the times are medians.
@@ -101,6 +102,12 @@ STEP_SIZES = ((256, 50), (4096, 10))
 BATCHES = 21
 BATCH_S = 0.05
 TRACE_RUNS = 3
+# glibc's allocator in the child that times the kernels: arrays are taken from
+# the heap up to 8 MiB, and freed memory is kept up to 64 MiB.  With the
+# defaults, an array above 128 kB (the n = 4096 kernels) is mapped and
+# unmapped at every call unless an earlier, larger free raised that
+# threshold, so the page faults a kernel pays depend on what ran before it
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "8388608", "MALLOC_TRIM_THRESHOLD_": "67108864"}
 # where the points of the region timings lie, relative to the bumps
 BUMP_REGIONS = ("inside5", "band", "beyond6", "mixed")
 # (centre, sigma, amplitude) of the two bumps of the region timings
@@ -422,7 +429,8 @@ def _child_env():
 def _one_process_in_child(trees):
     cmd = [sys.executable, os.path.abspath(__file__), "--one-process", trees["parent"],
            trees["change"]]
-    done = subprocess.run(cmd, env=_child_env(), capture_output=True, text=True, check=True)
+    done = subprocess.run(cmd, env={**_child_env(), **MALLOC_ENV}, capture_output=True,
+                          text=True, check=True)
     return json.loads(done.stdout.splitlines()[-1])
 
 
@@ -494,6 +502,7 @@ def main(argv=None):
                 runs_of[side].append(_traced_layers(trees[side], workload))
     record = {
         "machine": _machine(),
+        "kernel_env": MALLOC_ENV,
         "batches": BATCHES,
         "kernels": kernels,
         "moved": moved,
