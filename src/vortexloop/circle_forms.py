@@ -78,29 +78,34 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0,
     active = np.nonzero(step > _BRACKET_WIDTH)[0]
     widest = float(np.max(step, initial=_BRACKET_WIDTH))
     cap = 2 * (int(np.ceil(np.log2(widest / _BRACKET_WIDTH))) + 1)
-    for _ in range(cap):
-        if active.size == 0:
-            return t
-        ta = t[active]
-        sg = sign[active]
-        resid = sg * np.asarray(f(ta), dtype=float) - target[active]
-        # written so that a NaN residual keeps its entry active
-        moving = ~(np.abs(resid) <= floor)
-        active, ta, sg, resid = active[moving], ta[moving], sg[moving], resid[moving]
-        lo_a = np.where(resid < 0.0, ta, lo[active])
-        hi_a = np.where(resid >= 0.0, ta, hi[active])
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # one error state for the solve: ``df`` may be 0 or NaN at a point
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(cap):
+            if active.size == 0:
+                return t
+            ta = t[active]
+            sg = sign[active]
+            resid = sg * np.asarray(f(ta), dtype=float) - target[active]
+            # written so that a NaN residual keeps its entry active
+            moving = ~(np.abs(resid) <= floor)
+            if not moving.all():
+                active, ta, sg, resid = active[moving], ta[moving], sg[moving], resid[moving]
+            lo_a = np.where(resid < 0.0, ta, lo[active])
+            hi_a = np.where(resid >= 0.0, ta, hi[active])
             slope = sg * np.asarray(df(ta), dtype=float)
             newton = ta - resid / slope
-        take = ((newton >= lo_a) & (newton <= hi_a)
-                & (np.abs(newton - ta) <= 0.5 * step[active]))
-        t_next = np.where(take, newton, 0.5 * (lo_a + hi_a))
-        step_a = np.abs(t_next - ta)
-        lo[active], hi[active], t[active], step[active] = lo_a, hi_a, t_next, step_a
-        done = np.isfinite(resid) & ((hi_a - lo_a <= _BRACKET_WIDTH) | (step_a <= _BRACKET_WIDTH))
-        if bound is not None:
-            done |= take & (bound * step_a * step_a + np.abs(slope * np.spacing(t_next)) <= floor)
-        active = active[~done]
+            take = ((newton >= lo_a) & (newton <= hi_a)
+                    & (np.abs(newton - ta) <= 0.5 * step[active]))
+            t_next = np.where(take, newton, 0.5 * (lo_a + hi_a))
+            step_a = np.abs(t_next - ta)
+            lo[active], hi[active], t[active], step[active] = lo_a, hi_a, t_next, step_a
+            done = np.isfinite(resid) & ((hi_a - lo_a <= _BRACKET_WIDTH)
+                                         | (step_a <= _BRACKET_WIDTH))
+            if bound is not None:
+                done |= take & (bound * step_a * step_a + np.abs(slope * np.spacing(t_next))
+                                <= floor)
+            if done.any():
+                active = active[~done]
     if active.size:
         j = int(active[0])
         raise VortexLoopError(
@@ -126,21 +131,28 @@ def _inverse_hermite(y, y0, y1, t0, t1, d0, d1) -> FloatArray:
     from the end of smaller slope, through both ends and with the inverse's
     slope at the other: exact where ``F`` is a parabola about a zero at that
     end.  Where that leaves the cell too, the start is the linear interpolant.
+    The fallbacks are formed only at the cells whose cubic start leaves them.
     """
     dy, dt = y1 - y0, t1 - t0
     u = np.clip(np.divide(y - y0, dy, out=np.full_like(dy, 0.5), where=dy > 0.0), 0.0, 1.0)
     linear = t0 + u * dt
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         a, b = dy / d0 - dt, dy / d1 - dt
-        cubic = linear + u * (1.0 - u) * (a * (1.0 - u) - b * u)
+        start = linear + u * (1.0 - u) * (a * (1.0 - u) - b * u)
+        # a NaN start fails both comparisons, so it takes a fallback too
+        leaves = ~((start >= t0) & (start <= t1))
+        if not leaves.any():
+            return start
+        # the fallbacks, only where the cubic start leaves its cell
+        u, dy, dt, t0, t1, d0, d1, linear = (
+            v[leaves] for v in (u, dy, dt, t0, t1, d0, d1, linear))
         flat0 = d0 < d1
         root = np.sqrt(np.where(flat0, u, 1.0 - u))
         p = 2.0 * dy / (np.where(flat0, d1, d0) * dt)
         reach = dt * (root + (p - 1.0) * (root * root - root))
         sqrt_form = np.where(flat0, t0 + reach, t1 - reach)
-    inside = lambda start: (start >= t0) & (start <= t1)
-    return np.where(inside(cubic), cubic,
-                    np.where(inside(sqrt_form), sqrt_form, linear))
+    start[leaves] = np.where((sqrt_form >= t0) & (sqrt_form <= t1), sqrt_form, linear)
+    return start
 
 
 def _scalar_out(t, out):
@@ -156,9 +168,10 @@ def _power_sum(coeffs, t, tails=None) -> FloatArray:
     exactly zero at ``t = 0`` and has no cancellation against its value
     there.  No coefficients give a zero sum.
 
-    From ``_HORNER_MIN_POINTS`` points on, the sum is Horner's rule in ``z``:
-    one complex exponential per point, then one in-place multiply and add per
-    degree on arrays of the shape of ``t``, with no power matrix.  Its
+    The unit phase ``z`` is one cosine and one sine per point, written into
+    its parts.  From ``_HORNER_MIN_POINTS`` points on, the sum is Horner's
+    rule in ``z``: one in-place multiply and add per degree on arrays of the
+    shape of ``t``, with no power matrix.  Its
     rounding error is a small multiple of eps sum_j j |coeffs_j|.  With
     ``tails`` it runs on ``(z - 1) sum_k d_k z**k``, which equals
     ``sum_j c_j (z**j - 1)`` because ``z**j - 1 = (z - 1)(1 + z + ... +
@@ -169,7 +182,11 @@ def _power_sum(coeffs, t, tails=None) -> FloatArray:
     ``z**j - 1`` is taken term by term, and one matrix-vector product sums
     them.
     """
-    z = np.exp(1j * t)
+    # the unit phase e^{it} as its parts: numpy's complex exponential gives
+    # exactly these bits, but for the sign of a zero part at t = -0.0
+    z = np.empty(t.shape, dtype=complex)
+    np.cos(t, out=z.real)
+    np.sin(t, out=z.imag)
     if coeffs.size == 0 or t.size < _HORNER_MIN_POINTS:
         powers = np.cumprod(np.repeat(z[..., None], coeffs.size, axis=-1), axis=-1)
         return ((powers if tails is None else powers - 1.0) @ coeffs).real

@@ -140,10 +140,10 @@ class PlanarHamiltonian:
         slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
         and s = 1.  When no point lies past 5 sigma of any bump, s is 0
         everywhere, so the blend is exactly 1 and the slope exactly 0: rho,
-        blend and slope are then returned as None and not computed.  An
-        instance from ``_for_run`` knows that of every point it is given and
-        does not look.  Such an instance also has ``_term_arrays`` of its own,
-        which every call writes into.
+        blend and slope are then returned as None and not computed.  A
+        certified instance from ``_for_run`` knows that of every point it is
+        given and does not look.  Every instance from ``_for_run`` has
+        ``_term_arrays`` of its own, which every call writes into.
         """
         zp = _complex_points(pts)
         offsets, parts, squares, x2, y2, e = (
@@ -203,9 +203,9 @@ class PlanarHamiltonian:
 
     def _for_run(self, pts, steps) -> "PlanarHamiltonian":
         """This Hamiltonian for an ``advect`` run from the (M, 2) ``pts`` over
-        the step lengths ``steps``: a copy that skips the per-call 5 sigma
-        check when no point the run evaluates can pass 5 sigma of any bump,
-        else itself.
+        the step lengths ``steps``: a copy that evaluates only (M, 2) points,
+        and that skips the per-call 5 sigma check when no point the run
+        evaluates can pass 5 sigma of any bump.
 
         Every stage point, midpoint iterate and step end lies within dt V of
         its step's start, so within T V of ``pts`` for T = sum(steps), up to
@@ -214,24 +214,24 @@ class PlanarHamiltonian:
         of ``pts`` plus T V plus that rounding is at most 5 sigma (1 - 1e-9);
         the relative 1e-9 covers the rounding of this test and of the exponent
         the per-call check compares.  That check would then take the Gaussian
-        path at every call of the run, so the run's bits are the same.
+        path at every call of the run, so the run's bits are the same; only a
+        certified copy sets ``_inside_cutoff``.
 
-        The copy evaluates only (M, 2) points.  It holds the exponent scale and
-        -A / sigma^2 as (B, M, 1) arrays, so that ``_terms`` and ``gradient``
-        multiply arrays of one shape; the ``_term_arrays`` that ``_terms``
-        writes into, so that a call allocates none of them; and the largest
-        coordinate plus T V plus that rounding, with the same relative slack and
-        at least 1, as its ``_coordinate_bound``.
+        Certified or not, the copy holds the exponent scale and -A / sigma^2 as
+        (B, M, 1) arrays, so that ``_terms`` and ``gradient`` multiply arrays
+        of one shape; the ``_term_arrays`` that ``_terms`` writes into, so
+        that a call allocates none of them; and the largest coordinate plus
+        T V plus that rounding, with the same relative slack and at least 1,
+        as its ``_coordinate_bound``: V bounds the gradient everywhere, so
+        this bounds every run.
         """
         travel = sum(steps) * self._speed_bound
         largest = np.abs(pts).max() + travel
         rounding = 2.0 * (len(steps) + 1) * np.finfo(float).eps * largest
         reach = np.abs(_complex_points(pts) - self._zc).max(axis=(1, 2)) + (travel + rounding)
-        # a NaN fails <=, so it keeps the check
-        if not np.all(reach <= self._cutoff_radius * (1.0 - 1e-9)):
-            return self
         run = copy.copy(self)
-        run._inside_cutoff = True
+        # a NaN fails <=, so it keeps the check
+        run._inside_cutoff = bool(np.all(reach <= self._cutoff_radius * (1.0 - 1e-9)))
         m = len(pts)
         run._exponent_scale = np.repeat(self._exponent_scale, m, axis=1)
         run._neg_amp_inv_sigma2 = np.repeat(self._neg_amp_inv_sigma2, m, axis=1)
@@ -445,7 +445,8 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
                 f"where L = sum |A| / sigma^2 = {bound:.3e} bounds the field's Jacobian; "
                 f"take dt <= {_STEP_LIMIT / bound:.3e}")
     # decided once: a run that stays within 5 sigma of every bump skips the
-    # per-call cutoff check; a subclass, which may change the field, keeps it
+    # per-call cutoff check, and every run has its own arrays; a subclass,
+    # which may change the field, keeps the check and makes its arrays per call
     h_run = h._for_run(pts, steps) if type(h) is PlanarHamiltonian else h
     # ``pts`` is the run's own copy of the samples, and its start array
     work = _Work(h_run, pts.shape)

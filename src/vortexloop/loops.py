@@ -420,9 +420,13 @@ def _intertwining_residual(model: CircleForm, target: CircleForm, psi: CircleDif
     """Peak-to-peak of ``target.antiderivative(psi(t)) - model.antiderivative(t)``
     at the midpoints of ``psi``'s grid cells, in vorticity units.  ``psi`` pushes
     the model density onto the target's exactly when that difference is
-    constant; the midpoints lie between the nodes the transport solved at."""
-    t = psi.grid + np.pi / psi.size
-    return float(np.ptp(target.antiderivative(psi(t)) - model.antiderivative(t)))
+    constant; the midpoints lie between the nodes the transport solved at.
+    Midpoint j lies in cell j of ``psi``'s grid, below 2 pi, so ``psi`` is
+    evaluated there cell by cell, bit for bit ``psi(t)``."""
+    grid = psi.grid
+    t = grid + np.pi / psi.size
+    image = t + psi._displacement._in_cells((t - grid)[:, None])[:, 0]
+    return float(np.ptp(target.antiderivative(image) - model.antiderivative(t)))
 
 
 def pushforward_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -> CircleForm:

@@ -92,6 +92,15 @@ class PeriodicCubic:
         _, _, x, coeffs = self._locate(np.asarray(t, dtype=float))
         return self._cubic(x, coeffs, nu)
 
+    def _in_cells(self, x, nu: int = 0):
+        """Value (``nu=0``) or first derivative (``nu=1``) of each cell j at the
+        offsets ``x[j]`` from its knot, for ``x`` of shape (N, q): shape (N, q)
+        plus the rows' shape.  At ``x[j] = t - knots[j]`` for points ``t`` of
+        cell j that need no wrap, these are ``self(t, nu)`` bit for bit, with
+        no wrap, search or gather."""
+        x = x.reshape(x.shape + (1,) * (self._coeffs.ndim - 2))
+        return self._cubic(x, self._coeffs[:, :, None], nu)
+
     def _on_uniform_grid(self, n: int, nu: int = 0):
         """``self(uniform_grid(n), nu)``, bit for bit.
 
@@ -99,17 +108,15 @@ class PeriodicCubic:
         of the grid lies in cell j, and point ``j q`` is knot j exactly:
         scaling by a power of two is exact, so ``uniform_grid(n)[j q]`` and
         ``knots[j]`` round alike.  Each cell is then evaluated at its row of
-        an (N, q) array of offsets from its knot, with no wrap, search or
-        gather.  Any other n goes through ``__call__``: there a grid point
-        can round to just below its knot, into the cell before.
+        an (N, q) array of offsets from its knot (``_in_cells``).  Any other
+        n goes through ``__call__``: there a grid point can round to just
+        below its knot, into the cell before.
         """
         nodes = self.knots.size
         q, rest = divmod(n, nodes)
         if rest or q & (q - 1):
             return self(uniform_grid(n), nu)
-        x = uniform_grid(n).reshape(nodes, q) - self.knots[:, None]
-        x = x.reshape(x.shape + (1,) * (self._coeffs.ndim - 2))
-        out = self._cubic(x, self._coeffs[:, :, None], nu)
+        out = self._in_cells(uniform_grid(n).reshape(nodes, q) - self.knots[:, None], nu)
         return out.reshape((n,) + out.shape[2:])
 
     def antiderivative(self, t):

@@ -10,7 +10,9 @@ kernel in its dense form, which evaluates the blend at every pair, the
 RK4 and implicit-midpoint steps in plain real arithmetic on that kernel,
 the spline area by a Gauss rule on every cell of the spline, and the trig
 grid evaluator in its plain form, which pads, folds and indexes the whole
-coefficient vector, and the flow emitters' formatting one number at a time.
+coefficient vector, the power sum of a trig series on the complex
+exponential e^{it}, the inverse Hermite start with both of its fallbacks
+formed at every cell, and the flow emitters' formatting one number at a time.
 Two
 fixtures that only tests use live here too: a density with a nearly
 degenerate zero and a dictionary of single-bump Hamiltonians.
@@ -20,7 +22,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from vortexloop.circle_forms import CircleForm
+from vortexloop.circle_forms import _HORNER_MIN_POINTS, CircleForm
 from vortexloop.errors import StepRejected
 from vortexloop.flow import PlanarHamiltonian
 from vortexloop.loops import _spline_area
@@ -94,6 +96,47 @@ def reference_trig_grid(form, n, order=0):
     half = np.arange(n // 2 + 1)
     spectrum = 0.5 * (bins[half] + np.conj(bins[-half % n]))
     return np.fft.irfft(spectrum, n, norm="forward")
+
+
+def reference_power_sum(coeffs, t, tails=None):
+    """``circle_forms._power_sum`` with its unit phase as ``np.exp(1j * t)``:
+    a power matrix below ``_HORNER_MIN_POINTS`` points, else Horner's rule,
+    on ``(z - 1) sum_k tails_k z**k`` when ``tails`` are given."""
+    z = np.exp(1j * t)
+    if coeffs.size == 0 or t.size < _HORNER_MIN_POINTS:
+        powers = np.cumprod(np.repeat(z[..., None], coeffs.size, axis=-1), axis=-1)
+        return ((powers if tails is None else powers - 1.0) @ coeffs).real
+    terms = coeffs if tails is None else tails
+    acc = np.full(t.shape, terms[-1])
+    for c in terms[-2::-1]:
+        acc *= z
+        acc += c
+    if tails is None:
+        acc *= z
+        return acc.real
+    sin_half = np.sin(0.5 * t)
+    return -2.0 * sin_half * sin_half * acc.real - z.imag * acc.imag
+
+
+def reference_inverse_hermite(y, y0, y1, t0, t1, d0, d1):
+    """``circle_forms._inverse_hermite`` with its square-root and linear
+    fallbacks formed at every cell, then chosen cell by cell: the cubic
+    Hermite start of the inverse where it lies in its cell, else the
+    square-root form where that does, else the linear interpolant."""
+    dy, dt = y1 - y0, t1 - t0
+    u = np.clip(np.divide(y - y0, dy, out=np.full_like(dy, 0.5), where=dy > 0.0), 0.0, 1.0)
+    linear = t0 + u * dt
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a, b = dy / d0 - dt, dy / d1 - dt
+        cubic = linear + u * (1.0 - u) * (a * (1.0 - u) - b * u)
+        flat0 = d0 < d1
+        root = np.sqrt(np.where(flat0, u, 1.0 - u))
+        p = 2.0 * dy / (np.where(flat0, d1, d0) * dt)
+        reach = dt * (root + (p - 1.0) * (root * root - root))
+        sqrt_form = np.where(flat0, t0 + reach, t1 - reach)
+    inside = lambda start: (start >= t0) & (start <= t1)
+    return np.where(inside(cubic), cubic,
+                    np.where(inside(sqrt_form), sqrt_form, linear))
 
 
 def brute_polyline_is_simple(samples):

@@ -9,6 +9,8 @@ from conftest import (
     oracle_integral,
     oracle_profile,
     oracle_zeros,
+    reference_inverse_hermite,
+    reference_power_sum,
     reference_trig_grid,
 )
 from vortexloop import circle_forms
@@ -170,6 +172,124 @@ def test_power_sum_matches_long_double_oracle(degree, points):
             # where Horner on z**j less sum_j c_j would keep an error of order eps
             bound = bound * np.abs(2.0 * np.sin(t / 2))
         assert np.all(err <= bound), float(np.max(err / bound))
+
+
+@pytest.mark.parametrize("points", [120, _HORNER_MIN_POINTS - 1, _HORNER_MIN_POINTS, 4096])
+@pytest.mark.parametrize("degree", [1, 3, 25, 100])
+def test_power_sum_is_the_complex_exponential_route_bit_for_bit(degree, points):
+    # the unit phase is cos t + i sin t, which numpy's exp(1j * t) equals to the
+    # bit, but at t = -0.0: there 1j * t is -0.0 + 0.0j, whose exponential has
+    # the imaginary part +0.0, where sin(-0.0) is -0.0.  A sum at -0.0 may then
+    # be a zero of the other sign, so it is compared by value
+    rng = np.random.default_rng(100 * degree + points)
+    form = CircleForm.trig(rng.normal(), rng.normal(size=degree), rng.normal(size=degree))
+    special = np.concatenate([[0.0, 1e8, -1e8, 5e-324, -5e-324, 2.5e-310],
+                              0.5 * np.pi * np.arange(-8, 9), [-0.0]])
+    t = rng.uniform(-4.0 * np.pi, 4.0 * np.pi, points)
+    t[:special.size] = special
+    negative_zero = (t == 0.0) & np.signbit(t)
+    assert negative_zero.sum() == 1
+    for coeffs, tails in [(form._coeffs, None), (form._dcoeffs, None),
+                          (form._icoeffs, form._itails)]:
+        got = _power_sum(coeffs, t, tails)
+        want = reference_power_sum(coeffs, t, tails)
+        assert got.view(np.uint64)[~negative_zero].tolist() == (
+            want.view(np.uint64)[~negative_zero].tolist())
+        assert got[negative_zero] == want[negative_zero]
+        # and on points of any shape, a single one included
+        plain = np.where(negative_zero, 0.0, t)
+        for shaped in (plain[:points // 2 * 2].reshape(2, -1), plain[points // 3]):
+            assert_same_bits(_power_sum(coeffs, shaped, tails),
+                             reference_power_sum(coeffs, shaped, tails))
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def _parabola_cells(rng, size):
+    """Cells of F(t) = (t - z)^2 on [z, z + h] or -(t - z)^2 + h^2 on [z - h, z]
+    rising to a zero of F' at z: a segment that ends at a zero of the density."""
+    z = rng.uniform(0.0, TWO_PI, size)
+    h = rng.uniform(1e-3, 0.1, size)
+    left = rng.random(size) < 0.5
+    t0, t1 = np.where(left, z, z - h), np.where(left, z + h, z)
+    y0, y1 = np.where(left, 0.0, -h * h), np.where(left, h * h, 0.0)
+    d0, d1 = np.where(left, 0.0, 2.0 * h), np.where(left, 2.0 * h, 0.0)
+    y = y0 + rng.uniform(0.0, 1.0, size) * (y1 - y0)
+    return y, y0, y1, t0, t1, d0, d1
+
+
+def test_inverse_hermite_is_the_three_way_formula_bit_for_bit():
+    rng = np.random.default_rng(44)
+    size = 512
+    # cells of a smooth rising F, whose cubic start stays inside
+    t0 = np.sort(rng.uniform(0.0, TWO_PI, size))
+    t1 = t0 + rng.uniform(1e-3, 0.1, size)
+    y0 = rng.normal(size=size)
+    d0, d1 = rng.uniform(0.5, 2.0, size), rng.uniform(0.5, 2.0, size)
+    y1 = y0 + (t1 - t0) * 0.5 * (d0 + d1)
+    y = y0 + rng.uniform(-0.1, 1.1, size) * (y1 - y0)
+    smooth = y, y0, y1, t0, t1, d0, d1
+    parabola = _parabola_cells(rng, size)
+    # end slopes 0 and inf, in every pairing, a flat cell (dy == 0), and a
+    # slope of 1e-20 beside a zero, whose square-root form leaves the cell too
+    odd = [np.array(v, dtype=float) for v in zip(*[
+        (0.3, 0.0, 1.0, 2.0, 2.5, 0.0, np.inf),
+        (0.3, 0.0, 1.0, 2.0, 2.5, np.inf, 0.0),
+        (0.3, 0.0, 1.0, 2.0, 2.5, 0.0, 0.0),
+        (0.3, 0.0, 1.0, 2.0, 2.5, np.inf, np.inf),
+        (0.3, 0.0, 1.0, 2.0, 2.5, 0.0, 1e-20),
+        (0.3, 0.0, 1.0, 2.0, 2.5, 1e-20, 0.0),
+        (0.5, 0.5, 0.5, 1.0, 1.1, 1.0, 1.0),
+        (0.5, 0.5, 0.5, 1.0, 1.1, 0.0, 0.0),
+        (0.5, 0.5, 0.5, 1.0, 1.1, 0.0, 2.0),
+        (0.0, 0.0, 1.0, 1.0, 1.1, 30.0, 1.0),
+        (1.0, 0.0, 1.0, 1.0, 1.1, 1.0, 30.0),
+    ])]
+    cases = {"smooth": smooth, "parabola": parabola, "odd": odd,
+             "mixed": [np.concatenate(v) for v in zip(smooth, parabola, odd)]}
+    for name, cells in cases.items():
+        got = circle_forms._inverse_hermite(*cells)
+        assert_same_bits(got, reference_inverse_hermite(*cells))
+        assert np.all((got >= cells[3]) & (got <= cells[4])), name
+    # every parabola cell takes the square-root form, exact there up to rounding
+    y, y0, y1, t0, t1, d0, _ = parabola
+    left = d0 == 0.0
+    root = np.sqrt(np.abs(y - np.where(left, y0, y1)))
+    exact = np.where(left, t0 + root, t1 - root)
+    assert np.max(np.abs(circle_forms._inverse_hermite(*parabola) - exact)) < 1e-15
+    # and the cells beside a slope of 1e-20 take the linear interpolant
+    linear = odd[3] + 0.3 * (odd[4] - odd[3])
+    assert_same_bits(circle_forms._inverse_hermite(*odd)[4:6], linear[4:6])
+
+
+@pytest.mark.parametrize("degree", [3, 25])
+def test_inversions_start_at_the_three_way_formula(monkeypatch, degree):
+    # the starts of a batched inversion, whose segments end at zeros of the
+    # density, and of a circle map's inverse
+    starts, inverse_hermite = [], circle_forms._inverse_hermite
+
+    def spy(*cells):
+        starts.append(inverse_hermite(*cells))
+        assert_same_bits(starts[-1], reference_inverse_hermite(*cells))
+        return starts[-1]
+
+    monkeypatch.setattr(circle_forms, "_inverse_hermite", spy)
+    rng = np.random.default_rng(degree)
+    form = random_morse_form(rng, degree)
+    zs = find_zeros(form)
+    omegas = partial_vorticities(form, zs).omegas
+    seg = np.sort(rng.integers(zs.k, size=4096))
+    ext = np.append(zs.zeros, zs.zeros[0] + TWO_PI)
+    _invert_batch(form, zs.zeros, np.diff(ext), omegas,
+                  rng.uniform(0.0, 1.0, seg.size) * omegas[seg], seg)
+    gamma = random_monotone_diffeo(rng)
+    grid = uniform_grid(4096)
+    CircleDiffeo(gamma(grid), gamma.derivative(grid)).inverse()
+    assert len(starts) == 2
 
 
 def test_derivative_matches_central_differences():

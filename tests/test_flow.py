@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from vortexloop import loops, samples
+from vortexloop import flow, loops, samples
 from vortexloop.circle_forms import TWO_PI
 from vortexloop.errors import MorseViolation, StepRejected, ValidationFailed, VortexLoopError
 from vortexloop.flow import (
@@ -644,7 +644,8 @@ def test_a_run_is_certified_only_within_five_sigma_less_its_travel(travel, certi
     pts = np.array([1.0, -1.0]) + 1.5 * np.column_stack([np.cos(angle), np.sin(angle)])
     steps = [2.0 * travel / 8] * 8
     run = h._for_run(pts, steps)
-    assert (run is not h) == certified
+    # certified or not, the run gets a copy with tables of its own
+    assert run is not h and run._arrays is not None and h._arrays is None
     assert run._inside_cutoff == certified and not h._inside_cutoff
     assert run.bumps is h.bumps
 
@@ -660,8 +661,8 @@ def test_a_run_that_could_reach_the_band_keeps_the_check(scheme):
     start = loop.embedding.samples
     steps = _step_schedule(0.5, 1e-2)
     assert np.max(_rho(start, bumps)) < 5.0 and 5.0 < np.max(_rho(start, bumps)) + 0.5 * 1.5 / 0.3
-    assert h._for_run(start, steps) is h
-    assert h._for_run(start, steps[:10]) is not h
+    assert not h._for_run(start, steps)._inside_cutoff
+    assert h._for_run(start, steps[:10])._inside_cutoff
     seen = []
     report = advect(loop, h, 0.5, 1e-2, scheme, observer=lambda i, t, pts: seen.append(pts))
     stepper = {"rk4": reference_rk4_step, "implicit-midpoint": reference_midpoint_step}[scheme]
@@ -672,11 +673,63 @@ def test_a_run_that_could_reach_the_band_keeps_the_check(scheme):
     assert np.float64(report.max_local_error).tobytes() == np.float64(max_est).tobytes()
 
 
+@pytest.mark.parametrize("centre", [(0.0, 0.0), (1.0, 0.0)])
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+def test_an_uncertified_run_builds_its_tables_once_with_the_same_bits(scheme, centre,
+                                                                      monkeypatch):
+    # a bump at the circle's centre that the run could leave, and one on the
+    # circle whose samples lie within 5 sigma, in the band and beyond 6 sigma
+    bumps = [PlanarBump(centre, 0.3, 0.45)]
+    h = PlanarHamiltonian(bumps)
+    loop = circle_loop(n=128)
+    start = loop.embedding.samples
+    if centre != (0.0, 0.0):
+        assert np.min(_rho(start, bumps)) < 5.0 < 6.0 < np.max(_rho(start, bumps))
+    assert not h._for_run(start, _step_schedule(0.5, 1e-2))._inside_cutoff
+
+    def run():
+        seen = []
+        report = advect(loop, h, 0.5, 1e-2, scheme, observer=lambda i, t, pts: seen.append(pts))
+        return seen, report
+
+    made = {"field": 0, "other": 0}
+    in_field = []
+    term_arrays, gradient = flow._term_arrays, PlanarHamiltonian.gradient
+
+    def counted(b, m):
+        made["field" if in_field else "other"] += 1
+        return term_arrays(b, m)
+
+    def spy(self, points, out=None):
+        in_field.append(True)
+        try:
+            return gradient(self, points, out)
+        finally:
+            in_field.pop()
+
+    monkeypatch.setattr(flow, "_term_arrays", counted)
+    monkeypatch.setattr(PlanarHamiltonian, "gradient", spy)
+    copied, copied_report = run()
+    # no field call builds tables: the run's copy, and the momentum at the start
+    # and the end on the plain instance, build one set each
+    assert made == {"field": 0, "other": 3}
+    # the route of an uncertified run before it had a copy: the plain instance
+    monkeypatch.setattr(PlanarHamiltonian, "_for_run", lambda self, pts, steps: self)
+    plain, plain_report = run()
+    assert made["field"] >= 4 * 50 + 1
+    assert len(copied) == len(plain) == 51
+    for got, want in zip(copied, plain, strict=True):
+        assert_same_bits(got, want)
+    for key in ("area_drift", "profile_drift", "hamiltonian_drift", "max_local_error"):
+        assert_same_bits(np.float64(getattr(copied_report, key)),
+                         np.float64(getattr(plain_report, key)))
+
+
 @pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
 def test_a_certified_run_is_the_checked_run_byte_for_byte(scheme, monkeypatch):
     loop, counting = _random_case(seed=35)
     h = PlanarHamiltonian(counting.bumps)
-    assert h._for_run(loop.embedding.samples, _step_schedule(0.05, 1e-3)) is not h
+    assert h._for_run(loop.embedding.samples, _step_schedule(0.05, 1e-3))._inside_cutoff
 
     def run():
         seen = []
@@ -788,7 +841,7 @@ def test_a_large_run_is_the_real_arithmetic_steps_bit_for_bit(scheme):
     start = loop.embedding.samples
     steps = _step_schedule(0.0035, 1e-3)
     assert len(steps) == 4 and steps[-1] < 1e-3
-    assert h._for_run(start, steps) is not h
+    assert h._for_run(start, steps)._inside_cutoff
     seen = []
     report = advect(loop, h, 0.0035, 1e-3, scheme, observer=lambda i, t, pts: seen.append(pts))
     stepper = {"rk4": reference_rk4_step, "implicit-midpoint": reference_midpoint_step}[scheme]

@@ -759,6 +759,29 @@ def test_intertwiner_recovers_reparametrization():
     assert loops._intertwining_residual(model, target_form, psi) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("size", [1024, 4096])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_intertwining_residual_is_the_map_at_its_midpoints_bit_for_bit(seed, size):
+    # psi evaluated cell by cell at its cell midpoints, against psi(t), which
+    # wraps, searches and gathers: on an intertwiner and on a map from bare
+    # samples that start a turn on
+    rng = np.random.default_rng(seed)
+    model = samples.random_morse_form(rng)
+    gamma = samples.random_monotone_diffeo(rng)
+    target_form = samples.pullback_through(gamma, model)
+    model_loop = DecoratedLoop(LoopEmbedding.circle(), model)
+    target_loop = DecoratedLoop(LoopEmbedding.circle(), target_form)
+    shifts = circular_match(model_loop.profile, target_loop.profile)
+    assert shifts
+    grid = uniform_grid(size)
+    for psi in (intertwiner(model_loop, target_loop, shifts[0], grid_size=size),
+                loops.CircleDiffeo(gamma.inverse_eval(grid) + TWO_PI)):
+        t = psi.grid + np.pi / psi.size
+        want = float(np.ptp(target_form.antiderivative(psi(t)) - model.antiderivative(t)))
+        got = loops._intertwining_residual(model, target_form, psi)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
 def test_analytic_inverse_raises_when_newton_does_not_converge():
     gamma = samples.random_monotone_diffeo(np.random.default_rng(5))
     s = np.linspace(-20.0, 20.0, 401)

@@ -44,8 +44,13 @@ kernels are:
   4096 targets rising along the 2 segments of a degree-25 density: the median
   zero count and degree of the ``intertwine`` targets at seeds 1-3, and the
   order in which ``_transport`` passes the targets of a grid;
+- ``circle_forms._inverse_hermite`` per call on the arguments with which the
+  degree-25 ``_invert_batch`` above starts its 4096 targets;
 - ``CircleDiffeo.inverse`` per call on a 4096-node map with exact nodal slopes,
   the size of the intertwiner's grid;
+- ``loops._intertwining_residual`` per call on an intertwiner of 4096 samples
+  from a random Morse density onto its pullback through a random circle map,
+  as ``cli intertwine`` checks its answer;
 - ``circle_forms._power_sum`` per call on the coefficients of a trig density
   of degree 3, 25 and 100 at 120 and 4096 off-grid points (``POWER_SUM_POINTS``):
   a Newton pass of ``find_zeros`` and one of the intertwiner's inversion;
@@ -309,7 +314,32 @@ def _kernels(vl, folder):
     form = cf.CircleForm.from_function(
         lambda t: np.sin(t - phi) * (1.0 + np.cos(np.outer(t, j)) @ q[0]
                                      + np.sin(np.outer(t, j)) @ q[1]), degree=25)
-    add("invert_batch.deg25.k2", *invert_batch(form, k2_rng, rising=True))
+    k2_batch = invert_batch(form, k2_rng, rising=True)
+    add("invert_batch.deg25.k2", *k2_batch)
+    # the starts of that batch: the arguments of its one ``_inverse_hermite`` call
+    starts, inverse_hermite = [], cf._inverse_hermite
+
+    def kept(*cells):
+        starts.append(cells)
+        return inverse_hermite(*cells)
+
+    cf._inverse_hermite = kept
+    try:
+        k2_batch[0](*k2_batch[1:])
+    finally:
+        cf._inverse_hermite = inverse_hermite
+    add("inverse_hermite.deg25.k2", inverse_hermite, *starts[0])
+    # a generator of its own: a Morse density onto its pullback, 4096 map samples
+    residual_rng = np.random.default_rng(SEED)
+    model = samples.random_morse_form(residual_rng)
+    gamma = samples.random_monotone_diffeo(residual_rng)
+    target = samples.pullback_through(gamma, model)
+    model_loop = loops.DecoratedLoop(loops.LoopEmbedding.circle(), model)
+    target_loop = loops.DecoratedLoop(loops.LoopEmbedding.circle(), target)
+    psi = loops.intertwiner(model_loop, target_loop,
+                            cf.circular_match(model_loop.profile, target_loop.profile)[0],
+                            grid_size=INVERT_SIZE)
+    add(f"intertwining_residual.n{INVERT_SIZE}", loops._intertwining_residual, model, target, psi)
 
     # a generator of their own, so these inputs do not depend on the draws above
     sum_rng = np.random.default_rng(SEED)
