@@ -14,10 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_forms import FloatArray
-from .errors import StepRejected, ValidationFailed, VortexLoopError
+from .errors import OutOfRange, StepRejected, ValidationFailed, VortexLoopError
 from .loops import (
     DecoratedLoop,
     LoopEmbedding,
+    _columns,
     _perp,
     _polyline_is_simple,
     _turned,
@@ -82,13 +83,14 @@ class PlanarHamiltonian:
     """
 
     # whether every point this instance is given is known to lie within 5
-    # sigma of every bump, so that ``_terms`` need not look; see ``_for_run``
+    # sigma of every bump, so that ``_terms`` need not look and ``gradient``
+    # takes the Gaussian arithmetic alone; see ``_for_run``
     _inside_cutoff = False
     # a bound on every coordinate of every point this instance is given, at
     # least 1; see ``_for_run``
     _coordinate_bound = np.inf
-    # the ``_term_arrays`` that ``_terms`` writes into: None, so that each call
-    # makes its own, except on a copy from ``_for_run``
+    # the ``_term_arrays`` that ``_exponents`` writes into: None, so that each
+    # call makes its own, except on a copy from ``_for_run``
     _arrays = None
 
     def __init__(self, bumps):
@@ -100,26 +102,40 @@ class PlanarHamiltonian:
         sigmas = np.array([b.sigma for b in self._bumps], dtype=float)
         amplitudes = np.array([b.amplitude for b in self._bumps], dtype=float)
         self._amplitudes = amplitudes[:, None, None]
-        inv_sigma2 = 1.0 / sigmas**2
-        self._exponent_scale = (-0.5 * inv_sigma2)[:, None, None]
-        self._amp_inv_sigma2 = self._amplitudes * inv_sigma2[:, None, None]
+        # computed quietly: a bump whose |A| / sigma or |A| / sigma^2 is not a
+        # double is refused below, and a sum of finite terms that overflows is
+        # refused by ``advect``'s step condition
+        with np.errstate(all="ignore"):
+            inv_sigma2 = 1.0 / sigmas**2
+            speeds = np.abs(amplitudes) / sigmas
+            slopes = np.abs(amplitudes) * inv_sigma2
+            self._exponent_scale = (-0.5 * inv_sigma2)[:, None, None]
+            self._amp_inv_sigma2 = self._amplitudes * inv_sigma2[:, None, None]
+            self._cutoff_radius = _CUTOFF_START * sigmas
+            # V = sum |A| / sigma >= sup |grad h|.  In units of |A| / sigma a bump's
+            # gradient is rho exp(-rho^2 / 2) <= e^(-1/2) within 5 sigma, at most
+            # e^(-12.5) (1.875 + 6) in the 5-6 sigma band (|slope| <= 1.875, blend
+            # <= 1, rho <= 6) and 0 beyond; the slack up to 1 covers the rounding
+            # of the computed field
+            self._speed_bound = float(np.sum(speeds))
+            # L = sum |A| / sigma^2 >= sup |DX_h|, the norm of the Hessian of h.  In
+            # units of |A| / sigma^2 a bump's Hessian has the eigenvalues
+            # (rho^2 - 1) exp(-rho^2 / 2) and -exp(-rho^2 / 2), at most 1 in size
+            # within 5 sigma.  In the 5-6 sigma band, with g = exp(-rho^2 / 2) <=
+            # e^(-12.5) and the blend b (|b| <= 1, |b'| <= 1.875, |b''| <= 10 / sqrt 3
+            # in rho), they are (gb)'' = (rho^2 - 1) g b - 2 rho g b' + g b'' and
+            # (gb)' / rho, at most e^(-12.5) (35 + 22.5 + 5.8) and e^(-12.5) 7.9 / 5,
+            # both below 2.4e-4; beyond it they are 0
+            self._jacobian_bound = float(np.sum(slopes))
+        # |A| (1 / sigma^2) is finite only where 1 / sigma^2 is, so every
+        # constant of a bump that passes is finite
+        bad = np.flatnonzero(~(np.isfinite(speeds) & np.isfinite(slopes)))
+        if bad.size:
+            i = bad[0]
+            raise OutOfRange(
+                f"bump {i}: |A| / sigma or |A| / sigma^2 is beyond the double range "
+                f"(A = {float(amplitudes[i])!r}, sigma = {float(sigmas[i])!r})")
         self._neg_amp_inv_sigma2 = -self._amp_inv_sigma2
-        self._cutoff_radius = _CUTOFF_START * sigmas
-        # V = sum |A| / sigma >= sup |grad h|.  In units of |A| / sigma a bump's
-        # gradient is rho exp(-rho^2 / 2) <= e^(-1/2) within 5 sigma, at most
-        # e^(-12.5) (1.875 + 6) in the 5-6 sigma band (|slope| <= 1.875, blend
-        # <= 1, rho <= 6) and 0 beyond; the slack up to 1 covers the rounding
-        # of the computed field
-        self._speed_bound = float(np.sum(np.abs(amplitudes) / sigmas))
-        # L = sum |A| / sigma^2 >= sup |DX_h|, the norm of the Hessian of h.  In
-        # units of |A| / sigma^2 a bump's Hessian has the eigenvalues
-        # (rho^2 - 1) exp(-rho^2 / 2) and -exp(-rho^2 / 2), at most 1 in size
-        # within 5 sigma.  In the 5-6 sigma band, with g = exp(-rho^2 / 2) <=
-        # e^(-12.5) and the blend b (|b| <= 1, |b'| <= 1.875, |b''| <= 10 / sqrt 3
-        # in rho), they are (gb)'' = (rho^2 - 1) g b - 2 rho g b' + g b'' and
-        # (gb)' / rho, at most e^(-12.5) (35 + 22.5 + 5.8) and e^(-12.5) 7.9 / 5,
-        # both below 2.4e-4; beyond it they are 0
-        self._jacobian_bound = float(np.sum(np.abs(amplitudes) * inv_sigma2))
 
     @property
     def bumps(self) -> tuple[PlanarBump, ...]:
@@ -129,76 +145,101 @@ class PlanarHamiltonian:
     def single(cls, center, sigma: float, amplitude: float) -> "PlanarHamiltonian":
         return cls([PlanarBump((float(center[0]), float(center[1])), float(sigma), float(amplitude))])
 
-    def _terms(self, pts):
-        """Offsets, rho = r/sigma, unit Gaussian exp(-rho^2/2), blend and its slope in rho.
+    def _exponents(self, zp, arrays):
+        """Subtract, square, add and scale: the offsets (x - cx) + i(y - cy) of
+        the (M, 1) complex points ``zp`` from the B bumps, and the exponents
+        -rho^2 / 2 for rho = r / sigma, both of shape (B, M, 1), written into
+        the ``_term_arrays`` ``arrays`` and returned.  A sum over the bumps of
+        the offsets is the (M, 1) complex view of (M, 2) points."""
+        offsets, parts, squares, x2, y2, e = arrays
+        np.subtract(zp, self._zc, offsets)
+        # (x - cx)^2 + (y - cy)^2
+        np.square(parts, squares)
+        np.add(x2, y2, e)
+        np.multiply(e, self._exponent_scale, e)
+        return offsets, e
 
-        The M points of ``pts`` (shape (..., 2)) and the B bumps give complex
-        offsets (x - cx) + i(y - cy) of shape (B, M, 1) and the other four of
-        shape (B, M, 1), so that a sum over the bumps of the offsets is the
-        (M, 1) complex view of (M, 2) points.  With
-        s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5 and its
-        slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at s = 0
-        and s = 1.  When no point lies past 5 sigma of any bump, s is 0
-        everywhere, so the blend is exactly 1 and the slope exactly 0: rho,
-        blend and slope are then returned as None and not computed.  A
-        certified instance from ``_for_run`` knows that of every point it is
-        given and does not look.  Every instance from ``_for_run`` has
-        ``_term_arrays`` of its own, which every call writes into.
+    def _terms(self, pts):
+        """The offsets and exponents ``_exponents`` writes for the M points of
+        ``pts`` (shape (..., 2)), with rho = r / sigma, the blend and its slope
+        in rho between them: (offsets, None or (rho, blend, slope), exponents).
+
+        With s = clip(rho - 5, 0, 1) the blend is 1 - 10 s^3 + 15 s^4 - 6 s^5
+        and its slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at
+        s = 0 and s = 1.  When no point lies past 5 sigma of any bump, s is 0
+        everywhere, so the blend is exactly 1 and the slope exactly 0: none of
+        the three is then computed, and None takes their place.  A certified
+        instance from ``_for_run`` knows that of every point it is given and
+        does not look.  Every instance from ``_for_run`` has ``_term_arrays``
+        of its own, which every call writes into; any other makes them per
+        call.
         """
         zp = _complex_points(pts)
-        offsets, parts, squares, x2, y2, e = (
-            self._arrays or _term_arrays(len(self._bumps), len(zp)))
-        d = np.subtract(zp, self._zc, out=offsets)
-        # (x - cx)^2 + (y - cy)^2
-        np.square(parts, out=squares)
-        np.add(x2, y2, out=e)
-        e *= self._exponent_scale
-        # a NaN fails >=, so it takes the dense path below
+        d, e = self._exponents(zp, self._arrays or _term_arrays(len(self._bumps), len(zp)))
+        # a NaN fails >=, so it takes the blend
         if (self._inside_cutoff or e.size == 0
                 or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT):
-            return d, None, np.exp(e, out=e), None, None
+            return d, None, e
         # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
         rho = np.sqrt(e * -2.0)
         s = np.minimum(np.maximum(rho - _CUTOFF_START, 0.0), 1.0)
         s2 = s * s
         blend = ((s * -6.0 + 15.0) * s - 10.0) * s2 * s + 1.0
         slope = ((s * -30.0 + 60.0) * s - 30.0) * s2
-        return d, rho, np.exp(e, out=e), blend, slope
+        return d, (rho, blend, slope), e
 
     def __call__(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
-        _, _, gauss, blend, _ = self._terms(pts)
-        weight = gauss if blend is None else gauss * blend
+        _, band, e = self._terms(pts)
+        gauss = np.exp(e, out=e)
+        weight = gauss if band is None else gauss * band[1]
         return (weight * self._amplitudes).sum(axis=0).reshape(pts.shape[:-1])
 
     def gradient(self, points, out=None) -> np.ndarray:
         """The gradient at ``points`` (shape (..., 2)), of their shape.  For
         (M, 2) points, ``out``, when given, is a float array of shape (M, 2)
         whose pairs are contiguous: the gradient is written into it, with the
-        same bits, and ``out`` is returned."""
-        pts = np.asarray(points, dtype=float)
-        d, rho, gauss, blend, slope = self._terms(pts)
+        same bits, and ``out`` is returned.
+
+        A certified copy from ``_for_run`` is given only the run's (M, 2)
+        C-contiguous float arrays, and a float ``out`` of their shape when
+        any: it reads their complex view as it is, checks nothing, looks at no
+        cutoff and writes into its own ``_term_arrays``, so a call is the
+        Gaussian arithmetic alone.  Every other instance converts and checks
+        its arguments, and takes the same arithmetic where no point lies past
+        5 sigma of any bump.
+        """
+        if self._inside_cutoff:
+            d, e = self._exponents(points.view(complex), self._arrays)
+            band, shape = None, points.shape
+        else:
+            pts = np.asarray(points, dtype=float)
+            if out is not None and out.dtype != float:
+                raise ValueError("out must be a float array")
+            d, band, e = self._terms(pts)
+            shape = pts.shape
         # grad = A exp(-rho^2/2) (slope / rho - blend) d / sigma^2, summed over the bumps
-        if rho is None:
+        if band is None:
             # blend 1 and slope 0 everywhere.  Every offset is finite here, so the
             # complex product with the real weight, (x w - y 0) + i (x 0 + y w),
             # differs from the two real products at most in the sign of a zero
             # term; the sum over the bumps starts from +0 and ends the same.
-            gauss *= self._neg_amp_inv_sigma2
-            d *= gauss
+            np.exp(e, e)
+            np.multiply(e, self._neg_amp_inv_sigma2, e)
+            np.multiply(d, e, d)
         else:
+            rho, blend, slope = band
             # the slope is 0 below 5 sigma, so the guarded rho keeps the bump centre finite
+            gauss = np.exp(e, out=e)
             weight = gauss * (slope / np.maximum(rho, _CUTOFF_START) - blend) * self._amp_inv_sigma2
             # one part at a time: an infinite offset times the cross term's 0 is NaN
             re, im = d.real, d.imag
             re *= weight
             im *= weight
         if out is None:
-            return np.add.reduce(d).view(float).reshape(pts.shape)
-        if out.dtype != float:
-            raise ValueError("out must be a float array")
+            return np.add.reduce(d).view(float).reshape(shape)
         # its (M, 1) complex view is the sum's shape; a view of another shape fails
-        np.add.reduce(d, out=out.view(complex))
+        np.add.reduce(d, 0, None, out.view(complex))
         return out
 
     def _for_run(self, pts, steps) -> "PlanarHamiltonian":
@@ -218,9 +259,9 @@ class PlanarHamiltonian:
         certified copy sets ``_inside_cutoff``.
 
         Certified or not, the copy holds the exponent scale and -A / sigma^2 as
-        (B, M, 1) arrays, so that ``_terms`` and ``gradient`` multiply arrays
-        of one shape; the ``_term_arrays`` that ``_terms`` writes into, so
-        that a call allocates none of them; and the largest coordinate plus
+        (B, M, 1) arrays, so that ``_exponents`` and ``gradient`` multiply
+        arrays of one shape; the ``_term_arrays`` that ``_exponents`` writes
+        into, so that a call allocates none of them; and the largest coordinate plus
         T V plus that rounding, with the same relative slack and at least 1,
         as its ``_coordinate_bound``: V bounds the gradient everywhere, so
         this bounds every run.
@@ -247,7 +288,8 @@ def hamiltonian_vector_field(h, points) -> np.ndarray:
 
 
 class _Work:
-    """The field and the (M, 2) arrays of one ``advect`` run, allocated once.
+    """The field and the (M, 2) arrays of one ``advect`` run, allocated once,
+    with the views of their parts, made once.
 
     ``field(points, out)`` writes the gradient of ``h`` at the (M, 2)
     ``points`` into ``out`` and returns it: a ``PlanarHamiltonian`` writes it
@@ -258,13 +300,15 @@ class _Work:
     first, RK4 writes its stages 2-4 into the next three (the implicit
     midpoint its iterates' gradients into the second), and the field at the
     step's end goes into the last, which ``advect`` then moves to the front as
-    the next step's start.  ``stage`` holds a stage point or a scaled
-    gradient, ``total`` a sum or a difference, ``estimate`` a step's e and
-    ``end`` its end; the implicit midpoint keeps its first iterate in
-    ``first`` and alternates the later ones between ``iterate`` and ``end``.
+    the next step's start.  The other arrays are ``loops._columns`` triples,
+    the form ``_turned`` reads: ``start`` is the run's start array ``pts``,
+    ``stage`` holds a stage point or a scaled gradient, ``total`` a sum or a
+    difference, ``estimate`` a step's e and ``end`` its end; the implicit
+    midpoint keeps its first iterate in ``first`` and alternates the later
+    ones between ``iterate`` and ``end``.
     """
 
-    def __init__(self, h, shape):
+    def __init__(self, h, pts):
         if type(h) is PlanarHamiltonian:
             self.field = h.gradient
         else:
@@ -273,23 +317,24 @@ class _Work:
                 return out
             self.field = field
         self.coordinate_bound = getattr(h, "_coordinate_bound", np.inf)
-        self.grads = [np.empty(shape) for _ in range(5)]
+        self.grads = [np.empty(pts.shape) for _ in range(5)]
+        self.start = _columns(pts)
         self.stage, self.total, self.estimate, self.end, self.first, self.iterate = (
-            np.empty(shape) for _ in range(6))
+            _columns(np.empty(pts.shape)) for _ in range(6))
 
 
-def _rk4_step(points: FloatArray, g1: FloatArray, dt: float,
-              work: _Work) -> tuple[FloatArray, FloatArray]:
-    """One classical RK4 step of the (M, 2) ``points`` from their gradient ``g1``.
+def _rk4_step(points, g1: FloatArray, dt: float, work: _Work):
+    """One classical RK4 step of the (M, 2) points ``points`` from their gradient ``g1``.
 
     The step is carried on gradients: stage j's field is the quarter turn of
     its gradient gj, so each stage point is the turned update ``loops._turned``
     of the start, and the weighted sum of the four gradients is turned once at
     the end.  Negation and the quarter turn commute exactly with scaling and
     addition, so every bit is that of the same step on the fields.
-    Every array is one of ``work``'s, and ``g1`` none of its slots 2-4.
-    Returns the end point and e = (dt / 6) g4, in ``work.end`` and
-    ``work.estimate``: with g5 the gradient at the end, max|e - (dt / 6) g5| is
+    ``points`` is one of ``work``'s ``_columns`` triples, every array is one
+    of ``work``'s, and ``g1`` none of its slots 2-4.
+    Returns the end point, as the triple ``work.end``, and e = (dt / 6) g4, in
+    ``work.estimate``'s array: with g5 the gradient at the end, max|e - (dt / 6) g5| is
     max|(dt / 6)(k4 - k5)|, the difference of the step from its embedded
     third-order solution, weights (1/6, 1/3, 1/3, 0, 1/6), since a quarter turn
     keeps every |component|.
@@ -301,16 +346,16 @@ def _rk4_step(points: FloatArray, g1: FloatArray, dt: float,
     field(_turned(points, 0.5 * dt, g2, stage, total), g3)
     field(_turned(points, dt, g3, stage, total), g4)
     # g1 + 2 g2 + 2 g3 + g4, added left to right; 2 g3 in the spent stage point
-    np.add(g1, np.multiply(g2, 2.0, out=total), out=total)
-    np.add(total, np.multiply(g3, 2.0, out=stage), out=total)
-    np.add(total, g4, out=total)
-    return (_turned(points, dt / 6.0, total, work.end, stage),
-            np.multiply(g4, dt / 6.0, out=work.estimate))
+    s, t = stage[0], total[0]
+    np.add(g1, np.multiply(g2, 2.0, t), t)
+    np.add(t, np.multiply(g3, 2.0, s), t)
+    np.add(t, g4, t)
+    _turned(points, dt / 6.0, t, work.end, stage)
+    return work.end, np.multiply(g4, dt / 6.0, work.estimate[0])
 
 
-def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
-                   work: _Work) -> tuple[FloatArray, FloatArray]:
-    """Implicit midpoint step of the (M, 2) ``points`` from their gradient
+def _midpoint_step(points, g1: FloatArray, dt: float, work: _Work):
+    """Implicit midpoint step of the (M, 2) points ``points`` from their gradient
     ``g1``, solved by the fixed-point iteration z <- points + dt X((points + z) / 2)
     from the explicit Euler guess points + dt k1, every iterate a turned update.
 
@@ -321,15 +366,22 @@ def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
     decide: a finite update comes from a finite iterate, so one of at most
     1e-14 stops, and one above 1e-14 ``work.coordinate_bound`` (a bound on
     max(1, max|z|) where known, else infinite) does not.
-    Every array is one of ``work``'s, and ``g1`` not its second slot.
-    Returns the end point y1 and e, in ``work.end`` and ``work.estimate``: e is
-    the inverse quarter turn of (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1,
-    the first iterate, is the explicit midpoint step.  With g5 the gradient at
-    the end, max|e - (dt / 6) g5| is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|,
-    a third of the differences of y1 from the explicit midpoint and from the
-    trapezoid step, the leading term of the local error.
+    ``points`` is one of ``work``'s ``_columns`` triples, every array is one
+    of ``work``'s, and ``g1`` not its second slot.
+    Returns the end point y1, as the triple ``work.end``, and e, in
+    ``work.estimate``'s array: e is the inverse quarter turn of
+    (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1, the first iterate, is the
+    explicit midpoint step.  With g5 the gradient at the end,
+    max|e - (dt / 6) g5| is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|, a
+    third of the differences of y1 from the explicit midpoint and from the
+    trapezoid step, the leading term of the local error.  For u = 2 y1 - z1 - y0
+    and k1 the quarter turn of g1, that inverse quarter turn is the turned
+    update -(dt / 2) g1 - perp(u), divided by 3: it differs from the inverse
+    quarter turn of u - (dt / 2) k1 at most in the sign of a zero or a NaN
+    part, which max|e - (dt / 6) g5| does not see.
     """
     field, stage, gradient = work.field, work.stage, work.grads[1]
+    y0, s = points[0], stage[0]
     bound = 1e-14 * work.coordinate_bound
     # ``stage`` holds each turned update's scaled gradient, and spent values
     z = _turned(points, dt, g1, work.end, stage)
@@ -337,21 +389,22 @@ def _midpoint_step(points: FloatArray, g1: FloatArray, dt: float,
     for i in range(_MIDPOINT_ITERATIONS):
         # the next iterate goes into ``first``, then into ``end`` (the Euler
         # guess is spent by then) and ``iterate`` by turns
-        np.multiply(np.add(points, z, out=stage), 0.5, out=stage)
+        np.multiply(np.add(y0, z, s), 0.5, s)
         target = work.first if z1 is None else (work.iterate, work.end)[i % 2]
-        z_next = _turned(points, dt, field(stage, gradient), target, stage)
+        z_next = _turned(points, dt, field(s, gradient), target, stage)
         if z1 is None:
             z1 = z_next
-        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, out=stage), out=stage),
-                                   axis=None)
+        update = np.maximum.reduce(np.abs(np.subtract(z_next, z, s), s), axis=None)
         if update <= 1e-14 or (update <= bound and update <= 1e-14 * max(
-                np.maximum.reduce(np.abs(z, out=stage), axis=None), 1.0)):
-            u = np.subtract(np.multiply(z_next, 2.0, out=work.total), z1, out=work.total)
-            e = _turned(np.subtract(u, points, out=u), -0.5 * dt, g1, stage, work.estimate)
-            _perp(np.divide(e, 3.0, out=e), work.estimate)
-            if z_next is not work.end:
-                np.copyto(work.end, z_next)
-            return work.end, np.negative(work.estimate, out=work.estimate)
+                np.maximum.reduce(np.abs(z, s), axis=None), 1.0)):
+            y1, u = work.end[0], work.total[0]
+            if z_next is not y1:
+                np.copyto(y1, z_next)
+            np.subtract(np.subtract(np.multiply(y1, 2.0, u), z1, u), y0, u)
+            # -(dt / 2) g1 - perp(u), scaled through ``iterate``, which is spent
+            np.multiply(g1, -0.5 * dt, s)
+            e = _turned(stage, -1.0, u, work.estimate, work.iterate)
+            return work.end, np.divide(e, 3.0, e)
         z = z_next
     raise StepRejected(
         f"implicit midpoint solve did not converge in {_MIDPOINT_ITERATIONS} "
@@ -404,7 +457,8 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     For a ``PlanarHamiltonian``, a run whose longest step dt has dt L above
     ``_STEP_LIMIT`` (2 sqrt 2), for L = sum |A| / sigma^2 >= sup |DX_h|, raises
     StepRejected before its first step: its first stage can carry points past
-    the bumps, where the field and so the estimate below read 0.
+    the bumps, where the field and so the estimate below read 0.  So does a
+    run whose L or V = sum |A| / sigma overflows.
     Each step is taken once, by the scheme's stepper, and carries an embedded
     "first same as last" error estimate max|e - (dt / 6) g5|: g5 is the
     gradient at the step's end, which the next step starts from, and e is the
@@ -439,6 +493,13 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     steps = _step_schedule(duration, dt)
     if isinstance(h, PlanarHamiltonian) and steps:
         bound = h._jacobian_bound
+        # finite terms whose sum is not: no step can be advised
+        if not bound < np.inf:
+            raise StepRejected("step condition: L = sum |A| / sigma^2, which bounds the "
+                               "field's Jacobian, overflows")
+        if not h._speed_bound < np.inf:
+            raise StepRejected("step condition: V = sum |A| / sigma, which bounds the "
+                               "field, overflows")
         if not max(steps) * bound <= _STEP_LIMIT:
             raise StepRejected(
                 f"step condition: dt L = {max(steps) * bound:.3e} exceeds {_STEP_LIMIT:.4f}, "
@@ -448,31 +509,35 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     # per-call cutoff check, and every run has its own arrays; a subclass,
     # which may change the field, keeps the check and makes its arrays per call
     h_run = h._for_run(pts, steps) if type(h) is PlanarHamiltonian else h
-    # ``pts`` is the run's own copy of the samples, and its start array
-    work = _Work(h_run, pts.shape)
+    # ``pts`` is the run's own copy of the samples, and its start array; from
+    # here on ``points`` is the ``_columns`` triple of the current points
+    work = _Work(h_run, pts)
+    points, total = work.start, work.total[0]
     elapsed = 0.0
     if observer is not None:
         observer(0, 0.0, pts.copy())
     g = work.field(pts, work.grads[0])
     for i, step_dt in enumerate(steps):
-        end, e = stepper(pts, g, step_dt, work)
-        g = work.field(end, work.grads[4])
+        end, e = stepper(points, g, step_dt, work)
+        g = work.field(end[0], work.grads[4])
         # max|e - (dt / 6) g5|
-        gap = np.subtract(e, np.multiply(g, step_dt / 6.0, out=work.total), out=work.total)
-        est = float(np.maximum.reduce(np.abs(gap, out=gap), axis=None))
+        gap = np.subtract(e, np.multiply(g, step_dt / 6.0, total), total)
+        est = float(np.maximum.reduce(np.abs(gap, gap), axis=None))
         if not est <= _ERROR_LIMIT:
             raise StepRejected(
                 f"step {i}: local error estimate {est:.3e} exceeds {_ERROR_LIMIT:g}")
         max_est = max(max_est, est)
-        # the field at the end starts the next step, and the start's array is free
+        # the field at the end starts the next step, and the start's arrays are free
         work.grads.insert(0, work.grads.pop())
-        pts, work.end = end, pts
+        points, work.end = end, points
         elapsed += step_dt
         done = i + 1
-        if done % _SIMPLE_STRIDE == 0 and done < len(steps) and not _polyline_is_simple(pts):
+        if (done % _SIMPLE_STRIDE == 0 and done < len(steps)
+                and not _polyline_is_simple(points[0])):
             raise ValidationFailed(f"evolved loop polyline self-intersects after {done} steps")
         if observer is not None:
-            observer(done, elapsed, pts.copy())
+            observer(done, elapsed, points[0].copy())
+    pts = points[0]
 
     try:
         evolved = loop._with_embedding(LoopEmbedding(pts))

@@ -57,22 +57,33 @@ def _perp(u: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
-def _turned(p: np.ndarray, c: float, g: np.ndarray, out: np.ndarray,
-            scaled: np.ndarray) -> np.ndarray:
-    """``p + c * _perp(g)`` bit for bit, with no quarter-turned copy of ``g``,
-    written into ``out`` and returned.
+def _columns(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``a`` with the views of its two parts, (a, a[..., 0], a[..., 1]): the
+    form in which ``_turned`` reads its points and the arrays it writes, so
+    that a caller that reuses its arrays makes their views once."""
+    return a, a[..., 0], a[..., 1]
 
-    ``g`` is scaled into ``scaled``, and its scaled second part is added to
-    the first column of ``p`` and its scaled first part subtracted from the
-    second.  Negation commutes exactly with scaling and addition, so
-    p_y - c g_x is p_y + c (-g_x) to the bit, down to the sign of a zero.
-    ``out`` and ``scaled`` are float arrays of ``p``'s shape; neither shares
-    memory with the other or with ``p`` or ``g``.
+
+def _turned(p, c: float, g: np.ndarray, out, scaled) -> np.ndarray:
+    """``p + c * _perp(g)`` bit for bit, with no quarter-turned copy of ``g``,
+    written into ``out`` and returned as an array.
+
+    ``p``, ``out`` and ``scaled`` are ``_columns`` triples of float arrays of
+    ``g``'s shape, and ``g`` is an array; no view is made here.  ``g`` is
+    scaled into ``scaled``, and its scaled second part is added to the first
+    part of ``p`` and its scaled first part subtracted from the second.
+    Negation commutes exactly with scaling and addition, so that difference
+    is the sum with c times the negated first part of ``g`` to the bit, down
+    to the sign of a zero.  Neither ``out`` nor ``scaled`` shares memory with
+    the other or with ``p`` or ``g``.
     """
-    s = np.multiply(g, c, out=scaled)
-    np.add(p[..., 0], s[..., 1], out[..., 0])
-    np.subtract(p[..., 1], s[..., 0], out[..., 1])
-    return out
+    _, p_x, p_y = p
+    s, s_x, s_y = scaled
+    turned, out_x, out_y = out
+    np.multiply(g, c, s)
+    np.add(p_x, s_y, out_x)
+    np.subtract(p_y, s_x, out_y)
+    return turned
 
 
 def _x_overlap_pairs(lo: np.ndarray, hi: np.ndarray):

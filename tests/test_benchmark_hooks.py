@@ -34,3 +34,28 @@ def test_tracer_installs_and_restores_every_attribute():
     after = _attributes()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_same_bits_names_each_moved_key_with_its_size(monkeypatch):
+    # the tool's comparison of two runs' outcomes, on an intertwine document
+    # with one map sample moved, a CSV with one cell moved, and text that
+    # differs only in how a number is written
+    tools = Path(__file__).resolve().parents[1] / "tools"
+    monkeypatch.syspath_prepend(str(tools))
+    spec = importlib.util.spec_from_file_location("same_bits", tools / "same_bits.py")
+    same_bits = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_bits)
+    doc = '{"shift": 1, "residual": 1e-12, "samples": [0.5, 1.5, 2.5]}'
+    moved = '{"shift": 1, "residual": 1e-12, "samples": [0.5, 1.5000000000030002, 2.5]}'
+    csv_a, csv_b = "step,t,area\n0,0.0,3.0\n1,0.001,3.0\n", "step,t,area\n0,0.0,3.0\n1,0.001,3.5\n"
+    parts = same_bits._compare((0, doc, "", {"out.csv": csv_a.encode()}),
+                               (4, moved, "", {"out.csv": csv_b.encode()}))
+    assert parts["exit"] == [0, 4]
+    assert parts["stdout"].keys() == {"samples"}
+    samples = parts["stdout"]["samples"]
+    assert samples["count"] == 1
+    assert 3.0e-12 <= samples["max_abs"] <= 3.1e-12 and samples["max_rel"] < 2.1e-12
+    assert parts["file out.csv"] == {"area": {"count": 1, "max_abs": 0.5, "max_rel": 0.5 / 3.5}}
+    assert same_bits._compare((0, doc, "", {}), (0, doc.replace("0.5", "5e-1"), "", {})) == {
+        "stdout": "text differs"}
+    assert same_bits._compare((0, doc, "", {}), (0, doc, "", {})) == {}

@@ -253,6 +253,50 @@ def test_flow_a_step_the_field_can_hide_from_exit_5(capsys, tmp_path, amplitude,
     assert not out_json.exists()
 
 
+def _flow_quietly(capsys, tmp_path, loop_file, bumps):
+    """``flow`` with every output file asked for and every warning an error:
+    (exit code, stdout, stderr, whether any file was written)."""
+    ham = tmp_path / "ham.json"
+    ham.write_text(json.dumps({"schema": io.SCHEMA, "bumps": bumps}))
+    outputs = [tmp_path / name for name in ("out.json", "out.csv", "out.svg")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, ["flow", loop_file, str(ham), "-T", "0.01", "--dt", "1e-3",
+                                      "-o", str(outputs[0]), "--emit-csv", str(outputs[1]),
+                                      "--emit-svg", str(outputs[2])])
+    return code, out, err, any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("before", [0, 1])
+def test_flow_bump_beyond_the_double_range_exit_2_naming_it(capsys, tmp_path, circle_file,
+                                                             before):
+    # A = -5e307 and sigma = 8.5e-4 are finite, but |A| / sigma and
+    # |A| / sigma^2 are not: the bump is refused by its index, with no numpy
+    # warning, before anything is written
+    good = {"center": [0.2, -0.1], "sigma": 0.8, "amplitude": 0.1}
+    bad = {"center": [0.0, 0.0], "sigma": 8.5e-4, "amplitude": -5.0e307}
+    got = _flow_quietly(capsys, tmp_path, circle_file, [good] * before + [bad])
+    assert got == (2, "", f"error: bump {before}: |A| / sigma or |A| / sigma^2 is beyond "
+                          f"the double range (A = -5e+307, sigma = 0.00085)\n", False)
+
+
+@pytest.mark.parametrize("bumps, bound", [
+    # |A| / sigma^2 = 1e308 each, so L overflows; the bumps lie 1e4 sigma from
+    # the unit circle, so the momentum is 0
+    ([{"center": [0.0, 0.0], "sigma": 1e-4, "amplitude": 1e300}] * 2,
+     "L = sum |A| / sigma^2, which bounds the field's Jacobian"),
+    # |A| / sigma = 7.5e307 each, so V overflows and L = 1.125e308 does not
+    ([{"center": [100.0, 0.0], "sigma": 2.0, "amplitude": 1.5e308}] * 3,
+     "V = sum |A| / sigma, which bounds the field"),
+])
+def test_flow_bounds_that_overflow_exit_5_with_no_advice(capsys, tmp_path, circle_file, bumps,
+                                                         bound):
+    # every bump's terms are finite, their sum is not: the step condition
+    # refuses the run without a dt to take, and no numpy warning is shown
+    got = _flow_quietly(capsys, tmp_path, circle_file, bumps)
+    assert got == (5, "", f"error: step condition: {bound}, overflows\n", False)
+
+
 def test_invariants_overflowing_profile_exit_3(capsys, tmp_path):
     # finite coefficients, derivative coefficients and grid values, but the
     # antiderivative's a0 t overflows near t = 2 pi: the profile is not finite

@@ -502,7 +502,8 @@ def _random_case(seed=34, n=256):
 def _separate_steps(pts, h, steps, stepper):
     """Each step by its own stepper call from the gradient at its start: the reference."""
     for dt in steps:
-        pts, _ = stepper(pts, h.gradient(pts), dt, _Work(h, pts.shape))
+        work = _Work(h, pts)
+        (pts, _, _), _ = stepper(work.start, h.gradient(pts), dt, work)
     return pts
 
 
@@ -542,7 +543,8 @@ def test_midpoint_advection_field_calls_per_step(dt, calls):
     for pts in seen[:-1]:
         g1 = h.gradient(pts)
         h.calls = 0
-        _midpoint_step(pts, g1, dt, _Work(h, pts.shape))
+        work = _Work(h, pts)
+        _midpoint_step(work.start, g1, dt, work)
         iterations.append(h.calls)
     # the field at the start, then each step's iterations and the field at its end
     want = 1 + sum(count + 1 for count in iterations)
@@ -830,6 +832,60 @@ def test_a_run_writes_every_field_into_five_arrays(scheme, monkeypatch):
     assert advect(loop, h, 0.1, 1e-3, scheme).steps == 100
     assert len(results) >= 4 * 100 + 1
     assert len({r.__array_interface__["data"][0] for r in results}) <= 5
+
+
+@pytest.mark.parametrize("n_bumps", [1, 2, 3])
+def test_a_certified_copy_takes_the_plain_gaussian_arithmetic_to_the_bit(n_bumps):
+    # the copy reads the points' complex view and writes into out with no
+    # check; a plain instance checks and, every point within 5 sigma, takes
+    # the same arithmetic
+    loop, bumps = _oracle_case("core", n_bumps)
+    pts = loop.embedding.samples
+    h = PlanarHamiltonian(bumps)
+    run = h._for_run(pts, _step_schedule(0.1, 1e-3))
+    assert run._inside_cutoff and h._terms(pts)[1] is None
+    want = h.gradient(pts)
+    out = np.full(pts.shape, np.nan)
+    assert run.gradient(pts, out) is out
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+    # again into the same array, after a call at other points
+    run.gradient(np.ascontiguousarray(pts[::-1]), out)
+    run.gradient(pts, out)
+    assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])
+@pytest.mark.parametrize("n_bumps", [1, 2, 3])
+def test_steppers_on_the_run_views_are_the_real_arithmetic_steps(scheme, n_bumps):
+    # each stepper as advect calls it: on a certified copy and the views of
+    # one _Work, made before the first step; three steps and a partial last one
+    stepper, reference = {"rk4": (_rk4_step, reference_rk4_step),
+                          "implicit-midpoint": (_midpoint_step, reference_midpoint_step)}[scheme]
+    loop, bumps = _oracle_case("core", n_bumps)
+    start = loop.embedding.samples
+    steps = _step_schedule(0.0035, 1e-3)
+    assert len(steps) == 4 and steps[-1] < 1e-3
+    run = PlanarHamiltonian(bumps)._for_run(start, steps)
+    assert run._inside_cutoff
+    field = DenseBumpField(bumps).vector_field
+    work = _Work(run, start.copy())
+    triples = {id(t) for t in (work.start, work.stage, work.total, work.estimate, work.end,
+                               work.first, work.iterate)}
+    points, want = work.start, start
+    g = run.gradient(points[0], work.grads[0])
+    for dt in steps:
+        end, e = stepper(points, g, dt, work)
+        g = run.gradient(end[0], work.grads[4])
+        want, want_e = reference(want, dt, field)
+        assert end is work.end
+        assert_same_bits(end[0], want)
+        # the step's estimate, max|e - (dt / 6) g5| on gradients and on fields
+        est = np.max(np.abs(e - (dt / 6.0) * g))
+        assert_same_bits(est, np.max(np.abs(want_e - (dt / 6.0) * field(want))))
+        work.grads.insert(0, work.grads.pop())
+        points, work.end = end, points
+    assert {id(t) for t in (points, work.stage, work.total, work.estimate, work.end,
+                            work.first, work.iterate)} == triples
 
 
 @pytest.mark.parametrize("scheme", ["rk4", "implicit-midpoint"])

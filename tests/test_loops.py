@@ -413,8 +413,9 @@ def test_turned_update_is_the_update_by_the_quarter_turn_to_the_bit(c):
         kept = point.copy(), vector.copy()
         # inf - inf and 0 * inf are NaN
         with np.errstate(invalid="ignore"):
-            got = loops._turned(point, c, vector, np.empty(point.shape),
-                                np.empty(point.shape))
+            got = loops._turned(loops._columns(point), c, vector,
+                                loops._columns(np.empty(point.shape)),
+                                loops._columns(np.empty(point.shape)))
             want = point + c * _broadcast_perp(vector)
         assert got.shape == want.shape and got.dtype == want.dtype
         # the sign and payload of a NaN are not specified; every other bit is

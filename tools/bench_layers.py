@@ -15,6 +15,8 @@ kernels are:
 - ``PlanarHamiltonian.gradient`` and ``__call__`` per call at n = 256 and
   B = 2 on points within 5 sigma of both bumps, in the 5-6 sigma band of one,
   beyond 6 sigma of both, and a third of each (``BUMP_REGIONS``);
+- ``gradient(points, out)`` per call of a certified copy from ``_for_run``, as
+  ``advect`` calls it, at n = 256 and B in {1, 2, 3};
 - one step of ``advect`` with its error estimate (rk4 and implicit midpoint) at
   n in {256, 4096}: a run of K steps minus a run of none, over K, so the
   per-step simplicity checks count and the set-up and final checks do not;
@@ -213,6 +215,19 @@ def _kernels(vl, folder):
         pts = _bump_region_points(region_rng, region, 256)
         add(f"gradient.{region}.n256.b2", h.gradient, pts)
         add(f"value.{region}.n256.b2", h, pts)
+    # a certified run copy's field call, as ``advect`` makes it: the copy of a
+    # 100-step run from 256 samples, called on those samples into an array of
+    # their shape; a generator of its own, so the inputs of the other kernels
+    # do not move
+    run_rng = np.random.default_rng(SEED)
+    pts = samples.random_decorated_loop(run_rng, n=256).embedding.samples
+    bumps = [PlanarBump(tuple(run_rng.uniform(-0.25, 0.25, 2)), run_rng.uniform(0.8, 1.2),
+                        run_rng.uniform(-0.3, 0.3)) for _ in range(3)]
+    for b in (1, 2, 3):
+        run = PlanarHamiltonian(bumps[:b])._for_run(pts, [FLOW_DT] * 100)
+        if not run._inside_cutoff:
+            raise AssertionError(f"the gradient.run.n256.b{b} copy is not certified")
+        add(f"gradient.run.n256.b{b}", run.gradient, pts, np.empty(pts.shape))
 
     # one step: a run of k steps less a run of none, over k
     for n, k in STEP_SIZES:
