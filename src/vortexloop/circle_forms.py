@@ -252,7 +252,11 @@ class CircleForm:
             raise ValueError("sample values must be finite")
         form = cls.__new__(cls)
         form._kind, form._node_count, form._values = "samples", vals.size, vals
-        form._spline = quadrature.periodic_spline(vals)
+        # quietly: samples near the double range overflow the spline, and a
+        # non-finite coefficient makes every grid value in its cell non-finite
+        # (at the knot, 0 inf is NaN), which ``find_zeros`` refuses
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            form._spline = quadrature.periodic_spline(vals)
         return form
 
     @classmethod

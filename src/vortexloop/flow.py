@@ -83,8 +83,8 @@ class PlanarHamiltonian:
     """
 
     # whether every point this instance is given is known to lie within 5
-    # sigma of every bump, so that ``_terms`` need not look and ``gradient``
-    # takes the Gaussian arithmetic alone; see ``_for_run``
+    # sigma of every bump, so that ``gradient`` takes the Gaussian arithmetic
+    # alone; see ``_for_run``
     _inside_cutoff = False
     # a bound on every coordinate of every point this instance is given, at
     # least 1; see ``_for_run``
@@ -168,17 +168,14 @@ class PlanarHamiltonian:
         and its slope -30 s^2 (1 - s)^2, both in Horner form; both are exact at
         s = 0 and s = 1.  When no point lies past 5 sigma of any bump, s is 0
         everywhere, so the blend is exactly 1 and the slope exactly 0: none of
-        the three is then computed, and None takes their place.  A certified
-        instance from ``_for_run`` knows that of every point it is given and
-        does not look.  Every instance from ``_for_run`` has ``_term_arrays``
-        of its own, which every call writes into; any other makes them per
-        call.
+        the three is then computed, and None takes their place.  Every instance
+        from ``_for_run`` has ``_term_arrays`` of its own, which every call
+        writes into; any other makes them per call.
         """
         zp = _complex_points(pts)
         d, e = self._exponents(zp, self._arrays or _term_arrays(len(self._bumps), len(zp)))
         # a NaN fails >=, so it takes the blend
-        if (self._inside_cutoff or e.size == 0
-                or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT):
+        if e.size == 0 or np.minimum.reduce(e, axis=None) >= _CUTOFF_EXPONENT:
             return d, None, e
         # scaling by powers of two rounds nothing, so e * -2.0 is rho^2 to the bit
         rho = np.sqrt(e * -2.0)
@@ -284,23 +281,21 @@ class PlanarHamiltonian:
 def hamiltonian_vector_field(h, points) -> np.ndarray:
     """Symplectic gradient with the convention ``X_h = (dh/dy, -dh/dx)``:
     the quarter turn ``loops._perp`` of the gradient."""
-    return _perp(np.asarray(h.gradient(points), dtype=float))
+    return _perp(h.gradient(points))
 
 
 class _Work:
-    """The field and the (M, 2) arrays of one ``advect`` run, allocated once,
-    with the views of their parts, made once.
+    """The field and the (M, 2) arrays of one ``advect`` run of the
+    ``PlanarHamiltonian`` ``h``, allocated once, with the views of their
+    parts, made once.
 
-    ``field(points, out)`` writes the gradient of ``h`` at the (M, 2)
-    ``points`` into ``out`` and returns it: a ``PlanarHamiltonian`` writes it
-    there itself, through ``gradient(points, out)``; any other ``h`` with a
-    ``gradient(points)`` is called as it is, and its result copied.
-    ``coordinate_bound`` is ``h._coordinate_bound`` where ``h`` has one, else
-    infinite.  ``grads`` holds five gradient slots: a step starts from the
-    first, RK4 writes its stages 2-4 into the next three (the implicit
-    midpoint its iterates' gradients into the second), and the field at the
-    step's end goes into the last, which ``advect`` then moves to the front as
-    the next step's start.  The other arrays are ``loops._columns`` triples,
+    ``field(points, out)`` is ``h.gradient``, which writes the gradient at the
+    (M, 2) ``points`` into ``out`` and returns it, and ``coordinate_bound`` is
+    ``h._coordinate_bound``.  ``grads`` holds five gradient slots: a step
+    starts from the first, RK4 writes its stages 2-4 into the next three (the
+    implicit midpoint its iterates' gradients into the second), and the field
+    at the step's end goes into the last, which ``advect`` then moves to the
+    front as the next step's start.  The other arrays are ``loops._columns`` triples,
     the form ``_turned`` reads: ``start`` is the run's start array ``pts``,
     ``stage`` holds a stage point or a scaled gradient, ``total`` a sum or a
     difference, ``estimate`` a step's e and ``end`` its end; the implicit
@@ -309,14 +304,8 @@ class _Work:
     """
 
     def __init__(self, h, pts):
-        if type(h) is PlanarHamiltonian:
-            self.field = h.gradient
-        else:
-            def field(points, out):
-                np.copyto(out, h.gradient(points))
-                return out
-            self.field = field
-        self.coordinate_bound = getattr(h, "_coordinate_bound", np.inf)
+        self.field = h.gradient
+        self.coordinate_bound = h._coordinate_bound
         self.grads = [np.empty(pts.shape) for _ in range(5)]
         self.start = _columns(pts)
         self.stage, self.total, self.estimate, self.end, self.first, self.iterate = (
@@ -365,7 +354,7 @@ def _midpoint_step(points, g1: FloatArray, dt: float, work: _Work):
     ``_MIDPOINT_ITERATIONS`` iterations.  max|z| is taken only when it can
     decide: a finite update comes from a finite iterate, so one of at most
     1e-14 stops, and one above 1e-14 ``work.coordinate_bound`` (a bound on
-    max(1, max|z|) where known, else infinite) does not.
+    max(1, max|z|) on a copy from ``_for_run``, else infinite) does not.
     ``points`` is one of ``work``'s ``_columns`` triples, every array is one
     of ``work``'s, and ``g1`` not its second slot.
     Returns the end point y1, as the triple ``work.end``, and e, in
@@ -450,25 +439,26 @@ def _step_schedule(duration: float, dt: float) -> list[float]:
     return steps
 
 
-def advect(loop: DecoratedLoop, h, duration: float, dt: float,
+def advect(loop: DecoratedLoop, h: PlanarHamiltonian, duration: float, dt: float,
            scheme: str = "rk4", *, observer=None) -> FlowReport:
     """Advect a decorated loop by the Hamiltonian flow of ``h``.
 
-    For a ``PlanarHamiltonian``, a run whose longest step dt has dt L above
-    ``_STEP_LIMIT`` (2 sqrt 2), for L = sum |A| / sigma^2 >= sup |DX_h|, raises
-    StepRejected before its first step: its first stage can carry points past
-    the bumps, where the field and so the estimate below read 0.  So does a
-    run whose L or V = sum |A| / sigma overflows.
+    ``h`` is a ``PlanarHamiltonian``, or a subclass, held to its bumps'
+    bounds alike; anything else raises TypeError.  A run whose longest step
+    dt has dt L above ``_STEP_LIMIT`` (2 sqrt 2), for L = sum |A| / sigma^2 >=
+    sup |DX_h|, raises StepRejected before its first step: its first stage can
+    carry points past the bumps, where the field and so the estimate below
+    read 0.  So does a run whose L or V = sum |A| / sigma overflows.
     Each step is taken once, by the scheme's stepper, and carries an embedded
     "first same as last" error estimate max|e - (dt / 6) g5|: g5 is the
     gradient at the step's end, which the next step starts from, and e is the
     stepper's (``_rk4_step``, ``_midpoint_step``).  The steps are carried on
     gradients, whose quarter turns are the fields.  Every field evaluation and
-    stage update writes into the run's arrays, ``_Work``, allocated once; a
-    ``PlanarHamiltonian`` writes its gradient there itself, and the gradient
-    of any other ``h`` is copied there.  A step is accepted only
-    once g5 is known: an estimate above ``_ERROR_LIMIT`` (1e-3) or not finite
-    (a NaN field at the end of the last step too) raises StepRejected.
+    stage update writes into the run's arrays, ``_Work``, allocated once, and
+    the run's copy of ``h`` from ``_for_run`` writes its gradient there
+    itself.  A step is accepted only once g5 is known: an estimate above
+    ``_ERROR_LIMIT`` (1e-3) or not finite (a NaN field at the end of the last
+    step too) raises StepRejected.
     The evolving sample polyline is checked for self-intersection every
     ``_SIMPLE_STRIDE`` accepted steps and, through the evolved loop's own
     validation, after the last one; a failed check raises ValidationFailed
@@ -479,6 +469,8 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     When given, ``observer(step_index, time, points)`` is called at step 0 and
     after every accepted step.
     """
+    if not isinstance(h, PlanarHamiltonian):
+        raise TypeError("h must be a PlanarHamiltonian")
     if scheme not in _STEPPERS:
         raise ValueError(f"unknown scheme {scheme!r}; pick one of {sorted(_STEPPERS)}")
     stepper = _STEPPERS[scheme]
@@ -491,7 +483,7 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
     pts = emb.samples
     max_est = 0.0
     steps = _step_schedule(duration, dt)
-    if isinstance(h, PlanarHamiltonian) and steps:
+    if steps:
         bound = h._jacobian_bound
         # finite terms whose sum is not: no step can be advised
         if not bound < np.inf:
@@ -506,12 +498,10 @@ def advect(loop: DecoratedLoop, h, duration: float, dt: float,
                 f"where L = sum |A| / sigma^2 = {bound:.3e} bounds the field's Jacobian; "
                 f"take dt <= {_STEP_LIMIT / bound:.3e}")
     # decided once: a run that stays within 5 sigma of every bump skips the
-    # per-call cutoff check, and every run has its own arrays; a subclass,
-    # which may change the field, keeps the check and makes its arrays per call
-    h_run = h._for_run(pts, steps) if type(h) is PlanarHamiltonian else h
-    # ``pts`` is the run's own copy of the samples, and its start array; from
-    # here on ``points`` is the ``_columns`` triple of the current points
-    work = _Work(h_run, pts)
+    # per-call cutoff check, and every run has its own arrays.  ``pts`` is the
+    # run's own copy of the samples, and its start array; from here on
+    # ``points`` is the ``_columns`` triple of the current points
+    work = _Work(h._for_run(pts, steps), pts)
     points, total = work.start, work.total[0]
     elapsed = 0.0
     if observer is not None:

@@ -41,17 +41,14 @@ def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u[..., 0] * v[..., 1] - u[..., 1] * v[..., 0]
 
 
-def _perp(u: np.ndarray, out=None) -> np.ndarray:
-    """The quarter turn (x, y) -> (y, -x) of the last axis, as a float array,
-    written into ``out`` when it is given (an array of ``u``'s shape that does
-    not share memory with it).
+def _perp(u: np.ndarray) -> np.ndarray:
+    """The quarter turn (x, y) -> (y, -x) of the last axis, as a new float array.
 
     As x + iy this is -i times ``u``.  The parts are swapped and the second is
     multiplied by -1: not the whole by -i, whose cross terms 0 * x could flip
     the sign of a zero, and not negated, which would flip the sign of a NaN.
     """
-    if out is None:
-        out = np.empty(u.shape)
+    out = np.empty(u.shape)
     out[..., 0] = u[..., 1]
     np.multiply(u[..., 0], -1.0, out=out[..., 1])
     return out

@@ -35,6 +35,7 @@ from vortexloop.errors import (
 )
 from vortexloop.flow import PlanarHamiltonian
 from vortexloop.loops import DEFAULT_AREA_REL_TOL, DecoratedLoop, LoopEmbedding
+from vortexloop.quadrature import uniform_grid
 
 from conftest import near_degenerate_form
 
@@ -565,6 +566,29 @@ def test_overflowing_density_exit_3(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err == "error: density overflows: its values on the sampling grid are not finite\n"
+
+
+@pytest.mark.parametrize("command", ["invariants", "equiv", "intertwine"])
+@pytest.mark.parametrize("amp", [1e300, 1e307, 5e307, 1.1e308])
+def test_sampled_density_near_the_double_range_is_one_line(capsys, tmp_path, command, amp):
+    # 64 finite samples of amp (sin 2t + 0.3 cos t): from 1e307 on the
+    # spline's slopes or coefficients overflow, and the command exits 3 with
+    # one line and no numpy warning; at 1e300 it answers
+    t = uniform_grid(64)
+    values = amp * (np.sin(2.0 * t) + 0.3 * np.cos(t))
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps({"schema": io.SCHEMA, "samples": three_lobed_samples().tolist(),
+                                "beta": {"kind": "samples", "values": values.tolist()}}))
+    argv = [command] + [str(path)] * (1 if command == "invariants" else 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, argv)
+    if amp == 1e300:
+        assert (code, err) == (0, "")
+        assert json.loads(out)
+    else:
+        assert (code, out, err) == (3, "", "error: density overflows: its values on the "
+                                           "sampling grid are not finite\n")
 
 
 def test_overflowing_derivative_exit_3(capsys, tmp_path):

@@ -406,14 +406,16 @@ def test_step_rejected_on_violent_field():
         advect(loop, h, 1.0, 0.1)
 
 
-class _NanGradient:
-    """Zero Hamiltonian whose gradient is NaN everywhere."""
+class _NanGradient(PlanarHamiltonian):
+    """Zero Hamiltonian, with no bumps, whose gradient is NaN everywhere."""
 
-    def __call__(self, points):
-        return np.zeros(np.shape(points)[:-1])
+    def __init__(self):
+        super().__init__([])
 
-    def gradient(self, points):
-        return np.full(np.shape(points), np.nan)
+    def gradient(self, points, out=None):
+        grad = np.empty(np.shape(points)) if out is None else out
+        grad.fill(np.nan)
+        return grad
 
 
 def test_non_finite_step_estimate_is_rejected():
@@ -479,17 +481,17 @@ def test_observer_sees_every_step():
 
 
 class _CountingHamiltonian(PlanarHamiltonian):
-    """Counts gradient calls and the points they were given."""
+    """Counts gradient calls and the points they were given, in a dict that
+    the run copies of ``advect`` share."""
 
     def __init__(self, bumps):
         super().__init__(bumps)
-        self.calls = 0
-        self.points = 0
+        self.counts = {"calls": 0, "points": 0}
 
-    def gradient(self, points):
-        self.calls += 1
-        self.points += np.size(points) // 2
-        return super().gradient(points)
+    def gradient(self, points, out=None):
+        self.counts["calls"] += 1
+        self.counts["points"] += np.size(points) // 2
+        return super().gradient(points, out)
 
 
 def _random_case(seed=34, n=256):
@@ -526,8 +528,8 @@ def test_rk4_advection_makes_four_field_calls_per_step():
     assert report.steps == 50
     # k1 at the start, then per step stages 2-4 and the field at the step's
     # end, which is the next step's k1; every call on the n samples
-    assert h.calls == 4 * report.steps + 1 == 201
-    assert h.points == (4 * report.steps + 1) * n == 51456
+    assert h.counts["calls"] == 4 * report.steps + 1 == 201
+    assert h.counts["points"] == (4 * report.steps + 1) * n == 51456
 
 
 @pytest.mark.parametrize("dt, calls", [(1e-3, 21), (1e-2, 26)])
@@ -536,16 +538,16 @@ def test_midpoint_advection_field_calls_per_step(dt, calls):
     seen = []
     advect(loop, h, 5 * dt, dt, "implicit-midpoint",
            observer=lambda i, t, pts: seen.append(pts))
-    advect_calls, advect_points = h.calls, h.points
+    advect_calls, advect_points = h.counts["calls"], h.counts["points"]
 
     # the iterations of each step, solved alone from the field at its start
     iterations = []
     for pts in seen[:-1]:
         g1 = h.gradient(pts)
-        h.calls = 0
+        h.counts["calls"] = 0
         work = _Work(h, pts)
         _midpoint_step(work.start, g1, dt, work)
-        iterations.append(h.calls)
+        iterations.append(h.counts["calls"])
     # the field at the start, then each step's iterations and the field at its end
     want = 1 + sum(count + 1 for count in iterations)
     # 3 iterations per solve at 1e-3, as in every benchmark solve; at 1e-2, 4
@@ -560,8 +562,8 @@ class _NanOnPoints(PlanarHamiltonian):
         super().__init__(bumps)
         self._target = target
 
-    def gradient(self, points):
-        grad = super().gradient(points).reshape((-1,) + self._target.shape)
+    def gradient(self, points, out=None):
+        grad = super().gradient(points, out).reshape((-1,) + self._target.shape)
         hit = np.all(np.reshape(points, grad.shape) == self._target, axis=(1, 2))
         grad[hit] = np.nan
         return grad.reshape(np.shape(points))
@@ -764,23 +766,36 @@ def test_a_certified_run_is_the_checked_run_byte_for_byte(scheme, monkeypatch):
     assert fast_report.steps == checked_report.steps == 50
 
 
-def test_subclasses_keep_the_per_call_check(monkeypatch):
+class _DuckHamiltonian:
+    """A value and a gradient, but not a PlanarHamiltonian."""
+
+    def __call__(self, points):
+        return np.zeros(np.shape(points)[:-1])
+
+    def gradient(self, points, out=None):
+        raise AssertionError("advect evaluated a field that is not a PlanarHamiltonian")
+
+
+def test_advect_takes_only_planar_hamiltonians():
+    loop = circle_loop(n=32)
+    bump = PlanarHamiltonian.single((0.2, 0.1), 0.7, 0.3)
+    for h in (_DuckHamiltonian(), bump.gradient, None):
+        for scheme in ("rk4", "implicit-midpoint"):
+            with pytest.raises(TypeError, match="^h must be a PlanarHamiltonian$"):
+                advect(loop, h, 0.3, 0.1, scheme)
+
+
+def test_a_subclass_run_is_certified_by_its_bumps_and_keeps_its_gradient():
     loop, h = _random_case()
     start = loop.embedding.samples
-    # the same bumps as a plain Hamiltonian would be certified
-    assert PlanarHamiltonian(h.bumps)._for_run(start, _step_schedule(0.05, 1e-3))._inside_cutoff
-
-    def unreachable(self, pts, steps):
-        raise AssertionError("advect certified a subclass")
-
-    monkeypatch.setattr(PlanarHamiltonian, "_for_run", unreachable)
-    assert advect(loop, h, 0.05, 1e-3).steps == 50
-    assert h.calls == 201 and h.points == 201 * loop.embedding.size
-    nan = _NanOnPoints(h.bumps, start)
-    for scheme, message in (("rk4", "step 0: local error estimate nan"),
-                            ("implicit-midpoint", "implicit midpoint solve did not converge")):
-        with pytest.raises(StepRejected, match=message):
-            advect(loop, nan, 0.005, 1e-3, scheme)
+    run = h._for_run(start, _step_schedule(0.05, 1e-3))
+    # the run copy keeps the class, so its gradient is the override, and shares its counts
+    assert type(run) is _CountingHamiltonian and run._inside_cutoff and not h._inside_cutoff
+    assert run.counts is h.counts
+    plain = PlanarHamiltonian(h.bumps)
+    report, want = advect(loop, h, 0.05, 1e-3), advect(loop, plain, 0.05, 1e-3)
+    assert h.counts["calls"] == 4 * 50 + 1
+    assert_same_bits(report.loop.embedding.samples, want.loop.embedding.samples)
 
 
 # ---------------------------------------------------------------- the run's arrays
