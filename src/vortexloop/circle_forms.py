@@ -85,14 +85,14 @@ def _newton_bracketed(f, df, target, lo, hi, sign=1.0, start=None, floor=0.0,
                 return t
             ta = t[active]
             sg = sign[active]
-            resid = sg * np.asarray(f(ta), dtype=float) - target[active]
+            resid = sg * f(ta) - target[active]
             # written so that a NaN residual keeps its entry active
             moving = ~(np.abs(resid) <= floor)
             if not moving.all():
                 active, ta, sg, resid = active[moving], ta[moving], sg[moving], resid[moving]
             lo_a = np.where(resid < 0.0, ta, lo[active])
             hi_a = np.where(resid >= 0.0, ta, hi[active])
-            slope = sg * np.asarray(df(ta), dtype=float)
+            slope = sg * df(ta)
             newton = ta - resid / slope
             take = ((newton >= lo_a) & (newton <= hi_a)
                     & (np.abs(newton - ta) <= 0.5 * step[active]))
@@ -471,9 +471,7 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
     hi = lo + np.where(vals[starts] == 0.0, 0.0, h)
     roots = _newton_bracketed(form, form.derivative, 0.0, lo, hi, -np.sign(vals[starts]))
 
-    roots = np.mod(roots, TWO_PI)
-    order = np.argsort(roots)
-    roots = roots[order]
+    roots = np.sort(np.mod(roots, TWO_PI))
 
     gaps = np.diff(np.append(roots, roots[0] + TWO_PI))
     if roots.size > 1 and np.min(gaps) < 2.0 * h:
@@ -486,7 +484,7 @@ def find_zeros(form: CircleForm, *, morse_tol: float = DEFAULT_MORSE_TOL) -> Zer
         j = int(np.argmax(residual))
         raise MorseViolation(f"zero refinement stalled near t={roots[j]:.9f}")
 
-    derivs = np.asarray(form.derivative(roots), dtype=float)
+    derivs = form.derivative(roots)
     # the grid's max|f'| lies below twice the proven bound ``_derivative_bound``,
     # rounding included, so zeros that all clear morse_tol of twice the bound
     # clear it of the grid's too: only otherwise is the grid of slopes built
@@ -803,15 +801,15 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
     x = s_grid + TWO_PI * wrapped
 
     seg = np.clip(np.searchsorted(src_ext, x, side="right") - 1, 0, k - 1)
-    src_anti = np.asarray(src_form.antiderivative(x), dtype=float)
-    seg_base = np.asarray(src_form.antiderivative(src_ext[:k]), dtype=float)
+    src_anti = src_form.antiderivative(x)
+    seg_base = src_form.antiderivative(src_ext[:k])
     dst_seg = (seg + shift) % k
     ratio = dst_omegas[dst_seg] / src_omegas[seg]
     s_vals = (src_anti - seg_base[seg]) * ratio
     gamma_x = bounds[seg] + _invert_batch(dst_form, dst_zs, dst_len, dst_omegas, s_vals, dst_seg)
 
-    d_dst = np.asarray(dst_form(gamma_x), dtype=float)
-    d_src = np.asarray(src_form(x), dtype=float)
+    d_dst = dst_form(gamma_x)
+    d_src = src_form(x)
     shared_zero = np.abs(d_dst) <= 1e-6 * dst_form.max_abs()
     slope = ratio * d_src / np.where(shared_zero, 1.0, d_dst)
     if np.any(shared_zero):
@@ -826,8 +824,8 @@ def _transport(src_form: CircleForm, src_zeros: ZeroSet, src_prof: VorticityProf
         use_hi = np.abs(d_hi) < np.abs(d_lo)
         bnd = np.where(use_hi, segs + 1, segs)
         delta = np.where(use_hi, d_hi, d_lo)
-        num = ratio[idx] * np.asarray(src_form.derivative(src_ext[bnd]), dtype=float)
-        den = np.asarray(dst_form.derivative(bounds[bnd]), dtype=float)
+        num = ratio[idx] * src_form.derivative(src_ext[bnd])
+        den = dst_form.derivative(bounds[bnd])
         s0 = np.sqrt(np.maximum(num / den, 1e-300))
         gamma_x[idx] = bounds[bnd] + s0 * delta
         slope[idx] = s0
@@ -864,5 +862,5 @@ def pullback_form(gamma: CircleDiffeo, form: CircleForm, n: int | None = None) -
     if n is None:
         n = max(form.node_count, gamma.size)
     grid = uniform_grid(n)
-    vals = np.asarray(form(gamma(grid)), dtype=float) * gamma.derivative(grid)
+    vals = form(gamma(grid)) * gamma.derivative(grid)
     return CircleForm.from_samples(vals)

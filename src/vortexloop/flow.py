@@ -359,11 +359,11 @@ def _midpoint_step(points, g1: FloatArray, dt: float, work: _Work):
     of ``work``'s, and ``g1`` not its second slot.
     Returns the end point y1, as the triple ``work.end``, and e, in
     ``work.estimate``'s array: e is the inverse quarter turn of
-    (2 y1 - z1 - y0 - (dt / 2) k1) / 3, where z1, the first iterate, is the
+    (2 y1 - z_1 - y0 - (dt / 2) k1) / 3, where z_1, the first iterate, is the
     explicit midpoint step.  With g5 the gradient at the end,
-    max|e - (dt / 6) g5| is max|(2 y1 - z1 - y0 - (dt / 2)(k1 + k5)) / 3|, a
+    max|e - (dt / 6) g5| is max|(2 y1 - z_1 - y0 - (dt / 2)(k1 + k5)) / 3|, a
     third of the differences of y1 from the explicit midpoint and from the
-    trapezoid step, the leading term of the local error.  For u = 2 y1 - z1 - y0
+    trapezoid step, the leading term of the local error.  For u = 2 y1 - z_1 - y0
     and k1 the quarter turn of g1, that inverse quarter turn is the turned
     update -(dt / 2) g1 - perp(u), divided by 3: it differs from the inverse
     quarter turn of u - (dt / 2) k1 at most in the sign of a zero or a NaN
@@ -374,22 +374,19 @@ def _midpoint_step(points, g1: FloatArray, dt: float, work: _Work):
     bound = 1e-14 * work.coordinate_bound
     # ``stage`` holds each turned update's scaled gradient, and spent values
     z = _turned(points, dt, g1, work.end, stage)
-    z1 = None
     for i in range(_MIDPOINT_ITERATIONS):
         # the next iterate goes into ``first``, then into ``end`` (the Euler
         # guess is spent by then) and ``iterate`` by turns
         np.multiply(np.add(y0, z, s), 0.5, s)
-        target = work.first if z1 is None else (work.iterate, work.end)[i % 2]
+        target = work.first if i == 0 else (work.iterate, work.end)[i % 2]
         z_next = _turned(points, dt, field(s, gradient), target, stage)
-        if z1 is None:
-            z1 = z_next
         update = np.maximum.reduce(np.abs(np.subtract(z_next, z, s), s), axis=None)
         if update <= 1e-14 or (update <= bound and update <= 1e-14 * max(
                 np.maximum.reduce(np.abs(z, s), axis=None), 1.0)):
             y1, u = work.end[0], work.total[0]
             if z_next is not y1:
                 np.copyto(y1, z_next)
-            np.subtract(np.subtract(np.multiply(y1, 2.0, u), z1, u), y0, u)
+            np.subtract(np.subtract(np.multiply(y1, 2.0, u), work.first[0], u), y0, u)
             # -(dt / 2) g1 - perp(u), scaled through ``iterate``, which is spent
             np.multiply(g1, -0.5 * dt, s)
             e = _turned(stage, -1.0, u, work.estimate, work.iterate)

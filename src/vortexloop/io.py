@@ -45,8 +45,8 @@ def _float_list(value, where, pairs=False):
 
     The structure and the element types are checked on one flat list, which
     numpy then converts in one call with no shape to discover.  Anything else,
-    booleans, strings and integers beyond the float range included, raises
-    SchemaError naming ``where``.
+    booleans, strings, lists, objects, null and integers beyond the float
+    range included, raises SchemaError naming ``where``.
     """
     expected = "a list of [x, y] pairs" if pairs else "a flat list of numbers"
     if type(value) is not list:
@@ -62,14 +62,12 @@ def _float_list(value, where, pairs=False):
         raise SchemaError(f"{where}: expected {expected}, got a boolean")
     if str in kinds:
         raise SchemaError(f"{where}: expected {expected}, got a string")
+    if not kinds <= {int, float, type(None)}:  # null reads as NaN, refused below
+        raise SchemaError(f"{where}: expected {expected}")
     try:
         arr = np.array(flat, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: expected {expected}") from exc
     except OverflowError as exc:
         raise SchemaError(f"{where}: values must be finite") from exc
-    if arr.ndim != 1:
-        raise SchemaError(f"{where}: expected {expected}")
     if not np.all(np.isfinite(arr)):
         raise SchemaError(f"{where}: values must be finite")
     return arr.reshape(-1, 2) if pairs else arr
@@ -97,7 +95,7 @@ def form_from_dict(doc, where: str = "beta") -> CircleForm:
         a0 = _finite_number(coeffs.get("a0", 0.0), f"{where}.coeffs.a0")
         cos = _float_list(coeffs.get("cos", []), f"{where}.coeffs.cos")
         sin = _float_list(coeffs.get("sin", []), f"{where}.coeffs.sin")
-        return CircleForm.trig(a0=a0, cos=tuple(cos), sin=tuple(sin))
+        return CircleForm.trig(a0=a0, cos=cos, sin=sin)
     if kind == "samples":
         values = _float_list(_require(doc, "values", where), f"{where}.values")
         if values.size < 8:

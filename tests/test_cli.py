@@ -675,6 +675,15 @@ def test_verify_seed_from_environment(capsys, monkeypatch):
     assert "VORTEXLOOP_SEED" in err
 
 
+def test_verify_seed_defaults_to_0(capsys, monkeypatch):
+    # the default the --seed help text promises, with neither --seed nor VORTEXLOOP_SEED
+    monkeypatch.delenv("VORTEXLOOP_SEED", raising=False)
+    code, out, _ = run(capsys, ["verify", "--suite", "forms"])
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+    assert run(capsys, ["verify", "--suite", "forms", "--seed", "0"]) == (0, out, "")
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # scipy is reached lazily, by the reference integrator of ``verify --suite flow``
     env = dict(os.environ, PYTHONPATH=str(Path(vortexloop.__file__).parents[1]))

@@ -2,10 +2,10 @@
 
 Valid loop and Hamiltonian documents are mutated by a fixed, seeded case
 list: curves scaled, translated or flattened by magnitudes from 1e-320 to
-1.7e308, n from 16 to 1024, trig and sampled densities at the same
-magnitudes, and 1-3 bumps.  Every case runs through ``invariants``,
-``equiv``, ``intertwine`` and ``flow`` with every warning an error, and must
-keep the contract of the ``cli`` docstring:
+1.7e308, or scaled and jittered, n from 16 to 1024, trig and sampled
+densities at the same magnitudes, and 1-3 bumps.  Every case runs through
+``invariants``, ``equiv``, ``intertwine`` and ``flow`` with every warning an
+error, and must keep the contract of the ``cli`` docstring:
 
 - exit 0 with finite JSON, or exit 1 for a negative ``equiv`` verdict;
 - exit 2-5 with exactly one ``error:`` line, no traceback and no file written;
@@ -28,7 +28,7 @@ from vortexloop.quadrature import uniform_grid
 SEED = 16
 # every class of case meets each of these, as the curve's and as the density's magnitude
 MAGNITUDES = (1e-320, 1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300, 1.7e308)
-MUTATIONS = ("scale", "translate", "flatten")
+MUTATIONS = ("scale", "translate", "flatten", "jitter")
 DENSITIES = ("trig", "samples")
 # rounds of the case grid, each with its own draws
 ROUNDS = 2
@@ -90,8 +90,16 @@ def _cases():
             elif mutation == "translate":
                 angle = rng.uniform(0.0, 2.0 * np.pi)
                 curve += curve_mag * np.array([np.cos(angle), np.sin(angle)])
-            else:
+            elif mutation == "flatten":
                 curve[:, 1] *= curve_mag
+            else:
+                # each sample's coordinates moved by up to a relative 10^U(-16, -2),
+                # drawn per sample, of themselves: at most 1 %, which takes no
+                # coordinate of size 1.7e308 past the double range
+                curve *= curve_mag
+                jitter = 10.0 ** rng.uniform(-16.0, -2.0, (n, 1)) * rng.uniform(-1.0, 1.0, (n, 2))
+                with np.errstate(over="raise"):
+                    curve += curve * jitter
             beta, moved = _density(rng, kind, form_mag)
             yield (f"{mutation}-{kind}-curve{curve_mag!r}-density{form_mag!r}-n{n}",
                    curve, base, beta, moved, _bumps(rng, curve))

@@ -149,7 +149,8 @@ def test_dumps_is_json_indent_2_sorted_byte_for_byte(doc):
     ({"area": np.float64(np.inf)}, "area", "inf"),
     ([1.0, {"x": np.nan}], "[1].x", "nan"),
     (float("nan"), "document", "nan"),
-], ids=["c-encoder", "nested", "numpy", "list", "scalar"])
+    ({"steps": [100, -np.inf]}, "steps[1]", "-inf"),
+], ids=["c-encoder", "nested", "numpy", "list", "scalar", "integer-first"])
 def test_dumps_refuses_nan_and_infinity_naming_the_key(doc, where, number, tmp_path):
     # JSON has no NaN or infinity; json.dumps would write the non-JSON tokens
     message = rf"^output {re.escape(where)}: {number} is not a finite number$"
@@ -317,6 +318,62 @@ def test_hamiltonian_rejects_non_finite_bump_numbers(tmp_path, field, text):
     path.write_text('{"bumps": [{%s}]}' % ", ".join(f'"{k}": {v}' for k, v in bump.items()))
     with pytest.raises(SchemaError, match=rf"bumps\[0\]\.{field}: must be"):
         io.hamiltonian_from_dict(io.load(path))
+
+
+def _holding(field, bad):
+    """(reader, document) with ``bad`` as one number of the list ``field``:
+    the y of a loop sample, a density value, a trig coefficient or a bump
+    centre's y."""
+    loop = io.loop_to_dict(circle_loop())
+    if field == "loop.samples":
+        loop["samples"][3] = [loop["samples"][3][0], bad]
+    elif field == "loop.beta.values":
+        loop["beta"] = {"kind": "samples", "values": [1.0, -1.0, 2.0, bad, 1.0, -1.0, 2.0, -2.0]}
+    elif field in ("loop.beta.coeffs.cos", "loop.beta.coeffs.sin"):
+        coeffs = {"a0": 0.0, "cos": [0.3], "sin": [0.0, 1.0]}
+        coeffs[field.rsplit(".", 1)[1]].append(bad)
+        loop["beta"] = {"kind": "trig", "coeffs": coeffs}
+    else:
+        bump = {"center": [0.25, bad], "sigma": 1.0, "amplitude": 1.0}
+        return io.hamiltonian_from_dict, {"schema": io.SCHEMA, "bumps": [bump]}
+    return io.loop_from_dict, loop
+
+
+@pytest.mark.parametrize("field", ["loop.samples", "loop.beta.values", "loop.beta.coeffs.cos",
+                                   "loop.beta.coeffs.sin", "hamiltonian.bumps[0].center"])
+@pytest.mark.parametrize("bad, message", [
+    # numpy reads null as NaN, which is not finite
+    pytest.param(None, "values must be finite", id="null"),
+    pytest.param([1.0, 2.0], "expected {}", id="nested-list"),
+    pytest.param({"x": 1.0}, "expected {}", id="object"),
+    pytest.param([1.0], "expected {}", id="ragged-pair"),
+])
+def test_reader_refuses_a_number_that_is_not_a_json_number(field, bad, message):
+    reader, doc = _holding(field, bad)
+    shape = "a list of [x, y] pairs" if field == "loop.samples" else "a flat list of numbers"
+    with pytest.raises(SchemaError, match=f"^{re.escape(field)}: "
+                                          f"{re.escape(message.format(shape))}$"):
+        reader(doc)
+
+
+@pytest.mark.parametrize("bad", [None, [1.0], [[1.0, 2.0]], {"x": 1.0, "y": 2.0}, [1.0, [2.0]]],
+                         ids=["null", "ragged-pair", "nested-list", "object", "pair-of-a-list"])
+def test_reader_refuses_a_loop_sample_that_is_not_a_pair(bad):
+    doc = io.loop_to_dict(circle_loop())
+    doc["samples"][3] = bad
+    with pytest.raises(SchemaError, match=r"^loop\.samples: expected a list of \[x, y\] pairs$"):
+        io.loop_from_dict(doc)
+
+
+def test_a_loop_sample_that_is_an_object_exits_2_with_one_error_line(tmp_path, capsys):
+    doc = io.loop_to_dict(circle_loop())
+    doc["samples"][3] = {"x": 1.0, "y": 0.0}
+    path = tmp_path / "loop.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["invariants", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: loop.samples: expected a list of [x, y] pairs\n"
 
 
 # ---------------------------------------------------------------- rendering
